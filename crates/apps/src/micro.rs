@@ -170,8 +170,8 @@ mod tests {
         let r = stream(gh_sim::platform::gh200().machine(), MemMode::System, &p);
         assert!(r.traffic.bytes_migrated_in > 0);
         // Last iteration reads locally.
-        let last = r.kernel_history.last().unwrap();
-        assert_eq!(last.1.c2c_read, 0, "{:?}", last);
+        let last = r.kernels.last().unwrap();
+        assert_eq!(last.traffic.c2c_read, 0, "{:?}", last);
     }
 
     #[test]

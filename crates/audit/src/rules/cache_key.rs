@@ -16,8 +16,8 @@
 //! 2. **Audited structs** — the anchor struct plus the struct types of
 //!    its fields (one level deep; for `JobSpec` that pulls in
 //!    `SessionOptions`). `RuntimeOptions` is deliberately not audited
-//!    per-field: it is derived from keyed inputs (platform + session),
-//!    and the `SessionOptions -> RuntimeOptions` store path is covered.
+//!    per-field: it is derived from the keyed platform, and the
+//!    `SessionOptions -> SessionCtx` store path is covered.
 //! 3. **R** — the escaping set: audited fields whose read value
 //!    *escapes* the reading function — reaches a return, stored state,
 //!    a branch decision (control influence), a trace/checksum/report

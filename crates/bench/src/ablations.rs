@@ -45,13 +45,9 @@ pub fn budget_sweep(fast: bool) -> Csv {
             })
             .expect("budget tweak keeps parameters valid");
         let r = srad::run(m, MemMode::System, &p);
-        let srads: Vec<_> = r
-            .kernel_history
-            .iter()
-            .filter(|(n, _)| n.starts_with("srad"))
-            .collect();
+        let srads = r.kernel_traffic_named("srad");
         let iter_c2c = |it: usize| -> f64 {
-            (srads[2 * it].1.c2c_read + srads[2 * it + 1].1.c2c_read) as f64 / (1 << 20) as f64
+            (srads[2 * it].c2c_read + srads[2 * it + 1].c2c_read) as f64 / (1 << 20) as f64
         };
         csv.row([
             budget.to_string(),
@@ -220,11 +216,7 @@ pub fn fusion_sweep(fast: bool) -> Csv {
             };
             let m = platform::gh200().machine();
             let r = run_qv(m, mode, &p);
-            let gates = r
-                .kernel_times
-                .iter()
-                .filter(|(n, _)| n.starts_with("qv_gate"))
-                .count();
+            let gates = r.kernel_traffic_named("qv_gate").len();
             csv.row([
                 mode.label().to_string(),
                 fuse.to_string(),

@@ -25,21 +25,16 @@ pub fn run(fast: bool) -> Csv {
         // §6 experiments: automatic migration enabled, 64 KB pages.
         let r = srad::run(machine(false, true), mode, &p);
         // Each iteration = one srad1 + one srad2 kernel, in order.
-        let times: Vec<_> = r
-            .kernel_times
+        let srads: Vec<_> = r
+            .kernels
             .iter()
-            .filter(|(n, _)| n.starts_with("srad"))
+            .filter(|k| k.name.starts_with("srad"))
             .collect();
-        let traffic: Vec<_> = r
-            .kernel_history
-            .iter()
-            .filter(|(n, _)| n.starts_with("srad"))
-            .collect();
-        assert_eq!(times.len(), p.iterations * 2);
+        assert_eq!(srads.len(), p.iterations * 2);
         for it in 0..p.iterations {
-            let t = times[2 * it].1 + times[2 * it + 1].1;
-            let tr1 = traffic[2 * it].1;
-            let tr2 = traffic[2 * it + 1].1;
+            let (k1, k2) = (srads[2 * it], srads[2 * it + 1]);
+            let t = k1.time + k2.time;
+            let (tr1, tr2) = (k1.traffic, k2.traffic);
             let gpu_read = tr1.hbm_read + tr2.hbm_read;
             let c2c_read = tr1.c2c_read + tr2.c2c_read;
             csv.row([

@@ -44,12 +44,7 @@ pub fn run(fast: bool) -> Csv {
             machine(page4k, true)
         };
         let r = run_qv(m, MemMode::Managed, &p);
-        let gate_time: u64 = r
-            .kernel_times
-            .iter()
-            .filter(|(n, _)| n.starts_with("qv_gate"))
-            .map(|(_, t)| t)
-            .sum();
+        let gate_time = r.kernel_time_named("qv_gate");
         let gates = r.kernel_traffic_named("qv_gate");
         let sum = |f: fn(&gh_mem::traffic::KernelTraffic) -> u64| -> u64 {
             gates.iter().map(|t| f(t)).sum()

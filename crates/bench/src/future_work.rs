@@ -100,10 +100,10 @@ pub fn run(fast: bool) -> Csv {
             for migration in [false, true] {
                 let r = run_workload(name, machine(page_4k, migration), fast);
                 let kernels: Vec<u64> = r
-                    .kernel_history
+                    .kernels
                     .iter()
-                    .filter(|(n, _)| !n.starts_with("hotspot"))
-                    .map(|(_, t)| t.c2c_read)
+                    .filter(|k| !k.name.starts_with("hotspot"))
+                    .map(|k| k.traffic.c2c_read)
                     .collect();
                 csv.row([
                     name.to_string(),

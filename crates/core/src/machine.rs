@@ -3,6 +3,7 @@
 use gh_cuda::{Buffer, Runtime, RuntimeOptions};
 use gh_mem::clock::Ns;
 use gh_mem::params::CostParams;
+use gh_mem::traffic::KernelTraffic;
 use gh_profiler::{Phase, PhaseTimer};
 
 use crate::platform::PlatformCaps;
@@ -206,12 +207,13 @@ impl Machine {
         perf.run_end(now);
         let phases = self.timer.finish(now);
         let peak_gpu = self.rt.peak_gpu();
-        let kernel_times = self.rt.kernel_times().to_vec();
-        let kernel_history = self.rt.traffic.history().to_vec();
-        let traffic = *self.rt.traffic.totals();
         let checksum = self.checksum;
         let peak_rss = self.rt.peak_rss();
-        let samples = self.rt.into_samples();
+        let (samples, kernels) = self.rt.into_parts();
+        let mut traffic = KernelTraffic::default();
+        for k in &kernels {
+            traffic.merge(&k.traffic);
+        }
         // Drain the bus into the report so exporters (chrome trace,
         // metrics dump, explain table) work off one snapshot.
         let trace = bus.is_on().then(|| bus.take());
@@ -222,8 +224,7 @@ impl Machine {
             peak_gpu,
             peak_rss,
             traffic,
-            kernel_history,
-            kernel_times,
+            kernels,
             checksum,
             not_applicable: self.not_applicable,
             trace,

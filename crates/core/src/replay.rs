@@ -47,7 +47,7 @@ use std::collections::BTreeMap;
 use crate::machine::Machine;
 use crate::mode::MemMode;
 use crate::report::RunReport;
-use gh_cuda::Buffer;
+use gh_cuda::{BufKind, Buffer, Kernel};
 use gh_mem::phys::Node;
 use gh_profiler::Phase;
 
@@ -76,6 +76,7 @@ fn err(line: usize, msg: impl Into<String>) -> ReplayError {
 }
 
 /// Parses a size literal: plain bytes or `k`/`m`/`g` (binary) suffix.
+/// `None` when malformed or when the suffix overflows `u64`.
 pub fn parse_size(s: &str) -> Option<u64> {
     let s = s.trim().to_ascii_lowercase();
     let (num, mult) = match s.chars().last()? {
@@ -84,7 +85,57 @@ pub fn parse_size(s: &str) -> Option<u64> {
         'g' => (&s[..s.len() - 1], 1u64 << 30),
         _ => (&s[..], 1),
     };
-    num.parse::<u64>().ok().map(|n| n * mult)
+    num.parse::<u64>().ok().and_then(|n| n.checked_mul(mult))
+}
+
+fn size(line: usize, s: &str) -> Result<u64, ReplayError> {
+    parse_size(s).ok_or_else(|| err(line, format!("bad size '{s}'")))
+}
+
+/// The whitespace-separated tokens of a trace line, comment stripped.
+fn tokens(raw: &str) -> Vec<&str> {
+    raw.split('#')
+        .next()
+        .unwrap_or("")
+        .split_whitespace()
+        .collect()
+}
+
+/// The form of each top-level directive, for arity errors.
+const DIRECTIVES: [&str; 9] = [
+    "alloc <name> <system|managed|device|pinned> <size>",
+    "cpu_write <name> <offset> <len>",
+    "cpu_read <name> <offset> <len>",
+    "kernel [<label>]",
+    "prefetch <name> <cpu|gpu> <offset> <len>",
+    "host_register <name>",
+    "memcpy <dst> <dst_off> <src> <src_off> <len>",
+    "sync",
+    "free <name>",
+];
+
+/// The form of each kernel-body operation, for arity errors.
+const KERNEL_OPS: [&str; 5] = [
+    "read <name> <offset> <len>",
+    "write <name> <offset> <len>",
+    "strided <name> <offset> <seg> <stride> <count> [w]",
+    "compute <units>",
+    "end",
+];
+
+/// The error for a line no pattern matched: a known `op` with the wrong
+/// arity gets its expected form, anything else is unknown.
+fn bad_line(line: usize, op: &str, forms: &[&str], what: &str) -> ReplayError {
+    match forms.iter().find(|f| f.split(' ').next() == Some(op)) {
+        Some(form) => err(line, format!("expected '{form}'")),
+        None => err(line, format!("unknown {what} '{op}'")),
+    }
+}
+
+fn get_buf(bufs: &BTreeMap<String, RBuf>, line: usize, name: &str) -> Result<RBuf, ReplayError> {
+    bufs.get(name)
+        .copied()
+        .ok_or_else(|| err(line, format!("unknown buffer '{name}'")))
 }
 
 /// Replays `trace` on `machine` and extracts the run report. `mode`
@@ -124,45 +175,32 @@ impl RBuf {
 }
 
 /// Like [`replay`] but leaves the machine alive afterwards, so callers
-/// can inspect runtime state (timeline export, smaps, counters).
+/// can inspect runtime state (smaps, counters).
+///
+/// Every directive is checked before it reaches the runtime — arity,
+/// sizes, buffer names, and `[off, off + len)` ranges (with overflow
+/// counted as out of range) — so a malformed trace is a
+/// [`ReplayError`], never a panic or a wrapped range.
 pub fn replay_on(
     machine: &mut Machine,
     trace: &str,
     mode: Option<MemMode>,
 ) -> Result<(), ReplayError> {
     let mut bufs: BTreeMap<String, RBuf> = BTreeMap::new();
-    let mut lines = trace.lines().enumerate().peekable();
+    let mut lines = trace.lines().enumerate();
     machine.phase(Phase::Compute);
 
     while let Some((idx, raw)) = lines.next() {
         let n = idx + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let tok: Vec<&str> = line.split_whitespace().collect();
-        let get_buf = |bufs: &BTreeMap<String, RBuf>, name: &str| -> Result<RBuf, ReplayError> {
-            bufs.get(name)
-                .copied()
-                .ok_or_else(|| err(n, format!("unknown buffer '{name}'")))
-        };
-        let size_at = |i: usize| -> Result<u64, ReplayError> {
-            tok.get(i)
-                .and_then(|s| parse_size(s))
-                .ok_or_else(|| err(n, format!("bad size in '{line}'")))
-        };
-        match tok[0] {
-            "alloc" => {
-                if tok.len() != 4 {
-                    return Err(err(n, "alloc <name> <kind> <size>"));
-                }
-                let name = tok[1].to_string();
-                if bufs.contains_key(&name) {
+        match tokens(raw).as_slice() {
+            [] => {}
+            ["alloc", name, kind, bytes] => {
+                if bufs.contains_key(*name) {
                     return Err(err(n, format!("buffer '{name}' already exists")));
                 }
-                let bytes = gh_units::Bytes::new(size_at(3)?);
+                let bytes = gh_units::Bytes::new(size(n, bytes)?);
                 let kind =
-                    match (tok[2], mode) {
+                    match (*kind, mode) {
                         ("system", Some(MemMode::Managed))
                         | ("managed", Some(MemMode::Managed)) => "managed",
                         ("system", Some(MemMode::System)) | ("managed", Some(MemMode::System)) => {
@@ -173,13 +211,13 @@ pub fn replay_on(
                         (k, _) => k,
                     };
                 let buf = match kind {
-                    "system" => RBuf::unified(machine.rt.malloc_system(bytes, &name)),
-                    "managed" => RBuf::unified(machine.rt.cuda_malloc_managed(bytes, &name)),
-                    "pinned" => RBuf::unified(machine.rt.cuda_malloc_host(bytes, &name)),
+                    "system" => RBuf::unified(machine.rt.malloc_system(bytes, name)),
+                    "managed" => RBuf::unified(machine.rt.cuda_malloc_managed(bytes, name)),
+                    "pinned" => RBuf::unified(machine.rt.cuda_malloc_host(bytes, name)),
                     "device" => RBuf::unified(
                         machine
                             .rt
-                            .cuda_malloc(bytes, &name)
+                            .cuda_malloc(bytes, name)
                             .map_err(|e| err(n, format!("cudaMalloc failed: {e}")))?,
                     ),
                     "explicit_pair" => RBuf {
@@ -193,22 +231,22 @@ pub fn replay_on(
                     },
                     other => return Err(err(n, format!("unknown kind '{other}'"))),
                 };
-                bufs.insert(name, buf);
+                bufs.insert(name.to_string(), buf);
             }
-            "cpu_write" | "cpu_read" => {
-                if tok.len() != 4 {
-                    return Err(err(n, "cpu_write <name> <offset> <len>"));
-                }
-                let b = get_buf(&bufs, tok[1])?;
-                let (off, len) = (size_at(2)?, size_at(3)?);
+            [op @ ("cpu_write" | "cpu_read"), name, off, len] => {
+                let b = get_buf(&bufs, n, name)?;
+                let (off, len) = (size(n, off)?, size(n, len)?);
                 let host_side = b.host.unwrap_or(b.dev);
-                if off + len > host_side.len() {
+                if host_side.kind == BufKind::Device {
+                    return Err(err(n, format!("host cannot access device buffer '{name}'")));
+                }
+                if !host_side.in_bounds(off, len) {
                     return Err(err(n, "out of range"));
                 }
-                if tok[0] == "cpu_write" {
+                if *op == "cpu_write" {
                     machine.rt.cpu_write(&host_side, off, len);
                     if b.host.is_some() {
-                        if let Some(e) = bufs.get_mut(tok[1]) {
+                        if let Some(e) = bufs.get_mut(*name) {
                             e.host_dirty = true;
                         }
                     }
@@ -218,15 +256,14 @@ pub fn replay_on(
                         machine
                             .rt
                             .memcpy(&h, 0, &b.dev, 0, b.dev.len().min(h.len()));
-                        if let Some(e) = bufs.get_mut(tok[1]) {
+                        if let Some(e) = bufs.get_mut(*name) {
                             e.dev_dirty = false;
                         }
                     }
                     machine.rt.cpu_read(&host_side, off, len);
                 }
             }
-            "kernel" => {
-                let label = tok.get(1).copied().unwrap_or("kernel");
+            ["kernel", label @ ..] if label.len() <= 1 => {
                 // Explicit pairs: upload any host-dirty buffer first (the
                 // cudaMemcpy the original code would perform). BTreeMap
                 // iteration keeps the upload order name-sorted.
@@ -238,146 +275,58 @@ pub fn replay_on(
                         b.host_dirty = false;
                     }
                 }
-                let mut k = machine.rt.launch(label);
-                let mut closed = false;
-                let mut body_err: Option<ReplayError> = None;
-                for (jdx, kraw) in lines.by_ref() {
-                    let m = jdx + 1;
-                    let kline = kraw.split('#').next().unwrap_or("").trim();
-                    if kline.is_empty() {
-                        continue;
-                    }
-                    let kt: Vec<&str> = kline.split_whitespace().collect();
-                    let ksize = |i: usize| -> Result<u64, ReplayError> {
-                        kt.get(i)
-                            .and_then(|s| parse_size(s))
-                            .ok_or_else(|| err(m, format!("bad size in '{kline}'")))
-                    };
-                    match kt[0] {
-                        "end" => {
-                            closed = true;
-                            break;
-                        }
-                        "read" | "write" => {
-                            let step = (|| -> Result<(), ReplayError> {
-                                let b = get_buf(&bufs, kt[1])?;
-                                let (off, len) = (ksize(2)?, ksize(3)?);
-                                if off + len > b.dev.len() {
-                                    return Err(err(m, "out of range"));
-                                }
-                                if kt[0] == "read" {
-                                    k.read(&b.dev, off, len);
-                                } else {
-                                    k.write(&b.dev, off, len);
-                                }
-                                Ok(())
-                            })();
-                            match step {
-                                Err(e) => {
-                                    body_err = Some(e);
-                                    break;
-                                }
-                                Ok(()) => {
-                                    if kt[0] == "write" {
-                                        if let Some(rb) = bufs.get_mut(kt[1]) {
-                                            rb.dev_dirty = true;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        "strided" => {
-                            let step = (|| -> Result<(), ReplayError> {
-                                if kt.len() < 6 {
-                                    return Err(err(
-                                        m,
-                                        "strided <name> <off> <seg> <stride> <count> [w]",
-                                    ));
-                                }
-                                let b = get_buf(&bufs, kt[1])?;
-                                let (off, seg, stride, count) =
-                                    (ksize(2)?, ksize(3)?, ksize(4)?, ksize(5)?);
-                                if kt.get(6) == Some(&"w") {
-                                    k.write_strided(&b.dev, off, seg, stride, count);
-                                } else {
-                                    k.read_strided(&b.dev, off, seg, stride, count);
-                                }
-                                Ok(())
-                            })();
-                            if let Err(e) = step {
-                                body_err = Some(e);
-                                break;
-                            }
-                        }
-                        "compute" => match ksize(1) {
-                            Ok(u) => k.compute(u),
-                            Err(e) => {
-                                body_err = Some(e);
-                                break;
-                            }
-                        },
-                        other => {
-                            body_err = Some(err(m, format!("unknown kernel op '{other}'")));
-                            break;
-                        }
-                    }
-                }
+                let mut k = machine
+                    .rt
+                    .launch(label.first().copied().unwrap_or("kernel"));
+                let body = kernel_body(&mut k, &mut bufs, &mut lines, n);
                 // Always close the recording before propagating errors —
                 // an unfinished kernel is a simulator-usage bug.
                 k.finish();
-                if let Some(e) = body_err {
-                    return Err(e);
-                }
-                if !closed {
-                    return Err(err(n, "kernel body not closed with 'end'"));
-                }
+                body?;
             }
-            "prefetch" => {
-                if tok.len() != 5 {
-                    return Err(err(n, "prefetch <name> <cpu|gpu> <offset> <len>"));
-                }
-                let b = get_buf(&bufs, tok[1])?;
-                if b.dev.kind != gh_cuda::BufKind::Managed {
-                    // Prefetch is a managed-memory API; under substitution
-                    // to other modes the directive is a no-op.
-                    continue;
-                }
-                let node = match tok[2] {
+            ["prefetch", name, node, off, len] => {
+                let b = get_buf(&bufs, n, name)?;
+                let node = match *node {
                     "cpu" => Node::Cpu,
                     "gpu" => Node::Gpu,
                     other => return Err(err(n, format!("bad node '{other}'"))),
                 };
-                machine.rt.prefetch(&b.dev, size_at(3)?, size_at(4)?, node);
+                let (off, len) = (size(n, off)?, size(n, len)?);
+                if !b.dev.in_bounds(off, len) {
+                    return Err(err(n, "out of range"));
+                }
+                // Prefetch is a managed-memory API; under substitution to
+                // other modes the directive is a no-op.
+                if b.dev.kind == BufKind::Managed {
+                    machine.rt.prefetch(&b.dev, off, len, node);
+                }
             }
-            "host_register" => {
-                let b = get_buf(&bufs, tok[1])?;
+            ["host_register", name] => {
+                let b = get_buf(&bufs, n, name)?;
                 let target = b.host.unwrap_or(b.dev);
-                if target.kind == gh_cuda::BufKind::System {
+                if target.kind == BufKind::System {
                     machine.rt.cuda_host_register(&target);
                 }
             }
-            "memcpy" => {
-                if tok.len() != 6 {
-                    return Err(err(n, "memcpy <dst> <dst_off> <src> <src_off> <len>"));
+            ["memcpy", dst, dst_off, src, src_off, len] => {
+                let (dst, src) = (get_buf(&bufs, n, dst)?, get_buf(&bufs, n, src)?);
+                let (dst_off, src_off, len) = (size(n, dst_off)?, size(n, src_off)?, size(n, len)?);
+                if !dst.dev.in_bounds(dst_off, len) || !src.dev.in_bounds(src_off, len) {
+                    return Err(err(n, "out of range"));
                 }
-                let dst = get_buf(&bufs, tok[1])?;
-                let src = get_buf(&bufs, tok[3])?;
-                machine
-                    .rt
-                    .memcpy(&dst.dev, size_at(2)?, &src.dev, size_at(4)?, size_at(5)?);
+                machine.rt.memcpy(&dst.dev, dst_off, &src.dev, src_off, len);
             }
-            "sync" => machine.rt.device_synchronize(),
-            "free" => {
-                let name = tok[1];
+            ["sync"] => machine.rt.device_synchronize(),
+            ["free", name] => {
                 let b = bufs
-                    .remove(name)
+                    .remove(*name)
                     .ok_or_else(|| err(n, format!("unknown buffer '{name}'")))?;
                 if let Some(h) = b.host {
                     machine.rt.free(h);
                 }
                 machine.rt.free(b.dev);
             }
-            other => return Err(err(n, format!("unknown directive '{other}'"))),
+            [op, ..] => return Err(bad_line(n, op, &DIRECTIVES, "directive")),
         }
     }
     machine.phase(Phase::Dealloc);
@@ -389,6 +338,63 @@ pub fn replay_on(
         machine.rt.free(b.dev);
     }
     Ok(())
+}
+
+/// Replays the body of the kernel opened on line `start`, through its
+/// `end` line, into `k`.
+fn kernel_body<'t>(
+    k: &mut Kernel<'_>,
+    bufs: &mut BTreeMap<String, RBuf>,
+    lines: &mut impl Iterator<Item = (usize, &'t str)>,
+    start: usize,
+) -> Result<(), ReplayError> {
+    for (idx, raw) in lines {
+        let m = idx + 1;
+        match tokens(raw).as_slice() {
+            [] => {}
+            ["end"] => return Ok(()),
+            [op @ ("read" | "write"), name, off, len] => {
+                let b = get_buf(bufs, m, name)?;
+                let (off, len) = (size(m, off)?, size(m, len)?);
+                if !b.dev.in_bounds(off, len) {
+                    return Err(err(m, "out of range"));
+                }
+                if *op == "read" {
+                    k.read(&b.dev, off, len);
+                } else {
+                    k.write(&b.dev, off, len);
+                    if let Some(rb) = bufs.get_mut(*name) {
+                        rb.dev_dirty = true;
+                    }
+                }
+            }
+            ["strided", name, off, seg, stride, count, w @ ..] if matches!(w, [] | ["w"]) => {
+                let b = get_buf(bufs, m, name)?;
+                let (off, seg) = (size(m, off)?, size(m, seg)?);
+                let (stride, count) = (size(m, stride)?, size(m, count)?);
+                if stride == 0 {
+                    return Err(err(m, "stride must be positive"));
+                }
+                // Segments ascend, so the last one bounds them all.
+                let in_range = count.checked_sub(1).is_none_or(|i| {
+                    i.checked_mul(stride)
+                        .and_then(|d| off.checked_add(d))
+                        .is_some_and(|last| b.dev.in_bounds(last, seg))
+                });
+                if !in_range {
+                    return Err(err(m, "out of range"));
+                }
+                if w.is_empty() {
+                    k.read_strided(&b.dev, off, seg, stride, count);
+                } else {
+                    k.write_strided(&b.dev, off, seg, stride, count);
+                }
+            }
+            ["compute", units] => k.compute(size(m, units)?),
+            [op, ..] => return Err(bad_line(m, op, &KERNEL_OPS, "kernel op")),
+        }
+    }
+    Err(err(start, "kernel body not closed with 'end'"))
 }
 
 #[cfg(test)]
@@ -421,6 +427,7 @@ free out
         assert_eq!(parse_size("8M"), Some(8 << 20));
         assert_eq!(parse_size("1g"), Some(1 << 30));
         assert_eq!(parse_size("x"), None);
+        assert_eq!(parse_size("18446744073709551615k"), None, "overflow");
     }
 
     #[test]
@@ -428,7 +435,7 @@ free out
         let r = replay(gh200(), TRACE, None).unwrap();
         assert!(r.phases.compute > 0);
         assert_eq!(r.traffic.c2c_read >> 20, 4, "data read remotely");
-        assert!(r.kernel_times.iter().any(|(n, _)| n.starts_with("step")));
+        assert!(r.kernels.iter().any(|k| k.name.starts_with("step")));
     }
 
     #[test]
@@ -455,9 +462,61 @@ free out
 
     #[test]
     fn out_of_range_access_is_an_error() {
-        let t = "alloc a system 1m\ncpu_write a 0 2m\n";
+        // (trace, failing line): unchecked, each would panic inside the
+        // runtime or wrap `off + len` past its range check.
+        let max = u64::MAX;
+        let cases = [
+            ("alloc a system 1m\ncpu_write a 0 2m\n".to_string(), 2),
+            (format!("alloc a system 1m\ncpu_write a {max} 2\n"), 2),
+            (
+                format!("alloc a system 1m\nkernel k\n  read a {max} 2\nend\n"),
+                3,
+            ),
+            (
+                "alloc a system 1m\nkernel k\n  strided a 0 64k 64k 17\nend\n".into(),
+                3,
+            ),
+            (
+                "alloc a system 1m\nkernel k\n  strided a 0 1k 0 4\nend\n".into(),
+                3,
+            ),
+            (
+                format!("alloc a system 1m\nkernel k\n  strided a 64k 1k {max} 2\nend\n"),
+                3,
+            ),
+            ("alloc a managed 1m\nprefetch a gpu 0 4m\n".into(), 2),
+            (
+                "alloc a system 1m\nalloc b system 1m\nmemcpy a 0 b 0 4m\n".into(),
+                3,
+            ),
+            ("alloc a device 2m\ncpu_write a 0 1k\n".into(), 2),
+            (format!("alloc a system {max}k\n"), 1),
+            // Wrong arity, at top level and in a kernel body.
+            ("free\n".into(), 1),
+            ("alloc a system 1m\nhost_register\n".into(), 2),
+            ("alloc a system 1m\ncpu_write a 0 1k extra\n".into(), 2),
+            ("alloc a system 1m\nkernel k\n  read a\nend\n".into(), 3),
+            (
+                "alloc a system 1m\nkernel k\n  strided a 0 1k 4k 2 x\nend\n".into(),
+                3,
+            ),
+            ("kernel a b\nend\n".into(), 1),
+        ];
+        for (t, line) in cases {
+            let e = replay(gh200(), &t, None).unwrap_err();
+            assert_eq!(e.line, line, "{t:?}: {e}");
+        }
+    }
+
+    #[test]
+    fn arity_errors_name_the_expected_form() {
+        let e = replay(gh200(), "free\n", None).unwrap_err();
+        assert!(e.msg.contains("free <name>"), "{e}");
+        let e = replay(gh200(), "frobnicate\n", None).unwrap_err();
+        assert!(e.msg.contains("unknown directive"), "{e}");
+        let t = "alloc a system 1m\nkernel k\n  splat a\nend\n";
         let e = replay(gh200(), t, None).unwrap_err();
-        assert_eq!(e.line, 2);
+        assert!(e.msg.contains("unknown kernel op"), "{e}");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Per-run experiment reports.
 
+use gh_cuda::KernelRecord;
 use gh_mem::clock::Ns;
 use gh_mem::traffic::KernelTraffic;
 use gh_profiler::{PhaseTimes, Sample};
@@ -20,10 +21,8 @@ pub struct RunReport {
     pub peak_rss: u64,
     /// Cumulative traffic over every kernel.
     pub traffic: KernelTraffic,
-    /// Per-kernel traffic history `(name, traffic)` in launch order.
-    pub kernel_history: Vec<(String, KernelTraffic)>,
-    /// Per-kernel durations `(name, ns)` in launch order.
-    pub kernel_times: Vec<(String, Ns)>,
+    /// One record per kernel (name, duration, traffic) in launch order.
+    pub kernels: Vec<KernelRecord>,
     /// Application-defined checksum for correctness verification.
     pub checksum: f64,
     /// Experiment steps requested but meaningless on this platform
@@ -45,19 +44,19 @@ impl RunReport {
 
     /// Sums durations of kernels whose name starts with `prefix`.
     pub fn kernel_time_named(&self, prefix: &str) -> Ns {
-        self.kernel_times
+        self.kernels
             .iter()
-            .filter(|(n, _)| n.starts_with(prefix))
-            .map(|(_, t)| t)
+            .filter(|k| k.name.starts_with(prefix))
+            .map(|k| k.time)
             .sum()
     }
 
     /// Traffic records of kernels whose name starts with `prefix`.
     pub fn kernel_traffic_named(&self, prefix: &str) -> Vec<&KernelTraffic> {
-        self.kernel_history
+        self.kernels
             .iter()
-            .filter(|(n, _)| n.starts_with(prefix))
-            .map(|(_, t)| t)
+            .filter(|k| k.name.starts_with(prefix))
+            .map(|k| &k.traffic)
             .collect()
     }
 
@@ -111,25 +110,26 @@ impl RunReport {
             self.peak_gpu, self.peak_rss
         );
         json_traffic(&mut o, &self.traffic);
+        // Two parallel arrays, the report's stable JSON shape.
         o.push_str(",\"kernel_history\":[");
-        for (i, (name, t)) in self.kernel_history.iter().enumerate() {
+        for (i, k) in self.kernels.iter().enumerate() {
             if i > 0 {
                 o.push(',');
             }
             o.push('[');
-            gh_trace::json::quote_into(&mut o, name);
+            gh_trace::json::quote_into(&mut o, &k.name);
             o.push(',');
-            json_traffic(&mut o, t);
+            json_traffic(&mut o, &k.traffic);
             o.push(']');
         }
         o.push_str("],\"kernel_times\":[");
-        for (i, (name, ns)) in self.kernel_times.iter().enumerate() {
+        for (i, k) in self.kernels.iter().enumerate() {
             if i > 0 {
                 o.push(',');
             }
             o.push('[');
-            gh_trace::json::quote_into(&mut o, name);
-            let _ = write!(o, ",{ns}]");
+            gh_trace::json::quote_into(&mut o, &k.name);
+            let _ = write!(o, ",{}]", k.time);
         }
         o.push_str("],\"not_applicable\":[");
         for (i, note) in self.not_applicable.iter().enumerate() {
@@ -197,6 +197,15 @@ fn json_traffic(o: &mut String, t: &KernelTraffic) {
 }
 
 #[cfg(test)]
+fn record(name: &str, time: Ns) -> KernelRecord {
+    KernelRecord {
+        name: name.into(),
+        time,
+        traffic: KernelTraffic::default(),
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -209,11 +218,7 @@ mod tests {
             peak_gpu: 0,
             peak_rss: 0,
             traffic: KernelTraffic::default(),
-            kernel_history: vec![
-                ("srad1#1".into(), KernelTraffic::default()),
-                ("srad2#2".into(), KernelTraffic::default()),
-            ],
-            kernel_times: vec![("srad1#1".into(), 10), ("srad2#2".into(), 20)],
+            kernels: vec![record("srad1#1", 10), record("srad2#2", 20)],
             checksum: 0.0,
             not_applicable: vec![],
             trace: None,
@@ -247,8 +252,7 @@ mod json_tests {
             peak_gpu: 20,
             peak_rss: 10,
             traffic: KernelTraffic::default(),
-            kernel_history: vec![("k \"x\"#1".into(), KernelTraffic::default())],
-            kernel_times: vec![("k \"x\"#1".into(), 7)],
+            kernels: vec![record("k \"x\"#1", 7)],
             checksum: 1.5,
             not_applicable: vec![],
             trace: None,
@@ -266,6 +270,12 @@ mod json_tests {
         assert!(j.contains("\"compute\":4"));
         assert!(j.contains("\"checksum\":1.5"));
         assert!(j.contains("\\\"x\\\""), "quotes escaped: {j}");
+        // One record feeds both per-kernel arrays.
+        assert!(j.contains(r##""kernel_times":[["k \"x\"#1",7]]"##), "{j}");
+        assert!(
+            j.contains(r##""kernel_history":[["k \"x\"#1",{"hbm_read":0"##),
+            "{j}"
+        );
         // Balanced braces/brackets (cheap sanity check).
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
@@ -282,8 +292,7 @@ mod json_tests {
     #[test]
     fn to_json_escapes_control_chars_in_names() {
         let mut r = report();
-        r.kernel_times = vec![("a\nb".into(), 1)];
-        r.kernel_history.clear();
+        r.kernels = vec![record("a\nb", 1)];
         let j = r.to_json();
         assert!(j.contains("a\\nb"), "{j}");
     }

@@ -108,7 +108,7 @@ proptest! {
         let b = replay(gh_sim::platform::gh200().machine(), &trace, Some(MemMode::Managed)).unwrap();
         prop_assert_eq!(a.phases, b.phases);
         prop_assert_eq!(a.traffic, b.traffic);
-        prop_assert_eq!(a.kernel_times, b.kernel_times);
+        prop_assert_eq!(a.kernels, b.kernels);
     }
 
     /// The L1↔L2 bytes a kernel sees never depend on the memory mode —

@@ -43,6 +43,12 @@ impl Buffer {
     pub fn is_empty(&self) -> bool {
         self.range.len == 0
     }
+
+    /// Whether `[off, off + len)` lies inside the buffer. A range whose
+    /// end overflows `u64` is outside, not wrapped back in.
+    pub fn in_bounds(&self, off: u64, len: u64) -> bool {
+        off.checked_add(len).is_some_and(|end| end <= self.len())
+    }
 }
 
 #[cfg(test)]
@@ -64,5 +70,8 @@ mod tests {
         assert_eq!(c.len(), 4096);
         assert_eq!(c.id(), 3);
         assert!(!c.is_empty());
+        assert!(c.in_bounds(0, 4096) && c.in_bounds(4096, 0));
+        assert!(!c.in_bounds(1, 4096));
+        assert!(!c.in_bounds(u64::MAX, 2), "a wrapped end is out of bounds");
     }
 }

@@ -21,6 +21,25 @@
 //! to `counter_budget_per_kernel` pending notifications (paper §2.2.1),
 //! migrating the *touched* CPU-resident pages of hot regions to the GPU —
 //! the delayed migration behaviour of Fig 10.
+//!
+//! ## Access paths
+//!
+//! The metering has two implementations that produce bitwise-identical
+//! RunReports and trace streams:
+//!
+//! * the **batched core** (default): classifies whole `VpnRange`s into
+//!   resident/faulting runs and charges TLB walks, traffic, and access
+//!   counters per run;
+//! * the **reference walk**: the per-page loop, retained as the oracle
+//!   for differential testing and debugging.
+//!
+//! The choice is the session's
+//! [`SessionCtx::access_ref`](crate::SessionCtx::access_ref) switch, set
+//! through [`SessionOptions::access_ref`](crate::SessionOptions::access_ref).
+//! It is read in four places: the TLB-walk and dirty-marking helpers, the
+//! fresh-vs-pooled L2 choice, and the system-memory batch guard. Managed
+//! block handling (first touch, migration, prefetch, eviction) is the
+//! same code on both paths.
 
 use gh_mem::clock::Ns;
 use gh_mem::link::Direction;
@@ -86,6 +105,18 @@ pub struct BufferTraffic {
     pub hbm: u64,
 }
 
+/// What the runtime keeps of each finished kernel, sync or async: one
+/// record per launch, in launch order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KernelRecord {
+    /// Kernel name with its launch sequence number (`name#seq`).
+    pub name: String,
+    /// Duration in virtual ns.
+    pub time: Ns,
+    /// Traffic and event counts.
+    pub traffic: KernelTraffic,
+}
+
 /// Result of a finished kernel.
 #[derive(Debug, Clone)]
 pub struct KernelReport {
@@ -112,6 +143,7 @@ struct BufBytes {
 #[derive(Debug)]
 pub struct Kernel<'r> {
     rt: &'r mut Runtime,
+    /// `name#seq`, built once at launch.
     name: String,
     start: Ns,
     compute_units: u64,
@@ -137,7 +169,14 @@ pub struct Kernel<'r> {
 impl<'r> Kernel<'r> {
     pub(crate) fn new(rt: &'r mut Runtime, name: &str) -> Self {
         rt.uvm.migrated_this_kernel.clear();
-        let perf_span = rt.session.perf.span(&format!("kernel:{name}"));
+        // The profiler's `kernel:<name>` path is only built when it records.
+        let perf_path = if rt.session.perf.is_on() {
+            format!("kernel:{name}")
+        } else {
+            String::new()
+        };
+        let perf_span = rt.session.perf.span(&perf_path);
+        let name = format!("{name}#{}", rt.kernel_seq);
         let start = rt.now();
         // The L2 model's slot array is megabytes; building it fresh per
         // launch dominated launch cost on the host. The batched path
@@ -152,7 +191,7 @@ impl<'r> Kernel<'r> {
                 16,
             )
         };
-        let l2 = if rt.session.opts.access_ref {
+        let l2 = if rt.session.access_ref {
             fresh_l2(rt)
         } else if let Some(mut parked) = rt.l2_pool.take() {
             parked.reset();
@@ -162,7 +201,7 @@ impl<'r> Kernel<'r> {
         };
         Self {
             rt,
-            name: name.to_string(),
+            name,
             start,
             compute_units: 0,
             hbm_stream: 0,
@@ -275,7 +314,7 @@ impl<'r> Kernel<'r> {
         if len == 0 {
             return;
         }
-        assert!(off + len <= buf.len(), "kernel access out of range");
+        assert!(buf.in_bounds(off, len), "kernel access out of range");
         let span = buf.range.slice(off, len);
         let before = BufBytes {
             c2c: self.t.c2c_read + self.t.c2c_write,
@@ -366,12 +405,32 @@ impl<'r> Kernel<'r> {
         }
     }
 
-    /// Batched TLB walk over contiguous keys; charges miss counts per run.
-    /// Bit-identical to per-key [`Kernel::translate`] calls in key order.
-    fn translate_range(&mut self, keys: gh_units::VpnRange) {
+    /// TLB walk over contiguous keys in key order: one lookup per key on
+    /// the reference walk, one batched range lookup on the batched core
+    /// (bit-identical TLB state and miss counts).
+    fn walk_tlb(&mut self, keys: gh_units::VpnRange) {
+        if self.rt.session.access_ref {
+            for key in keys {
+                self.translate(key);
+            }
+            return;
+        }
         let misses = self.rt.gpu_tlb.lookup_range(keys);
         self.xlat_misses = self.xlat_misses.saturating_add(misses);
         self.t.tlb_misses = self.t.tlb_misses.saturating_add(misses);
+    }
+
+    /// Marks system pages dirty: page by page on the reference walk, as
+    /// one range on the batched core. Dirty bits never touch the TLB, so
+    /// callers may mark after walking.
+    fn mark_dirty(&mut self, vpns: gh_units::VpnRange) {
+        if self.rt.session.access_ref {
+            for vpn in vpns {
+                self.rt.os.system_pt.mark_dirty(vpn);
+            }
+        } else {
+            self.rt.os.system_pt.mark_dirty_range(vpns);
+        }
     }
 
     /// TLB key range covering the system pages of `[a0, a1)`.
@@ -383,26 +442,10 @@ impl<'r> Kernel<'r> {
 
     fn span_device(&mut self, span: VaRange, write: bool, random: bool) {
         let gp = self.rt.params.gpu_page_size;
-        if self.rt.session.opts.access_ref {
-            let mut addr = span.addr;
-            while addr < span.end() {
-                let page_end = (addr / gp + 1) * gp;
-                let portion = page_end.min(span.end()) - addr;
-                let vpn = Vpn::new(addr / gp);
-                debug_assert!(
-                    self.rt.gpu_pt.is_populated(vpn),
-                    "access to unmapped device page"
-                );
-                self.translate(tlb_key_gpu(vpn));
-                self.account_local(portion, write, random);
-                addr = page_end;
-            }
-            return;
-        }
-        // Batched: one TLB walk per page (keys are contiguous because
-        // `tlb_key_gpu` only sets a high namespace bit), traffic summed —
-        // per-page portions are linear in bytes, so the sums are identical
-        // to the per-page walk.
+        // One TLB walk per page (keys are contiguous because `tlb_key_gpu`
+        // only sets a high namespace bit), traffic summed — per-page
+        // portions are linear in bytes, so one charge equals the per-page
+        // sum.
         let first = Vpn::new(span.addr / gp);
         let last = Vpn::new((span.end() - 1) / gp);
         #[cfg(debug_assertions)]
@@ -412,7 +455,7 @@ impl<'r> Kernel<'r> {
                 "access to unmapped device page"
             );
         }
-        self.translate_range(gh_units::VpnRange::new(
+        self.walk_tlb(gh_units::VpnRange::new(
             tlb_key_gpu(first),
             Vpn::new(tlb_key_gpu(last).get() + 1),
         ));
@@ -422,21 +465,9 @@ impl<'r> Kernel<'r> {
     fn span_pinned(&mut self, span: VaRange, write: bool, random: bool) {
         // Pinned memory is always CPU-resident: pure remote traffic.
         let spt = self.rt.os.system_pt.page_size();
-        let vpns = self.rt.os.system_pt.vpn_range(span.addr, span.len);
-        if self.rt.session.opts.access_ref {
-            for vpn in vpns {
-                self.translate(tlb_key_sys(vpn));
-                if write {
-                    self.rt.os.system_pt.mark_dirty(vpn);
-                }
-            }
-        } else {
-            // `mark_dirty` cannot affect the TLB, so hoisting the dirty
-            // sweep out of the translate loop preserves state exactly.
-            self.translate_range(self.sys_keys(span.addr, span.end()));
-            if write {
-                self.rt.os.system_pt.mark_dirty_range(vpns);
-            }
+        self.walk_tlb(self.sys_keys(span.addr, span.end()));
+        if write {
+            self.mark_dirty(self.rt.os.system_pt.vpn_range(span.addr, span.len));
         }
         self.account_remote(span.addr, span.len.max(spt.min(span.len)), write, random);
     }
@@ -458,7 +489,7 @@ impl<'r> Kernel<'r> {
         // (so counter chunks never split a page). Anything else — and
         // tiny spans, where batch setup costs more than it saves — takes
         // the reference walk; both paths are bit-identical.
-        let batchable = !self.rt.session.opts.access_ref
+        let batchable = !self.rt.session.access_ref
             && vpns.count().get() > BATCH_MIN_PAGES
             && spt.is_multiple_of(line)
             && spt >= 4 * line
@@ -604,11 +635,11 @@ impl<'r> Kernel<'r> {
         let line = self.rt.params.gpu_cacheline;
         match node {
             Node::Gpu => {
-                self.translate_range(self.sys_keys(a0, a1));
+                self.walk_tlb(self.sys_keys(a0, a1));
                 self.account_local(a1 - a0, write, random);
             }
             Node::Cpu if self.rt.params.unified_pool => {
-                self.translate_range(self.sys_keys(a0, a1));
+                self.walk_tlb(self.sys_keys(a0, a1));
                 self.account_local(a1 - a0, write, random);
             }
             Node::Cpu => {
@@ -619,7 +650,7 @@ impl<'r> Kernel<'r> {
                     let _ = self.span_system_pages(a0, a1, write, random, 0, false);
                     return; // dirty bits handled per page above
                 }
-                self.translate_range(self.sys_keys(a0, a1));
+                self.walk_tlb(self.sys_keys(a0, a1));
                 // Head partial / interior full pages / tail partial:
                 // `ceil(total/line)` differs from the per-page sum, so the
                 // split must mirror the page grid.
@@ -661,8 +692,7 @@ impl<'r> Kernel<'r> {
             }
         }
         if write {
-            let vpns = self.rt.os.system_pt.vpn_range(a0, a1 - a0);
-            self.rt.os.system_pt.mark_dirty_range(vpns);
+            self.mark_dirty(self.rt.os.system_pt.vpn_range(a0, a1 - a0));
         }
     }
 
@@ -700,18 +730,9 @@ impl<'r> Kernel<'r> {
             let cpu = self.rt.os.system_pt.count_resident_in(vpns, Node::Cpu);
             let gpu = self.rt.os.system_pt.count_resident_in(vpns, Node::Gpu);
             if cpu + gpu == vpns.count() {
-                if self.rt.session.opts.access_ref {
-                    for vpn in vpns {
-                        self.translate(tlb_key_sys(vpn));
-                        if write {
-                            self.rt.os.system_pt.mark_dirty(vpn);
-                        }
-                    }
-                } else {
-                    self.translate_range(self.sys_keys(span.addr, span.end()));
-                    if write {
-                        self.rt.os.system_pt.mark_dirty_range(vpns);
-                    }
+                self.walk_tlb(self.sys_keys(span.addr, span.end()));
+                if write {
+                    self.mark_dirty(vpns);
                 }
                 let page = self.rt.os.system_pt.page();
                 let gpu_bytes = (gpu * page).get().min(span.len);
@@ -725,19 +746,9 @@ impl<'r> Kernel<'r> {
             }
         }
         if self.rt.uvm.is_pinned_cpu(buf_range) {
-            if self.rt.session.opts.access_ref {
-                for vpn in self.rt.os.system_pt.vpn_range(span.addr, span.len) {
-                    self.translate(tlb_key_sys(vpn));
-                    if write {
-                        self.rt.os.system_pt.mark_dirty(vpn);
-                    }
-                }
-            } else {
-                self.translate_range(self.sys_keys(span.addr, span.end()));
-                if write {
-                    let vpns = self.rt.os.system_pt.vpn_range(span.addr, span.len);
-                    self.rt.os.system_pt.mark_dirty_range(vpns);
-                }
+            self.walk_tlb(self.sys_keys(span.addr, span.end()));
+            if write {
+                self.mark_dirty(self.rt.os.system_pt.vpn_range(span.addr, span.len));
             }
             self.account_remote(span.addr, span.len, write, random);
             return;
@@ -821,13 +832,7 @@ impl<'r> Kernel<'r> {
                     let page = self.rt.os.system_pt.page();
                     let remote_bytes = (cpu_pages * page).get().min(clip.len);
                     self.account_remote(clip.addr, remote_bytes, write, random);
-                    if self.rt.session.opts.access_ref {
-                        for vpn in vpns {
-                            self.translate(tlb_key_sys(vpn));
-                        }
-                    } else {
-                        self.translate_range(self.sys_keys(clip.addr, clip.end()));
-                    }
+                    self.walk_tlb(self.sys_keys(clip.addr, clip.end()));
                 }
             }
             // Whatever is GPU-resident now is read/written locally.
@@ -840,13 +845,7 @@ impl<'r> Kernel<'r> {
                 self.rt.uvm.touch_lru(block);
             }
             if write {
-                if self.rt.session.opts.access_ref {
-                    for vpn in vpns {
-                        self.rt.os.system_pt.mark_dirty(vpn);
-                    }
-                } else {
-                    self.rt.os.system_pt.mark_dirty_range(vpns);
-                }
+                self.mark_dirty(vpns);
             }
         }
     }
@@ -912,10 +911,13 @@ impl<'r> Kernel<'r> {
         self.rt.tick(mem.max(compute));
 
         let time = self.rt.now() - self.start;
-        let name = format!("{}#{}", self.name, self.rt.kernel_seq);
-        self.rt.traffic.push(&name, self.t);
-        self.rt.kernel_times.push((name.clone(), time));
-        self.rt.trace(&name, "kernel", self.start);
+        let name = std::mem::take(&mut self.name);
+        self.rt.session.bus.span_closed(&name, "kernel", self.start);
+        self.rt.kernels.push(KernelRecord {
+            name: name.clone(),
+            time,
+            traffic: self.t,
+        });
         let mut by_buffer: Vec<BufferTraffic> = self
             .by_buffer
             .iter()
@@ -1169,9 +1171,13 @@ mod tests {
         // Last iterations are faster than the first (local reads).
         assert!(times[5] < times[0]);
         // Migration happened over several kernels, not all at once.
-        assert!(r.traffic.kernels_named("iter0").len() == 1);
-        let first = r.traffic.kernels_named("iter0")[0].bytes_migrated_in;
-        assert!(first < 8 * MIB);
+        let iter0: Vec<_> = r
+            .kernels
+            .iter()
+            .filter(|k| k.name.starts_with("iter0"))
+            .collect();
+        assert_eq!(iter0.len(), 1);
+        assert!(iter0[0].traffic.bytes_migrated_in < 8 * MIB);
     }
 
     #[test]

@@ -48,7 +48,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
-pub mod accesspath;
 pub mod buffer;
 pub mod kernel;
 pub mod runtime;
@@ -57,7 +56,7 @@ pub mod streams;
 pub mod uvm;
 
 pub use buffer::{BufKind, Buffer};
-pub use kernel::{BufferTraffic, Kernel, KernelReport};
+pub use kernel::{BufferTraffic, Kernel, KernelRecord, KernelReport};
 pub use runtime::{MemAdvise, Runtime, RuntimeOptions};
 pub use session::{SessionCtx, SessionOptions};
 pub use streams::{EventId, StreamId};

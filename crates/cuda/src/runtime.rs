@@ -9,7 +9,6 @@ use gh_mem::params::CostParams;
 use gh_mem::phys::{Node, OutOfMemory, PhysMem};
 use gh_mem::smmu::Smmu;
 use gh_mem::tlb::Tlb;
-use gh_mem::traffic::TrafficTotals;
 use gh_os::{Os, OsConfig, VmaKind};
 use gh_profiler::MemProfiler;
 use gh_units::{Bytes, Lines, Vpn};
@@ -44,11 +43,6 @@ pub struct RuntimeOptions {
     pub os: OsConfig,
     /// Memory-profiler sampling period in virtual ns.
     pub profiler_period: Ns,
-    /// Force the per-line reference access path instead of the batched
-    /// fast core (see [`crate::accesspath`]). Differential testing and
-    /// debugging only: both paths produce bit-identical reports, the
-    /// reference walk is just page-granular and slow.
-    pub access_ref: bool,
 }
 
 impl Default for RuntimeOptions {
@@ -58,7 +52,6 @@ impl Default for RuntimeOptions {
             uvm_prefetch: true,
             os: OsConfig::default(),
             profiler_period: 100_000, // 100 µs of virtual time
-            access_ref: false,
         }
     }
 }
@@ -76,8 +69,9 @@ pub struct Runtime {
     /// GPU-exclusive page table (2 MiB pages) for `cudaMalloc` memory.
     pub(crate) gpu_pt: PageTable,
     pub(crate) counters: AccessCounters,
-    /// Per-kernel and cumulative traffic (public for experiment harnesses).
-    pub traffic: TrafficTotals,
+    /// One record per finished kernel in launch order — the only
+    /// per-kernel store; [`Runtime::into_parts`] hands it to the report.
+    pub(crate) kernels: Vec<crate::kernel::KernelRecord>,
     pub(crate) profiler: MemProfiler,
     pub(crate) uvm: UvmState,
     pub(crate) streams: crate::streams::State,
@@ -92,10 +86,6 @@ pub struct Runtime {
     /// pages, which is what produces 64 KiB-page amplification for
     /// sparse access patterns (Fig 7).
     pub(crate) remote_touched: HashMap<u64, std::collections::BTreeSet<Vpn>>,
-    /// Per-kernel durations `(name, ns)` in launch order.
-    pub(crate) kernel_times: Vec<(String, gh_mem::clock::Ns)>,
-    /// Timeline events for Chrome-trace export.
-    pub(crate) timeline: Vec<gh_profiler::TraceEvent>,
     next_buf: u32,
     ctx_ready: bool,
     pub(crate) kernel_seq: u64,
@@ -188,7 +178,7 @@ impl Runtime {
             gpu_tlb,
             gpu_pt,
             counters,
-            traffic: TrafficTotals::new(),
+            kernels: Vec::new(),
             profiler,
             uvm: UvmState::new(),
             streams: crate::streams::State::default(),
@@ -196,8 +186,6 @@ impl Runtime {
             advise_no_migrate: std::collections::HashSet::new(),
             pending_notifs: std::collections::VecDeque::new(),
             remote_touched: HashMap::new(),
-            kernel_times: Vec::new(),
-            timeline: Vec::new(),
             next_buf: 1,
             ctx_ready: false,
             kernel_seq: 0,
@@ -376,43 +364,15 @@ impl Runtime {
         &self.gpu_tlb
     }
 
-    /// Per-kernel durations in launch order.
-    pub fn kernel_times(&self) -> &[(String, Ns)] {
-        &self.kernel_times
-    }
-
-    /// Timeline events recorded so far (kernels, copies, context init).
-    pub fn timeline(&self) -> &[gh_profiler::TraceEvent] {
-        &self.timeline
-    }
-
-    /// Exports the timeline as Chrome-trace JSON (open in
-    /// chrome://tracing or Perfetto).
-    pub fn export_chrome_trace(&self) -> String {
-        gh_profiler::to_chrome_json(&self.timeline)
-    }
-
-    pub(crate) fn trace(&mut self, name: &str, cat: &'static str, start: Ns) {
-        let dur = self.now().saturating_sub(start);
-        // Mirror onto the observability bus so exported traces carry the
-        // same intervals without a second bookkeeping path.
-        self.session.bus.span_closed(name, cat, start);
-        self.timeline.push(gh_profiler::TraceEvent {
-            name: name.to_string(),
-            cat,
-            start,
-            dur,
-        });
-    }
-
     /// Total access-counter notifications raised so far.
     pub fn notifications(&self) -> u64 {
         self.counters.total_notifications()
     }
 
-    /// Consumes the runtime, returning the profiler sample series.
-    pub fn into_samples(self) -> Vec<gh_profiler::Sample> {
-        self.profiler.finish()
+    /// Consumes the runtime, returning the profiler sample series and
+    /// the per-kernel records in launch order.
+    pub fn into_parts(self) -> (Vec<gh_profiler::Sample>, Vec<crate::kernel::KernelRecord>) {
+        (self.profiler.finish(), self.kernels)
     }
 
     /// Peak GPU usage observed by the profiler so far.
@@ -452,7 +412,9 @@ impl Runtime {
             let start = self.now();
             let dt = self.params.ctx_init;
             self.tick(dt);
-            self.trace("cuda context init", "runtime", start);
+            self.session
+                .bus
+                .span_closed("cuda context init", "runtime", start);
         }
     }
 
@@ -616,8 +578,8 @@ impl Runtime {
         self.ensure_ctx();
         let _perf = self.session.perf.span("memcpy");
         self.session.perf.count(gh_perf::Ctr::Memcpys, 1);
-        assert!(src_off + len <= src.len(), "memcpy src out of range");
-        assert!(dst_off + len <= dst.len(), "memcpy dst out of range");
+        assert!(src.in_bounds(src_off, len), "memcpy src out of range");
+        assert!(dst.in_bounds(dst_off, len), "memcpy dst out of range");
         let dir = match (src.kind, dst.kind) {
             (BufKind::Device, BufKind::Device) => None,
             (_, BufKind::Device) => Some(Direction::H2D),
@@ -659,7 +621,7 @@ impl Runtime {
             Some(Direction::D2H) => "memcpy D2H",
             None => "memcpy",
         };
-        self.trace(label, "copy", start);
+        self.session.bus.span_closed(label, "copy", start);
         if self.session.bus.is_on() {
             if let (Some(d), false) = (dir, self.params.unified_pool) {
                 let page = self.os.system_pt.page_size();
@@ -775,12 +737,12 @@ impl Runtime {
     pub fn cuda_memset(&mut self, buf: &Buffer, off: u64, len: u64) -> Ns {
         self.ensure_ctx();
         assert_eq!(buf.kind, BufKind::Device, "cuda_memset is a device API");
-        assert!(off + len <= buf.len(), "memset out of range");
+        assert!(buf.in_bounds(off, len), "memset out of range");
         let dt = self.params.memcpy_fixed / 2
             + CostParams::transfer_ns(Bytes::new(len), self.params.hbm_bw);
         let start = self.now();
         self.tick(dt);
-        self.trace("memset", "copy", start);
+        self.session.bus.span_closed("memset", "copy", start);
         dt
     }
 
@@ -816,7 +778,7 @@ impl Runtime {
     }
 
     fn host_access(&mut self, buf: &Buffer, off: u64, len: u64, write: bool) {
-        assert!(off + len <= buf.len(), "host access out of range");
+        assert!(buf.in_bounds(off, len), "host access out of range");
         assert!(
             buf.kind != BufKind::Device,
             "host cannot access cudaMalloc memory"
@@ -1129,7 +1091,7 @@ mod tests {
         r.cpu_write(&b, 0, 8 * MIB);
         let peak = r.profiler.peak_rss();
         assert_eq!(peak, 8 * MIB);
-        let samples = r.into_samples();
+        let (samples, _) = r.into_parts();
         assert!(samples.len() > 1, "ramp must produce multiple samples");
         // RSS is non-decreasing during a pure init phase.
         assert!(samples.windows(2).all(|w| w[0].rss <= w[1].rss));

@@ -13,9 +13,10 @@
 //!   spans, hot-path counters;
 //! * the **sanitizer flag** — whether the machine layer arms the
 //!   invariant sanitizer for this run;
+//! * the **access-path switch** — whether kernels take the per-page
+//!   reference walk instead of the batched core (see [`crate::kernel`]);
 //! * the **runtime options** ([`RuntimeOptions`]) — behavioural
-//!   switches, including the reference-walk toggle that used to be the
-//!   `GH_ACCESS_REF` env latch.
+//!   switches.
 //!
 //! The `Runtime` owns the context; components that emit (TLB, link,
 //! access counters, OS) hold clones of the handles, injected at
@@ -70,6 +71,9 @@ pub struct SessionCtx {
     pub perf: gh_perf::Perf,
     /// Whether the machine layer arms the invariant sanitizer.
     pub sanitize: bool,
+    /// Whether kernels take the per-page reference walk instead of the
+    /// batched core — the run's only access-path switch.
+    pub access_ref: bool,
     /// Behavioural switches for the simulated run.
     pub opts: RuntimeOptions,
 }
@@ -82,15 +86,13 @@ impl SessionCtx {
             bus: gh_trace::Bus::off(),
             perf: gh_perf::Perf::off(),
             sanitize: cfg!(debug_assertions),
+            access_ref: false,
             opts,
         }
     }
 
     /// Resolves boundary-level [`SessionOptions`] into a live context.
-    /// `so.access_ref` folds into the runtime options (either side may
-    /// request the reference walk).
-    pub fn with_options(mut opts: RuntimeOptions, so: &SessionOptions) -> Self {
-        opts.access_ref = opts.access_ref || so.access_ref;
+    pub fn with_options(opts: RuntimeOptions, so: &SessionOptions) -> Self {
         Self {
             bus: match (so.trace, so.trace_capacity) {
                 (false, _) => gh_trace::Bus::off(),
@@ -103,6 +105,7 @@ impl SessionCtx {
                 gh_perf::Perf::off()
             },
             sanitize: so.sanitize_resolved(),
+            access_ref: so.access_ref,
             opts,
         }
     }
@@ -154,12 +157,13 @@ mod tests {
     }
 
     #[test]
-    fn access_ref_folds_into_runtime_options() {
+    fn access_ref_reaches_the_session() {
         let so = SessionOptions {
             access_ref: true,
             ..Default::default()
         };
         let s = SessionCtx::with_options(RuntimeOptions::default(), &so);
-        assert!(s.opts.access_ref);
+        assert!(s.access_ref);
+        assert!(!SessionCtx::default().access_ref);
     }
 }

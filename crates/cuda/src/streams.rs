@@ -105,8 +105,8 @@ impl Runtime {
         stream: StreamId,
     ) {
         self.ensure_ctx();
-        assert!(src_off + len <= src.len(), "memcpy_async src out of range");
-        assert!(dst_off + len <= dst.len(), "memcpy_async dst out of range");
+        assert!(src.in_bounds(src_off, len), "memcpy_async src out of range");
+        assert!(dst.in_bounds(dst_off, len), "memcpy_async dst out of range");
         for b in [src, dst] {
             assert!(
                 matches!(b.kind, BufKind::Device | BufKind::Pinned),
@@ -161,7 +161,7 @@ impl Runtime {
         let mut c2c_r = 0u64;
         let mut c2c_w = 0u64;
         for (b, off, len) in reads {
-            assert!(off + len <= b.len(), "async read out of range");
+            assert!(b.in_bounds(*off, *len), "async read out of range");
             match b.kind {
                 BufKind::Device => {
                     hbm = hbm.saturating_add(*len);
@@ -176,7 +176,7 @@ impl Runtime {
             traffic.l1l2 = traffic.l1l2.saturating_add(*len);
         }
         for (b, off, len) in writes {
-            assert!(off + len <= b.len(), "async write out of range");
+            assert!(b.in_bounds(*off, *len), "async write out of range");
             match b.kind {
                 BufKind::Device => {
                     hbm = hbm.saturating_add(*len);
@@ -197,9 +197,11 @@ impl Runtime {
         let compute = ns_from_f64((compute_units as f64 / p.gpu_throughput).ceil());
         let dur = p.kernel_launch + mem.max(compute);
         let end = self.enqueue(stream, Engine::Compute, dur);
-        let name = format!("{}#{}", name, self.kernel_seq);
-        self.traffic.push(&name, traffic);
-        self.kernel_times.push((name, dur));
+        self.kernels.push(crate::kernel::KernelRecord {
+            name: format!("{name}#{}", self.kernel_seq),
+            time: dur,
+            traffic,
+        });
         self.tick(500);
         end
     }

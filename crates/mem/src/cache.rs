@@ -17,7 +17,10 @@ use gh_units::{Bytes, Lines};
 /// the hot hit-scan inside one or two host cachelines per set, and —
 /// because every array starts as all-zeroes while the live generation
 /// starts at 1 — construction is a calloc, not a multi-megabyte
-/// pattern fill.
+/// pattern fill. The three arrays share one block: the allocator
+/// recycles a single block whole across back-to-back runtime boots,
+/// where separate per-array blocks were returned to the OS and
+/// page-faulted in again on every boot.
 ///
 /// ```
 /// use gh_mem::SetCache;
@@ -32,13 +35,10 @@ pub struct SetCache {
     ways: usize,
     sets: usize,
     line_bytes: Bytes,
-    /// Cached line id per slot; meaningful only when the slot's
-    /// generation matches [`SetCache::gen`].
-    lines: Vec<u64>,
-    /// LRU stamp per slot.
-    stamps: Vec<u64>,
-    /// Fill generation per slot; `gens[i] != self.gen` = vacant.
-    gens: Vec<u64>,
+    /// `lines ++ stamps ++ gens`, one slot count each: the cached line
+    /// id (meaningful only when the slot is live), the LRU stamp, and
+    /// the fill generation (`!= gen` means vacant).
+    slots: Vec<u64>,
     /// Current generation (never 0, so freshly calloc'd slots are
     /// vacant); bumped by [`SetCache::reset`] to invalidate every slot
     /// in O(1).
@@ -61,9 +61,7 @@ impl SetCache {
             ways,
             sets,
             line_bytes,
-            lines: vec![0; sets * ways],
-            stamps: vec![0; sets * ways],
-            gens: vec![0; sets * ways],
+            slots: vec![0; 3 * sets * ways],
             gen: 1,
             tick: 0,
             hits: 0,
@@ -109,29 +107,31 @@ impl SetCache {
         let base = self.set_of(line) * self.ways;
         let mut victim = base;
         let mut oldest = u64::MAX;
+        let (lines, rest) = self.slots.split_at_mut(self.sets * self.ways);
+        let (stamps, gens) = rest.split_at_mut(lines.len());
         for w in 0..self.ways {
             let i = base + w;
-            let vacant = self.gens[i] != self.gen;
-            if !vacant && self.lines[i] == line {
-                self.stamps[i] = self.tick;
+            let vacant = gens[i] != self.gen;
+            if !vacant && lines[i] == line {
+                stamps[i] = self.tick;
                 self.hits = self.hits.saturating_add(1);
                 return true;
             }
             if vacant {
                 victim = i;
                 oldest = 0;
-            } else if self.stamps[i] < oldest {
+            } else if stamps[i] < oldest {
                 victim = i;
-                oldest = self.stamps[i];
+                oldest = stamps[i];
             }
         }
         self.misses = self.misses.saturating_add(1);
-        if self.gens[victim] == self.gen {
+        if gens[victim] == self.gen {
             self.evictions = self.evictions.saturating_add(1);
         }
-        self.lines[victim] = line;
-        self.stamps[victim] = self.tick;
-        self.gens[victim] = self.gen;
+        lines[victim] = line;
+        stamps[victim] = self.tick;
+        gens[victim] = self.gen;
         false
     }
 

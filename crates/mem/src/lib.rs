@@ -52,4 +52,4 @@ pub use params::{CostParams, ParamError, KIB, MIB};
 pub use phys::{Node, OutOfMemory, PhysMem};
 pub use smmu::Smmu;
 pub use tlb::Tlb;
-pub use traffic::{KernelTraffic, TrafficTotals};
+pub use traffic::KernelTraffic;

@@ -68,52 +68,6 @@ impl KernelTraffic {
     }
 }
 
-/// Cumulative traffic across every kernel launched so far, with per-kernel
-/// history for figure harnesses that plot per-iteration series (Fig 10).
-#[derive(Debug, Clone, Default)]
-pub struct TrafficTotals {
-    totals: KernelTraffic,
-    history: Vec<(String, KernelTraffic)>,
-}
-
-impl TrafficTotals {
-    /// Creates empty accounting.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a finished kernel's traffic under `name`.
-    pub fn push(&mut self, name: &str, t: KernelTraffic) {
-        self.totals.merge(&t);
-        self.history.push((name.to_string(), t));
-    }
-
-    /// Cumulative totals.
-    pub fn totals(&self) -> &KernelTraffic {
-        &self.totals
-    }
-
-    /// Per-kernel history in launch order.
-    pub fn history(&self) -> &[(String, KernelTraffic)] {
-        &self.history
-    }
-
-    /// History entries whose kernel name starts with `prefix`.
-    pub fn kernels_named(&self, prefix: &str) -> Vec<&KernelTraffic> {
-        self.history
-            .iter()
-            .filter(|(n, _)| n.starts_with(prefix))
-            .map(|(_, t)| t)
-            .collect()
-    }
-
-    /// Clears history and totals.
-    pub fn reset(&mut self) {
-        self.totals = KernelTraffic::default();
-        self.history.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,36 +92,5 @@ mod tests {
         assert_eq!(a.gpu_faults, 1);
         assert_eq!(a.ats_faults, 4);
         assert_eq!(a.total_read(), 20);
-    }
-
-    #[test]
-    fn totals_accumulate_history() {
-        let mut tt = TrafficTotals::new();
-        tt.push(
-            "srad1#0",
-            KernelTraffic {
-                hbm_read: 100,
-                ..Default::default()
-            },
-        );
-        tt.push(
-            "srad2#0",
-            KernelTraffic {
-                hbm_read: 50,
-                ..Default::default()
-            },
-        );
-        assert_eq!(tt.totals().hbm_read, 150);
-        assert_eq!(tt.history().len(), 2);
-        assert_eq!(tt.kernels_named("srad1").len(), 1);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut tt = TrafficTotals::new();
-        tt.push("k", KernelTraffic::default());
-        tt.reset();
-        assert_eq!(tt.history().len(), 0);
-        assert_eq!(tt.totals().hbm_read, 0);
     }
 }

@@ -25,7 +25,6 @@ pub struct MemProfiler {
     period: Ns,
     samples: Vec<Sample>,
     pending: Option<Sample>,
-    enabled: bool,
     peak_rss: u64,
     peak_gpu: u64,
 }
@@ -40,27 +39,13 @@ impl MemProfiler {
             period,
             samples: Vec::new(),
             pending: None,
-            enabled: true,
             peak_rss: 0,
             peak_gpu: 0,
         }
     }
 
-    /// Disables sampling (zero overhead, keeps already-collected samples).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// Sampling period.
-    pub fn period(&self) -> Ns {
-        self.period
-    }
-
     /// Feeds the current state at virtual time `t`.
     pub fn observe(&mut self, t: Ns, rss: u64, gpu_used: u64) {
-        if !self.enabled {
-            return;
-        }
         self.peak_rss = self.peak_rss.max(rss);
         self.peak_gpu = self.peak_gpu.max(gpu_used);
         let s = Sample { t, rss, gpu_used };
@@ -149,14 +134,6 @@ mod tests {
         p.observe(2, 5, 200);
         assert_eq!(p.peak_rss(), 10);
         assert_eq!(p.peak_gpu(), 200);
-    }
-
-    #[test]
-    fn disabled_profiler_collects_nothing() {
-        let mut p = MemProfiler::new(10);
-        p.set_enabled(false);
-        p.observe(100, 1, 1);
-        assert!(p.finish().is_empty());
     }
 
     #[test]

@@ -362,10 +362,33 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_balanced_and_escaped() {
+        // A zero-length span whose name needs escaping.
+        let mut hostile = TraceData::default();
+        hostile.spans.push(SpanRec {
+            name: "bad\"name\\with\ncontrol".into(),
+            cat: "runtime",
+            start: 5,
+            end: 5,
+            depth: 0,
+        });
+        for data in [sample_data(), TraceData::default(), hostile.clone()] {
+            let j = chrome_trace(&data);
+            assert!(j.starts_with('{') && j.ends_with('}'));
+            assert_eq!(j.matches('{').count(), j.matches('}').count());
+            assert_eq!(j.matches('[').count(), j.matches(']').count());
+            let v = json::Value::parse(&j).unwrap_or_else(|e| panic!("{e}: {j}"));
+            let n = v
+                .get("traceEvents")
+                .and_then(|e| e.as_arr())
+                .map(<[_]>::len);
+            assert_eq!(n, Some(data.spans.len() + data.events.len()), "{j}");
+        }
+        let j = chrome_trace(&hostile);
+        // Escaped, not dropped: every character of the name survives.
+        assert!(j.contains(r#""name":"bad\"name\\with\ncontrol""#), "{j}");
+        assert!(j.contains("\"dur\":0.001"), "zero-length span: {j}");
+
         let j = chrome_trace(&sample_data());
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
         assert!(j.contains("\"ph\":\"X\""));
         assert!(j.contains("\"ph\":\"i\""));
         assert!(j.contains("k\\\"1\\\""), "kernel name escaped: {j}");

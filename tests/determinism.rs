@@ -18,7 +18,7 @@ fn app_runs_are_bit_deterministic() {
             assert_eq!(a.phases, b.phases, "{}/{mode}", app.name());
             assert_eq!(a.traffic, b.traffic, "{}/{mode}", app.name());
             assert_eq!(a.samples, b.samples, "{}/{mode}", app.name());
-            assert_eq!(a.kernel_times, b.kernel_times, "{}/{mode}", app.name());
+            assert_eq!(a.kernels, b.kernels, "{}/{mode}", app.name());
         }
     }
 }

@@ -3,7 +3,7 @@
 //! and the future-work workloads.
 
 use grace_mem::os::NumaPolicy;
-use grace_mem::{platform, Machine, MachineConfig, MemMode, Node};
+use grace_mem::{platform, Machine, MachineConfig, MemMode, Node, SessionOptions};
 
 fn gh200() -> Machine {
     platform::gh200().machine()
@@ -118,28 +118,38 @@ end
 
 #[test]
 fn timeline_export_covers_the_run() {
-    let mut m = gh200();
+    let so = SessionOptions {
+        trace: true,
+        ..Default::default()
+    };
+    let mut m = platform::gh200()
+        .machine_session(&MachineConfig::default(), &so)
+        .unwrap();
     let b =
         m.rt.cuda_malloc(gh_units::Bytes::new(4 << 20), "d")
             .unwrap();
     m.rt.cuda_memset(&b, 0, 4 << 20);
-    let mut k = m.rt.launch("work");
-    k.read(&b, 0, 4 << 20);
-    k.finish();
-    let events = m.rt.timeline();
-    assert!(events.iter().any(|e| e.cat == "runtime"), "ctx init traced");
-    assert!(events.iter().any(|e| e.cat == "copy"), "memset traced");
-    assert!(events.iter().any(|e| e.cat == "kernel"));
-    let json = m.rt.export_chrome_trace();
+    for _ in 0..2 {
+        let mut k = m.rt.launch("work");
+        k.read(&b, 0, 4 << 20);
+        k.finish();
+    }
+    let report = m.finish();
+    let trace = report.trace.as_ref().expect("traced session");
+    assert!(
+        trace.spans_in("runtime").next().is_some(),
+        "ctx init traced"
+    );
+    assert!(trace.spans_in("copy").next().is_some(), "memset traced");
+    assert_eq!(trace.spans_in("kernel").count(), 2);
+    let json = report.chrome_trace().expect("traced session");
     assert!(json.contains("\"ph\":\"X\""));
-    // Events are time-ordered and non-overlapping in virtual time per
-    // category in this serial run.
+    // Kernel spans are time-ordered and non-overlapping in virtual time
+    // in this serial run.
     let mut last_end = 0;
-    for e in events.iter() {
-        assert!(e.start >= last_end || e.cat != "kernel");
-        if e.cat == "kernel" {
-            last_end = e.start + e.dur;
-        }
+    for s in trace.spans_in("kernel") {
+        assert!(s.start >= last_end, "{s:?} overlaps the previous kernel");
+        last_end = s.end;
     }
 }
 

@@ -141,9 +141,9 @@ fn counter_notification_order_is_deterministic() {
     // Migration must be spread across kernels (budgeted drain) for the
     // order to matter at all.
     let per_kernel: Vec<u64> = a
-        .kernel_history
+        .kernels
         .iter()
-        .map(|(_, t)| t.bytes_migrated_in)
+        .map(|k| k.traffic.bytes_migrated_in)
         .collect();
     assert!(
         per_kernel.iter().filter(|&&x| x > 0).count() > 1,

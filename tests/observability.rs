@@ -35,7 +35,7 @@ fn tracing_does_not_change_virtual_time() {
 
         assert_eq!(plain.phases, traced.phases, "{mode}: phase times differ");
         assert_eq!(plain.checksum, traced.checksum, "{mode}");
-        assert_eq!(plain.kernel_times, traced.kernel_times, "{mode}");
+        assert_eq!(plain.kernels, traced.kernels, "{mode}");
         assert_eq!(plain.traffic, traced.traffic, "{mode}");
         assert!(traced.trace.is_some(), "traced run must carry the trace");
     }

@@ -85,7 +85,7 @@ fn perf_data_covers_phases_spans_and_counters() {
         );
         assert_eq!(
             perf.counter("cuda.kernel_launches"),
-            r.kernel_times.len() as u64,
+            r.kernels.len() as u64,
             "{}: launch counter must match the report's kernel list",
             p.caps().name
         );
@@ -161,6 +161,24 @@ fn cli_usage_and_read_errors_exit_2() {
         .output()
         .expect("spawn grace-mem");
     assert_eq!(advise.status.code(), Some(2));
+
+    // A hostile trace whose `off + len` wraps past the range check is a
+    // typed replay error, not a panic (101) or a silent success (0).
+    let hostile = std::env::temp_dir().join(format!("gh-hostile-{}.trace", std::process::id()));
+    std::fs::write(
+        &hostile,
+        "alloc a system 1m\ncpu_write a 18446744073709551615 2\n",
+    )
+    .expect("write temp trace");
+    let replay = bin()
+        .arg("replay")
+        .arg(&hostile)
+        .output()
+        .expect("spawn grace-mem");
+    let _ = std::fs::remove_file(&hostile);
+    assert_eq!(replay.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&replay.stderr);
+    assert!(err.contains("trace line 2: out of range"), "{err}");
 }
 
 #[test]
