@@ -131,14 +131,21 @@ fn bench_kernel_span() {
 
 fn bench_gate_apply() {
     let g = Gate2::random_su4(1);
-    bench(
-        "statevector_gate2_apply_16q",
-        || StateVector::zero_state(16),
-        |mut s| {
-            s.apply_gate2(&g, 3, 11);
-            s.amp(0)
-        },
-    );
+    // Lower qubit 3 takes the lane-blocked kernel, lower qubit 0 the
+    // per-group one.
+    for (name, q0, q1) in [
+        ("statevector_gate2_apply_16q", 3, 11),
+        ("statevector_gate2_apply_16q_lo0", 0, 11),
+    ] {
+        bench(
+            name,
+            || StateVector::zero_state(16),
+            |mut s| {
+                s.apply_gate2(&g, q0, q1);
+                s.amp(0)
+            },
+        );
+    }
 }
 
 fn bench_setcache() {
@@ -214,6 +221,20 @@ fn bench_par() {
     );
 }
 
+fn bench_par_dispatch() {
+    // Two one-index chunks and an empty body: what handing a loop to the
+    // parallel runtime costs per call.
+    bench(
+        "par_for_dispatch",
+        || (),
+        |_| {
+            gh_par::par_for(0..2, gh_par::Grain::Fixed(1), |i| {
+                black_box(i);
+            })
+        },
+    );
+}
+
 fn bench_app_end_to_end() {
     for mode in MemMode::ALL {
         bench(
@@ -243,5 +264,6 @@ fn main() {
     bench_fusion();
     bench_replay_parse();
     bench_par();
+    bench_par_dispatch();
     bench_app_end_to_end();
 }

@@ -8,18 +8,21 @@
 //! Two layers are offered:
 //!
 //! * [`pool::WorkStealingPool`] — a persistent pool of worker threads with
-//!   per-worker LIFO deques and random stealing, for `'static` jobs. This is
-//!   the long-lived engine behind the global [`pool::global`] handle.
+//!   per-worker LIFO deques and rotating stealing, for `'static` jobs. This
+//!   is the long-lived engine behind the global [`pool::global`] handle.
 //! * [`scope`] — borrowing, dynamically scheduled loop primitives
 //!   ([`scope::par_for`], [`scope::par_chunks_mut`],
-//!   [`scope::par_map_reduce`]) built on `std::thread::scope`, which is what
-//!   application kernels use: they can capture plain `&mut [T]` slices with
-//!   no `Arc` ceremony and still get work-stealing-style load balance via a
-//!   shared chunk counter.
+//!   [`scope::par_map_reduce`]), which is what application kernels use:
+//!   they can capture plain `&mut [T]` slices with no `Arc` ceremony and
+//!   still get work-stealing-style load balance via a shared chunk counter.
+//!   The calling thread and helper jobs on [`pool::global`] share the
+//!   chunks; no call spawns a thread.
 //!
-//! Determinism note: scheduling is non-deterministic, so only *associative
-//! and commutative* reductions should be used with [`scope::par_map_reduce`]
-//! when bit-exact reproducibility matters. The simulator's virtual-time
+//! Determinism note: scheduling is non-deterministic, so which thread runs
+//! a chunk varies. [`scope::par_map_reduce`] folds per-chunk partials in
+//! chunk order, so its grouping depends only on the range and
+//! [`default_parallelism`]; bit-exact results across hosts still need an
+//! *associative and commutative* reduction. The simulator's virtual-time
 //! accounting never depends on scheduling order.
 //!
 //! ```
@@ -49,12 +52,16 @@ pub use sort::par_sort_unstable;
 
 /// Returns the degree of parallelism used by default: the number of
 /// available CPUs, capped at 16 so simulation runs stay well-behaved on
-/// large shared machines.
+/// large shared machines. Read once per process: on Linux the query reads
+/// cgroup files, which costs more than a short loop.
 pub fn default_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(16)
+    static PARALLELISM: std::sync::OnceLock<usize> = std::sync::OnceLock::new(); // gh-audit: allow(no-ambient-state) -- the host's CPU count, shared compute like the pool it sizes, not per-run state
+    *PARALLELISM.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+            .min(16)
+    })
 }
 
 #[cfg(test)]

@@ -4,26 +4,32 @@
 //! submitted from outside the pool; each worker owns a LIFO
 //! [`crate::deque::Worker`] deque and, when idle, first drains
 //! its own deque, then batches from the injector, then steals from siblings
-//! in a rotating order. Idle workers park on a condvar-backed gate so an
-//! empty pool costs no CPU.
+//! in a rotating order. An idle worker spins briefly, then parks on a
+//! condvar-backed gate, so an empty pool costs no CPU.
 //!
 //! Jobs submitted with [`WorkStealingPool::spawn`] are fire-and-forget;
-//! [`WorkStealingPool::join_batch`] submits a batch and blocks until every
-//! job in the batch has completed, which is the shape kernel launches use.
+//! [`WorkStealingPool::join_batch`] submits a batch and blocks until the
+//! pool is idle. A job that panics is caught: its worker lives on and the
+//! job still counts as finished. The scoped loops in [`crate::scope`] run
+//! their helper jobs on [`global`].
 
 // gh-audit: allow-file(no-unwrap-in-lib) -- mutex poisoning means a worker panicked; propagating the panic is the only sound response, and spawn failure at boot is fatal
 use crate::deque::{Injector, Steal, Stealer, Worker};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct Shared {
     injector: Injector<Job>,
     stealers: Vec<Stealer<Job>>,
-    /// Number of jobs submitted but not yet finished; used by `join_batch`.
+    /// Number of jobs submitted but not yet finished; used by `wait_idle`.
     pending: AtomicUsize,
+    /// Number of jobs submitted but not yet taken by a worker: idle
+    /// workers park only while it is zero.
+    queued: AtomicUsize,
     shutdown: AtomicBool,
     /// Sleep gate: workers park here when no work is visible.
     gate: Mutex<()>,
@@ -67,6 +73,7 @@ impl WorkStealingPool {
             injector: Injector::new(),
             stealers,
             pending: AtomicUsize::new(0),
+            queued: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             gate: Mutex::new(()),
             gate_cv: Condvar::new(),
@@ -102,9 +109,7 @@ impl WorkStealingPool {
 
     /// Submits a fire-and-forget job.
     pub fn spawn<F: FnOnce() + Send + 'static>(&self, f: F) {
-        self.shared.pending.fetch_add(1, Ordering::AcqRel);
-        self.shared.injector.push(Box::new(f));
-        self.shared.wake_all();
+        self.submit([Box::new(f) as Job]);
     }
 
     /// Submits every job in `jobs` and blocks until **all jobs in the pool**
@@ -113,14 +118,28 @@ impl WorkStealingPool {
     where
         I: IntoIterator<Item = Job>,
     {
-        let mut n = 0usize;
-        for job in jobs {
-            n += 1;
-            self.shared.injector.push(job);
-        }
-        self.shared.pending.fetch_add(n, Ordering::AcqRel);
-        self.shared.wake_all();
+        self.submit(jobs);
         self.wait_idle();
+    }
+
+    /// Queues `jobs` and wakes one parked worker per job.
+    pub(crate) fn submit<I>(&self, jobs: I)
+    where
+        I: IntoIterator<Item = Job>,
+    {
+        let mut n = 0;
+        for job in jobs {
+            // Count before pushing, so a worker that takes the job never
+            // drives the counters below zero.
+            self.shared.pending.fetch_add(1, Ordering::AcqRel);
+            self.shared.queued.fetch_add(1, Ordering::AcqRel);
+            self.shared.injector.push(job);
+            n += 1;
+        }
+        let _g = self.shared.gate.lock().unwrap();
+        for _ in 0..n.min(self.workers) {
+            self.shared.gate_cv.notify_one();
+        }
     }
 
     /// Blocks until the pool has no pending jobs.
@@ -174,7 +193,11 @@ fn find_job(idx: usize, local: &Worker<Job>, shared: &Shared) -> Option<Job> {
 fn worker_loop(idx: usize, local: Worker<Job>, shared: Arc<Shared>) {
     loop {
         if let Some(job) = find_job(idx, &local, &shared) {
-            job();
+            shared.queued.fetch_sub(1, Ordering::AcqRel);
+            // A panicking job must neither end the worker nor leave
+            // `pending` above zero, or `wait_idle` would never return. The
+            // panic hook has already reported it.
+            let _ = panic::catch_unwind(AssertUnwindSafe(job));
             if shared.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
                 let _g = shared.gate.lock().unwrap();
                 shared.done_cv.notify_all();
@@ -184,20 +207,41 @@ fn worker_loop(idx: usize, local: Worker<Job>, shared: Arc<Shared>) {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        // Park until new work or shutdown. Re-check under the lock to avoid
-        // a lost wakeup between the failed find_job and the wait.
-        let gate = shared.gate.lock().unwrap();
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
+        if spin_until(|| {
+            shared.queued.load(Ordering::Acquire) != 0 || shared.shutdown.load(Ordering::Acquire)
+        }) {
+            continue;
         }
-        if shared.injector.is_empty() && shared.pending.load(Ordering::Acquire) == 0 {
+        // Park until new work or shutdown. Re-check under the lock to avoid
+        // a lost wakeup between the check above and the wait.
+        let gate = shared.gate.lock().unwrap();
+        if shared.queued.load(Ordering::Acquire) == 0 && !shared.shutdown.load(Ordering::Acquire) {
             let _gate = shared.gate_cv.wait(gate).unwrap();
+        }
+    }
+}
+
+/// Polls `ready` for a short while, spinning and then yielding the CPU,
+/// and returns whether it became true. Callers park after a `false`.
+/// Loops submit helper jobs back to back, and waking a parked thread costs
+/// more than a short chunk; yielding lets another runnable thread have the
+/// CPU on a small host.
+pub(crate) fn spin_until(ready: impl Fn() -> bool) -> bool {
+    const SPINS: u32 = 6;
+    const YIELDS: u32 = 32;
+    for step in 0..SPINS + YIELDS {
+        if ready() {
+            return true;
+        }
+        if step < SPINS {
+            for _ in 0..1u32 << step {
+                std::hint::spin_loop();
+            }
         } else {
-            // Work may exist in sibling deques; spin again without waiting.
-            drop(gate);
             std::thread::yield_now();
         }
     }
+    ready()
 }
 
 /// Returns the process-wide shared pool, created on first use with

@@ -1,13 +1,26 @@
-//! Borrowing, dynamically scheduled loop primitives.
+//! Borrowing, dynamically scheduled loop primitives on the persistent pool.
 //!
-//! These are built on `std::thread::scope`, so closures may capture
-//! non-`'static` references (slices owned by the caller). Load balance comes
-//! from *dynamic chunk scheduling*: the iteration space is cut into chunks
-//! of [`Grain`] size and workers claim chunks from a shared atomic cursor,
-//! so an uneven workload (e.g. BFS frontiers) does not leave threads idle.
+//! Closures may capture non-`'static` references (slices owned by the
+//! caller). Load balance comes from *dynamic chunk scheduling*: the
+//! iteration space is cut into chunks of [`Grain`] size, and the calling
+//! thread and at most P − 1 helper jobs on [`crate::global`] claim chunks
+//! from one atomic cursor, so an uneven workload (e.g. BFS frontiers) does
+//! not leave threads idle. No call spawns a thread.
+//!
+//! The caller drains the cursor itself, so a call completes even when every
+//! pool worker is busy: a loop nested in a loop body, or a loop in a job of
+//! another pool (the gh-jobs executor). It then waits on the call's own
+//! latch, not on the whole pool, until no helper holds a claim. A panic in
+//! the body stops further claims and is re-raised on the caller once every
+//! claimed chunk has stopped.
 
 // gh-audit: allow-file(no-unwrap-in-lib) -- mutex poisoning means a worker panicked; propagating the panic is the only sound response
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+
+use crate::pool::{global, spin_until, Job};
 
 /// Chunking policy for the scoped loops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,6 +45,148 @@ fn effective_workers(total: usize) -> usize {
     crate::default_parallelism().min(total.max(1))
 }
 
+/// Set in [`Call::state`] once the caller has stopped draining: no helper
+/// takes a claim after it.
+const CLOSED: usize = 1 << (usize::BITS - 1);
+
+/// A loop body whose borrow's lifetime is erased, so `'static` helper jobs
+/// can hold it.
+struct Body(*const (dyn Fn(usize) + Sync + 'static));
+
+// SAFETY: the pointee is `Sync`, so threads may share it, and a helper
+// dereferences the pointer only while it holds a claim (see `run`).
+unsafe impl Send for Body {}
+// SAFETY: as above; the pointer itself is never written.
+unsafe impl Sync for Body {}
+
+/// One scoped loop call, shared by its caller and its helper jobs.
+struct Call {
+    body: Body,
+    n_chunks: usize,
+    /// The next chunk index to claim.
+    cursor: AtomicUsize,
+    /// [`CLOSED`] or'ed with the number of helpers holding a claim.
+    state: AtomicUsize,
+    /// The first panic a helper raised in the body.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    lock: Mutex<()>,
+    released: Condvar,
+}
+
+impl Call {
+    /// Claims and runs chunks until none is left.
+    fn drain(&self, body: &(dyn Fn(usize) + Sync)) {
+        loop {
+            let c = self.cursor.fetch_add(1, Ordering::Relaxed);
+            if c >= self.n_chunks {
+                return;
+            }
+            body(c);
+        }
+    }
+
+    /// A helper job: takes a claim unless the call is closed, drains, and
+    /// releases the claim, waking the caller if it was the last one.
+    fn help(&self) {
+        let mut s = self.state.load(Ordering::Acquire);
+        loop {
+            if s & CLOSED != 0 {
+                return;
+            }
+            match self
+                .state
+                .compare_exchange_weak(s, s + 1, Ordering::AcqRel, Ordering::Acquire)
+            {
+                Ok(_) => break,
+                Err(now) => s = now,
+            }
+        }
+        // SAFETY: this helper holds a claim, and the caller does not leave
+        // `run`, by return or by unwinding, while any claim is live
+        // (`Close::drop`), so the body the pointer borrows is alive.
+        let body = unsafe { &*self.body.0 };
+        if let Err(p) = panic::catch_unwind(AssertUnwindSafe(|| self.drain(body))) {
+            self.cursor.store(self.n_chunks, Ordering::Relaxed);
+            self.panic
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get_or_insert(p);
+        }
+        // Release pairs with the caller's Acquire loads of `state`: the
+        // body's writes happen before the caller returns.
+        if self.state.fetch_sub(1, Ordering::AcqRel) == CLOSED | 1 {
+            let _g = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+            self.released.notify_one();
+        }
+    }
+}
+
+/// Closes a call when the caller leaves `run`, by return or by unwinding,
+/// and blocks until no helper holds a claim.
+struct Close<'a>(&'a Call);
+
+impl Drop for Close<'_> {
+    fn drop(&mut self) {
+        let call = self.0;
+        // A no-op after a full drain; stops the helpers early when the
+        // caller unwinds.
+        call.cursor.store(call.n_chunks, Ordering::Relaxed);
+        if call.state.fetch_or(CLOSED, Ordering::AcqRel) == 0
+            || spin_until(|| call.state.load(Ordering::Acquire) == CLOSED)
+        {
+            return;
+        }
+        let mut g = call.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        while call.state.load(Ordering::Acquire) != CLOSED {
+            g = call
+                .released
+                .wait(g)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// Runs `body(c)` for every chunk index `c < n_chunks`, on the calling
+/// thread and at most P − 1 helper jobs on the global pool, and returns
+/// once every chunk has run.
+fn run(n_chunks: usize, body: &(dyn Fn(usize) + Sync)) {
+    let helpers = (crate::default_parallelism() - 1).min(n_chunks.saturating_sub(1));
+    if helpers == 0 {
+        (0..n_chunks).for_each(body);
+        return;
+    }
+    let ptr: *const (dyn Fn(usize) + Sync + '_) = body;
+    // SAFETY: only the lifetime changes. Helpers dereference the pointer
+    // under a claim alone, and `Close` keeps this frame, and so `body`,
+    // alive until no claim is live.
+    let ptr: *const (dyn Fn(usize) + Sync + 'static) = unsafe { std::mem::transmute(ptr) };
+    let call = Arc::new(Call {
+        body: Body(ptr),
+        n_chunks,
+        cursor: AtomicUsize::new(0),
+        state: AtomicUsize::new(0),
+        panic: Mutex::new(None),
+        lock: Mutex::new(()),
+        released: Condvar::new(),
+    });
+    {
+        let _close = Close(&call);
+        global().submit((0..helpers).map(|_| {
+            let call = Arc::clone(&call);
+            Box::new(move || call.help()) as Job
+        }));
+        call.drain(body);
+    }
+    let panic = call
+        .panic
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .take();
+    if let Some(p) = panic {
+        panic::resume_unwind(p);
+    }
+}
+
 /// Runs `f(i)` for every `i` in `range`, in parallel, with dynamic
 /// scheduling. Blocks until every iteration has completed.
 pub fn par_for<F>(range: std::ops::Range<usize>, grain: Grain, f: F)
@@ -42,29 +197,10 @@ where
     if total == 0 {
         return;
     }
-    let workers = effective_workers(total);
-    if workers == 1 {
-        for i in range {
-            f(i);
-        }
-        return;
-    }
-    let chunk = grain.chunk_len(total, workers);
-    let cursor = AtomicUsize::new(0);
-    let start = range.start;
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if lo >= total {
-                    return;
-                }
-                let hi = (lo + chunk).min(total);
-                for i in lo..hi {
-                    f(start + i);
-                }
-            });
-        }
+    let chunk = grain.chunk_len(total, effective_workers(total));
+    run(total.div_ceil(chunk), &|c| {
+        let lo = range.start + c * chunk;
+        (lo..(lo + chunk).min(range.end)).for_each(&f);
     });
 }
 
@@ -77,47 +213,16 @@ where
 {
     let chunk_len = chunk_len.max(1);
     let n_chunks = data.len().div_ceil(chunk_len);
-    if n_chunks == 0 {
-        return;
-    }
-    let workers = effective_workers(n_chunks);
-    if workers == 1 {
-        for (idx, c) in data.chunks_mut(chunk_len).enumerate() {
-            f(idx, c);
-        }
-        return;
-    }
-    // Pre-split into raw chunk descriptors so each worker can claim chunks
-    // dynamically. Safety: chunks are disjoint by construction, each chunk
-    // index is claimed exactly once via the atomic cursor, and the scope
-    // outlives no reference.
-    let base = data.as_mut_ptr();
-    let len = data.len();
-    let cursor = AtomicUsize::new(0);
-    struct SendPtr<T>(*mut T);
-    // SAFETY: the pointer is only dereferenced through disjoint [lo, hi)
-    // ranges claimed via the atomic cursor, within the enclosing scope.
-    unsafe impl<T> Send for SendPtr<T> {}
-    unsafe impl<T> Sync for SendPtr<T> {}
-    let base = SendPtr(base);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let base = &base;
-                loop {
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    if idx >= n_chunks {
-                        return;
-                    }
-                    let lo = idx * chunk_len;
-                    let hi = (lo + chunk_len).min(len);
-                    // SAFETY: [lo, hi) ranges for distinct idx are disjoint
-                    // and within bounds; idx is claimed exactly once.
-                    let chunk = unsafe { std::slice::from_raw_parts_mut(base.0.add(lo), hi - lo) };
-                    f(idx, chunk);
-                }
-            });
-        }
+    let chunks = Mutex::new(data.chunks_mut(chunk_len).enumerate());
+    // Every claim takes the next chunk off the shared iterator, so each
+    // chunk runs exactly once. The lock is never held while `f` runs.
+    run(n_chunks, &|_| {
+        let (idx, chunk) = chunks
+            .lock()
+            .expect("chunk iterator lock")
+            .next()
+            .expect("one chunk per claim");
+        f(idx, chunk);
     });
 }
 
@@ -141,7 +246,9 @@ where
 
 /// Parallel map-reduce over an index range. `map(i)` produces a value per
 /// iteration; values are folded with `reduce`, starting from `identity`.
-/// `reduce` must be associative and commutative.
+/// `reduce` must be associative and commutative. Each chunk folds its own
+/// partial, and the partials fold in chunk order, so the grouping depends
+/// on the range and [`crate::default_parallelism`], never on scheduling.
 pub fn par_map_reduce<A, M, R>(range: std::ops::Range<usize>, identity: A, map: M, reduce: R) -> A
 where
     A: Send + Sync + Clone,
@@ -152,45 +259,20 @@ where
     if total == 0 {
         return identity;
     }
-    let workers = effective_workers(total);
-    if workers == 1 {
-        let mut acc = identity;
-        for i in range {
-            acc = reduce(acc, map(i));
-        }
-        return acc;
-    }
-    let chunk = Grain::Auto.chunk_len(total, workers);
-    let cursor = AtomicUsize::new(0);
-    let start = range.start;
-    let partials = std::sync::Mutex::new(Vec::with_capacity(workers));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let mut acc = identity.clone();
-                let mut touched = false;
-                loop {
-                    let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if lo >= total {
-                        break;
-                    }
-                    let hi = (lo + chunk).min(total);
-                    for i in lo..hi {
-                        acc = reduce(acc, map(start + i));
-                        touched = true;
-                    }
-                }
-                if touched {
-                    partials.lock().unwrap().push(acc);
-                }
-            });
-        }
+    let chunk = Grain::Auto.chunk_len(total, effective_workers(total));
+    let partials: Vec<Mutex<Option<A>>> = (0..total.div_ceil(chunk))
+        .map(|_| Mutex::new(None))
+        .collect();
+    run(partials.len(), &|c| {
+        let lo = range.start + c * chunk;
+        let acc =
+            (lo..(lo + chunk).min(range.end)).fold(identity.clone(), |acc, i| reduce(acc, map(i)));
+        *partials[c].lock().expect("partial lock") = Some(acc);
     });
     partials
-        .into_inner()
-        .unwrap()
         .into_iter()
-        .fold(identity, reduce)
+        .filter_map(|p| p.into_inner().expect("partial lock"))
+        .fold(identity, &reduce)
 }
 
 #[cfg(test)]

@@ -1,9 +1,7 @@
 //! Single-qubit gates and their exact application.
 
 use crate::complex::C32;
-use crate::state::StateVector;
-use gh_par::default_parallelism;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use crate::state::{for_each_bit_pair, StateVector};
 
 /// A 2×2 unitary.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,47 +85,10 @@ impl StateVector {
     /// Applies a single-qubit gate to qubit `q`, exactly and in parallel.
     pub fn apply_gate1(&mut self, g: &Gate1, q: u32) {
         assert!(q < self.n_qubits(), "qubit out of range");
-        let bit = 1usize << q;
-        let n = self.amps_mut().len();
-        let pairs = n / 2;
-        let low_mask = bit - 1;
-
-        struct SendPtr(*mut C32);
-        // SAFETY: each worker touches only the disjoint (i0, i1) pairs of
-        // the ranges it claims via the cursor, within the thread scope.
-        unsafe impl Send for SendPtr {}
-        unsafe impl Sync for SendPtr {}
-        impl SendPtr {
-            fn get(&self) -> *mut C32 {
-                self.0
-            }
-        }
-        let base = SendPtr(self.amps_mut().as_mut_ptr());
-        let workers = default_parallelism().min(pairs.max(1));
-        let chunk = (pairs / (workers * 4).max(1)).max(1024).min(pairs.max(1));
-        let cursor = AtomicUsize::new(0);
         let m = g.m;
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= pairs {
-                        return;
-                    }
-                    let end = (start + chunk).min(pairs);
-                    for p in start..end {
-                        let i0 = ((p & !low_mask) << 1) | (p & low_mask);
-                        let i1 = i0 | bit;
-                        // SAFETY: (i0, i1) pairs are disjoint across p.
-                        unsafe {
-                            let ptr = base.get();
-                            let a = *ptr.add(i0);
-                            let b = *ptr.add(i1);
-                            *ptr.add(i0) = m[0][0] * a + m[0][1] * b;
-                            *ptr.add(i1) = m[1][0] * a + m[1][1] * b;
-                        }
-                    }
-                });
+        for_each_bit_pair(self.amps_mut(), q, 1, |clear, set| {
+            for (a, b) in clear.iter_mut().zip(set) {
+                (*a, *b) = (m[0][0] * *a + m[0][1] * *b, m[1][0] * *a + m[1][1] * *b);
             }
         });
     }

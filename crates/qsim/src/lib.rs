@@ -40,6 +40,7 @@
 //! assert!(shots.iter().all(|&s| s == 0 || s == 0b1111));
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
 pub mod circuits;

@@ -2,8 +2,15 @@
 
 use crate::complex::C32;
 use crate::gates::Gate2;
-use gh_par::par_map_reduce;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use gh_par::{default_parallelism, par_chunks_mut, par_map_reduce};
+
+/// Groups one lane-blocked step of [`StateVector::apply_gate2`] handles:
+/// four `f32`s fill a 128-bit vector register.
+const LANES: usize = 4;
+
+/// The fewest amplitudes per side that a gate kernel hands one claim:
+/// 1024 two-qubit groups, which outweigh the claim.
+const MIN_PIECE: usize = 2048;
 
 /// An `n`-qubit statevector of `2^n` single-precision amplitudes.
 #[derive(Debug, Clone)]
@@ -38,7 +45,7 @@ impl StateVector {
     }
 
     /// Mutable amplitudes (gate kernels).
-    pub(crate) fn amps_mut(&mut self) -> &mut Vec<C32> {
+    pub(crate) fn amps_mut(&mut self) -> &mut [C32] {
         &mut self.amps
     }
 
@@ -80,55 +87,30 @@ impl StateVector {
     /// and in parallel. Basis order inside a group is |q1 q0⟩.
     pub fn apply_gate2(&mut self, g: &Gate2, q0: u32, q1: u32) {
         assert!(q0 < self.n && q1 < self.n && q0 != q1, "bad qubit pair");
-        let (lo, hi) = (q0.min(q1), q0.max(q1));
-        let b0 = 1usize << q0;
-        let b1 = 1usize << q1;
-        let groups = self.amps.len() / 4;
-        let lo_mask = (1usize << lo) - 1;
-        let mid_mask = ((1usize << (hi - 1)) - 1) & !lo_mask;
-
-        // Each group owns 4 distinct indices; groups are pairwise
-        // disjoint, so scattered parallel mutation is safe.
-        struct SendPtr(*mut C32);
-        // SAFETY: each group owns 4 unique indices and groups are pairwise
-        // disjoint, so claimed ranges never alias; bounded by the scope.
-        unsafe impl Send for SendPtr {}
-        unsafe impl Sync for SendPtr {}
-        let base = SendPtr(self.amps.as_mut_ptr());
-        let workers = gh_par::default_parallelism().min(groups.max(1));
-        let chunk = (groups / (workers * 4).max(1)).max(1024).min(groups.max(1));
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| {
-                    let base = &base;
-                    loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= groups {
-                            return;
-                        }
-                        let end = (start + chunk).min(groups);
-                        for gidx in start..end {
-                            // Expand gidx into a full index with zeros at
-                            // bit positions lo and hi.
-                            let low = gidx & lo_mask;
-                            let mid = (gidx & mid_mask) << 1;
-                            let high = (gidx & !(lo_mask | mid_mask)) << 2;
-                            let i00 = high | mid | low;
-                            let (i01, i10, i11) = (i00 | b0, i00 | b1, i00 | b0 | b1);
-                            // SAFETY: i00..i11 are unique to this group.
-                            unsafe {
-                                let p = base.0;
-                                let v = [*p.add(i00), *p.add(i01), *p.add(i10), *p.add(i11)];
-                                let out = g.apply(v);
-                                *p.add(i00) = out[0];
-                                *p.add(i01) = out[1];
-                                *p.add(i10) = out[2];
-                                *p.add(i11) = out[3];
-                            }
-                        }
+        let lo = q0.min(q1);
+        let run = 1usize << lo;
+        for_each_bit_pair(&mut self.amps, q0.max(q1), 2 * run, |clear, set| {
+            // Bit `lo` alternates in runs of `run` amplitudes on both sides.
+            for (c, s) in clear
+                .chunks_exact_mut(2 * run)
+                .zip(set.chunks_exact_mut(2 * run))
+            {
+                let (c0, c1) = c.split_at_mut(run);
+                let (s0, s1) = s.split_at_mut(run);
+                // The group's four streams in the gate's basis order.
+                let streams = if q0 == lo {
+                    [c0, c1, s0, s1]
+                } else {
+                    [c0, s0, c1, s1]
+                };
+                if run >= LANES {
+                    apply_lanes(&g.m, streams);
+                } else {
+                    let [v0, v1, v2, v3] = streams;
+                    for (((a, b), c), d) in v0.iter_mut().zip(v1).zip(v2).zip(v3) {
+                        [*a, *b, *c, *d] = g.apply([*a, *b, *c, *d]);
                     }
-                });
+                }
             }
         });
     }
@@ -149,6 +131,78 @@ impl StateVector {
             },
             |a, b| a + b,
         )
+    }
+}
+
+/// Runs `kernel(clear, set)` in parallel over disjoint, equally long
+/// slice pairs of `amps`: `clear[k]` and `set[k]` are the amplitudes of
+/// indices `i` and `i | 1 << bit`. `min_piece` is a power of two no larger
+/// than `1 << bit`; every slice starts and ends on a multiple of it, so a
+/// kernel sees whole runs of that length.
+pub(crate) fn for_each_bit_pair<K>(amps: &mut [C32], bit: u32, min_piece: usize, kernel: K)
+where
+    K: Fn(&mut [C32], &mut [C32]) + Sync,
+{
+    let half = 1usize << bit;
+    debug_assert!(min_piece.is_power_of_two() && min_piece <= half);
+    let target = (amps.len() / (8 * default_parallelism())).max(1);
+    let piece = (1usize << target.ilog2()).max(MIN_PIECE).max(min_piece);
+    if half <= piece {
+        // A claim takes whole blocks of `2 · half` amplitudes.
+        par_chunks_mut(amps, 2 * piece, |_, chunk| {
+            for block in chunk.chunks_exact_mut(2 * half) {
+                let (clear, set) = block.split_at_mut(half);
+                kernel(clear, set);
+            }
+        });
+    } else {
+        // A claim takes one piece from each half of a block.
+        let mut pairs: Vec<_> = amps
+            .chunks_exact_mut(2 * half)
+            .flat_map(|block| {
+                let (clear, set) = block.split_at_mut(half);
+                clear
+                    .chunks_exact_mut(piece)
+                    .zip(set.chunks_exact_mut(piece))
+            })
+            .collect();
+        par_chunks_mut(&mut pairs, 1, |_, pairs| {
+            for (clear, set) in pairs {
+                kernel(clear, set);
+            }
+        });
+    }
+}
+
+/// Applies `m` to [`LANES`] groups per step. Each lane repeats
+/// [`Gate2::apply`]'s operations in its order (`acc = 0`, then
+/// `acc += m[r][c] · v[c]` for `c = 0..4`, no fused multiply-add), so the
+/// amplitudes are bit-identical to the per-group loop's.
+fn apply_lanes(m: &[[C32; 4]; 4], streams: [&mut [C32]; 4]) {
+    let [s0, s1, s2, s3] = streams.map(|s| s.as_chunks_mut::<LANES>().0);
+    for (((x0, x1), x2), x3) in s0.iter_mut().zip(s1).zip(s2).zip(s3) {
+        let xs = [x0, x1, x2, x3];
+        let mut re = [[0.0f32; LANES]; 4];
+        let mut im = [[0.0f32; LANES]; 4];
+        for (c, x) in xs.iter().enumerate() {
+            for (l, z) in x.iter().enumerate() {
+                re[c][l] = z.re;
+                im[c][l] = z.im;
+            }
+        }
+        for (row, x) in m.iter().zip(xs) {
+            let mut acc_re = [0.0f32; LANES];
+            let mut acc_im = [0.0f32; LANES];
+            for (g, (vr, vi)) in row.iter().zip(re.iter().zip(&im)) {
+                for l in 0..LANES {
+                    acc_re[l] += g.re * vr[l] - g.im * vi[l];
+                    acc_im[l] += g.re * vi[l] + g.im * vr[l];
+                }
+            }
+            for (l, z) in x.iter_mut().enumerate() {
+                *z = C32::new(acc_re[l], acc_im[l]);
+            }
+        }
     }
 }
 

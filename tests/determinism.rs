@@ -25,8 +25,10 @@ fn app_runs_are_bit_deterministic() {
 
 #[test]
 fn qv_timeline_is_deterministic_under_parallel_compute() {
-    // The statevector math runs on the work-stealing pool; the virtual
-    // timeline must not depend on scheduling.
+    // The statevector math runs on the work-stealing pool; neither the
+    // virtual timeline nor the state may depend on scheduling. One thread
+    // computes each amplitude, and the checksum folds its chunk partials
+    // in chunk order.
     let p = QsimParams {
         sim_qubits: 12,
         seed: 4,
@@ -39,11 +41,13 @@ fn qv_timeline_is_deterministic_under_parallel_compute() {
     let b = grace_mem::run_qv(gh200(), MemMode::Managed, &p);
     assert_eq!(a.phases, b.phases);
     assert_eq!(a.traffic, b.traffic);
-    // Float reductions over the pool are order-sensitive only across
-    // different partials; the checksum uses per-thread partial sums, so
-    // allow tiny wobble.
-    let rel = (a.checksum - b.checksum).abs() / a.checksum.abs().max(1e-12);
-    assert!(rel < 1e-9, "{} vs {}", a.checksum, b.checksum);
+    assert_eq!(
+        a.checksum.to_bits(),
+        b.checksum.to_bits(),
+        "{} vs {}",
+        a.checksum,
+        b.checksum
+    );
 }
 
 #[test]
