@@ -38,7 +38,7 @@ pub use gh_sim::{Machine, MemMode, RunReport};
 
 /// Identifies one application of the suite (Qiskit excluded — see
 /// `gh-qsim`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AppId {
     /// Needleman-Wunsch sequence alignment.
     Needle,

@@ -9,47 +9,24 @@
 //! `wall-clock-taint`, `unordered-iter-flow`) is a `TaintSpec`
 //! implementation of ~100 lines; the fixpoint plumbing lives here once.
 //!
-//! Labels are structured ([`Label`]): most rules use a fixed `&'static
-//! str` vocabulary ([`Label::Tag`] — unit names, `"wall"`, `"hash"`),
-//! while the interprocedural summary layer ([`crate::summary`]) tracks
-//! *which input* a value derives from ([`Label::Param`] for parameters,
-//! [`Label::Field`] for `self` fields and rule-defined dynamic labels).
-//! Environments map variable names to label sets and merge by pointwise
-//! union, so the analysis over-approximates: a variable tainted on *any*
-//! path stays tainted. Loop bodies run twice so taint flowing through a
-//! loop-carried variable (accumulate in iteration N, sink in N+1) is
-//! seen; rules must tolerate the duplicate sink callbacks this produces
-//! (the engine dedups exact duplicate findings).
+//! A [`Label`] is a word from the rule's fixed vocabulary (unit names,
+//! `"wall"`, `"hash"`). Environments map variable names to label sets
+//! and merge by pointwise union, so the analysis over-approximates: a
+//! variable tainted on *any* path stays tainted. Loop bodies run twice
+//! so taint flowing through a loop-carried variable (accumulate in
+//! iteration N, sink in N+1) is seen; rules must tolerate the duplicate
+//! sink callbacks this produces (the engine dedups exact duplicate
+//! findings).
 
 use crate::ast::{Block, Expr, FnDef, Stmt};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One taint label.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Label {
-    /// Fixed rule vocabulary (`"wall"`, `"hash"`, unit type names).
-    Tag(&'static str),
-    /// The value derives from the analyzed function's i-th parameter
-    /// (0-based over the declared parameter list, `self` included).
-    /// Used by the interprocedural summary layer.
-    Param(u16),
-    /// The value derives from a named field of `self` (summary layer),
-    /// or carries a rule-defined dynamic label.
-    Field(String),
-}
+/// One taint label: a word of the rule's vocabulary (`"wall"`,
+/// `"hash"`, unit type names).
+pub type Label = &'static str;
 
 /// A set of taint labels.
 pub type Labels = BTreeSet<Label>;
-
-/// Singleton label set holding `Tag(s)` — the common rule idiom.
-pub fn tag(s: &'static str) -> Labels {
-    [Label::Tag(s)].into()
-}
-
-/// True when `labels` contains `Tag(s)`.
-pub fn has(labels: &Labels, s: &'static str) -> bool {
-    labels.contains(&Label::Tag(s))
-}
 
 /// Union of two label sets.
 pub fn union(mut a: Labels, b: Labels) -> Labels {
@@ -166,23 +143,12 @@ pub trait TaintSpec {
         labels.clone()
     }
 
-    /// A branch decision: the condition of an `if`/`while` or the
-    /// scrutinee of a `match`, with the deciding value's labels. This is
-    /// the driver's only control-dependence hook — rules that must not
-    /// miss implicit flows (a value steering behavior without flowing
-    /// into it, e.g. `cache-key-completeness`) treat a branch on a
-    /// tracked value as consumption.
-    fn on_branch(&mut self, _e: &Expr, _labels: &Labels) {}
-
     /// A value leaving the function (`return e` or the body tail).
     fn on_return(&mut self, _e: &Expr, _labels: &Labels) {}
 
     /// `lhs = rhs` where `lhs` is not a plain variable (field/index
     /// store). `labels` are the stored value's labels.
     fn on_store(&mut self, _lhs: &Expr, _rhs: &Expr, _labels: &Labels, _env: &mut TaintEnv) {}
-
-    /// A non-assignment expression in statement position, with its labels.
-    fn on_stmt(&mut self, _e: &Expr, _labels: &Labels, _env: &mut TaintEnv) {}
 }
 
 /// Runs `spec` over one function body with `env` as the initial
@@ -213,12 +179,7 @@ pub fn exec_block(spec: &mut dyn TaintSpec, b: &Block, env: &mut TaintEnv) -> La
                 }
             }
             Stmt::Expr(e) => {
-                if let Expr::Assign { .. } = e {
-                    eval_expr(spec, e, env);
-                } else {
-                    let labels = eval_expr(spec, e, env);
-                    spec.on_stmt(e, &labels, env);
-                }
+                eval_expr(spec, e, env);
             }
             Stmt::Item(_) => {} // nested fns are analyzed as their own fns
         }
@@ -329,7 +290,6 @@ pub fn eval_expr(spec: &mut dyn TaintSpec, e: &Expr, env: &mut TaintEnv) -> Labe
             ..
         } => {
             let cl = eval_expr(spec, cond, env);
-            spec.on_branch(cond, &cl);
             let mut tenv = env.clone();
             for p in pat {
                 tenv.bind(p, cl.clone());
@@ -350,7 +310,6 @@ pub fn eval_expr(spec: &mut dyn TaintSpec, e: &Expr, env: &mut TaintEnv) -> Labe
             scrutinee, arms, ..
         } => {
             let sl = eval_expr(spec, scrutinee, env);
-            spec.on_branch(scrutinee, &sl);
             let mut out = Labels::new();
             let mut joined = env.clone();
             for arm in arms {
@@ -385,7 +344,6 @@ pub fn eval_expr(spec: &mut dyn TaintSpec, e: &Expr, env: &mut TaintEnv) -> Labe
             pat, cond, body, ..
         } => {
             let cl = eval_expr(spec, cond, env);
-            spec.on_branch(cond, &cl);
             let mut benv = env.clone();
             for p in pat {
                 benv.bind(p, cl.clone());
@@ -442,10 +400,10 @@ mod tests {
             if let Expr::Call { callee, line, .. } = e {
                 if let Expr::Path { segs, .. } = callee.as_ref() {
                     match segs.last().map(String::as_str) {
-                        Some("source") => return tag("t"),
+                        Some("source") => return Labels::from(["t"]),
                         Some("scrub") => return Labels::new(),
                         Some("sink") => {
-                            if args.iter().any(|a| has(a, "t")) {
+                            if args.iter().any(|a| a.contains("t")) {
                                 self.hits.push(*line);
                             }
                             return Labels::new();

@@ -69,10 +69,6 @@ pub struct AuditStats {
     /// a `tests/fixtures/` directory are never collected, so seeded
     /// violations can neither fire nor inflate this count.
     pub files_scanned: usize,
-    /// Iterations the interprocedural summary fixpoint took to converge
-    /// (see [`crate::summary`]); a jump here means deeper call chains or
-    /// a cycle getting close to the iteration cap.
-    pub summary_iterations: usize,
 }
 
 /// Like [`audit_workspace`], also reporting scan statistics.
@@ -141,7 +137,6 @@ pub fn audit_workspace_with_stats(
     findings.dedup();
     let stats = AuditStats {
         files_scanned: files.len(),
-        summary_iterations: ws.summaries.iterations,
     };
     Ok((findings, stats))
 }

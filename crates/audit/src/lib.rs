@@ -27,9 +27,12 @@
 //! | `unit-launder-flow` | `.get()`-escaped raw values stay in their unit domain |
 //! | `wall-clock-taint` | host-time values never reach traces/counters/checksums/`RunReport` |
 //! | `unordered-iter-flow` | hash iteration order never reaches returns/state/output |
-//! | `cache-key-completeness` | every report-influencing spec field is in `canonical_key` |
-//! | `session-isolation` | `Bus`/`Perf`/`Rc` handles never escape their `SessionCtx` |
 //! | `lock-discipline` | no re-entrant locking, no lock pair taken in both orders |
+//!
+//! Two invariants need no rule because rustc proves them: session
+//! handles are `!Send`/`!Sync`, so they cannot reach a pool task or a
+//! `static` (`compile_fail` doctests in `gh-jobs`), and the job cache is
+//! keyed by the whole `JobSpec` through a derived `Ord`.
 //!
 //! Suppression is per-line and audited itself:
 //!
@@ -39,17 +42,14 @@
 //! ```
 //!
 //! The engine is from scratch (no `syn`/`dylint`: the build environment
-//! is offline), layered as **tokens → AST → dataflow → summaries**: a
-//! lossless lexer ([`lexer`]), an error-tolerant recursive-descent parser
-//! ([`ast`]), shallow name/type resolution ([`resolve`]), a workspace
-//! call graph with effect propagation ([`callgraph`]), an intraprocedural
-//! taint driver ([`dataflow`]) the flow rules plug specs into, and
-//! per-function dataflow summaries propagated over the call graph to a
-//! fixpoint ([`summary`]) so rules reason across function boundaries.
-//! The lints stay *heuristic* — over-approximate environments, by-name
-//! call resolution — so false negatives are possible; false positives
-//! get an allow with a reason, and pre-existing debt can be accepted
-//! with a [`baseline`] file so CI fails only on new findings.
+//! is offline), layered as **tokens → AST → dataflow**: a lossless lexer
+//! ([`lexer`]), an error-tolerant recursive-descent parser ([`ast`]),
+//! shallow name/type resolution ([`resolve`]), a workspace call graph
+//! with effect propagation ([`callgraph`]), and an intraprocedural taint
+//! driver ([`dataflow`]) the flow rules plug specs into. The lints stay
+//! *heuristic* — over-approximate environments, by-name call resolution
+//! — so false negatives are possible; false positives get an allow with
+//! a reason.
 //!
 //! Run it: `cargo run -p gh-audit` (report) or `cargo run -p gh-audit --
 //! --deny` (CI gate, exits 1 on any finding). See `docs/static-analysis.md`.
@@ -59,7 +59,6 @@
 #![deny(missing_debug_implementations)]
 
 pub mod ast;
-pub mod baseline;
 pub mod callgraph;
 pub mod dataflow;
 pub mod engine;
@@ -68,8 +67,6 @@ pub mod report;
 pub mod resolve;
 pub mod rules;
 pub mod source;
-pub mod summary;
 
-pub use baseline::Baseline;
 pub use engine::{audit_workspace, AuditConfig, AuditError};
 pub use rules::Finding;

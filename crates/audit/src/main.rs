@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! gh-audit [--root <dir>] [--rule <name>[,<name>...]]...
-//!          [--format text|json|sarif] [--deny]
-//!          [--baseline <file>] [--write-baseline <file>] [--list-rules]
+//!          [--format text|json|sarif] [--deny] [--list-rules]
 //! ```
 //!
 //! Findings go to stdout in the selected format; the `scanned N files`
@@ -11,21 +10,15 @@
 //! left to the caller (CI) — the audit binary itself reads no clocks, by
 //! its own `wall-clock` rules.
 //!
-//! With `--baseline <file>`, findings recorded in the file are dropped
-//! before reporting (and before the `--deny` gate), so CI fails only on
-//! *new* findings; `--write-baseline <file>` records the current
-//! findings and exits 0. See [`gh_audit::baseline`].
-//!
-//! Exit codes: 0 clean (or findings without `--deny`), 1 new findings
-//! with `--deny`, 2 usage error.
+//! Exit codes: 0 clean (or findings without `--deny`), 1 findings with
+//! `--deny`, 2 usage error.
 
 use gh_audit::engine::audit_workspace_with_stats;
-use gh_audit::{report, rules, AuditConfig, Baseline};
+use gh_audit::{report, rules, AuditConfig};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: gh-audit [--root <dir>] [--rule <name>[,<name>...]]... \
-                     [--format text|json|sarif] [--deny] \
-                     [--baseline <file>] [--write-baseline <file>] [--list-rules]";
+                     [--format text|json|sarif] [--deny] [--list-rules]";
 
 enum Format {
     Text,
@@ -37,8 +30,6 @@ fn main() -> ExitCode {
     let mut cfg = AuditConfig::new(std::env::current_dir().unwrap_or_else(|_| ".".into()));
     let mut deny = false;
     let mut format = Format::Text;
-    let mut baseline_path: Option<String> = None;
-    let mut write_baseline: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -49,7 +40,7 @@ fn main() -> ExitCode {
             },
             "--rule" => match args.next() {
                 // Comma-separated lists let CI request a rule subset in
-                // one flag: `--rule lock-discipline,session-isolation`.
+                // one flag: `--rule lock-discipline,epoch-coherence`.
                 Some(names) => {
                     for name in names.split(',').map(str::trim).filter(|n| !n.is_empty()) {
                         if !rules::rule_names().contains(&name) {
@@ -59,14 +50,6 @@ fn main() -> ExitCode {
                     }
                 }
                 None => return usage("--rule needs a rule name"),
-            },
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(p),
-                None => return usage("--baseline needs a file path"),
-            },
-            "--write-baseline" => match args.next() {
-                Some(p) => write_baseline = Some(p),
-                None => return usage("--write-baseline needs a file path"),
             },
             "--format" => match args.next().as_deref() {
                 Some("text") => format = Format::Text,
@@ -101,33 +84,8 @@ fn main() -> ExitCode {
             other => return usage(&format!("unknown argument '{other}'")),
         }
     }
-    let baseline = match &baseline_path {
-        Some(p) => match std::fs::read_to_string(p) {
-            Ok(text) => Some(Baseline::parse(&text)),
-            Err(e) => {
-                eprintln!("gh-audit: cannot read baseline {p}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
     match audit_workspace_with_stats(&cfg) {
         Ok((findings, stats)) => {
-            if let Some(p) = &write_baseline {
-                if let Err(e) = std::fs::write(p, Baseline::render(&findings)) {
-                    eprintln!("gh-audit: cannot write baseline {p}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!(
-                    "gh-audit: wrote baseline with {} finding(s) to {p}",
-                    findings.len()
-                );
-                return ExitCode::SUCCESS;
-            }
-            let (findings, baselined) = match &baseline {
-                Some(b) => b.partition(findings),
-                None => (findings, 0),
-            };
             let rendered = match format {
                 Format::Text => report::render(&findings),
                 Format::Json => report::render_json(&findings),
@@ -135,16 +93,10 @@ fn main() -> ExitCode {
             };
             print!("{rendered}");
             // CI greps `scanned N files` — keep that prefix stable.
-            let suppressed = if baselined > 0 {
-                format!(" ({baselined} baselined)")
-            } else {
-                String::new()
-            };
             eprintln!(
-                "gh-audit: scanned {} files, {} finding(s){suppressed}, summary fixpoint in {} iteration(s)",
+                "gh-audit: scanned {} files, {} finding(s)",
                 stats.files_scanned,
-                findings.len(),
-                stats.summary_iterations
+                findings.len()
             );
             if deny && !findings.is_empty() {
                 ExitCode::FAILURE

@@ -152,37 +152,22 @@ mod tests {
 
     #[test]
     fn sarif_has_schema_rules_and_results() {
-        let s = render_sarif(&sample());
-        assert!(s.contains("\"version\": \"2.1.0\""));
-        assert!(s.contains("\"name\": \"gh-audit\""));
-        assert!(s.contains("{\"id\": \"no-float-eq\"}"));
-        assert!(s.contains("\"startLine\": 3"));
-        assert!(s.contains("\"uri\": \"a/src/lib.rs\""));
-    }
-
-    #[test]
-    fn sarif_carries_the_concurrency_rules() {
-        // The renderer derives rule ids from findings, so the PR-9
-        // concurrency rules must surface without any registry edit.
-        let findings: Vec<Finding> = [
-            "cache-key-completeness",
-            "session-isolation",
-            "lock-discipline",
-        ]
-        .iter()
-        .map(|r| Finding {
-            rule: r,
+        // The renderer derives rule ids from findings, so flow rules
+        // surface beside token rules without any registry edit.
+        const FLOW_RULES: [&str; 2] = ["lock-discipline", "epoch-coherence"];
+        let mut findings = sample();
+        findings.extend(FLOW_RULES.map(|rule| Finding {
+            rule,
             path: "crates/jobs/src/lib.rs".into(),
             line: 1,
             msg: "m".into(),
-        })
-        .collect();
+        }));
         let s = render_sarif(&findings);
-        for r in [
-            "cache-key-completeness",
-            "session-isolation",
-            "lock-discipline",
-        ] {
+        assert!(s.contains("\"version\": \"2.1.0\""));
+        assert!(s.contains("\"name\": \"gh-audit\""));
+        assert!(s.contains("\"startLine\": 3"));
+        assert!(s.contains("\"uri\": \"a/src/lib.rs\""));
+        for r in ["no-float-eq"].into_iter().chain(FLOW_RULES) {
             assert!(s.contains(&format!("{{\"id\": \"{r}\"}}")), "{r}");
             assert!(s.contains(&format!("\"ruleId\": \"{r}\"")), "{r}");
         }

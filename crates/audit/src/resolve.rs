@@ -239,9 +239,6 @@ pub struct Workspace<'a> {
     pub fn_returns: BTreeMap<String, Vec<String>>,
     /// Call graph over `Lib`/`Bin` functions outside test modules.
     pub graph: CallGraph,
-    /// Interprocedural per-function dataflow summaries, parallel to
-    /// `graph.fns` (see [`crate::summary`]).
-    pub summaries: crate::summary::Summaries,
 }
 
 impl<'a> Workspace<'a> {
@@ -281,8 +278,6 @@ impl<'a> Workspace<'a> {
                 }
             }
         }
-        let summaries =
-            crate::summary::Summaries::build(files, &asts, &tables, &merged, &fn_returns, &graph);
         Workspace {
             files,
             asts,
@@ -290,7 +285,6 @@ impl<'a> Workspace<'a> {
             merged,
             fn_returns,
             graph,
-            summaries,
         }
     }
 }

@@ -65,7 +65,7 @@ const WRAPPERS: [&str; 12] = [
     "MutexGuard",
 ];
 
-/// Fixpoint iteration cap for `may_lock` (mirrors the summary layer).
+/// Fixpoint iteration cap for `may_lock`.
 const MAX_ITERS: usize = 64;
 
 /// See module docs.

@@ -10,13 +10,11 @@
 //! workspace (see [`trace_coverage::check_workspace`]).
 
 pub mod accounting;
-pub mod cache_key;
 pub mod epoch_coherence;
 pub mod float_eq;
 pub mod lock_discipline;
 pub mod no_ambient_state;
 pub mod no_platform_leak;
-pub mod session_isolation;
 pub mod trace_coverage;
 pub mod unit_launder;
 pub mod units;
@@ -85,8 +83,6 @@ pub fn flow_rules() -> Vec<Box<dyn FlowRule>> {
         Box::new(unit_launder::UnitLaunderFlow),
         Box::new(wall_clock_taint::WallClockTaint),
         Box::new(unordered_flow::UnorderedIterFlow),
-        Box::new(cache_key::CacheKeyCompleteness),
-        Box::new(session_isolation::SessionIsolation),
         Box::new(lock_discipline::LockDiscipline),
     ]
 }

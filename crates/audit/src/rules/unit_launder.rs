@@ -115,7 +115,7 @@ impl TaintSpec for Spec<'_, '_> {
         // takes an argument and never matches.
         if name == "get" && arg_es.is_empty() {
             if let Some(unit) = self.unit_of(recv_e) {
-                return dataflow::tag(unit);
+                return Labels::from([unit]);
             }
             return recv;
         }
@@ -141,13 +141,9 @@ impl TaintSpec for Spec<'_, '_> {
                 if segs.len() >= 2 && UNIT_CTORS.contains(&segs[segs.len() - 1].as_str()) {
                     let ty = &segs[segs.len() - 2];
                     if let Some(dest) = UNIT_TYPES.iter().find(|u| *u == ty) {
-                        for a in args {
-                            for l in a.iter() {
-                                if let dataflow::Label::Tag(from) = l {
-                                    if from != dest {
-                                        self.findings.push((*line, from, dest));
-                                    }
-                                }
+                        for &from in args.iter().flatten() {
+                            if from != *dest {
+                                self.findings.push((*line, from, dest));
                             }
                         }
                         return Labels::new();

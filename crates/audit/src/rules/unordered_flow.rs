@@ -157,7 +157,7 @@ impl TaintSpec for Spec<'_, '_> {
             );
         };
         if ITER_METHODS.contains(&name.as_str()) && self.is_hash_typed(unwrap_refs(recv_e)) {
-            return dataflow::union(recv, dataflow::tag(HASH));
+            return dataflow::union(recv, Labels::from([HASH]));
         }
         if name.contains("sort") {
             // Sorting re-establishes a deterministic order for the
@@ -178,11 +178,11 @@ impl TaintSpec for Spec<'_, '_> {
             return Labels::new();
         }
         if ACCUMULATORS.contains(&name.as_str()) {
-            if args.iter().any(|a| dataflow::has(a, HASH)) {
+            if args.iter().any(|a| a.contains(HASH)) {
                 match unwrap_refs(recv_e).as_var() {
                     // The accumulator variable is now hash-ordered; it is
                     // flagged only if it escapes unsorted.
-                    Some(v) => env.add(v, &dataflow::tag(HASH)),
+                    Some(v) => env.add(v, &Labels::from([HASH])),
                     // Accumulating into a field/temporary escapes the
                     // function's tracking — flag at the accumulation site.
                     None => self
@@ -192,7 +192,7 @@ impl TaintSpec for Spec<'_, '_> {
             }
             return Labels::new();
         }
-        if SINKS.contains(&name.as_str()) && args.iter().any(|a| dataflow::has(a, HASH)) {
+        if SINKS.contains(&name.as_str()) && args.iter().any(|a| a.contains(HASH)) {
             self.findings.push((*line, "reaches an output sink"));
             return Labels::new();
         }
@@ -204,7 +204,7 @@ impl TaintSpec for Spec<'_, '_> {
         if let Expr::Call { callee, line, .. } = e {
             if let Expr::Path { segs, .. } = callee.as_ref() {
                 if segs.last().is_some_and(|s| SINKS.contains(&s.as_str()))
-                    && args.iter().any(|a| dataflow::has(a, HASH))
+                    && args.iter().any(|a| a.contains(HASH))
                 {
                     self.findings.push((*line, "reaches an output sink"));
                     return Labels::new();
@@ -223,15 +223,14 @@ impl TaintSpec for Spec<'_, '_> {
     fn for_bindings(&mut self, iter: &Expr, labels: &Labels, _env: &TaintEnv) -> Labels {
         let inner = unwrap_refs(iter);
         if self.is_hash_typed(inner) {
-            return dataflow::union(labels.clone(), dataflow::tag(HASH));
+            return dataflow::union(labels.clone(), Labels::from([HASH]));
         }
         labels.clone()
     }
 
     fn macro_call(&mut self, e: &Expr, args: &[Labels], _env: &mut TaintEnv) -> Labels {
         if let Expr::Macro { name, line, .. } = e {
-            if FORMAT_MACROS.contains(&name.as_str()) && args.iter().any(|a| dataflow::has(a, HASH))
-            {
+            if FORMAT_MACROS.contains(&name.as_str()) && args.iter().any(|a| a.contains(HASH)) {
                 self.findings.push((*line, "reaches formatted output"));
                 return Labels::new();
             }
@@ -240,13 +239,13 @@ impl TaintSpec for Spec<'_, '_> {
     }
 
     fn on_return(&mut self, e: &Expr, labels: &Labels) {
-        if dataflow::has(labels, HASH) {
+        if labels.contains(HASH) {
             self.findings.push((e.line(), "is returned"));
         }
     }
 
     fn on_store(&mut self, lhs: &Expr, _rhs: &Expr, labels: &Labels, _env: &mut TaintEnv) {
-        if dataflow::has(labels, HASH) {
+        if labels.contains(HASH) {
             self.findings.push((lhs.line(), "is stored into a field"));
         }
     }

@@ -100,14 +100,14 @@ impl TaintSpec for Spec {
                 && segs[segs.len() - 1] == "now"
                 && CLOCK_TYPES.contains(&segs[segs.len() - 2].as_str())
             {
-                return dataflow::tag(WALL);
+                return Labels::from([WALL]);
             }
             if segs.iter().any(|s| s == "gh_perf") {
                 // Anything the profiler hands back is host-time-derived.
-                return dataflow::tag(WALL);
+                return Labels::from([WALL]);
             }
             if let Some(desc) = segs.last().and_then(|s| sink_desc(s)) {
-                if args.iter().any(|a| dataflow::has(a, WALL)) {
+                if args.iter().any(|a| a.contains(WALL)) {
                     self.findings.push((*line, desc));
                 }
                 return Labels::new();
@@ -124,10 +124,10 @@ impl TaintSpec for Spec {
             );
         };
         if CLOCK_METHODS.contains(&name.as_str()) {
-            return dataflow::tag(WALL);
+            return Labels::from([WALL]);
         }
         if let Some(desc) = sink_desc(name) {
-            if args.iter().any(|a| dataflow::has(a, WALL)) {
+            if args.iter().any(|a| a.contains(WALL)) {
                 self.findings.push((*line, desc));
             }
             return Labels::new();
@@ -139,7 +139,7 @@ impl TaintSpec for Spec {
     fn struct_lit(&mut self, e: &Expr, fields: &[(String, Labels)], _env: &mut TaintEnv) -> Labels {
         if let Expr::StructLit { segs, line, .. } = e {
             if segs.last().is_some_and(|s| s == "RunReport")
-                && fields.iter().any(|(_, l)| dataflow::has(l, WALL))
+                && fields.iter().any(|(_, l)| l.contains(WALL))
             {
                 self.findings.push((*line, "a RunReport field"));
             }

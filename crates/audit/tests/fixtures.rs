@@ -172,28 +172,6 @@ fn seeded_fixture_fires_trace_coverage() {
 }
 
 #[test]
-fn seeded_fixture_fires_cache_key_completeness() {
-    // `JobSpec::canonical_key` omits `session.perf`, which steers
-    // `run_job`; the finding anchors at the key definition.
-    let f = audit("seeded");
-    let hits = rule_hits(&f, "cache-key-completeness");
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert!(hits[0].path.contains("gh-jobs/src/lib.rs"));
-    assert!(hits[0].msg.contains("`perf`"), "{}", hits[0].msg);
-    assert!(hits[0].msg.contains("canonical_key"), "{}", hits[0].msg);
-}
-
-#[test]
-fn seeded_fixture_fires_session_isolation() {
-    // `submit` clones the session's Bus into a pool-task closure.
-    let f = audit("seeded");
-    let hits = rule_hits(&f, "session-isolation");
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert!(hits[0].path.contains("gh-jobs/src/lib.rs"));
-    assert!(hits[0].msg.contains("`bus`"), "{}", hits[0].msg);
-}
-
-#[test]
 fn seeded_fixture_fires_lock_discipline() {
     // `publish` calls `count` (which locks `map`) while still holding
     // the `map` guard — an interprocedural self-deadlock.

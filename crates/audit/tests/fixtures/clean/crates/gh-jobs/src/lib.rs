@@ -1,44 +1,6 @@
-//! Clean fixture: the disciplined twin of `seeded`'s gh-jobs crate.
-//! Same shapes — a keyed spec, pool submission, a locked cache — with
-//! the sanctioned patterns, so every concurrency rule stays silent.
-
-pub struct SessionOptions {
-    pub trace: bool,
-    pub perf: bool,
-}
-
-pub struct JobSpec {
-    pub app: String,
-    pub small: bool,
-    pub session: SessionOptions,
-}
-
-impl JobSpec {
-    // Every report-influencing field is folded into the key.
-    pub fn canonical_key(&self) -> String {
-        format!(
-            "app={};small={};trace={};perf={}",
-            self.app, self.small, self.session.trace, self.session.perf
-        )
-    }
-}
-
-pub struct Bus {
-    pub seq: u64,
-}
-
-pub struct SessionCtx {
-    pub bus: Bus,
-}
-
-// Pool tasks construct their session inside the task: nothing of the
-// submitter's session crosses the closure boundary.
-pub fn submit(pool: &Pool, small: bool) {
-    pool.spawn(move || {
-        let ctx = SessionCtx::fresh(small);
-        ctx.bus.emit(1);
-    });
-}
+//! Clean fixture: the disciplined twin of `seeded`'s gh-jobs crate. The
+//! same locked cache drops its guard before calling back into locking
+//! code, so `lock-discipline` stays silent.
 
 pub struct JobCache {
     map: Mutex<u64>,
@@ -57,12 +19,4 @@ impl JobCache {
         drop(g);
         self.count() + v
     }
-}
-
-pub fn run_job(spec: &JobSpec) -> u64 {
-    let mut cost = if spec.small { 1 } else { 4 };
-    if spec.session.perf {
-        cost += 1;
-    }
-    cost
 }

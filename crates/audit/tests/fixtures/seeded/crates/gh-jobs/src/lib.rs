@@ -1,45 +1,5 @@
-//! Seeded-violation fixture for the PR-9 concurrency rules: exactly one
-//! finding each for `cache-key-completeness`, `session-isolation`, and
-//! `lock-discipline`. Never compiled — consumed by `tests/fixtures.rs`
-//! through the engine.
-
-pub struct SessionOptions {
-    pub trace: bool,
-    pub perf: bool,
-}
-
-pub struct JobSpec {
-    pub app: String,
-    pub small: bool,
-    pub session: SessionOptions,
-}
-
-impl JobSpec {
-    // cache-key-completeness: `session.perf` steers `run_job` below but
-    // is missing from the key — the cache would serve one config's
-    // report for the other.
-    pub fn canonical_key(&self) -> String {
-        format!(
-            "app={};small={};trace={}",
-            self.app, self.small, self.session.trace
-        )
-    }
-}
-
-pub struct Bus {
-    pub seq: u64,
-}
-
-pub struct SessionCtx {
-    pub bus: Bus,
-}
-
-// session-isolation: the submitter's Bus handle is cloned into a pool
-// task; tasks must construct their session inside the closure.
-pub fn submit(pool: &Pool, ctx: &SessionCtx) {
-    let bus = ctx.bus.clone();
-    pool.spawn(move || bus.emit(1));
-}
+//! Seeded-violation fixture for `lock-discipline`: exactly one finding.
+//! Never compiled — consumed by `tests/fixtures.rs` through the engine.
 
 pub struct JobCache {
     map: Mutex<u64>,
@@ -57,12 +17,4 @@ impl JobCache {
         let g = self.map.lock().expect("cache lock"); // gh-audit: allow(no-unwrap-in-lib) -- poisoning propagates a worker panic
         self.count()
     }
-}
-
-pub fn run_job(spec: &JobSpec) -> u64 {
-    let mut cost = if spec.small { 1 } else { 4 };
-    if spec.session.perf {
-        cost += 1;
-    }
-    cost
 }

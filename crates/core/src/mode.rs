@@ -1,7 +1,7 @@
 //! Memory-management modes: the paper's three application variants.
 
 /// Which memory-management strategy an application variant uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MemMode {
     /// The original version: `cudaMalloc` + explicit `cudaMemcpy`.
     Explicit,

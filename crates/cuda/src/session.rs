@@ -32,7 +32,7 @@ use crate::runtime::RuntimeOptions;
 /// [`RuntimeOptions`] (which stays confined to the platform layers by
 /// the `no-platform-leak` audit rule). Plain data: hashable into job
 /// keys, cheap to clone across threads.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SessionOptions {
     /// Record the trace bus (events, metrics, spans).
     pub trace: bool,

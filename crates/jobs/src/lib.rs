@@ -15,14 +15,99 @@
 //!   platforms;
 //! * [`run_job`] — execute one spec on the calling thread under its own
 //!   session;
-//! * [`JobCache`] — a hash-keyed result cache with hit/miss counters: a
-//!   hit returns the cached report without re-simulating;
+//! * [`JobCache`] — a result cache keyed by the whole [`JobSpec`], with
+//!   hit/miss counters: a hit returns the cached report without
+//!   re-simulating;
 //! * [`run_suite`] — fan a spec list over a [`gh_par`] worker pool
 //!   (`workers <= 1` degrades to an inline serial loop), preserving
 //!   input order in the output.
 //!
 //! The executor is a *boundary*: it owns session construction for its
 //! workers, so callers hand it [`SessionOptions`] — never env vars.
+//!
+//! # Session isolation is checked by rustc
+//!
+//! A session's trace bus and profiler (`SessionCtx::bus`, `::perf`)
+//! each wrap an `Rc`, so neither they nor the
+//! [`SessionCtx`](gh_cuda::SessionCtx) holding them is `Send` or `Sync`.
+//! No run can therefore hand its handles to a pool task, to a parallel
+//! loop body, or to a `static`; `thread_local!` and `static mut` are
+//! banned by the `no-ambient-state` audit rule. Each `compile_fail`
+//! block below fails with E0277 and has a compiling twin that differs
+//! only in the marked line, so the error can come from nothing else
+//! (stable rustdoc does not check a `compile_fail` block's error code).
+//!
+//! A pool task cannot capture the submitter's handles:
+//!
+//! ```compile_fail
+//! use gh_cuda::SessionCtx;
+//!
+//! let submitter = SessionCtx::default();
+//! assert!(!submitter.bus.is_on());
+//! let pool = gh_par::WorkStealingPool::new(1);
+//! pool.spawn(move || {
+//!     let bus = submitter.bus.clone(); // E0277: `Rc` is not `Send`
+//!     assert!(!bus.is_on());
+//! });
+//! pool.wait_idle();
+//! ```
+//!
+//! It builds its own session instead:
+//!
+//! ```
+//! use gh_cuda::SessionCtx;
+//!
+//! let submitter = SessionCtx::default();
+//! assert!(!submitter.bus.is_on());
+//! let pool = gh_par::WorkStealingPool::new(1);
+//! pool.spawn(move || {
+//!     let bus = SessionCtx::default().bus; // the task's own session
+//!     assert!(!bus.is_on());
+//! });
+//! pool.wait_idle();
+//! ```
+//!
+//! A parallel loop body cannot read a session's handles:
+//!
+//! ```compile_fail
+//! use gh_cuda::SessionCtx;
+//!
+//! let ctx = SessionCtx::default();
+//! let profiling = ctx.perf.is_on();
+//! gh_par::par_for(0..4, gh_par::Grain::Auto, |_| {
+//!     assert!(!ctx.perf.is_on()); // E0277: `Rc` is not `Sync`
+//! });
+//! ```
+//!
+//! It reads plain data copied out before the loop:
+//!
+//! ```
+//! use gh_cuda::SessionCtx;
+//!
+//! let ctx = SessionCtx::default();
+//! let profiling = ctx.perf.is_on();
+//! gh_par::par_for(0..4, gh_par::Grain::Auto, |_| {
+//!     assert!(!profiling); // a `bool` is `Sync`
+//! });
+//! ```
+//!
+//! A `static` cannot hold a session:
+//!
+//! ```compile_fail
+//! use std::sync::OnceLock;
+//!
+//! static SESSION: OnceLock<gh_cuda::SessionCtx> = OnceLock::new(); // E0277
+//! assert!(SESSION.get().is_none());
+//! ```
+//!
+//! It can hold the plain-data options a session is built from:
+//!
+//! ```
+//! use std::sync::OnceLock;
+//!
+//! static SESSION: OnceLock<gh_cuda::SessionOptions> = OnceLock::new(); // plain data
+//! assert!(SESSION.get().is_none());
+//! ```
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -41,8 +126,9 @@ use gh_sim::RunReport;
 /// A plain-data description of one simulation run. Everything that can
 /// change the produced [`RunReport`] — including the session's trace and
 /// sanitize options, which add sections to the report — is part of the
-/// spec, and therefore of its [hash](JobSpec::stable_hash).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// spec, and therefore of the [`JobCache`] key and the
+/// [hash](JobSpec::stable_hash).
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct JobSpec {
     /// Which application to run.
     pub app: AppId,
@@ -74,32 +160,44 @@ impl JobSpec {
 
     /// The canonical field-tagged key string the stable hash runs over.
     /// Two specs are equal iff their keys are equal, so the key doubles
-    /// as a human-readable cache-debugging label.
+    /// as a human-readable job label. Both structs are destructured
+    /// without `..`, so a new field fails to compile here until the key
+    /// names it.
     pub fn canonical_key(&self) -> String {
-        let page = self
-            .page_size
-            .map_or_else(|| "default".to_string(), |p| p.to_string());
-        let cap = self
-            .session
-            .trace_capacity
-            .map_or_else(|| "default".to_string(), |c| c.to_string());
-        let sanitize = match self.session.sanitize {
+        let JobSpec {
+            app,
+            platform,
+            mode,
+            page_size,
+            small,
+            session,
+        } = self;
+        let SessionOptions {
+            trace,
+            trace_capacity,
+            perf,
+            sanitize,
+            access_ref,
+        } = session;
+        let page = page_size.map_or_else(|| "default".to_string(), |p| p.to_string());
+        let cap = trace_capacity.map_or_else(|| "default".to_string(), |c| c.to_string());
+        let sanitize = match sanitize {
             None => "default",
             Some(true) => "1",
             Some(false) => "0",
         };
         format!(
             "app={};platform={};mode={};page={};small={};trace={};cap={};perf={};sanitize={};ref={}",
-            self.app.name(),
-            self.platform,
-            self.mode.label(),
+            app.name(),
+            platform,
+            mode.label(),
             page,
-            u8::from(self.small),
-            u8::from(self.session.trace),
+            u8::from(*small),
+            u8::from(*trace),
             cap,
-            u8::from(self.session.perf),
+            u8::from(*perf),
             sanitize,
-            u8::from(self.session.access_ref),
+            u8::from(*access_ref),
         )
     }
 
@@ -126,7 +224,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// The result of one executed (or cache-served) job.
 #[derive(Debug, Clone)]
 pub struct JobOutcome {
-    /// The spec's stable hash (the cache key).
+    /// The spec's stable hash, a job label for output; the cache itself
+    /// compares whole specs.
     pub hash: u64,
     /// True when the report came from the cache without re-simulating.
     pub cached: bool,
@@ -139,13 +238,16 @@ pub struct JobOutcome {
     pub perf: Option<gh_perf::PerfData>,
 }
 
-/// A hash-keyed report cache with hit/miss counters. Sound because a
-/// [`RunReport`] is a pure function of its [`JobSpec`] (the simulator is
-/// deterministic; host-time data lives in [`gh_perf::PerfData`], outside
-/// the report). Shared across worker threads via `Arc`.
+/// A report cache keyed by the whole [`JobSpec`], with hit/miss
+/// counters. Sound because a [`RunReport`] is a pure function of its
+/// spec (the simulator is deterministic; host-time data lives in
+/// [`gh_perf::PerfData`], outside the report). The derived `Ord` on
+/// [`JobSpec`] compares every field, so two specs share an entry only
+/// when they are equal: no hash collision can serve another spec's
+/// report. Shared across worker threads via `Arc`.
 #[derive(Debug, Default)]
 pub struct JobCache {
-    map: Mutex<BTreeMap<u64, RunReport>>,
+    map: Mutex<BTreeMap<JobSpec, RunReport>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -156,9 +258,9 @@ impl JobCache {
         Self::default()
     }
 
-    /// Looks a job hash up, counting a hit or miss.
-    pub fn lookup(&self, hash: u64) -> Option<RunReport> {
-        let found = self.map.lock().expect("cache lock").get(&hash).cloned(); // gh-audit: allow(no-unwrap-in-lib) -- a poisoned cache lock means a worker panicked mid-insert; propagating is the only sound response
+    /// Looks a spec up, counting a hit or miss.
+    fn lookup(&self, spec: &JobSpec) -> Option<RunReport> {
+        let found = self.map.lock().expect("cache lock").get(spec).cloned(); // gh-audit: allow(no-unwrap-in-lib) -- a poisoned cache lock means a worker panicked mid-insert; propagating is the only sound response
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -167,12 +269,12 @@ impl JobCache {
         found
     }
 
-    /// Stores a computed report under its job hash.
-    pub fn insert(&self, hash: u64, report: &RunReport) {
+    /// Stores a computed report under its spec.
+    fn insert(&self, spec: &JobSpec, report: &RunReport) {
         self.map
             .lock()
             .expect("cache lock") // gh-audit: allow(no-unwrap-in-lib) -- see lookup: poisoning propagates a worker panic
-            .insert(hash, report.clone());
+            .insert(spec.clone(), report.clone());
     }
 
     /// Cache hits since creation.
@@ -219,7 +321,7 @@ pub fn run_job(spec: &JobSpec) -> Result<(RunReport, Option<gh_perf::PerfData>),
 
 fn execute(spec: &JobSpec, cache: &JobCache) -> Result<JobOutcome, PlatformError> {
     let hash = spec.stable_hash();
-    if let Some(report) = cache.lookup(hash) {
+    if let Some(report) = cache.lookup(spec) {
         return Ok(JobOutcome {
             hash,
             cached: true,
@@ -228,7 +330,7 @@ fn execute(spec: &JobSpec, cache: &JobCache) -> Result<JobOutcome, PlatformError
         });
     }
     let (report, perf) = run_job(spec)?;
-    cache.insert(hash, &report);
+    cache.insert(spec, &report);
     Ok(JobOutcome {
         hash,
         cached: false,
@@ -369,6 +471,15 @@ mod tests {
             first[0].as_ref().unwrap().report.to_json(),
             "cached report is byte-identical"
         );
+        let mut reference_walk = spec();
+        reference_walk.session.access_ref = true;
+        let third = run_suite(&[reference_walk], 1, &cache);
+        assert!(
+            !third[0].as_ref().unwrap().cached,
+            "a spec differing only in access_ref must miss"
+        );
+        assert_eq!(cache.hits(), 1);
+        assert_eq!(cache.misses(), 2);
     }
 
     #[test]

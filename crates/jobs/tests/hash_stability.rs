@@ -1,8 +1,9 @@
 //! Hash-stability contract for [`JobSpec`]: the canonical key string and
-//! its FNV-1a hash are cache identity across processes and platforms, so
-//! both are pinned here. If one of these assertions fails, the change is
-//! a cache-format break — every memoized report silently misses — and
-//! must be deliberate, with the goldens updated in the same commit.
+//! its FNV-1a hash are job identity across processes and platforms (the
+//! `job_hash` column of `grace-mem suite`), so both are pinned here. If
+//! one of these assertions fails, the change relabels every job in
+//! recorded output and must be deliberate, with the goldens updated in
+//! the same commit.
 
 use gh_apps::{AppId, MemMode};
 use gh_cuda::SessionOptions;
