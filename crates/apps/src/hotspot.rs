@@ -5,6 +5,11 @@
 //! CPU-initialized — the canonical "init on CPU, compute on GPU" HPC
 //! shape the paper's §5.1.1 discusses (Fig 4 plots this application's
 //! memory profile).
+//!
+//! `run` computes the real grid as row kernels on `gh-par`: each row
+//! handles its first and last columns on their own, then runs the
+//! interior as one branch-free loop over zipped neighbour slices.
+//! [`reference`] is the scalar oracle; `run`'s checksum equals its bits.
 
 use gh_par::par_chunks_mut;
 use gh_profiler::Phase;
@@ -68,6 +73,46 @@ fn stencil_row(t: &[f32], p: &[f32], out: &mut [f32], n: usize, r: usize) {
     }
 }
 
+/// One cell of the stencil: the next temperature of `center`.
+#[inline]
+fn cell(center: f32, north: f32, south: f32, east: f32, west: f32, power: f32) -> f32 {
+    let delta = (power
+        + (north + south - 2.0 * center) / RY
+        + (east + west - 2.0 * center) / RX
+        + (AMB - center) / RZ)
+        / CAP;
+    center + 0.001 * delta
+}
+
+/// One stencil row as a row kernel: `out` is the next row of `cur`, whose
+/// neighbours are the rows `up` and `down` (`cur` itself at the border).
+fn hotspot_row(up: &[f32], cur: &[f32], down: &[f32], power: &[f32], out: &mut [f32]) {
+    let last = cur.len() - 1;
+    out[0] = cell(cur[0], up[0], down[0], cur[1.min(last)], cur[0], power[0]);
+    if last > 0 {
+        out[last] = cell(
+            cur[last],
+            up[last],
+            down[last],
+            cur[last],
+            cur[last - 1],
+            power[last],
+        );
+    }
+    if last > 1 {
+        let ins = cur[1..last]
+            .iter()
+            .zip(&up[1..last])
+            .zip(&down[1..last])
+            .zip(&cur[2..])
+            .zip(&cur[..last - 1])
+            .zip(&power[1..last]);
+        for (o, (((((&c, &n), &s), &e), &w), &p)) in out[1..last].iter_mut().zip(ins) {
+            *o = cell(c, n, s, e, w, p);
+        }
+    }
+}
+
 /// Sequential reference implementation (for correctness tests).
 pub fn reference(p: &HotspotParams) -> Vec<f32> {
     let n = p.size;
@@ -76,13 +121,7 @@ pub fn reference(p: &HotspotParams) -> Vec<f32> {
     let mut next = vec![0.0f32; n * n];
     for _ in 0..p.iterations {
         for r in 0..n {
-            let (row, rest);
-            // Split to satisfy the borrow checker: copy into next.
-            let mut tmp = vec![0.0f32; n];
-            stencil_row(&temp, &power, &mut tmp, n, r);
-            row = r;
-            rest = tmp;
-            next[row * n..row * n + n].copy_from_slice(&rest);
+            stencil_row(&temp, &power, &mut next[r * n..(r + 1) * n], n, r);
         }
         std::mem::swap(&mut temp, &mut next);
     }
@@ -126,7 +165,10 @@ pub fn run(mut m: Machine, mode: MemMode, p: &HotspotParams) -> RunReport {
     for it in 0..p.iterations {
         // Real stencil, row-parallel.
         par_chunks_mut(&mut next_h, n, |r, out| {
-            stencil_row(&temp_h, &power_h, out, n, r);
+            let row = |r: usize| &temp_h[r * n..(r + 1) * n];
+            let up = row(r.saturating_sub(1));
+            let down = row((r + 1).min(n - 1));
+            hotspot_row(up, row(r), down, &power_h[r * n..(r + 1) * n], out);
         });
         std::mem::swap(&mut temp_h, &mut next_h);
 
@@ -182,11 +224,7 @@ mod tests {
         let expected: f64 = reference(&p).iter().map(|&x| x as f64).sum();
         for mode in MemMode::ALL {
             let r = run(gh_sim::platform::gh200().machine(), mode, &p);
-            assert!(
-                (r.checksum - expected).abs() < 1e-3 * expected.abs().max(1.0),
-                "{mode}: {} vs {expected}",
-                r.checksum
-            );
+            assert_eq!(r.checksum.to_bits(), expected.to_bits(), "{mode}");
         }
     }
 
@@ -200,6 +238,23 @@ mod tests {
         let mut out = vec![0.0f32; n];
         stencil_row(&temp, &power, &mut out, n, 4);
         assert!(out.iter().all(|&x| x > 0.0), "heating toward ambient");
+    }
+
+    #[test]
+    fn hotspot_row_equals_stencil_row_at_every_width() {
+        for n in 1..=6 {
+            let t: Vec<f32> = (0..n * n).map(|i| seeded(5, i as u64)).collect();
+            let p: Vec<f32> = (0..n * n).map(|i| seeded(6, i as u64)).collect();
+            let row = |r: usize| r * n..(r + 1) * n;
+            for r in 0..n {
+                let (mut want, mut got) = (vec![0.0f32; n], vec![0.0f32; n]);
+                stencil_row(&t, &p, &mut want, n, r);
+                let (up, down) = (row(r.saturating_sub(1)), row((r + 1).min(n - 1)));
+                hotspot_row(&t[up], &t[row(r)], &t[down], &p[row(r)], &mut got);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "width {n}, row {r}");
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,15 @@
 //! transformation as the paper's Figure 2 (replace copy-pairs with a
 //! single unified buffer; keep GPU-only scratch in `cudaMalloc`; add
 //! device synchronization where copies used to synchronize).
+//!
+//! srad, hotspot and pathfinder compute their real arithmetic as row
+//! kernels: each row handles its edge columns on their own and runs the
+//! interior as one branch-free loop. srad's two stencils and hotspot's
+//! run their rows in parallel on `gh-par`; pathfinder's DP rows depend
+//! on each other and run in order. Each module's `reference()` is the
+//! scalar oracle these kernels equal bit for bit. pathfinder generates
+//! its input rows on the fly, a launch's rows just before that launch,
+//! instead of holding the whole grid on the host.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]

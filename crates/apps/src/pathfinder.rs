@@ -4,6 +4,13 @@
 //! kernel step consumes one wall row (a few KB), which is much smaller
 //! than a 64 KiB page. This is exactly the shape that makes large-page
 //! migration amplification visible (§5.2, Fig 7).
+//!
+//! `run` generates the wall rows of each launch just before that launch,
+//! into one reused buffer of `rows_per_kernel` rows, so the host never
+//! holds the whole grid and input generation stays outside the kernel.
+//! The DP step is a row kernel: the two edge columns on their own, then
+//! one branch-free loop over the interior. [`reference`] is the scalar
+//! oracle; `run`'s checksum equals it exactly.
 
 use gh_profiler::Phase;
 use gh_sim::{Machine, MemMode, RunReport};
@@ -48,6 +55,25 @@ fn dp_step(wall_row: &[i32], prev: &[i32], out: &mut [i32]) {
     }
 }
 
+/// `dp_step` as a row kernel: the edge columns have one neighbour each,
+/// the interior reads `prev.windows(3)`.
+fn dp_row(wall_row: &[i32], prev: &[i32], out: &mut [i32]) {
+    let last = prev.len() - 1;
+    out[0] = wall_row[0] + prev[0].min(prev[1.min(last)]);
+    if last > 0 {
+        out[last] = wall_row[last] + prev[last].min(prev[last - 1]);
+    }
+    if last > 1 {
+        for ((o, &w), win) in out[1..last]
+            .iter_mut()
+            .zip(&wall_row[1..last])
+            .zip(prev.windows(3))
+        {
+            *o = w + win[1].min(win[0]).min(win[2]);
+        }
+    }
+}
+
 /// Sequential reference: final DP row.
 pub fn reference(p: &PathfinderParams) -> Vec<i32> {
     let (r, c) = (p.rows, p.cols);
@@ -69,12 +95,10 @@ pub fn run(mut m: Machine, mode: MemMode, p: &PathfinderParams) -> RunReport {
     let row_bytes = (cols * 4) as u64;
     let wall_bytes = (rows * cols * 4) as u64;
 
-    // ---- real data ----
-    let wall: Vec<i32> = (0..rows * cols)
-        .map(|i| wall_value(p.seed, i as u64))
-        .collect();
-    let mut prev: Vec<i32> = wall[..cols].to_vec();
+    // ---- real data: row 0 of the wall; later rows are generated per launch ----
+    let mut prev: Vec<i32> = (0..cols).map(|j| wall_value(p.seed, j as u64)).collect();
     let mut next = vec![0i32; cols];
+    let mut walls = vec![0i32; p.rows_per_kernel.min(rows) * cols];
 
     // ---- GPU context initialization + argument parsing (phase 1) ----
     m.phase(Phase::CtxInit);
@@ -106,12 +130,16 @@ pub fn run(mut m: Machine, mode: MemMode, p: &PathfinderParams) -> RunReport {
     let mut flip = 0u64;
     while row < rows {
         let batch = p.rows_per_kernel.min(rows - row);
+        // Host input: this launch's wall rows, generated outside the kernel.
+        let walls = &mut walls[..batch * cols];
+        for (j, w) in walls.iter_mut().enumerate() {
+            *w = wall_value(p.seed, (row * cols + j) as u64);
+        }
         let mut k = m.rt.launch("pathfinder_step");
-        for i in 0..batch {
+        for (i, wall_row) in walls.chunks_exact(cols).enumerate() {
             let r = row + i;
             // Real DP.
-            let w = &wall[r * cols..(r + 1) * cols];
-            dp_step(w, &prev, &mut next);
+            dp_row(wall_row, &prev, &mut next);
             std::mem::swap(&mut prev, &mut next);
             // Metered: one narrow wall row + result row ping-pong.
             k.read(wall_buf.gpu(), (r * cols * 4) as u64, row_bytes);
@@ -123,13 +151,9 @@ pub fn run(mut m: Machine, mode: MemMode, p: &PathfinderParams) -> RunReport {
         k.finish();
         row += batch;
     }
-    // Read the final row back. Unified versions read the wall buffer's
-    // device-resident result? No — result is GPU-only; explicit copies it
-    // out, unified versions still need a D2H copy (GPU-only buffer).
+    // `result` is a GPU-only cudaMalloc buffer in all three variants, so
+    // every variant copies the final row to the host, as Rodinia does.
     {
-        // Rodinia copies the result row to the host at the end; for
-        // unified versions the paper keeps GPU-only buffers in cudaMalloc,
-        // so this stays an explicit copy in all three variants.
         let host_row =
             m.rt.malloc_system(gh_units::Bytes::new(row_bytes), "pathfinder.out");
         m.rt.memcpy(&host_row, 0, &result, flip * row_bytes, row_bytes);
@@ -176,6 +200,18 @@ mod tests {
         let mut out = vec![0; 3];
         dp_step(&wall, &prev, &mut out);
         assert_eq!(out, vec![3, 3, 3]);
+    }
+
+    #[test]
+    fn dp_row_equals_dp_step_at_every_width() {
+        for n in 1..=6 {
+            let prev: Vec<i32> = (0..n).map(|j| wall_value(3, j as u64)).collect();
+            let wall: Vec<i32> = (0..n).map(|j| wall_value(4, j as u64)).collect();
+            let (mut a, mut b) = (vec![0; n], vec![0; n]);
+            dp_step(&wall, &prev, &mut a);
+            dp_row(&wall, &prev, &mut b);
+            assert_eq!(a, b, "width {n}");
+        }
     }
 
     #[test]

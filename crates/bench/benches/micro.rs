@@ -214,10 +214,21 @@ free b{i}
 }
 
 fn bench_par() {
+    // The map is the apps' multiply-shift seeder. A sum of `i` folds to
+    // a closed form per chunk and would time only dispatch; a shift after
+    // a wrapping multiply has no closed form, so every index is computed.
+    let seed = black_box(23u64);
     bench(
         "par_map_reduce_1M",
         || (),
-        |_| gh_par::par_map_reduce(0..1_000_000, 0u64, |i| i as u64, |a, x| a.wrapping_add(x)),
+        |_| {
+            gh_par::par_map_reduce(
+                0..1_000_000,
+                0u64,
+                |i| (seed ^ i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11,
+                |a, x| a.wrapping_add(x),
+            )
+        },
     );
 }
 
