@@ -27,9 +27,13 @@ impl UBuf {
             MemMode::Explicit => {
                 let host =
                     m.rt.malloc_system(gh_units::Bytes::new(bytes), &format!("{tag}.host"));
+                #[expect(
+                    clippy::expect_used,
+                    reason = "explicit mode asserts the working set fits in HBM; oversizing is an experiment-config error"
+                )]
                 let dev =
                     m.rt.cuda_malloc(gh_units::Bytes::new(bytes), &format!("{tag}.dev"))
-                        .expect("explicit version assumes the buffer fits in GPU memory"); // gh-audit: allow(no-unwrap-in-lib) -- explicit mode asserts the working set fits in HBM; oversizing is an experiment-config error
+                        .expect("explicit version assumes the buffer fits in GPU memory");
                 UBuf {
                     mode,
                     host: Some(host),
@@ -59,13 +63,17 @@ impl UBuf {
     /// keeps plain `cudaMalloc`.
     pub fn alloc_gpu_scratch(m: &mut Machine, mode: MemMode, bytes: u64, tag: &str) -> UBuf {
         match mode {
+            #[expect(
+                clippy::expect_used,
+                reason = "explicit mode asserts scratch fits in HBM; oversizing is an experiment-config error"
+            )]
             MemMode::Explicit => UBuf {
                 mode,
                 host: None,
                 dev: m
                     .rt
                     .cuda_malloc(gh_units::Bytes::new(bytes), tag)
-                    .expect("explicit version assumes scratch fits in GPU memory"), // gh-audit: allow(no-unwrap-in-lib) -- explicit mode asserts scratch fits in HBM; oversizing is an experiment-config error
+                    .expect("explicit version assumes scratch fits in GPU memory"),
                 bytes,
             },
             _ => UBuf::alloc(m, mode, bytes, tag),

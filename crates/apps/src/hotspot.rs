@@ -55,7 +55,10 @@ fn seeded(seed: u64, i: u64) -> f32 {
 }
 
 /// One stencil update of row `r` into `out`.
-#[allow(clippy::needless_range_loop)] // index math mirrors the stencil neighbourhood
+#[expect(
+    clippy::needless_range_loop,
+    reason = "index math mirrors the stencil neighbourhood"
+)]
 fn stencil_row(t: &[f32], p: &[f32], out: &mut [f32], n: usize, r: usize) {
     for c in 0..n {
         let idx = r * n + c;
@@ -149,9 +152,13 @@ pub fn run(mut m: Machine, mode: MemMode, p: &HotspotParams) -> RunReport {
     let power = UBuf::alloc(&mut m, mode, bytes, "hotspot.power");
     // Ping-pong partner: GPU-only scratch in every version (the paper
     // keeps GPU-only intermediates in cudaMalloc).
+    #[expect(
+        clippy::expect_used,
+        reason = "explicit-mode capacity precondition; fail fast on an oversized config"
+    )]
     let scratch =
         m.rt.cuda_malloc(gh_units::Bytes::new(bytes), "hotspot.scratch")
-            .expect("scaled hotspot fits in GPU memory"); // gh-audit: allow(no-unwrap-in-lib) -- explicit-mode capacity precondition; fail fast on an oversized config
+            .expect("scaled hotspot fits in GPU memory");
 
     // ---- CPU-side initialization ----
     m.phase(Phase::CpuInit);

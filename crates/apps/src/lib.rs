@@ -31,6 +31,15 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod bfs;
 pub mod common;

@@ -65,7 +65,10 @@ pub fn build_reference_matrix(p: &NeedleParams) -> Vec<i32> {
 }
 
 /// Plain full-matrix DP (correctness reference).
-#[allow(clippy::needless_range_loop)] // DP border init indexes the flat matrix directly
+#[expect(
+    clippy::needless_range_loop,
+    reason = "DP border init indexes the flat matrix directly"
+)]
 pub fn reference(p: &NeedleParams) -> Vec<i32> {
     let w = p.n + 1;
     let reference = build_reference_matrix(p);
@@ -88,7 +91,10 @@ pub fn reference(p: &NeedleParams) -> Vec<i32> {
 
 /// Runs needle under `mode` (checksum = final alignment score
 /// `mat[n][n]`).
-#[allow(clippy::needless_range_loop)] // DP border init indexes the flat matrix directly
+#[expect(
+    clippy::needless_range_loop,
+    reason = "DP border init indexes the flat matrix directly"
+)]
 pub fn run(mut m: Machine, mode: MemMode, p: &NeedleParams) -> RunReport {
     assert_eq!(p.n % BLOCK, 0, "n must be a multiple of {BLOCK}");
     let n = p.n;

@@ -101,7 +101,10 @@ fn srad1(g: &mut Grids, n: usize, q0: f32) {
     }
 }
 
-#[allow(clippy::needless_range_loop)] // index math mirrors the stencil neighbourhood
+#[expect(
+    clippy::needless_range_loop,
+    reason = "index math mirrors the stencil neighbourhood"
+)]
 fn srad2(g: &mut Grids, n: usize, lambda: f32) {
     // Row-parallel J update; reads c of south/east neighbours.
     let (dn, ds, dw, de, c) = (&g.dn, &g.ds, &g.dw, &g.de, &g.c);

@@ -2,15 +2,15 @@
 //! token stream.
 //!
 //! This is the v2 engine's middle layer: where the v1 rules pattern-matched
-//! raw tokens, the flow rules (`epoch-coherence`, `unit-launder-flow`,
-//! `wall-clock-taint`, `unordered-iter-flow`) need *structure* — which
-//! expression is an argument of which call, what a `let` binds, where a
-//! function body ends. The parser is deliberately partial: it understands
-//! items (fns, impls, mods, structs), statements, and the expression forms
-//! the dataflow pass interprets, and degrades everything else to
-//! [`Expr::Opaque`] without ever failing. Like the lexer, it must accept
-//! any input the compiler might later reject — an auditor that panics on a
-//! syntax error is worse than one that under-reports.
+//! raw tokens, the flow rules (`unit-launder-flow`, `unordered-iter-flow`,
+//! `lock-discipline`) need *structure* — which expression is an argument
+//! of which call, what a `let` binds, where a function body ends. The
+//! parser is deliberately partial: it understands items (fns, impls, mods,
+//! structs), statements, and the expression forms the dataflow pass
+//! interprets, and degrades everything else to [`Expr::Opaque`] without
+//! ever failing. Like the lexer, it must accept any input the compiler
+//! might later reject — an auditor that panics on a syntax error is worse
+//! than one that under-reports.
 
 use crate::lexer::{Tok, TokKind};
 
@@ -1968,7 +1968,7 @@ mod tests {
 
     #[test]
     fn impl_blocks_attach_type_names() {
-        let f = file("impl PageTable { fn unmap(&mut self) {} }\nimpl Rule for WallClock { fn name(&self) {} }");
+        let f = file("impl PageTable { fn unmap(&mut self) {} }\nimpl Rule for FloatEq { fn name(&self) {} }");
         let mut seen = Vec::new();
         for_each_fn(&f, &mut |ty, fd| {
             seen.push((ty.map(str::to_string), fd.name.clone()))
@@ -1977,7 +1977,7 @@ mod tests {
             seen,
             vec![
                 (Some("PageTable".into()), "unmap".into()),
-                (Some("WallClock".into()), "name".into())
+                (Some("FloatEq".into()), "name".into())
             ]
         );
     }

@@ -1,19 +1,14 @@
-//! A workspace call graph with per-function effect summaries.
+//! A workspace call graph.
 //!
 //! Nodes are the functions of `Lib`/`Bin` files outside `#[cfg(test)]`
 //! modules; edges are *callee names* (method names and final path
-//! segments), resolved at propagation time by name. That is deliberately
-//! coarser than real Rust name resolution — the audit has no trait or
-//! type information to dispatch on — but it composes safely with
-//! union-style effect propagation: if *any* function named `populate`
-//! has an effect, every call to `populate` is assumed to have it. For
-//! invariants of the form "every fn that does X must also do Y" this
-//! over-approximates X and Y together, so a function only trips the rule
-//! when no candidate callee provides the required companion effect.
-//!
-//! Effects are a `u8` bitset supplied by the rule ([`CallGraph::propagate`]
-//! takes the direct-effect vector and returns the transitive closure);
-//! the graph itself is effect-agnostic.
+//! segments), resolved by name at query time ([`CallGraph::candidates`]).
+//! That is deliberately coarser than real Rust name resolution — the
+//! audit has no trait or type information to dispatch on — but it
+//! composes safely with union-style effects: if *any* function named
+//! `count` locks, every call to `count` is assumed to lock
+//! (`lock-discipline`'s `may_lock` fixpoint). The graph itself is
+//! effect-agnostic.
 
 use crate::ast::{self, Expr};
 use crate::source::{FileKind, SourceFile};
@@ -126,33 +121,6 @@ impl CallGraph {
         }
         all.clone()
     }
-
-    /// Transitive effect closure: starting from `direct` (parallel to
-    /// `fns`), repeatedly unions each function's effects with those of
-    /// every same-named candidate for each of its callees, to fixpoint.
-    pub fn propagate(&self, direct: &[u8]) -> Vec<u8> {
-        let mut effects = direct.to_vec();
-        loop {
-            let mut changed = false;
-            for i in 0..self.fns.len() {
-                let mut acc = effects[i];
-                for callee in &self.fns[i].callees {
-                    if let Some(cands) = self.name_idx.get(callee.as_str()) {
-                        for &j in cands {
-                            acc |= effects[j];
-                        }
-                    }
-                }
-                if acc != effects[i] {
-                    effects[i] = acc;
-                    changed = true;
-                }
-            }
-            if !changed {
-                return effects;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -172,21 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn effects_propagate_through_calls() {
-        let (_f, g) = graph(&[(
-            "a",
-            "fn leaf() { } fn mid() { leaf(); } fn top(&self) { self.mid(); }",
-        )]);
-        assert_eq!(g.fns.len(), 3);
-        let leaf = g.fns.iter().position(|f| f.name == "leaf").unwrap();
-        let top = g.fns.iter().position(|f| f.name == "top").unwrap();
-        let mut direct = vec![0u8; g.fns.len()];
-        direct[leaf] = 1;
-        let eff = g.propagate(&direct);
-        assert_eq!(eff[top], 1, "effect reaches transitive caller");
-    }
-
-    #[test]
     fn test_mod_fns_are_excluded() {
         let (_f, g) = graph(&[(
             "a",
@@ -202,15 +155,10 @@ mod tests {
             ("a", "fn work() { }"),
             ("b", "fn work() { } fn caller() { work(); }"),
         ]);
-        let a_work = g
-            .fns
-            .iter()
-            .position(|f| f.name == "work" && f.file == 0)
-            .unwrap();
-        let caller = g.fns.iter().position(|f| f.name == "caller").unwrap();
-        let mut direct = vec![0u8; g.fns.len()];
-        direct[a_work] = 2;
-        let eff = g.propagate(&direct);
-        assert_eq!(eff[caller], 2, "any same-named candidate's effects apply");
+        let caller = g.fns.iter().find(|f| f.name == "caller").unwrap();
+        assert!(caller.callees.contains("work"));
+        let cands = g.candidates("work", None);
+        assert_eq!(cands.len(), 2, "every same-named fn is a candidate");
+        assert!(cands.iter().all(|&i| g.fns[i].name == "work"));
     }
 }

@@ -5,12 +5,12 @@
 //! for loop-carried taint, closure-parameter seeding from the method
 //! receiver — and delegates *value* semantics to a [`TaintSpec`]: what
 //! introduces a label, what propagates it, what kills it, and which
-//! expressions are sinks. Each flow rule (`unit-launder-flow`,
-//! `wall-clock-taint`, `unordered-iter-flow`) is a `TaintSpec`
-//! implementation of ~100 lines; the fixpoint plumbing lives here once.
+//! expressions are sinks. Each taint rule (`unit-launder-flow`,
+//! `unordered-iter-flow`) is a `TaintSpec` implementation of ~100
+//! lines; the fixpoint plumbing lives here once.
 //!
 //! A [`Label`] is a word from the rule's fixed vocabulary (unit names,
-//! `"wall"`, `"hash"`). Environments map variable names to label sets
+//! `"hash"`). Environments map variable names to label sets
 //! and merge by pointwise union, so the analysis over-approximates: a
 //! variable tainted on *any* path stays tainted. Loop bodies run twice
 //! so taint flowing through a loop-carried variable (accumulate in
@@ -21,8 +21,8 @@
 use crate::ast::{Block, Expr, FnDef, Stmt};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One taint label: a word of the rule's vocabulary (`"wall"`,
-/// `"hash"`, unit type names).
+/// One taint label: a word of the rule's vocabulary (`"hash"`, unit
+/// type names).
 pub type Label = &'static str;
 
 /// A set of taint labels.
@@ -86,25 +86,9 @@ impl TaintEnv {
 /// care about. Hooks receive `&mut TaintEnv` where side effects are
 /// meaningful (e.g. `out.push(tainted)` tainting `out`).
 pub trait TaintSpec {
-    /// Labels of a path expression. Default: environment lookup for
-    /// single-segment paths, empty otherwise.
-    fn path(&mut self, e: &Expr, env: &TaintEnv) -> Labels {
-        e.as_var().map(|v| env.get(v)).unwrap_or_default()
-    }
-
-    /// Labels of `recv.name`. Default: the receiver's labels.
-    fn field(&mut self, _e: &Expr, recv: Labels, _env: &mut TaintEnv) -> Labels {
-        recv
-    }
-
     /// Labels of `l op r`. Default: union.
     fn binary(&mut self, _op: &str, l: Labels, r: Labels, _line: u32) -> Labels {
         union(l, r)
-    }
-
-    /// Labels of `expr as Ty`. Default: the operand's labels.
-    fn cast(&mut self, _e: &Expr, inner: Labels) -> Labels {
-        inner
     }
 
     /// Labels of `recv.name(args)`; `e` is the full `Expr::Method` node.
@@ -122,19 +106,6 @@ pub trait TaintSpec {
     /// Labels of `name!(args)`. Default: union of arguments.
     fn macro_call(&mut self, _e: &Expr, args: &[Labels], _env: &mut TaintEnv) -> Labels {
         args.iter().cloned().fold(Labels::new(), union)
-    }
-
-    /// Labels of `Path { fields }`. Default: union of field values.
-    fn struct_lit(
-        &mut self,
-        _e: &Expr,
-        fields: &[(String, Labels)],
-        _env: &mut TaintEnv,
-    ) -> Labels {
-        fields
-            .iter()
-            .map(|(_, l)| l.clone())
-            .fold(Labels::new(), union)
     }
 
     /// Labels bound to a `for` pattern given the iterated expression and
@@ -195,8 +166,8 @@ pub fn exec_block(spec: &mut dyn TaintSpec, b: &Block, env: &mut TaintEnv) -> La
 pub fn eval_expr(spec: &mut dyn TaintSpec, e: &Expr, env: &mut TaintEnv) -> Labels {
     match e {
         Expr::Lit { .. } | Expr::Opaque { .. } => Labels::new(),
-        Expr::Path { .. } => spec.path(e, env),
-        Expr::Unary { expr, .. } => eval_expr(spec, expr, env),
+        Expr::Path { .. } => e.as_var().map(|v| env.get(v)).unwrap_or_default(),
+        Expr::Unary { expr, .. } | Expr::Cast { expr, .. } => eval_expr(spec, expr, env),
         Expr::Binary { op, lhs, rhs, line } => {
             let l = eval_expr(spec, lhs, env);
             let r = eval_expr(spec, rhs, env);
@@ -222,10 +193,6 @@ pub fn eval_expr(spec: &mut dyn TaintSpec, e: &Expr, env: &mut TaintEnv) -> Labe
                 spec.on_store(lhs, rhs, &labels, env);
             }
             Labels::new()
-        }
-        Expr::Cast { expr, .. } => {
-            let inner = eval_expr(spec, expr, env);
-            spec.cast(e, inner)
         }
         Expr::Call { callee, args, .. } => {
             // A non-path callee (fn-pointer field, nested call) can still
@@ -257,22 +224,16 @@ pub fn eval_expr(spec: &mut dyn TaintSpec, e: &Expr, env: &mut TaintEnv) -> Labe
             }
             spec.method(e, rl, &arg_labels, env)
         }
-        Expr::Field { recv, .. } => {
-            let rl = eval_expr(spec, recv, env);
-            spec.field(e, rl, env)
-        }
+        Expr::Field { recv, .. } => eval_expr(spec, recv, env),
         Expr::Index { recv, idx, .. } => {
             let rl = eval_expr(spec, recv, env);
             let il = eval_expr(spec, idx, env);
             union(rl, il)
         }
-        Expr::StructLit { fields, .. } => {
-            let fl: Vec<(String, Labels)> = fields
-                .iter()
-                .map(|(n, v)| (n.clone(), eval_expr(spec, v, env)))
-                .collect();
-            spec.struct_lit(e, &fl, env)
-        }
+        Expr::StructLit { fields, .. } => fields
+            .iter()
+            .map(|(_, v)| eval_expr(spec, v, env))
+            .fold(Labels::new(), union),
         Expr::Macro { args, .. } => {
             let al: Vec<Labels> = args.iter().map(|a| eval_expr(spec, a, env)).collect();
             spec.macro_call(e, &al, env)

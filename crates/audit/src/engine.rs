@@ -3,7 +3,7 @@
 //! directives, and reports malformed directives.
 
 use crate::resolve::Workspace;
-use crate::rules::{self, trace_coverage, Finding};
+use crate::rules::{self, Finding};
 use crate::source::{FileKind, SourceFile};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -83,13 +83,11 @@ pub fn audit_workspace_with_stats(
             rule.check_file(f, &mut findings);
         }
     }
-    trace_coverage::check_workspace(&files, &mut findings);
     let ws = Workspace::build(&files);
     for rule in rules::flow_rules() {
         rule.check_workspace(&ws, &mut findings);
     }
-    // Allow filtering (trace-coverage findings are suppressible at the use
-    // site like any other), then malformed-directive reporting.
+    // Allow filtering, then malformed-directive reporting.
     findings.retain(|f| {
         let file = files.iter().find(|s| s.rel_path == f.path);
         !file.map(|s| s.is_allowed(f.rule, f.line)).unwrap_or(false)

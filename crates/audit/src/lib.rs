@@ -6,47 +6,51 @@
 //! bytes out — `tests/determinism.rs`) and **conservation of accounted
 //! bytes/pages** (`tests/memory_invariants.rs`). Both are end-to-end tests
 //! that only cover the paths they execute. This crate enforces the
-//! *source-level* discipline that makes the properties hold everywhere:
+//! *source-level* discipline that makes the properties hold everywhere,
+//! for the rules rustc and clippy cannot state:
 //!
 //! Token rules (per-file shape checks):
 //!
 //! | rule | what it guards |
 //! |------|----------------|
-//! | `no-wall-clock` | virtual clock only; no `Instant`/`SystemTime` in sim code |
 //! | `no-unchecked-accounting-arithmetic` | saturating math for byte/page/cost accumulators |
+//! | `typed-units` | unit-named raw-`u64` parameters on model-crate APIs |
+//! | `no-raw-unit-cast` | no `as u64` / `.0` unit launders in model crates |
 //! | `no-float-eq` | no exact float compares in cost-model decisions |
-//! | `no-unwrap-in-lib` | library code returns typed errors, never aborts |
-//! | `trace-coverage` | every emitted event kind is named by an exporter |
+//! | `no-platform-leak` | experiment layers build machines through `gh_sim::platform` |
 //! | `allow-syntax` | suppressions are well-formed and carry a reason |
 //!
 //! Flow rules (workspace AST + call graph + taint dataflow):
 //!
 //! | rule | what it guards |
 //! |------|----------------|
-//! | `epoch-coherence` | placement mutators bump `placement_epoch` (span-cache validity) |
 //! | `unit-launder-flow` | `.get()`-escaped raw values stay in their unit domain |
-//! | `wall-clock-taint` | host-time values never reach traces/counters/checksums/`RunReport` |
 //! | `unordered-iter-flow` | hash iteration order never reaches returns/state/output |
 //! | `lock-discipline` | no re-entrant locking, no lock pair taken in both orders |
 //!
-//! Two invariants need no rule because rustc proves them: session
-//! handles are `!Send`/`!Sync`, so they cannot reach a pool task or a
-//! `static` (`compile_fail` doctests in `gh-jobs`), and the job cache is
-//! keyed by the whole `JobSpec` through a derived `Ord`.
+//! The rest is the compiler's job (`docs/static-analysis.md`, "What
+//! rustc proves instead"): the workspace `clippy.toml` bans host clocks,
+//! lazy statics, `thread_local!` and env reads outside reasoned
+//! `#[expect]`s; each library crate root denies clippy's unwrap family
+//! and reasonless `#[allow]`/`#[expect]`; session handles are
+//! `!Send`/`!Sync` (`compile_fail` doctests in `gh-jobs`); the job cache
+//! is keyed by the whole `JobSpec` through a derived `Ord`; trace export
+//! matches every `Event` variant with no `_` arm; and a `gh-mem` proptest
+//! checks that every placement change bumps the page table's epoch.
 //!
 //! Suppression is per-line and audited itself:
 //!
 //! ```text
 //! let ks = m.keys(); // gh-audit: allow(unordered-iter-flow) -- sorted below
-//! // gh-audit: allow-file(no-unwrap-in-lib) -- harness binary, aborts are fine
+//! // gh-audit: allow-file(no-raw-unit-cast) -- the unit crate's own internals
 //! ```
 //!
 //! The engine is from scratch (no `syn`/`dylint`: the build environment
 //! is offline), layered as **tokens → AST → dataflow**: a lossless lexer
 //! ([`lexer`]), an error-tolerant recursive-descent parser ([`ast`]),
 //! shallow name/type resolution ([`resolve`]), a workspace call graph
-//! with effect propagation ([`callgraph`]), and an intraprocedural taint
-//! driver ([`dataflow`]) the flow rules plug specs into. The lints stay
+//! ([`callgraph`]), and an intraprocedural taint driver ([`dataflow`])
+//! the flow rules plug specs into. The lints stay
 //! *heuristic* — over-approximate environments, by-name call resolution
 //! — so false negatives are possible; false positives get an allow with
 //! a reason.
@@ -57,6 +61,15 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod ast;
 pub mod callgraph;

@@ -8,7 +8,7 @@
 //! Findings go to stdout in the selected format; the `scanned N files`
 //! stats line goes to stderr so machine formats stay parseable. Timing is
 //! left to the caller (CI) — the audit binary itself reads no clocks, by
-//! its own `wall-clock` rules.
+//! the workspace clippy config's `disallowed-methods`.
 //!
 //! Exit codes: 0 clean (or findings without `--deny`), 1 findings with
 //! `--deny`, 2 usage error.
@@ -40,7 +40,7 @@ fn main() -> ExitCode {
             },
             "--rule" => match args.next() {
                 // Comma-separated lists let CI request a rule subset in
-                // one flag: `--rule lock-discipline,epoch-coherence`.
+                // one flag: `--rule lock-discipline,unit-launder-flow`.
                 Some(names) => {
                     for name in names.split(',').map(str::trim).filter(|n| !n.is_empty()) {
                         if !rules::rule_names().contains(&name) {
@@ -67,10 +67,6 @@ fn main() -> ExitCode {
                 for r in rules::flow_rules() {
                     println!("{:<38} {}", r.name(), r.describe());
                 }
-                println!(
-                    "{:<38} every emitted gh-trace event kind is named by an exporter",
-                    rules::trace_coverage::NAME
-                );
                 println!(
                     "{:<38} allow directives are well-formed and carry a reason",
                     gh_audit::engine::ALLOW_SYNTAX

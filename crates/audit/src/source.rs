@@ -279,7 +279,7 @@ mod tests {
         let f = sf("let a = m.iter(); // gh-audit: allow(no-unordered-iteration) -- commutative\nlet b = 1;\n");
         assert!(f.is_allowed("no-unordered-iteration", 1));
         assert!(!f.is_allowed("no-unordered-iteration", 2));
-        assert!(!f.is_allowed("no-wall-clock", 1));
+        assert!(!f.is_allowed("no-float-eq", 1));
     }
 
     #[test]
@@ -294,10 +294,10 @@ mod tests {
     #[test]
     fn allow_file_applies_everywhere() {
         let f = sf(
-            "// gh-audit: allow-file(no-unwrap-in-lib) -- harness code\nfn f() { x.unwrap(); }\n",
+            "// gh-audit: allow-file(no-raw-unit-cast) -- unit internals\nfn f() { x.0 as u64; }\n",
         );
-        assert!(f.is_allowed("no-unwrap-in-lib", 2));
-        assert!(f.is_allowed("no-unwrap-in-lib", 999));
+        assert!(f.is_allowed("no-raw-unit-cast", 2));
+        assert!(f.is_allowed("no-raw-unit-cast", 999));
     }
 
     #[test]

@@ -8,13 +8,13 @@ pub struct JobCache {
 
 impl JobCache {
     pub fn count(&self) -> u64 {
-        let g = self.map.lock().expect("cache lock"); // gh-audit: allow(no-unwrap-in-lib) -- poisoning propagates a worker panic
+        let g = self.map.lock().expect("cache lock");
         *g
     }
 
     // The guard is dropped before calling back into locking code.
     pub fn publish(&self) -> u64 {
-        let g = self.map.lock().expect("cache lock"); // gh-audit: allow(no-unwrap-in-lib) -- poisoning propagates a worker panic
+        let g = self.map.lock().expect("cache lock");
         let v = *g;
         drop(g);
         self.count() + v

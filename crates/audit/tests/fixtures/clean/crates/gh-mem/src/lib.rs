@@ -1,14 +1,13 @@
 //! Clean fixture: the disciplined twin of `seeded`. Same shapes, zero
 //! findings — including one well-formed, reasoned suppression.
 
-use gh_units::{widen, Bytes, PageSize, Pages, Vpn};
+use gh_units::{widen, Bytes, PageSize, Pages};
 use std::collections::{BTreeMap, HashMap};
 
 pub struct Counters {
     pub total_bytes: u64,
     pub by_node: BTreeMap<u32, u64>,
     pub hot_pages: HashMap<u64, u64>,
-    pub now_ns: u64,
 }
 
 impl Counters {
@@ -28,19 +27,9 @@ impl Counters {
         out
     }
 
-    // Virtual clock: time is explicit simulator state.
-    pub fn stamp(&self) -> u64 {
-        self.now_ns
-    }
-
     // Epsilon compare instead of exact float equality.
     pub fn is_idle(&self, utilization: f64) -> bool {
         utilization.abs() < 1e-12
-    }
-
-    // Fallible path surfaces as Option instead of aborting.
-    pub fn first(&self) -> Option<u64> {
-        self.report().first().copied()
     }
 
     // A commutative fold over an unordered map: `unordered-iter-flow`
@@ -55,9 +44,9 @@ impl Counters {
     }
 
     // A reasoned suppression parses cleanly and silences its rule.
-    pub fn merged_first(&self) -> u64 {
-        // gh-audit: allow(no-unwrap-in-lib) -- by_node is never empty by construction
-        self.report().first().copied().unwrap()
+    pub fn is_unset(&self, utilization: f64) -> bool {
+        // gh-audit: allow(no-float-eq) -- exact sentinel: the field was never written
+        utilization == 0.0
     }
 }
 
@@ -74,45 +63,9 @@ pub fn span_cost(lens: &[usize]) -> u64 {
     widen(lens.len())
 }
 
-// epoch-coherence's disciplined twin: every placement mutation bumps the
-// epoch before returning.
-pub struct PageTable {
-    entries: BTreeMap<u64, u8>,
-    epoch: u64,
-}
-
-impl PageTable {
-    pub fn populate(&mut self, vpn: Vpn, node: u8) {
-        self.entries.insert(vpn, node);
-        self.epoch = self.epoch.saturating_add(1);
-    }
-
-    pub fn retire(&mut self, vpn: Vpn) {
-        self.entries.remove(&vpn);
-        self.epoch = self.epoch.saturating_add(1);
-    }
-}
-
 // unit-launder-flow's disciplined twin: the byte count is scaled by the
 // page size on its way into the page domain — a real conversion, not a
 // relabeling.
 pub fn pages_from_bytes(b: Bytes, page: PageSize) -> Pages {
     Pages::new(b.get() / page.get())
-}
-
-// no-ambient-state's disciplined twin: per-run observability rides an
-// explicit session value owned by the caller — no thread-locals, no
-// process-wide cells, and the env read stays at the CLI boundary.
-pub struct Session {
-    pub trace: bool,
-    pub scratch: Vec<u64>,
-}
-
-impl Session {
-    pub fn with_trace(trace: bool) -> Self {
-        Session {
-            trace,
-            scratch: Vec::new(),
-        }
-    }
 }

@@ -7,14 +7,14 @@ pub struct JobCache {
 
 impl JobCache {
     pub fn count(&self) -> u64 {
-        let g = self.map.lock().expect("cache lock"); // gh-audit: allow(no-unwrap-in-lib) -- poisoning propagates a worker panic
+        let g = self.map.lock().expect("cache lock");
         *g
     }
 
     // lock-discipline: `count` re-locks `map` while the guard is held —
     // Mutex is not reentrant, so this self-deadlocks.
     pub fn publish(&self) -> u64 {
-        let g = self.map.lock().expect("cache lock"); // gh-audit: allow(no-unwrap-in-lib) -- poisoning propagates a worker panic
+        let g = self.map.lock().expect("cache lock");
         self.count()
     }
 }

@@ -7,7 +7,6 @@
 //! fixed iteration count. `GH_FAST=1` cuts iteration counts for CI.
 
 use std::hint::black_box;
-use std::time::Instant;
 
 use gh_mem::pagetable::PageTable;
 use gh_mem::phys::{Node, PhysMem};
@@ -26,6 +25,11 @@ fn iters() -> usize {
 }
 
 /// Runs `f` with per-iteration setup from `setup`, printing min/median ns.
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "a micro-benchmark times itself in host time"
+)]
 fn bench<S, T, F, R>(name: &str, setup: S, mut f: F)
 where
     S: Fn() -> T,
@@ -39,7 +43,7 @@ where
     let mut times: Vec<u128> = Vec::with_capacity(n);
     for _ in 0..n {
         let input = setup();
-        let t0 = Instant::now();
+        let t0 = std::time::Instant::now();
         black_box(f(input));
         times.push(t0.elapsed().as_nanos());
     }

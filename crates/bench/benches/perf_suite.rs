@@ -74,6 +74,10 @@ fn main() {
 
 /// Appends a markdown section to the CI job summary when GitHub Actions
 /// exposes one (`$GITHUB_STEP_SUMMARY`); silently a no-op elsewhere.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the CI job summary path is an env boundary read"
+)]
 fn write_step_summary(geomean_line: &str, cmp: &perf_suite::Comparison) {
     let Some(path) = std::env::var_os("GITHUB_STEP_SUMMARY") else {
         return;

@@ -15,6 +15,10 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the bench harness is the env boundary: GH_FAST, GH_TRACE, GH_JOBS and GH_TRACE_OUT seed per-run SessionOptions"
+)]
 
 pub mod ablations;
 pub mod bandwidth;

@@ -86,9 +86,13 @@ pub fn advise_on(p: &'static dyn Platform, trace: &str) -> Result<Advice, replay
     let mut rows = Vec::new();
     for mode in MemMode::ALL {
         for &page in caps.page_sizes {
+            #[expect(
+                clippy::expect_used,
+                reason = "page comes from the platform's own caps"
+            )]
             let machine = p
                 .machine_session(&MachineConfig::with_page_size(page), &traced)
-                .expect("platform advertises this page size"); // gh-audit: allow(no-unwrap-in-lib) -- page comes from the platform's own caps
+                .expect("platform advertises this page size");
             let report = replay::replay(machine, trace, Some(mode))?;
             rows.push(AdvisorRow {
                 mode,

@@ -166,10 +166,14 @@ impl Machine {
             // Round *down*: the balloon may not take more than the excess.
             let balloon_bytes = (free_now - target_free) / gp * gp;
             if balloon_bytes > 0 {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "balloon size is computed from free memory just above"
+                )]
                 let b = self
                     .rt
                     .cuda_malloc(gh_units::Bytes::new(balloon_bytes), "balloon")
-                    .expect("balloon fits in free memory by construction"); // gh-audit: allow(no-unwrap-in-lib) -- balloon size is computed from free memory just above
+                    .expect("balloon fits in free memory by construction");
                 self.balloon = Some(b);
             }
         }

@@ -181,8 +181,12 @@ pub trait Platform: MemoryBackend {
 
     /// A machine with the platform's calibrated defaults.
     fn machine(&self) -> Machine {
+        #[expect(
+            clippy::expect_used,
+            reason = "backends are tested to accept their own defaults"
+        )]
         self.machine_cfg(&MachineConfig::default())
-            .expect("platform default configuration is always valid") // gh-audit: allow(no-unwrap-in-lib) -- backends are tested to accept their own defaults
+            .expect("platform default configuration is always valid")
     }
 
     /// A machine for an explicit configuration.

@@ -198,7 +198,11 @@ pub fn replay_on(
                 if bufs.contains_key(*name) {
                     return Err(err(n, format!("buffer '{name}' already exists")));
                 }
-                let bytes = gh_units::Bytes::new(size(n, bytes)?);
+                let bytes = size(n, bytes)?;
+                if bytes == 0 {
+                    return Err(err(n, format!("buffer '{name}' has zero size")));
+                }
+                let bytes = gh_units::Bytes::new(bytes);
                 let kind =
                     match (*kind, mode) {
                         ("system", Some(MemMode::Managed))
@@ -491,6 +495,11 @@ free out
             ),
             ("alloc a device 2m\ncpu_write a 0 1k\n".into(), 2),
             (format!("alloc a system {max}k\n"), 1),
+            // Zero-size buffers, of every kind (the OS rejects an empty mmap).
+            ("alloc a system 0\n".into(), 1),
+            ("alloc a system 1m\nalloc b managed 0k\n".into(), 2),
+            ("alloc a device 0\n".into(), 1),
+            ("alloc a pinned 0\n".into(), 1),
             // Wrong arity, at top level and in a kernel body.
             ("free\n".into(), 1),
             ("alloc a system 1m\nhost_register\n".into(), 2),

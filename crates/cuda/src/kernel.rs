@@ -1029,9 +1029,13 @@ impl<'r> Kernel<'r> {
 }
 
 impl Drop for Kernel<'_> {
+    #[expect(
+        clippy::panic,
+        reason = "deliberate drop-guard trap for kernels never finish()ed"
+    )]
     fn drop(&mut self) {
         if !self.finished && !std::thread::panicking() {
-            panic!("kernel '{}' dropped without finish()", self.name); // gh-audit: allow(no-unwrap-in-lib) -- deliberate drop-guard trap for kernels never finish()ed
+            panic!("kernel '{}' dropped without finish()", self.name);
         }
     }
 }

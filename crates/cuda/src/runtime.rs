@@ -130,7 +130,11 @@ impl Runtime {
     /// instrumented component, so concurrent runtimes in one process
     /// record independently.
     pub fn with_session(params: CostParams, session: crate::session::SessionCtx) -> Self {
-        params.validate().expect("invalid cost parameters"); // gh-audit: allow(no-unwrap-in-lib) -- boot-time config validation; fail fast before any state exists
+        #[expect(
+            clippy::expect_used,
+            reason = "boot-time config validation; fail fast before any state exists"
+        )]
+        params.validate().expect("invalid cost parameters");
         let opts = &session.opts;
         let phys = if params.unified_pool {
             // MI300A-style single physical pool: `gpu_mem_bytes` is the
@@ -496,10 +500,14 @@ impl Runtime {
         let vpns = self.gpu_pt.vpn_range(range.addr, range.len);
         let n_pages = vpns.count();
         for vpn in vpns {
+            #[expect(
+                clippy::expect_used,
+                reason = "free space checked by the branch guard above"
+            )]
             let frame = self
                 .phys
                 .alloc(Node::Gpu, page.bytes())
-                .expect("free space was checked above"); // gh-audit: allow(no-unwrap-in-lib) -- free space checked by the branch guard above
+                .expect("free space was checked above");
             self.gpu_pt.populate(vpn, Node::Gpu, frame);
         }
         let dt = self.params.cuda_malloc_fixed
@@ -522,9 +530,13 @@ impl Runtime {
     /// Frees any buffer, dispatching on its kind. Returns the
     /// de-allocation time (also charged to the clock).
     pub fn free(&mut self, buf: Buffer) -> Ns {
+        #[expect(
+            clippy::panic,
+            reason = "double free is a caller bug; fail fast like the driver"
+        )]
         self.allocs
             .remove(&buf.id)
-            .unwrap_or_else(|| panic!("double free or unknown buffer {}", buf.id)); // gh-audit: allow(no-unwrap-in-lib) -- double free is a caller bug; fail fast like the driver
+            .unwrap_or_else(|| panic!("double free or unknown buffer {}", buf.id));
         let dt = match buf.kind {
             BufKind::Device => {
                 let page = self.params.gpu_page();
@@ -695,7 +707,10 @@ impl Runtime {
     /// `cudaMemcpy2D`: copies `rows` rows of `row_bytes` with independent
     /// source/destination pitches. Cost equals the dense copy of the
     /// payload plus a per-row fixed overhead when rows are strided.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors the cudaMemcpy2D parameter list"
+    )]
     pub fn memcpy_2d(
         &mut self,
         dst: &Buffer,
@@ -895,7 +910,11 @@ impl Runtime {
                     self.params.cpu_init_bw,
                 ));
             }
-            BufKind::Device => unreachable!("checked above"), // gh-audit: allow(no-unwrap-in-lib) -- device buffers are rejected at function entry
+            #[expect(
+                clippy::unreachable,
+                reason = "device buffers are rejected at function entry"
+            )]
+            BufKind::Device => unreachable!("checked above"),
         }
         dt
     }

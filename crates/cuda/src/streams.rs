@@ -17,7 +17,12 @@
 //! copies (pageable memory degrades to synchronous). Unified buffers
 //! fault through the OS/driver models, which are synchronous by design.
 
-// gh-audit: allow-file(no-unwrap-in-lib) -- stream/event handles are minted by this module and launch preconditions are validated fail-fast, mirroring CUDA driver aborts
+#![expect(
+    clippy::panic,
+    clippy::expect_used,
+    reason = "stream/event handles are minted by this module and launch preconditions are validated fail-fast, mirroring CUDA driver aborts"
+)]
+
 use gh_mem::clock::Ns;
 use gh_mem::link::Direction;
 use gh_mem::params::CostParams;

@@ -133,10 +133,14 @@ impl Runtime {
     /// callers must have made room first.
     pub(crate) fn move_page(&mut self, vpn: Vpn, dst: Node) {
         let page = self.os.system_pt.page();
+        #[expect(
+            clippy::expect_used,
+            reason = "caller evicts before migrating; a full destination is a logic error"
+        )]
         let frame = self
             .phys
             .alloc(dst, page.bytes())
-            .expect("destination node full: caller must evict first"); // gh-audit: allow(no-unwrap-in-lib) -- caller evicts before migrating; a full destination is a logic error
+            .expect("destination node full: caller must evict first");
         let old = self.os.system_pt.remap(vpn, dst, frame);
         self.phys.release(old.node, page.bytes());
         self.migrated_pages = self.migrated_pages.saturating_add(1);
@@ -192,10 +196,14 @@ impl Runtime {
                     on_gpu += 1;
                 }
                 None => {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "both tiers exhausted means the experiment exceeds machine memory"
+                    )]
                     let f = self
                         .phys
                         .alloc(Node::Cpu, page.bytes())
-                        .expect("both tiers exhausted"); // gh-audit: allow(no-unwrap-in-lib) -- both tiers exhausted means the experiment exceeds machine memory
+                        .expect("both tiers exhausted");
                     self.os.system_pt.populate(vpn, Node::Cpu, f);
                     on_cpu += 1;
                     cost = cost.saturating_add(self.params.cpu_fault_fixed / 2);

@@ -31,11 +31,12 @@
 //! each wrap an `Rc`, so neither they nor the
 //! [`SessionCtx`](gh_cuda::SessionCtx) holding them is `Send` or `Sync`.
 //! No run can therefore hand its handles to a pool task, to a parallel
-//! loop body, or to a `static`; `thread_local!` and `static mut` are
-//! banned by the `no-ambient-state` audit rule. Each `compile_fail`
-//! block below fails with E0277 and has a compiling twin that differs
-//! only in the marked line, so the error can come from nothing else
-//! (stable rustdoc does not check a `compile_fail` block's error code).
+//! loop body, or to a `static`; `thread_local!` is a clippy
+//! `disallowed-macros` entry, and `static mut` needs `unsafe`, which this
+//! crate forbids. Each `compile_fail` block below fails with E0277 and
+//! has a compiling twin that differs only in the marked line, so the
+//! error can come from nothing else (stable rustdoc does not check a
+//! `compile_fail` block's error code).
 //!
 //! A pool task cannot capture the submitter's handles:
 //!
@@ -111,6 +112,15 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 #![deny(missing_docs)]
 
 use std::collections::BTreeMap;
@@ -260,7 +270,11 @@ impl JobCache {
 
     /// Looks a spec up, counting a hit or miss.
     fn lookup(&self, spec: &JobSpec) -> Option<RunReport> {
-        let found = self.map.lock().expect("cache lock").get(spec).cloned(); // gh-audit: allow(no-unwrap-in-lib) -- a poisoned cache lock means a worker panicked mid-insert; propagating is the only sound response
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned cache lock means a worker panicked mid-insert; propagating is the only sound response"
+        )]
+        let found = self.map.lock().expect("cache lock").get(spec).cloned();
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -271,9 +285,13 @@ impl JobCache {
 
     /// Stores a computed report under its spec.
     fn insert(&self, spec: &JobSpec, report: &RunReport) {
+        #[expect(
+            clippy::expect_used,
+            reason = "see lookup: poisoning propagates a worker panic"
+        )]
         self.map
             .lock()
-            .expect("cache lock") // gh-audit: allow(no-unwrap-in-lib) -- see lookup: poisoning propagates a worker panic
+            .expect("cache lock")
             .insert(spec.clone(), report.clone());
     }
 
@@ -289,7 +307,11 @@ impl JobCache {
 
     /// Number of distinct reports stored.
     pub fn len(&self) -> usize {
-        self.map.lock().expect("cache lock").len() // gh-audit: allow(no-unwrap-in-lib) -- see lookup: poisoning propagates a worker panic
+        #[expect(
+            clippy::expect_used,
+            reason = "see lookup: poisoning propagates a worker panic"
+        )]
+        self.map.lock().expect("cache lock").len()
     }
 
     /// Whether the cache holds no reports.
@@ -361,19 +383,27 @@ pub fn run_suite(
     for (i, spec) in specs.iter().cloned().enumerate() {
         let slots = Arc::clone(&slots);
         let cache = Arc::clone(cache);
+        #[expect(
+            clippy::expect_used,
+            reason = "slot poisoning means this very closure panicked; unreachable"
+        )]
         pool.spawn(move || {
             let out = execute(&spec, &cache);
-            *slots[i].lock().expect("slot lock") = Some(out); // gh-audit: allow(no-unwrap-in-lib) -- slot poisoning means this very closure panicked; unreachable
+            *slots[i].lock().expect("slot lock") = Some(out);
         });
     }
     pool.wait_idle();
     slots
         .iter()
         .map(|s| {
+            #[expect(
+                clippy::expect_used,
+                reason = "the pool is idle and owned locally, so a poisoned slot means a worker panicked; wait_idle guarantees each spawned job stored its outcome"
+            )]
             s.lock()
-                .expect("slot lock") // gh-audit: allow(no-unwrap-in-lib) -- pool is idle and owned locally; a poisoned slot means a worker panicked
+                .expect("slot lock")
                 .take()
-                .expect("every job ran to completion") // gh-audit: allow(no-unwrap-in-lib) -- wait_idle guarantees each spawned job stored its outcome
+                .expect("every job ran to completion")
         })
         .collect()
 }

@@ -28,11 +28,15 @@ impl Clock {
 
     /// Advances the clock by `dt` nanoseconds and returns the new time.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "deliberate overflow trap on the virtual clock"
+    )]
     pub fn advance(&mut self, dt: Ns) -> Ns {
         self.now = self
             .now
             .checked_add(dt)
-            .expect("virtual clock overflow: experiment ran for > 580 years"); // gh-audit: allow(no-unwrap-in-lib) -- deliberate overflow trap on the virtual clock
+            .expect("virtual clock overflow: experiment ran for > 580 years");
         self.now
     }
 

@@ -147,10 +147,14 @@ impl PageTable {
     /// Rewrites the entry for `vpn` to point at `node`/`frame` (migration).
     /// Returns the old entry. Panics if the page was not populated.
     pub fn remap(&mut self, vpn: Vpn, node: Node, frame: u64) -> Pte {
+        #[expect(
+            clippy::panic,
+            reason = "remap of an unpopulated page is a simulator logic error"
+        )]
         let e = self
             .entries
             .get_mut(vpn.get())
-            .unwrap_or_else(|| panic!("remap of unpopulated {vpn}")); // gh-audit: allow(no-unwrap-in-lib) -- remap of an unpopulated page is a simulator logic error
+            .unwrap_or_else(|| panic!("remap of unpopulated {vpn}"));
         let old = *e;
         self.resident[node_idx(old.node)] -= Pages::new(1);
         self.resident[node_idx(node)] += Pages::new(1);
@@ -328,7 +332,8 @@ impl PageTable {
             .collect();
         keys.into_iter()
             .map(|k| {
-                let pte = self.unmap(k).expect("key was just observed"); // gh-audit: allow(no-unwrap-in-lib) -- key was observed under the same borrow
+                #[expect(clippy::expect_used, reason = "key was observed under the same borrow")]
+                let pte = self.unmap(k).expect("key was just observed");
                 (k, pte)
             })
             .collect()

@@ -32,15 +32,26 @@ proptest! {
         }
     }
 
-    /// Residency counters must always equal a recount from scratch.
+    /// Under a random sequence of placement ops (populate, unmap, remap,
+    /// unmap_range) and dirty-bit ops (mark_dirty, mark_dirty_range):
+    /// residency counters always equal a recount from scratch, the
+    /// placement epoch changes whenever some page's `(node, frame)` does,
+    /// and the dirty-bit ops never change it. The span-classification
+    /// cache is valid only under that epoch rule. An extra bump (remap to
+    /// the same node) only costs a cache miss, so it is allowed.
     #[test]
     fn pagetable_residency_is_consistent(ops in proptest::collection::vec(
-        (0u8..3, 0u64..200, prop::bool::ANY), 0..300)) {
+        (0u8..6, 0u64..200, prop::bool::ANY, 0u64..24), 0..300)) {
+        let placement = |pt: &PageTable| -> Vec<Option<(Node, u64)>> {
+            (0..224).map(|v| pt.translate(Vpn::new(v)).map(|p| (p.node, p.frame))).collect()
+        };
         let mut pt = PageTable::new(4096);
         let mut model: HashMap<u64, Node> = HashMap::new();
         let mut frame = 0u64;
-        for (op, vpn, on_gpu) in ops {
+        for (op, vpn, on_gpu, span) in ops {
             let node = if on_gpu { Node::Gpu } else { Node::Cpu };
+            let range = VpnRange::new(Vpn::new(vpn), Vpn::new(vpn + span));
+            let (before, epoch) = (placement(&pt), pt.placement_epoch());
             match op {
                 0 => {
                     model.entry(vpn).or_insert_with(|| {
@@ -53,13 +64,24 @@ proptest! {
                     pt.unmap(Vpn::new(vpn));
                     model.remove(&vpn);
                 }
-                _ => {
+                2 => {
                     if model.contains_key(&vpn) {
                         frame += 1;
                         pt.remap(Vpn::new(vpn), node, frame);
                         model.insert(vpn, node);
                     }
                 }
+                3 => {
+                    pt.unmap_range(range);
+                    model.retain(|v, _| !(vpn..vpn + span).contains(v));
+                }
+                4 => pt.mark_dirty(Vpn::new(vpn)),
+                _ => pt.mark_dirty_range(range),
+            }
+            if op >= 4 {
+                prop_assert_eq!(pt.placement_epoch(), epoch, "dirty bits are not placement");
+            } else if placement(&pt) != before {
+                prop_assert_ne!(pt.placement_epoch(), epoch, "op {} moved a page without an epoch bump", op);
             }
             let cpu = model.values().filter(|&&n| n == Node::Cpu).count() as u64;
             let gpu = model.values().filter(|&&n| n == Node::Gpu).count() as u64;

@@ -66,9 +66,13 @@ impl Os {
         let page = self.system_pt.page();
         let mut pages = gh_units::Pages::ZERO;
         for vpn in self.system_pt.vpn_range(range.addr, range.len) {
+            #[expect(
+                clippy::expect_used,
+                reason = "bound-node exhaustion fails hard, matching libnuma"
+            )]
             let frame = phys
                 .alloc(node, page.bytes())
-                .expect("numa_alloc_onnode: bound node exhausted"); // gh-audit: allow(no-unwrap-in-lib) -- bound-node exhaustion fails hard, matching libnuma
+                .expect("numa_alloc_onnode: bound node exhausted");
             self.system_pt.populate(vpn, node, frame);
             pages += gh_units::Pages::new(1);
         }

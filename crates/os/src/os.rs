@@ -56,7 +56,11 @@ impl Os {
     /// Observability is off until [`Os::with_obs`] injects the session's
     /// handles.
     pub fn new(params: CostParams, config: OsConfig) -> Self {
-        params.validate().expect("invalid cost parameters"); // gh-audit: allow(no-unwrap-in-lib) -- boot-time config validation; fail fast before any state exists
+        #[expect(
+            clippy::expect_used,
+            reason = "boot-time config validation; fail fast before any state exists"
+        )]
+        params.validate().expect("invalid cost parameters");
         let page = params.system_page_size;
         Self {
             params,
@@ -144,10 +148,11 @@ impl Os {
 
     /// Sets the NUMA placement policy of the VMA at `range.addr`.
     pub fn set_policy(&mut self, range: VaRange, policy: crate::numa::NumaPolicy) {
+        #[expect(clippy::panic, reason = "an unknown VMA is a caller bug")]
         let vma = self
             .vmas
             .get_mut(&range.addr)
-            .unwrap_or_else(|| panic!("set_policy on unknown VMA at {:#x}", range.addr)); // gh-audit: allow(no-unwrap-in-lib) -- an unknown VMA is a caller bug
+            .unwrap_or_else(|| panic!("set_policy on unknown VMA at {:#x}", range.addr));
         vma.policy = policy;
     }
 
@@ -172,10 +177,11 @@ impl Os {
     /// Pages this VMA may hold in the *GPU-exclusive* table must be torn
     /// down by the CUDA layer before calling this.
     pub fn munmap(&mut self, range: VaRange, phys: &mut PhysMem) -> Ns {
+        #[expect(clippy::panic, reason = "an unknown VMA is a caller bug")]
         let vma = self
             .vmas
             .remove(&range.addr)
-            .unwrap_or_else(|| panic!("munmap of unknown VMA at {:#x}", range.addr)); // gh-audit: allow(no-unwrap-in-lib) -- an unknown VMA is a caller bug
+            .unwrap_or_else(|| panic!("munmap of unknown VMA at {:#x}", range.addr));
         assert_eq!(vma.range.len, range.len, "partial munmap not modelled");
         let page = Bytes::new(self.params.system_page_size);
         let vpns = self.system_pt.vpn_range(range.addr, range.len);
@@ -204,12 +210,20 @@ impl Os {
         let (primary, fallback) = policy.place(toucher, vpn);
         match phys.alloc(primary, Bytes::new(page)) {
             Ok(f) => (primary, f),
-            Err(e) if !fallback => panic!("NUMA-bound allocation failed: {e}"), // gh-audit: allow(no-unwrap-in-lib) -- Bind policy is documented to fail hard when the node is full
+            #[expect(
+                clippy::panic,
+                reason = "Bind policy is documented to fail hard when the node is full"
+            )]
+            Err(e) if !fallback => panic!("NUMA-bound allocation failed: {e}"),
             Err(_) => {
                 let other = primary.peer();
+                #[expect(
+                    clippy::expect_used,
+                    reason = "both tiers exhausted means the experiment exceeds machine memory"
+                )]
                 let f = phys
                     .alloc(other, Bytes::new(page))
-                    .expect("both memory tiers exhausted"); // gh-audit: allow(no-unwrap-in-lib) -- both tiers exhausted means the experiment exceeds machine memory
+                    .expect("both memory tiers exhausted");
                 (other, f)
             }
         }
@@ -320,9 +334,13 @@ impl Os {
         let mut created: u64 = 0;
         for vpn in self.system_pt.vpn_range(range.addr, range.len) {
             if !self.system_pt.is_populated(vpn) {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "mlock past CPU capacity is an experiment-config error"
+                )]
                 let frame = phys
                     .alloc(Node::Cpu, Bytes::new(page))
-                    .expect("CPU physical memory exhausted"); // gh-audit: allow(no-unwrap-in-lib) -- mlock past CPU capacity is an experiment-config error
+                    .expect("CPU physical memory exhausted");
                 self.system_pt.populate(vpn, Node::Cpu, frame);
                 created = created.saturating_add(1);
             }

@@ -9,29 +9,13 @@
 //! is a FIFO shared queue, each worker owns a LIFO deque, and stealers take
 //! from the opposite end of a victim's deque.
 
-// gh-audit: allow-file(no-unwrap-in-lib) -- mutex poisoning means a worker panicked; propagating the panic is the only sound response
+#![expect(
+    clippy::unwrap_used,
+    reason = "mutex poisoning means a worker panicked; propagating the panic is the only sound response"
+)]
+
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-
-/// Result of a steal attempt.
-#[derive(Debug)]
-pub enum Steal<T> {
-    /// The queue was empty.
-    Empty,
-    /// A job was taken.
-    Success(T),
-    /// Transient contention; the caller should retry. Never produced by the
-    /// mutex-backed implementation but kept so call sites keep the standard
-    /// retry-loop shape.
-    Retry,
-}
-
-impl<T> Steal<T> {
-    /// True if the attempt should be retried.
-    pub fn is_retry(&self) -> bool {
-        matches!(self, Steal::Retry)
-    }
-}
 
 /// A shared FIFO queue that receives jobs from outside the pool.
 #[derive(Debug)]
@@ -58,12 +42,10 @@ impl<T> Injector<T> {
     }
 
     /// Moves a small batch of jobs into `dest`'s local deque and pops one of
-    /// them for immediate execution.
-    pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
+    /// them for immediate execution; `None` when the injector is empty.
+    pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Option<T> {
         let mut q = self.queue.lock().unwrap();
-        let Some(first) = q.pop_front() else {
-            return Steal::Empty;
-        };
+        let first = q.pop_front()?;
         // Take up to half the remaining queue (capped) so siblings still
         // find work in the injector.
         let extra = (q.len() / 2).min(16);
@@ -75,7 +57,7 @@ impl<T> Injector<T> {
                 }
             }
         }
-        Steal::Success(first)
+        Some(first)
     }
 }
 
@@ -119,12 +101,9 @@ pub struct Stealer<T> {
 }
 
 impl<T> Stealer<T> {
-    /// Takes the oldest job from the victim's deque.
-    pub fn steal(&self) -> Steal<T> {
-        match self.deque.lock().unwrap().pop_front() {
-            Some(job) => Steal::Success(job),
-            None => Steal::Empty,
-        }
+    /// Takes the oldest job from the victim's deque, if any.
+    pub fn steal(&self) -> Option<T> {
+        self.deque.lock().unwrap().pop_front()
     }
 }
 
@@ -143,18 +122,16 @@ mod tests {
         inj.push(4);
         // First steal_batch_and_pop returns the FIFO head and may move some
         // of the rest into the local deque.
-        let Steal::Success(first) = inj.steal_batch_and_pop(&w) else {
-            panic!("expected a job");
-        };
+        let first = inj.steal_batch_and_pop(&w).expect("a queued job");
         assert_eq!(first, 1);
         let mut seen = vec![first];
         while let Some(j) = w.pop() {
             seen.push(j);
         }
-        while let Steal::Success(j) = s.steal() {
+        while let Some(j) = s.steal() {
             seen.push(j);
         }
-        while let Steal::Success(j) = inj.steal_batch_and_pop(&w) {
+        while let Some(j) = inj.steal_batch_and_pop(&w) {
             seen.push(j);
         }
         seen.sort_unstable();
@@ -167,7 +144,7 @@ mod tests {
         assert!(inj.is_empty());
         let w: Worker<u32> = Worker::new_lifo();
         assert!(w.pop().is_none());
-        assert!(matches!(w.stealer().steal(), Steal::Empty));
-        assert!(matches!(inj.steal_batch_and_pop(&w), Steal::Empty));
+        assert!(w.stealer().steal().is_none());
+        assert!(inj.steal_batch_and_pop(&w).is_none());
     }
 }

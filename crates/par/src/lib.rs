@@ -40,6 +40,15 @@
 //! ```
 
 #![deny(missing_debug_implementations)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod deque;
 pub mod pool;
@@ -55,7 +64,11 @@ pub use sort::par_sort_unstable;
 /// large shared machines. Read once per process: on Linux the query reads
 /// cgroup files, which costs more than a short loop.
 pub fn default_parallelism() -> usize {
-    static PARALLELISM: std::sync::OnceLock<usize> = std::sync::OnceLock::new(); // gh-audit: allow(no-ambient-state) -- the host's CPU count, shared compute like the pool it sizes, not per-run state
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the host's CPU count, shared compute like the pool it sizes, not per-run state"
+    )]
+    static PARALLELISM: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *PARALLELISM.get_or_init(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())

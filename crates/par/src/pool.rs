@@ -13,11 +13,16 @@
 //! job still counts as finished. The scoped loops in [`crate::scope`] run
 //! their helper jobs on [`global`].
 
-// gh-audit: allow-file(no-unwrap-in-lib) -- mutex poisoning means a worker panicked; propagating the panic is the only sound response, and spawn failure at boot is fatal
-use crate::deque::{Injector, Steal, Stealer, Worker};
+#![expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "mutex poisoning means a worker panicked; propagating the panic is the only sound response, and spawn failure at boot is fatal"
+)]
+
+use crate::deque::{Injector, Stealer, Worker};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -162,32 +167,13 @@ impl Drop for WorkStealingPool {
 }
 
 fn find_job(idx: usize, local: &Worker<Job>, shared: &Shared) -> Option<Job> {
-    if let Some(job) = local.pop() {
-        return Some(job);
-    }
-    // Batch-steal from the injector into the local deque to amortize
-    // contention, then try siblings in rotating order.
-    loop {
-        let steal = shared.injector.steal_batch_and_pop(local);
-        if let Steal::Success(job) = steal {
-            return Some(job);
-        }
-        if !steal.is_retry() {
-            break;
-        }
-    }
+    // Own deque first, then batch-steal from the injector into the local
+    // deque to amortize contention, then siblings in rotating order.
     let n = shared.stealers.len();
-    for off in 1..n {
-        let victim = (idx + off) % n;
-        loop {
-            match shared.stealers[victim].steal() {
-                Steal::Success(job) => return Some(job),
-                Steal::Retry => continue,
-                Steal::Empty => break,
-            }
-        }
-    }
-    None
+    local
+        .pop()
+        .or_else(|| shared.injector.steal_batch_and_pop(local))
+        .or_else(|| (1..n).find_map(|off| shared.stealers[(idx + off) % n].steal()))
 }
 
 fn worker_loop(idx: usize, local: Worker<Job>, shared: Arc<Shared>) {
@@ -247,7 +233,11 @@ pub(crate) fn spin_until(ready: impl Fn() -> bool) -> bool {
 /// Returns the process-wide shared pool, created on first use with
 /// [`crate::default_parallelism`] workers.
 pub fn global() -> &'static WorkStealingPool {
-    static POOL: OnceLock<WorkStealingPool> = OnceLock::new();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the pool is shared compute, not per-run state: jobs carry their own session handles"
+    )]
+    static POOL: std::sync::OnceLock<WorkStealingPool> = std::sync::OnceLock::new();
     POOL.get_or_init(|| WorkStealingPool::new(crate::default_parallelism()))
 }
 

@@ -14,7 +14,11 @@
 //! the body stops further claims and is re-raised on the caller once every
 //! claimed chunk has stopped.
 
-// gh-audit: allow-file(no-unwrap-in-lib) -- mutex poisoning means a worker panicked; propagating the panic is the only sound response
+#![expect(
+    clippy::expect_used,
+    reason = "mutex poisoning means a worker panicked; propagating the panic is the only sound response"
+)]
+
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

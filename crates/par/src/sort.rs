@@ -6,8 +6,7 @@
 //! chunks sorted with the standard library's pdqsort, then merge pairs
 //! of runs in parallel until one run remains.
 
-use crate::scope::par_for;
-use crate::Grain;
+use crate::scope::par_chunks_mut;
 
 /// Sorts `data` in parallel (unstable). Falls back to `sort_unstable`
 /// below a practical threshold.
@@ -17,53 +16,40 @@ pub fn par_sort_unstable<T: Ord + Send + Sync + Copy>(data: &mut [T]) {
         data.sort_unstable();
         return;
     }
-    let workers = crate::default_parallelism();
-    let chunk = data.len().div_ceil(workers).max(1);
+    let chunk = data.len().div_ceil(crate::default_parallelism()).max(1);
     // Phase 1: sort chunks in parallel.
-    crate::scope::par_chunks_mut(data, chunk, |_, c| c.sort_unstable());
-
+    par_chunks_mut(data, chunk, |_, c| c.sort_unstable());
     // Phase 2: merge neighbouring runs until a single run remains.
-    let mut run = chunk;
-    let mut src: Vec<T> = data.to_vec();
-    let mut dst: Vec<T> = Vec::with_capacity(data.len());
-    // SAFETY: every element of `dst` is written exactly once per pass
-    // (each merge writes its own disjoint output range).
-    #[allow(clippy::uninit_vec)]
-    unsafe {
-        dst.set_len(data.len());
-    }
-    while run < src.len() {
-        let n = src.len();
-        let pairs = n.div_ceil(2 * run);
-        {
-            let src_ref = &src;
-            let dst_ptr = SendPtr(dst.as_mut_ptr());
-            par_for(0..pairs, Grain::Fixed(1), |p| {
-                let lo = p * 2 * run;
-                let mid = (lo + run).min(n);
-                let hi = (lo + 2 * run).min(n);
-                // SAFETY: [lo, hi) output ranges are disjoint per pair.
-                let out = unsafe { std::slice::from_raw_parts_mut(dst_ptr.get().add(lo), hi - lo) };
-                merge(&src_ref[lo..mid], &src_ref[mid..hi], out);
-            });
-        }
-        std::mem::swap(&mut src, &mut dst);
-        run *= 2;
-    }
-    data.copy_from_slice(&src);
+    merge_runs(data, chunk);
 }
 
-struct SendPtr<T>(*mut T);
-// SAFETY: workers write only their own disjoint [lo, hi) output range of
-// the destination buffer; the buffer outlives the parallel region.
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    // Accessor so closures capture `&SendPtr` (Sync) rather than the raw
-    // pointer field (2021 disjoint capture would grab `*mut T` itself).
-    fn get(&self) -> *mut T {
-        self.0
+/// Merges the sorted runs of length `run` in `data` (the last may be
+/// shorter) into one, ping-ponging between `data` and one scratch copy.
+/// A pass's output chunks of `2 * run` elements are exactly its disjoint
+/// merge ranges. The result is copied back only after an odd pass count.
+fn merge_runs<T: Ord + Send + Sync + Copy>(data: &mut [T], mut run: usize) {
+    let n = data.len();
+    if run >= n {
+        return;
+    }
+    let mut scratch = data.to_vec();
+    let mut in_scratch = false;
+    while run < n {
+        let (src, dst) = if in_scratch {
+            (&*scratch, &mut *data)
+        } else {
+            (&*data, scratch.as_mut_slice())
+        };
+        par_chunks_mut(dst, 2 * run, |p, out| {
+            let lo = p * 2 * run;
+            let mid = (lo + run).min(n);
+            merge(&src[lo..mid], &src[mid..lo + out.len()], out);
+        });
+        in_scratch = !in_scratch;
+        run *= 2;
+    }
+    if in_scratch {
+        data.copy_from_slice(&scratch);
     }
 }
 
@@ -132,6 +118,39 @@ mod tests {
         let expected = v.clone();
         par_sort_unstable(&mut v);
         assert_eq!(v, expected);
+    }
+
+    /// Sorts each `run`-long chunk, then runs only the merge phase.
+    fn merged_at(n: usize, run: usize) -> Vec<u64> {
+        let mut v = scrambled(n);
+        for c in v.chunks_mut(run) {
+            c.sort_unstable();
+        }
+        merge_runs(&mut v, run);
+        v
+    }
+
+    #[test]
+    fn merge_phase_copies_back_after_odd_pass_counts() {
+        let n = 10_001;
+        let mut expected = scrambled(n);
+        expected.sort_unstable();
+        // Passes: run n/2 -> 1, n/8 -> 3, 1 -> 14 (odd, odd, even),
+        // n/4 -> 2 (even), and n -> 0 (nothing to merge).
+        for run in [n.div_ceil(2), n.div_ceil(8), 1, n.div_ceil(4), n] {
+            assert_eq!(merged_at(n, run), expected, "run {run}");
+        }
+    }
+
+    #[test]
+    fn sorts_around_the_sequential_threshold() {
+        for n in [16_383, 16_384, 16_385, 1_000_003] {
+            let mut v: Vec<(u64, u64)> = scrambled(n).into_iter().map(|x| (x % 1013, x)).collect();
+            let mut expected = v.clone();
+            expected.sort_unstable();
+            par_sort_unstable(&mut v);
+            assert_eq!(v, expected, "n {n}");
+        }
     }
 
     #[test]

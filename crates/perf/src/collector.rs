@@ -12,7 +12,6 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use std::time::Instant;
 
 use crate::report::{PerfData, PhasePerf, SpanAgg};
 
@@ -110,7 +109,11 @@ struct PhaseAcc {
 }
 
 struct Collector {
-    t0: Instant,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "gh-perf measures host time; its data never reaches a RunReport"
+    )]
+    t0: std::time::Instant,
     counters: [u64; N_CTRS],
     stack: Vec<OpenSpan>,
     spans: BTreeMap<String, SpanAcc>,
@@ -124,9 +127,14 @@ struct Collector {
 }
 
 impl Collector {
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "the profiler's host-time origin; its data never reaches a RunReport"
+    )]
     fn new() -> Self {
         Collector {
-            t0: Instant::now(),
+            t0: std::time::Instant::now(),
             counters: [0; N_CTRS],
             stack: Vec::new(),
             spans: BTreeMap::new(),
@@ -138,6 +146,10 @@ impl Collector {
         }
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the profiler's host clock; its data never reaches a RunReport"
+    )]
     fn now_ns(&self) -> u64 {
         // u64 ns covers ~584 years of profiling; saturate rather than
         // panic if a host clock misbehaves.
@@ -345,8 +357,13 @@ impl Drop for SpanGuard {
 mod tests {
     use super::*;
 
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "spins for real host time so profiled spans have measurable length"
+    )]
     fn busy_wait_ns(ns: u64) {
-        let t = Instant::now();
+        let t = std::time::Instant::now();
         while u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX) < ns {
             std::hint::black_box(0u64);
         }

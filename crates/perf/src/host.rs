@@ -1,8 +1,5 @@
-//! Host-side probes: peak RSS and the civil date. Wall-clock reads are
-//! sanctioned here and nowhere else in the workspace (see the crate docs
-//! and the `no-wall-clock` audit rule's gh-perf exemption).
-
-use std::time::{SystemTime, UNIX_EPOCH};
+//! Host-side probes: peak RSS and the civil date. The date is one of
+//! gh-perf's sanctioned host-clock reads (see the crate docs).
 
 /// Peak resident set size of this process in bytes, from
 /// `/proc/self/status` `VmHWM`. Returns 0 on platforms without procfs —
@@ -26,9 +23,14 @@ fn parse_vm_hwm(status: &str) -> Option<u64> {
 
 /// Today's civil date as `YYYY-MM-DD` (UTC), for `BENCH_<date>.json`
 /// file names. Falls back to `1970-01-01` if the host clock is broken.
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "a file-name date stamp, never a simulated quantity"
+)]
 pub fn host_date() -> String {
-    let secs = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
+    let secs = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
     let (y, m, d) = civil_from_days((secs / 86_400) as i64);
     format!("{y:04}-{m:02}-{d:02}")

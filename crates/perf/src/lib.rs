@@ -11,14 +11,15 @@
 //!
 //! # The wall-clock carve-out
 //!
-//! The workspace's `no-wall-clock` audit rule bans host-time reads from
-//! simulator code, because a single `Instant::now()` on a model path can
-//! couple reported numbers to the machine the simulator runs on.
-//! `gh-perf` is the one *sanctioned* exception: it is the only crate
-//! allowed to read host time, and it is quarantined by construction —
-//! nothing here reads or writes simulator state, and no virtual-time
-//! result can depend on it. `tests/perf.rs` proves RunReports stay
-//! bitwise identical with profiling on.
+//! The workspace `clippy.toml` bans host-time reads (`Instant`,
+//! `SystemTime`) from simulator code, because a single `Instant::now()`
+//! on a model path can couple reported numbers to the machine the
+//! simulator runs on. `gh-perf` is the one *sanctioned* exception: its
+//! clock reads sit in items marked `#[expect(clippy::disallowed_*)]`
+//! (the collector's origin and `now_ns`, and `host_date`), and it is
+//! quarantined by construction — nothing here reads or writes simulator
+//! state, and no virtual-time result can depend on it. `tests/perf.rs`
+//! proves RunReports stay bitwise identical with profiling on.
 //!
 //! # Session scoping
 //!
@@ -45,6 +46,15 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 
 mod collector;
 pub mod export;

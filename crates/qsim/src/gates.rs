@@ -57,7 +57,10 @@ impl Gate2 {
 
     /// A Haar-random SU(4) unitary: Gaussian complex matrix → Gram-Schmidt
     /// (QR with phase correction). Deterministic in `seed`.
-    #[allow(clippy::needless_range_loop)] // Gram-Schmidt indexes two columns of `cols` at once
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "Gram-Schmidt indexes two columns of `cols` at once"
+    )]
     pub fn random_su4(seed: u64) -> Gate2 {
         let mut st = seed.wrapping_mul(2654435761).wrapping_add(1);
         let mut cols: Vec<[C32; 4]> = (0..4)

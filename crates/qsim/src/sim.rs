@@ -75,9 +75,10 @@ pub fn run_qv(mut m: Machine, mode: MemMode, p: &QsimParams) -> RunReport {
     let storage = match mode {
         MemMode::Explicit => {
             if sv_bytes + (2 << 20) <= m.rt.gpu_free() {
+                #[expect(clippy::expect_used, reason = "fits by the branch guard above")]
                 SvStorage::Device(
                     m.rt.cuda_malloc(gh_units::Bytes::new(sv_bytes), "qv.sv")
-                        .expect("fits by the check above"), // gh-audit: allow(no-unwrap-in-lib) -- fits by the branch guard above
+                        .expect("fits by the check above"),
                 )
             } else {
                 // Qiskit-Aer's chunked host-exchange pipeline: pinned
@@ -86,11 +87,15 @@ pub fn run_qv(mut m: Machine, mode: MemMode, p: &QsimParams) -> RunReport {
                 // "sophisticated data movement pipeline" (§4).
                 let host =
                     m.rt.cuda_malloc_host(gh_units::Bytes::new(sv_bytes), "qv.sv.host");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "chunk size is bounded by config validation"
+                )]
                 let chunks = [
                     m.rt.cuda_malloc(gh_units::Bytes::new(p.chunk_bytes), "qv.chunk0")
-                        .expect("chunk buffer must fit"), // gh-audit: allow(no-unwrap-in-lib) -- chunk size is bounded by config validation
+                        .expect("chunk buffer must fit"),
                     m.rt.cuda_malloc(gh_units::Bytes::new(p.chunk_bytes), "qv.chunk1")
-                        .expect("chunk buffer must fit"), // gh-audit: allow(no-unwrap-in-lib) -- chunk size is bounded by config validation
+                        .expect("chunk buffer must fit"),
                 ];
                 let streams = [m.rt.create_stream(), m.rt.create_stream()];
                 SvStorage::ChunkedHost {

@@ -18,7 +18,13 @@ fn span_tid(cat: &str) -> u32 {
     }
 }
 
-/// Track an instant event renders on, grouped by subsystem.
+/// Track an instant event renders on, grouped by subsystem. The match
+/// names every `Event` variant, so rustc rejects a new variant until it
+/// has a track; the lints keep a catch-all arm from hiding one.
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 fn event_tid(ev: &Event) -> u32 {
     match ev {
         Event::PageFault { .. } => 6,

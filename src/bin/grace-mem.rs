@@ -19,10 +19,10 @@ fn usage() -> ! {
   grace-mem list
   grace-mem app <needle|pathfinder|bfs|hotspot|srad>
             [--platform gh200|mi300a] [--mode explicit|system|managed]
-            [--page 4k|64k|2m] [--no-migration] [--oversubscribe <ratio>]
+            [--page 4k|64k|2m] [--no-migration] [--oversubscribe <ratio >= 1>]
             [--small] [--trace-out <json-file>]
             [--perf] [--perf-out <json-file>]
-  grace-mem qv <sim_qubits>
+  grace-mem qv <sim_qubits (>= 2)>
             [--platform gh200|mi300a] [--mode explicit|system|managed]
             [--page 4k|64k|2m] [--prefetch] [--amplitudes]
             [--trace-out <json-file>] [--perf] [--perf-out <json-file>]
@@ -150,7 +150,11 @@ fn parse_flags(args: &[String]) -> Flags {
             }
             "--no-migration" => f.migration = false,
             "--oversubscribe" => {
-                f.oversubscribe = it.next().and_then(|s| s.parse().ok());
+                // A ratio is finite and at least 1 (1 = no oversubscription).
+                f.oversubscribe = it
+                    .next()
+                    .and_then(|s| s.parse::<f64>().ok())
+                    .filter(|r| r.is_finite() && *r >= 1.0);
                 if f.oversubscribe.is_none() {
                     usage();
                 }
@@ -221,7 +225,11 @@ fn report_sanitizer(r: &grace_mem::RunReport) {
 /// Reads a `GH_*` boolean env toggle: `None` when unset, `Some(false)`
 /// for `""`/`"0"`, `Some(true)` otherwise. This is the *only* layer that
 /// reads these variables — they seed the [`SessionOptions`] below and
-/// never leak into library code (audit rule `no-ambient-state`).
+/// never leak into library code (clippy's `disallowed-methods`).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the CLI is the env boundary: GH_* toggles seed SessionOptions"
+)]
 fn env_flag(name: &str) -> Option<bool> {
     std::env::var(name).ok().map(|v| v != "0" && !v.is_empty())
 }
@@ -389,7 +397,12 @@ fn main() {
             maybe_dump_perf(&f, &perf);
         }
         Some("qv") => {
-            let Some(q) = args.get(1).and_then(|s| s.parse::<u32>().ok()) else {
+            // A quantum-volume circuit needs at least two qubits.
+            let Some(q) = args
+                .get(1)
+                .and_then(|s| s.parse::<u32>().ok())
+                .filter(|&q| q >= 2)
+            else {
                 usage()
             };
             let f = parse_flags(&args[2..]);

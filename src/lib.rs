@@ -44,6 +44,15 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 
 pub use gh_apps as apps;
 pub use gh_cuda as cuda;

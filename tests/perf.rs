@@ -162,6 +162,20 @@ fn cli_usage_and_read_errors_exit_2() {
         .expect("spawn grace-mem");
     assert_eq!(advise.status.code(), Some(2));
 
+    // Numbers outside their domain are usage errors, not panics (101).
+    for args in [
+        &["app", "hotspot", "--small", "--oversubscribe", "0"][..],
+        &["app", "hotspot", "--small", "--oversubscribe", "-1"],
+        &["app", "hotspot", "--small", "--oversubscribe", "0.5"],
+        &["app", "hotspot", "--small", "--oversubscribe", "nan"],
+        &["app", "hotspot", "--small", "--oversubscribe", "inf"],
+        &["qv", "0"],
+        &["qv", "1"],
+    ] {
+        let out = bin().args(args).output().expect("spawn grace-mem");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+    }
+
     // A hostile trace whose `off + len` wraps past the range check is a
     // typed replay error, not a panic (101) or a silent success (0).
     let hostile = std::env::temp_dir().join(format!("gh-hostile-{}.trace", std::process::id()));
@@ -175,10 +189,34 @@ fn cli_usage_and_read_errors_exit_2() {
         .arg(&hostile)
         .output()
         .expect("spawn grace-mem");
-    let _ = std::fs::remove_file(&hostile);
     assert_eq!(replay.status.code(), Some(2));
     let err = String::from_utf8_lossy(&replay.stderr);
     assert!(err.contains("trace line 2: out of range"), "{err}");
+
+    // A zero-size buffer is a typed replay error in every mode, for
+    // replay and advise alike.
+    std::fs::write(&hostile, "alloc a managed 1m\nalloc b system 0\n").expect("write temp trace");
+    for args in [
+        &["replay"][..],
+        &["replay", "--mode", "explicit"],
+        &["replay", "--mode", "system"],
+        &["replay", "--mode", "managed"],
+        &["advise"],
+    ] {
+        let out = bin()
+            .args(&args[..1])
+            .arg(&hostile)
+            .args(&args[1..])
+            .output()
+            .expect("spawn grace-mem");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("trace line 2: buffer 'b' has zero size"),
+            "{args:?}: {err}"
+        );
+    }
+    let _ = std::fs::remove_file(&hostile);
 }
 
 #[test]
