@@ -2,8 +2,8 @@
 //! token stream.
 //!
 //! This is the v2 engine's middle layer: where the v1 rules pattern-matched
-//! raw tokens, the flow rules (`unit-launder-flow`, `unordered-iter-flow`,
-//! `lock-discipline`) need *structure* — which expression is an argument
+//! raw tokens, the flow rules (`unit-launder-flow`, `unordered-iter-flow`)
+//! need *structure* — which expression is an argument
 //! of which call, what a `let` binds, where a function body ends. The
 //! parser is deliberately partial: it understands items (fns, impls, mods,
 //! structs), statements, and the expression forms the dataflow pass

@@ -20,13 +20,12 @@
 //! | `no-platform-leak` | experiment layers build machines through `gh_sim::platform` |
 //! | `allow-syntax` | suppressions are well-formed and carry a reason |
 //!
-//! Flow rules (workspace AST + call graph + taint dataflow):
+//! Flow rules (workspace AST + taint dataflow):
 //!
 //! | rule | what it guards |
 //! |------|----------------|
 //! | `unit-launder-flow` | `.get()`-escaped raw values stay in their unit domain |
 //! | `unordered-iter-flow` | hash iteration order never reaches returns/state/output |
-//! | `lock-discipline` | no re-entrant locking, no lock pair taken in both orders |
 //!
 //! The rest is the compiler's job (`docs/static-analysis.md`, "What
 //! rustc proves instead"): the workspace `clippy.toml` bans host clocks,
@@ -35,8 +34,11 @@
 //! and reasonless `#[allow]`/`#[expect]`; session handles are
 //! `!Send`/`!Sync` (`compile_fail` doctests in `gh-jobs`); the job cache
 //! is keyed by the whole `JobSpec` through a derived `Ord`; trace export
-//! matches every `Event` variant with no `_` arm; and a `gh-mem` proptest
-//! checks that every placement change bumps the page table's epoch.
+//! matches every `Event` variant with no `_` arm; a `gh-mem` proptest
+//! checks that every placement change bumps the page table's epoch. No
+//! function holds two lock guards at once, so no lock order can invert,
+//! and a same-thread relock deadlocks the first time its path runs, which
+//! the deadline test in `tests/sessions.rs` catches.
 //!
 //! Suppression is per-line and audited itself:
 //!
@@ -48,12 +50,11 @@
 //! The engine is from scratch (no `syn`/`dylint`: the build environment
 //! is offline), layered as **tokens → AST → dataflow**: a lossless lexer
 //! ([`lexer`]), an error-tolerant recursive-descent parser ([`ast`]),
-//! shallow name/type resolution ([`resolve`]), a workspace call graph
-//! ([`callgraph`]), and an intraprocedural taint driver ([`dataflow`])
-//! the flow rules plug specs into. The lints stay
-//! *heuristic* — over-approximate environments, by-name call resolution
-//! — so false negatives are possible; false positives get an allow with
-//! a reason.
+//! shallow name/type resolution ([`resolve`]), and an intraprocedural
+//! taint driver ([`dataflow`]) the flow rules plug specs into. The lints
+//! stay *heuristic* — over-approximate environments, by-name resolution
+//! of function returns — so false negatives are possible; false
+//! positives get an allow with a reason.
 //!
 //! Run it: `cargo run -p gh-audit` (report) or `cargo run -p gh-audit --
 //! --deny` (CI gate, exits 1 on any finding). See `docs/static-analysis.md`.
@@ -72,7 +73,6 @@
 )]
 
 pub mod ast;
-pub mod callgraph;
 pub mod dataflow;
 pub mod engine;
 pub mod lexer;

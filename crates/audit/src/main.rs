@@ -40,7 +40,7 @@ fn main() -> ExitCode {
             },
             "--rule" => match args.next() {
                 // Comma-separated lists let CI request a rule subset in
-                // one flag: `--rule lock-discipline,unit-launder-flow`.
+                // one flag: `--rule no-float-eq,unit-launder-flow`.
                 Some(names) => {
                     for name in names.split(',').map(str::trim).filter(|n| !n.is_empty()) {
                         if !rules::rule_names().contains(&name) {

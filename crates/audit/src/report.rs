@@ -154,7 +154,7 @@ mod tests {
     fn sarif_has_schema_rules_and_results() {
         // The renderer derives rule ids from findings, so flow rules
         // surface beside token rules without any registry edit.
-        const FLOW_RULES: [&str; 2] = ["lock-discipline", "unordered-iter-flow"];
+        const FLOW_RULES: [&str; 2] = ["unit-launder-flow", "unordered-iter-flow"];
         let mut findings = sample();
         findings.extend(FLOW_RULES.map(|rule| Finding {
             rule,

@@ -13,11 +13,9 @@
 //!   "unknown", which makes rules silent, never wrong).
 //!
 //! [`Workspace::build`] parses every collected source file once and
-//! shares the ASTs, the type tables, and the [`crate::callgraph`] between
-//! flow rules.
+//! shares the ASTs and the type tables between flow rules.
 
 use crate::ast::{self, Expr, FnDef};
-use crate::callgraph::CallGraph;
 use crate::source::{FileKind, SourceFile};
 use std::collections::BTreeMap;
 
@@ -67,13 +65,6 @@ impl TypeEnv {
     /// Type identifiers recorded for `var`.
     pub fn get(&self, var: &str) -> Option<&[String]> {
         self.vars.get(var).map(Vec::as_slice)
-    }
-
-    /// Records (or overrides) `var`'s type identifiers — used by rules
-    /// that resolve `let` chains the constructor-shape heuristic misses
-    /// (e.g. `let b = ctx.bus.clone()`).
-    pub fn insert(&mut self, var: &str, idents: Vec<String>) {
-        self.vars.insert(var.to_string(), idents);
     }
 }
 
@@ -156,48 +147,17 @@ pub fn expr_type(
     self_fields: Option<&BTreeMap<String, Vec<String>>>,
     fn_returns: &BTreeMap<String, Vec<String>>,
 ) -> Vec<String> {
-    expr_type_deep(e, tenv, self_fields, fn_returns, &StructTable::new())
-}
-
-/// Like [`expr_type`], but additionally resolves `recv.field` for
-/// non-`self` receivers through a (typically workspace-merged) struct
-/// table: the receiver's type identifiers are resolved first, and any
-/// that name a known struct contribute that struct's field type.
-pub fn expr_type_deep(
-    e: &Expr,
-    tenv: &TypeEnv,
-    self_fields: Option<&BTreeMap<String, Vec<String>>>,
-    fn_returns: &BTreeMap<String, Vec<String>>,
-    structs: &StructTable,
-) -> Vec<String> {
     match e {
         Expr::Path { segs, .. } if segs.len() == 1 => tenv
             .get(&segs[0])
             .map(<[String]>::to_vec)
             .unwrap_or_default(),
-        Expr::Unary { expr, .. } => expr_type_deep(expr, tenv, self_fields, fn_returns, structs),
-        Expr::Field { recv, name, .. } => {
-            if matches!(recv.as_ref(), Expr::Path { segs, .. } if segs.len() == 1 && segs[0] == "self")
-            {
-                return self_fields
-                    .and_then(|f| f.get(name))
-                    .cloned()
-                    .unwrap_or_default();
-            }
-            let recv_ty = expr_type_deep(recv, tenv, self_fields, fn_returns, structs);
-            let mut out = Vec::new();
-            for ident in &recv_ty {
-                if let Some(ty) = structs.get(ident).and_then(|fields| fields.get(name)) {
-                    for i in ty {
-                        if !out.contains(i) {
-                            out.push(i.clone());
-                        }
-                    }
-                }
-            }
-            out
-        }
-        Expr::Index { recv, .. } => expr_type_deep(recv, tenv, self_fields, fn_returns, structs),
+        Expr::Unary { expr, .. } => expr_type(expr, tenv, self_fields, fn_returns),
+        Expr::Field { recv, name, .. } if recv.as_var() == Some("self") => self_fields
+            .and_then(|f| f.get(name))
+            .cloned()
+            .unwrap_or_default(),
+        Expr::Index { recv, .. } => expr_type(recv, tenv, self_fields, fn_returns),
         Expr::Call { callee, .. } => match callee.as_ref() {
             Expr::Path { segs, .. } if segs.len() >= 2 => {
                 let ty = &segs[segs.len() - 2];
@@ -213,15 +173,15 @@ pub fn expr_type_deep(
             _ => Vec::new(),
         },
         Expr::Method { recv, name, .. } if TYPE_PRESERVING.contains(&name.as_str()) => {
-            expr_type_deep(recv, tenv, self_fields, fn_returns, structs)
+            expr_type(recv, tenv, self_fields, fn_returns)
         }
         _ => Vec::new(),
     }
 }
 
 /// Everything the flow rules see: the collected files, their parsed ASTs
-/// (parallel by index), per-file struct tables, the function-return map,
-/// and the workspace call graph.
+/// (parallel by index), per-file struct tables, and the function-return
+/// map.
 #[derive(Debug)]
 pub struct Workspace<'a> {
     /// Collected source files, as discovered by the engine.
@@ -230,15 +190,9 @@ pub struct Workspace<'a> {
     pub asts: Vec<ast::File>,
     /// `tables[i]` is the struct table of `files[i]`.
     pub tables: Vec<StructTable>,
-    /// Workspace-merged struct table (union across files; on a duplicate
-    /// struct name, the first file's field entry wins — deterministic by
-    /// collection order).
-    pub merged: StructTable,
     /// Function name -> return-type identifiers, library code only,
     /// dropped on cross-file disagreement.
     pub fn_returns: BTreeMap<String, Vec<String>>,
-    /// Call graph over `Lib`/`Bin` functions outside test modules.
-    pub graph: CallGraph,
 }
 
 impl<'a> Workspace<'a> {
@@ -268,23 +222,27 @@ impl<'a> Workspace<'a> {
         for name in ambiguous {
             fn_returns.remove(&name);
         }
-        let graph = CallGraph::build(files, &asts);
-        let mut merged = StructTable::new();
-        for table in &tables {
-            for (name, fields) in table {
-                let entry = merged.entry(name.clone()).or_default();
-                for (fname, fty) in fields {
-                    entry.entry(fname.clone()).or_insert_with(|| fty.clone());
-                }
-            }
-        }
         Workspace {
             files,
             asts,
             tables,
-            merged,
             fn_returns,
-            graph,
+        }
+    }
+
+    /// Calls `f(file_index, impl_type, fn)` for every function of a
+    /// `Lib`/`Bin` file outside `#[cfg(test)]` modules, in file and
+    /// source order: the code the flow rules check.
+    pub fn for_each_code_fn<'s>(&'s self, f: &mut dyn FnMut(usize, Option<&'s str>, &'s FnDef)) {
+        for (idx, (file, tree)) in self.files.iter().zip(&self.asts).enumerate() {
+            if !matches!(file.kind, FileKind::Lib | FileKind::Bin) {
+                continue;
+            }
+            ast::for_each_fn(tree, &mut |impl_ty, fd| {
+                if !file.in_test_mod(fd.line) {
+                    f(idx, impl_ty, fd);
+                }
+            });
         }
     }
 }
@@ -365,5 +323,19 @@ mod tests {
         let ws = Workspace::build(&files);
         assert!(!ws.fn_returns.contains_key("size"));
         assert_eq!(ws.fn_returns["uniq"], vec!["SimNs".to_string()]);
+    }
+
+    #[test]
+    fn test_mod_fns_are_excluded() {
+        let files = vec![SourceFile::parse(
+            "a/src/lib.rs",
+            "a",
+            FileKind::Lib,
+            "fn real() {}\n#[cfg(test)]\nmod tests { fn fake() {} }",
+        )];
+        let ws = Workspace::build(&files);
+        let mut names = Vec::new();
+        ws.for_each_code_fn(&mut |_, _, fd| names.push(fd.name.clone()));
+        assert_eq!(names, ["real"]);
     }
 }

@@ -3,12 +3,11 @@
 //! * **token rules** ([`Rule`]) walk one file's token stream — cheap
 //!   shape checks that need no context;
 //! * **flow rules** ([`FlowRule`]) run against the shared [`Workspace`]
-//!   (parsed ASTs, struct/type tables, call graph) and use the
-//!   [`crate::dataflow`] taint driver for value-flow reasoning.
+//!   (parsed ASTs, struct/type tables) and use the [`crate::dataflow`]
+//!   taint driver for value-flow reasoning.
 
 pub mod accounting;
 pub mod float_eq;
-pub mod lock_discipline;
 pub mod no_platform_leak;
 pub mod unit_launder;
 pub mod units;
@@ -42,8 +41,8 @@ pub trait Rule {
 }
 
 /// A workspace-level dataflow rule. Flow rules see the whole parsed
-/// workspace at once and typically combine the call graph with a
-/// [`crate::dataflow::TaintSpec`].
+/// workspace at once and run a [`crate::dataflow::TaintSpec`] over each
+/// function.
 pub trait FlowRule {
     /// Stable rule name (what `allow(...)` takes).
     fn name(&self) -> &'static str;
@@ -69,7 +68,6 @@ pub fn flow_rules() -> Vec<Box<dyn FlowRule>> {
     vec![
         Box::new(unit_launder::UnitLaunderFlow),
         Box::new(unordered_flow::UnorderedIterFlow),
-        Box::new(lock_discipline::LockDiscipline),
     ]
 }
 

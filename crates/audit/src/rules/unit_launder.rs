@@ -19,7 +19,6 @@
 //! Same-unit round-trips (`Bytes::new(b.get() + 1)`) stay silent.
 
 use crate::ast::Expr;
-use crate::callgraph::for_each_graph_fn;
 use crate::dataflow::{self, Labels, TaintEnv, TaintSpec};
 use crate::resolve::{expr_type, first_unit, fn_type_env, Workspace, UNIT_TYPES};
 use crate::rules::{Finding, FlowRule};
@@ -41,7 +40,7 @@ impl FlowRule for UnitLaunderFlow {
     }
 
     fn check_workspace(&self, ws: &Workspace<'_>, out: &mut Vec<Finding>) {
-        for_each_graph_fn(ws.files, &ws.asts, &mut |_, fidx, impl_ty, fd| {
+        ws.for_each_code_fn(&mut |fidx, impl_ty, fd| {
             let file = &ws.files[fidx];
             let mut spec = Spec {
                 ws,

@@ -21,7 +21,6 @@
 //! `format!`/`writeln!` of hash-ordered values, returns.
 
 use crate::ast::Expr;
-use crate::callgraph::for_each_graph_fn;
 use crate::dataflow::{self, Labels, TaintEnv, TaintSpec};
 use crate::resolve::{expr_type, fn_type_env, mentions_hash, Workspace};
 use crate::rules::{Finding, FlowRule};
@@ -87,7 +86,7 @@ impl FlowRule for UnorderedIterFlow {
     }
 
     fn check_workspace(&self, ws: &Workspace<'_>, out: &mut Vec<Finding>) {
-        for_each_graph_fn(ws.files, &ws.asts, &mut |_, fidx, impl_ty, fd| {
+        ws.for_each_code_fn(&mut |fidx, impl_ty, fd| {
             let file = &ws.files[fidx];
             let mut spec = Spec {
                 ws,

@@ -95,8 +95,7 @@ pub fn run(fast: bool) -> PerfSuite {
             }
         }
     }
-    let cache = std::sync::Arc::new(gh_jobs::JobCache::new());
-    let outcomes = gh_jobs::run_suite(&specs, workers, &cache);
+    let outcomes = gh_jobs::run_suite(&specs, workers, &gh_jobs::JobCache::new());
     let mut rows = Vec::new();
     for (spec, out) in specs.iter().zip(outcomes) {
         let out = out.expect("suite specs name registered platforms");

@@ -14,7 +14,6 @@ use gh_apps::{AppId, MemMode};
 use gh_jobs::{JobCache, JobSpec};
 use gh_profiler::Csv;
 use gh_sim::platform;
-use std::sync::Arc;
 
 use crate::util::{export_trace, jobs_requested, ratio, session_opts};
 
@@ -45,8 +44,7 @@ pub fn run(fast: bool) -> Csv {
             }
         }
     }
-    let cache = Arc::new(JobCache::new());
-    let mut outcomes = gh_jobs::run_suite(&specs, workers, &cache).into_iter();
+    let mut outcomes = gh_jobs::run_suite(&specs, workers, &JobCache::new()).into_iter();
 
     for app in AppId::ALL {
         for mode in [MemMode::System, MemMode::Managed] {

@@ -18,9 +18,10 @@
 //! * [`JobCache`] — a result cache keyed by the whole [`JobSpec`], with
 //!   hit/miss counters: a hit returns the cached report without
 //!   re-simulating;
-//! * [`run_suite`] — fan a spec list over a [`gh_par`] worker pool
+//! * [`run_suite`] — fan a spec list over `workers` scoped threads
 //!   (`workers <= 1` degrades to an inline serial loop), preserving
-//!   input order in the output.
+//!   input order in the output. A job that panics becomes a
+//!   [`JobError::Panicked`] row and is never cached.
 //!
 //! The executor is a *boundary*: it owns session construction for its
 //! workers, so callers hand it [`SessionOptions`] — never env vars.
@@ -30,27 +31,28 @@
 //! A session's trace bus and profiler (`SessionCtx::bus`, `::perf`)
 //! each wrap an `Rc`, so neither they nor the
 //! [`SessionCtx`](gh_cuda::SessionCtx) holding them is `Send` or `Sync`.
-//! No run can therefore hand its handles to a pool task, to a parallel
-//! loop body, or to a `static`; `thread_local!` is a clippy
+//! No run can therefore hand its handles to an executor thread, to a
+//! parallel loop body, or to a `static`; `thread_local!` is a clippy
 //! `disallowed-macros` entry, and `static mut` needs `unsafe`, which this
 //! crate forbids. Each `compile_fail` block below fails with E0277 and
 //! has a compiling twin that differs only in the marked line, so the
 //! error can come from nothing else (stable rustdoc does not check a
 //! `compile_fail` block's error code).
 //!
-//! A pool task cannot capture the submitter's handles:
+//! An executor thread cannot borrow the submitter's handles
+//! ([`run_suite`] spawns its workers with `std::thread::scope`):
 //!
 //! ```compile_fail
 //! use gh_cuda::SessionCtx;
 //!
 //! let submitter = SessionCtx::default();
 //! assert!(!submitter.bus.is_on());
-//! let pool = gh_par::WorkStealingPool::new(1);
-//! pool.spawn(move || {
-//!     let bus = submitter.bus.clone(); // E0277: `Rc` is not `Send`
-//!     assert!(!bus.is_on());
+//! std::thread::scope(|s| {
+//!     s.spawn(|| {
+//!         let bus = submitter.bus.clone(); // E0277: `Rc` is not `Sync`
+//!         assert!(!bus.is_on());
+//!     });
 //! });
-//! pool.wait_idle();
 //! ```
 //!
 //! It builds its own session instead:
@@ -60,12 +62,12 @@
 //!
 //! let submitter = SessionCtx::default();
 //! assert!(!submitter.bus.is_on());
-//! let pool = gh_par::WorkStealingPool::new(1);
-//! pool.spawn(move || {
-//!     let bus = SessionCtx::default().bus; // the task's own session
-//!     assert!(!bus.is_on());
+//! std::thread::scope(|s| {
+//!     s.spawn(|| {
+//!         let bus = SessionCtx::default().bus; // the thread's own session
+//!         assert!(!bus.is_on());
+//!     });
 //! });
-//! pool.wait_idle();
 //! ```
 //!
 //! A parallel loop body cannot read a session's handles:
@@ -124,12 +126,12 @@
 #![deny(missing_docs)]
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Mutex};
 
 use gh_apps::{AppId, MemMode};
 use gh_cuda::SessionOptions;
-use gh_par::WorkStealingPool;
 use gh_sim::platform::{self, MachineConfig, PlatformError};
 use gh_sim::RunReport;
 
@@ -248,13 +250,43 @@ pub struct JobOutcome {
     pub perf: Option<gh_perf::PerfData>,
 }
 
+/// Why a job produced no [`JobOutcome`].
+#[derive(Debug, PartialEq)]
+pub enum JobError {
+    /// The platform layer rejected the spec: an unknown platform, an
+    /// unsupported page size, or invalid cost parameters.
+    Platform(PlatformError),
+    /// The job panicked. Nothing was cached for its spec.
+    Panicked {
+        /// The spec's [canonical key](JobSpec::canonical_key).
+        key: String,
+        /// The panic message, when the payload was a string.
+        message: String,
+    },
+}
+
+impl std::fmt::Display for JobError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JobError::Platform(e) => write!(f, "{e}"),
+            JobError::Panicked { key, message } => write!(f, "job {key} panicked: {message}"),
+        }
+    }
+}
+
+impl From<PlatformError> for JobError {
+    fn from(e: PlatformError) -> Self {
+        JobError::Platform(e)
+    }
+}
+
 /// A report cache keyed by the whole [`JobSpec`], with hit/miss
 /// counters. Sound because a [`RunReport`] is a pure function of its
 /// spec (the simulator is deterministic; host-time data lives in
 /// [`gh_perf::PerfData`], outside the report). The derived `Ord` on
 /// [`JobSpec`] compares every field, so two specs share an entry only
 /// when they are equal: no hash collision can serve another spec's
-/// report. Shared across worker threads via `Arc`.
+/// report. Executor threads share it by reference.
 #[derive(Debug, Default)]
 pub struct JobCache {
     map: Mutex<BTreeMap<JobSpec, RunReport>>,
@@ -341,71 +373,92 @@ pub fn run_job(spec: &JobSpec) -> Result<(RunReport, Option<gh_perf::PerfData>),
     Ok((report, perf))
 }
 
-fn execute(spec: &JobSpec, cache: &JobCache) -> Result<JobOutcome, PlatformError> {
-    let hash = spec.stable_hash();
-    if let Some(report) = cache.lookup(spec) {
-        return Ok(JobOutcome {
+/// What a job runs on a cache miss: [`run_job`], except in tests.
+type Runner<'a> =
+    dyn Fn(&JobSpec) -> Result<(RunReport, Option<gh_perf::PerfData>), PlatformError> + Sync + 'a;
+
+/// Serves `spec` from the cache or runs it. A panic anywhere in the job
+/// becomes [`JobError::Panicked`]; the report is cached only after the
+/// run returned one.
+fn execute(spec: &JobSpec, cache: &JobCache, run: &Runner<'_>) -> Result<JobOutcome, JobError> {
+    let job = || {
+        let hash = spec.stable_hash();
+        if let Some(report) = cache.lookup(spec) {
+            return Ok(JobOutcome {
+                hash,
+                cached: true,
+                report,
+                perf: None,
+            });
+        }
+        let (report, perf) = run(spec)?;
+        cache.insert(spec, &report);
+        Ok(JobOutcome {
             hash,
-            cached: true,
+            cached: false,
             report,
-            perf: None,
-        });
-    }
-    let (report, perf) = run_job(spec)?;
-    cache.insert(spec, &report);
-    Ok(JobOutcome {
-        hash,
-        cached: false,
-        report,
-        perf,
+            perf,
+        })
+    };
+    panic::catch_unwind(AssertUnwindSafe(job)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("a non-string payload");
+        Err(JobError::Panicked {
+            key: spec.canonical_key(),
+            message: message.to_string(),
+        })
     })
 }
 
 /// Runs every spec, returning outcomes in input order.
 ///
 /// `workers <= 1` runs the specs inline on the calling thread (the
-/// serial reference path); otherwise a fresh [`WorkStealingPool`] with
-/// exactly `workers` threads executes them concurrently. Either way the
-/// reports are bitwise-identical — that is the session-scoping
-/// invariant, and `tests/sessions.rs` holds it under `diff`.
+/// serial reference path); otherwise `workers` scoped threads take spec
+/// indices from one atomic cursor and send each outcome back over a
+/// channel. Either way the reports are bitwise-identical — that is the
+/// session-scoping invariant, and `tests/sessions.rs` holds it under
+/// `diff`. A job that panics yields a [`JobError::Panicked`] row; the
+/// other rows are unaffected.
 pub fn run_suite(
     specs: &[JobSpec],
     workers: usize,
-    cache: &Arc<JobCache>,
-) -> Vec<Result<JobOutcome, PlatformError>> {
-    /// One worker's result slot, filled exactly once per spec.
-    type Slot = Mutex<Option<Result<JobOutcome, PlatformError>>>;
+    cache: &JobCache,
+) -> Vec<Result<JobOutcome, JobError>> {
+    run_suite_with(specs, workers, cache, &run_job)
+}
+
+/// [`run_suite`] with the job runner as a parameter, so a test can
+/// substitute a panicking one.
+fn run_suite_with(
+    specs: &[JobSpec],
+    workers: usize,
+    cache: &JobCache,
+    run: &Runner<'_>,
+) -> Vec<Result<JobOutcome, JobError>> {
     if workers <= 1 {
-        return specs.iter().map(|s| execute(s, cache)).collect();
+        return specs.iter().map(|s| execute(s, cache, run)).collect();
     }
-    let pool = WorkStealingPool::new(workers);
-    let slots: Arc<Vec<Slot>> = Arc::new(specs.iter().map(|_| Mutex::new(None)).collect());
-    for (i, spec) in specs.iter().cloned().enumerate() {
-        let slots = Arc::clone(&slots);
-        let cache = Arc::clone(cache);
-        #[expect(
-            clippy::expect_used,
-            reason = "slot poisoning means this very closure panicked; unreachable"
-        )]
-        pool.spawn(move || {
-            let out = execute(&spec, &cache);
-            *slots[i].lock().expect("slot lock") = Some(out);
-        });
-    }
-    pool.wait_idle();
-    slots
-        .iter()
-        .map(|s| {
-            #[expect(
-                clippy::expect_used,
-                reason = "the pool is idle and owned locally, so a poisoned slot means a worker panicked; wait_idle guarantees each spawned job stored its outcome"
-            )]
-            s.lock()
-                .expect("slot lock")
-                .take()
-                .expect("every job ran to completion")
-        })
-        .collect()
+    let next = AtomicUsize::new(0);
+    let (sent, received) = mpsc::channel();
+    std::thread::scope(|scope| {
+        let next = &next;
+        for _ in 0..workers.min(specs.len()) {
+            let sent = sent.clone();
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(spec) = specs.get(i) else { break };
+                // The receiver outlives every sender, so a send cannot fail.
+                let _ = sent.send((i, execute(spec, cache, run)));
+            });
+        }
+    });
+    drop(sent);
+    let mut rows: Vec<_> = received.into_iter().collect();
+    rows.sort_unstable_by_key(|&(i, _)| i);
+    rows.into_iter().map(|(_, row)| row).collect()
 }
 
 /// The full experiment matrix the benches and the CLI suite run: every
@@ -488,7 +541,7 @@ mod tests {
 
     #[test]
     fn cache_hit_skips_resimulation() {
-        let cache = Arc::new(JobCache::new());
+        let cache = JobCache::new();
         let first = run_suite(&[spec()], 1, &cache);
         assert!(!first[0].as_ref().unwrap().cached);
         let second = run_suite(&[spec()], 1, &cache);
@@ -521,23 +574,73 @@ mod tests {
         assert_eq!(hashes.len(), specs.len(), "all job hashes distinct");
     }
 
-    #[test]
-    fn concurrent_matches_serial() {
-        let specs: Vec<JobSpec> = AppId::ALL[..3]
+    fn small_specs(n: usize) -> Vec<JobSpec> {
+        AppId::ALL[..n]
             .iter()
             .map(|&app| JobSpec {
                 small: true,
                 ..JobSpec::new(app, "gh200", MemMode::System)
             })
-            .collect();
-        let serial: Vec<String> = run_suite(&specs, 1, &Arc::new(JobCache::new()))
+            .collect()
+    }
+
+    #[test]
+    fn concurrent_matches_serial() {
+        let specs = small_specs(3);
+        let serial: Vec<String> = run_suite(&specs, 1, &JobCache::new())
             .into_iter()
             .map(|r| r.unwrap().report.to_json())
             .collect();
-        let concurrent: Vec<String> = run_suite(&specs, 4, &Arc::new(JobCache::new()))
+        let concurrent: Vec<String> = run_suite(&specs, 4, &JobCache::new())
             .into_iter()
             .map(|r| r.unwrap().report.to_json())
             .collect();
         assert_eq!(serial, concurrent);
+    }
+
+    #[test]
+    fn a_panicking_job_is_a_typed_row_and_is_never_cached() {
+        let specs = small_specs(4);
+        let bad = specs[1].clone();
+        let clean: Vec<String> = run_suite(&specs, 1, &JobCache::new())
+            .into_iter()
+            .map(|r| r.unwrap().report.to_json())
+            .collect();
+        let runner = |spec: &JobSpec| {
+            if *spec == bad {
+                panic!("a job panics on purpose");
+            }
+            run_job(spec)
+        };
+        for workers in [1, 4] {
+            let cache = JobCache::new();
+            let rows = run_suite_with(&specs, workers, &cache, &runner);
+            assert_eq!(rows.len(), specs.len());
+            for (i, row) in rows.into_iter().enumerate() {
+                if i == 1 {
+                    let err = row.unwrap_err();
+                    assert_eq!(
+                        err,
+                        JobError::Panicked {
+                            key: bad.canonical_key(),
+                            message: "a job panics on purpose".into(),
+                        },
+                        "workers {workers}"
+                    );
+                    assert_eq!(
+                        err.to_string(),
+                        format!(
+                            "job {} panicked: a job panics on purpose",
+                            bad.canonical_key()
+                        )
+                    );
+                } else {
+                    assert_eq!(row.unwrap().report.to_json(), clean[i], "workers {workers}");
+                }
+            }
+            let map = cache.map.lock().unwrap();
+            assert!(!map.contains_key(&bad), "workers {workers}: cached a panic");
+            assert_eq!(map.len(), specs.len() - 1, "workers {workers}");
+        }
     }
 }

@@ -5,18 +5,16 @@
 //! parallel runtime to play the role of the GPU's streaming multiprocessors;
 //! this crate provides it without pulling in a full framework.
 //!
-//! Two layers are offered:
-//!
-//! * [`pool::WorkStealingPool`] — a persistent pool of worker threads with
-//!   per-worker LIFO deques and rotating stealing, for `'static` jobs. This
-//!   is the long-lived engine behind the global [`pool::global`] handle.
-//! * [`scope`] — borrowing, dynamically scheduled loop primitives
-//!   ([`scope::par_for`], [`scope::par_chunks_mut`],
-//!   [`scope::par_map_reduce`]), which is what application kernels use:
-//!   they can capture plain `&mut [T]` slices with no `Arc` ceremony and
-//!   still get work-stealing-style load balance via a shared chunk counter.
-//!   The calling thread and helper jobs on [`pool::global`] share the
-//!   chunks; no call spawns a thread.
+//! The public surface is [`scope`]: borrowing, dynamically scheduled loop
+//! primitives ([`scope::par_for`], [`scope::par_chunks_mut`],
+//! [`scope::par_chunks`], [`scope::par_map_reduce`], and [`sort`]'s
+//! [`par_sort_unstable`] on top of them), which is what application
+//! kernels use: they capture plain `&mut [T]` slices with no `Arc`
+//! ceremony and get load balance from a shared chunk counter. The calling
+//! thread and helper jobs on a process-wide pool share the chunks; no
+//! call spawns a thread. The pool (`pool.rs`) is private: one FIFO job
+//! queue, a condvar, and [`default_parallelism`] workers named
+//! `gh-par-<i>`.
 //!
 //! Determinism note: scheduling is non-deterministic, so which thread runs
 //! a chunk varies. [`scope::par_map_reduce`] folds per-chunk partials in
@@ -50,12 +48,10 @@
     clippy::allow_attributes_without_reason
 )]
 
-pub mod deque;
-pub mod pool;
+mod pool;
 pub mod scope;
 pub mod sort;
 
-pub use pool::{global, WorkStealingPool};
 pub use scope::{par_chunks, par_chunks_mut, par_for, par_map_reduce, Grain};
 pub use sort::par_sort_unstable;
 

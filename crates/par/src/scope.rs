@@ -3,13 +3,13 @@
 //! Closures may capture non-`'static` references (slices owned by the
 //! caller). Load balance comes from *dynamic chunk scheduling*: the
 //! iteration space is cut into chunks of [`Grain`] size, and the calling
-//! thread and at most P − 1 helper jobs on [`crate::global`] claim chunks
+//! thread and at most P − 1 helper jobs on the process-wide pool claim chunks
 //! from one atomic cursor, so an uneven workload (e.g. BFS frontiers) does
 //! not leave threads idle. No call spawns a thread.
 //!
 //! The caller drains the cursor itself, so a call completes even when every
-//! pool worker is busy: a loop nested in a loop body, or a loop in a job of
-//! another pool (the gh-jobs executor). It then waits on the call's own
+//! pool worker is busy: a loop nested in a loop body, or loops on every
+//! thread of the gh-jobs executor at once. It then waits on the call's own
 //! latch, not on the whole pool, until no helper holds a claim. A panic in
 //! the body stops further claims and is re-raised on the caller once every
 //! claimed chunk has stopped.

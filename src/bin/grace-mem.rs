@@ -8,10 +8,9 @@
 
 use grace_mem::sim::{KIB, MIB};
 use grace_mem::{
-    platform, AppId, JobCache, Machine, MachineConfig, MemMode, Platform, QsimParams,
+    platform, AppId, JobCache, JobError, Machine, MachineConfig, MemMode, Platform, QsimParams,
     SessionOptions,
 };
-use std::sync::Arc;
 
 fn usage() -> ! {
     eprintln!(
@@ -74,7 +73,8 @@ enum CliError {
     Read(String, std::io::Error),
     /// An output file (`--trace-out`, `--perf-out`) could not be written.
     Write(String, std::io::Error),
-    /// The simulator rejected the run (malformed trace, replay error).
+    /// The simulator rejected or failed the run (malformed trace, replay
+    /// error, a panicked suite job).
     Sim(String),
 }
 
@@ -449,13 +449,16 @@ fn main() {
             let f = parse_flags(&args[1..]);
             let so = session_opts(&f);
             let specs = grace_mem::jobs::matrix(f.small, &so);
-            let cache = Arc::new(JobCache::new());
+            let cache = JobCache::new();
             let outcomes = grace_mem::jobs::run_suite(&specs, f.jobs, &cache);
             // Deterministic stdout: one line per job, identical at any
             // worker count (CI diffs `--jobs 8` against `--jobs 1`).
             println!("app,platform,mode,total_ns,checksum_bits,job_hash");
             for (spec, out) in specs.iter().zip(outcomes) {
-                let out = out.unwrap_or_else(|e| platform_fail(e));
+                let out = out.unwrap_or_else(|e| match e {
+                    JobError::Platform(e) => platform_fail(e),
+                    e @ JobError::Panicked { .. } => fail(CliError::Sim(e.to_string())),
+                });
                 println!(
                     "{},{},{},{},0x{:016x},0x{:016x}",
                     spec.app.name(),

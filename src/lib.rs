@@ -67,7 +67,7 @@ pub use gh_trace as trace;
 
 pub use gh_apps::AppId;
 pub use gh_cuda::{SessionCtx, SessionOptions};
-pub use gh_jobs::{JobCache, JobOutcome, JobSpec};
+pub use gh_jobs::{JobCache, JobError, JobOutcome, JobSpec};
 pub use gh_profiler::{Phase, Sample};
 pub use gh_qsim::{run_qv, QsimParams};
 pub use gh_sim::{

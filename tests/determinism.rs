@@ -25,7 +25,7 @@ fn app_runs_are_bit_deterministic() {
 
 #[test]
 fn qv_timeline_is_deterministic_under_parallel_compute() {
-    // The statevector math runs on the work-stealing pool; neither the
+    // The statevector math runs on gh-par's pool; neither the
     // virtual timeline nor the state may depend on scheduling. One thread
     // computes each amplitude, and the checksum folds its chunk partials
     // in chunk order.

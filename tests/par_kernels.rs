@@ -2,35 +2,18 @@
 //! run on it: the gate kernels match a scalar per-group oracle bit for
 //! bit, Quantum Volume checksums match recorded goldens, loop bodies run
 //! only on the caller or on pool workers, nested and executor-shaped loops
-//! complete, and a panicking job or loop body leaves the pool usable.
+//! complete, and a panicking loop body leaves the pool usable.
 
-use std::panic::{catch_unwind, resume_unwind};
+use std::panic::catch_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Barrier, Mutex};
-use std::time::Duration;
+use std::sync::{Barrier, Mutex};
 
-use gh_par::{par_chunks_mut, par_for, par_map_reduce, Grain, WorkStealingPool};
+use gh_par::{par_chunks_mut, par_for, par_map_reduce, Grain};
 use gh_qsim::{Gate1, Gate2, StateVector, C32};
 use grace_mem::{platform, MemMode, QsimParams};
 
-/// Runs `f` on a thread of its own and fails if it has not returned within
-/// a minute, so a deadlock fails the test instead of hanging the suite.
-fn finishes(what: &str, f: impl FnOnce() + Send + 'static) {
-    let (done, wait) = mpsc::channel();
-    let handle = std::thread::spawn(move || {
-        f();
-        done.send(()).ok();
-    });
-    match wait.recv_timeout(Duration::from_secs(60)) {
-        Err(RecvTimeoutError::Timeout) => panic!("{what} did not finish within a minute"),
-        Ok(()) | Err(RecvTimeoutError::Disconnected) => {
-            if let Err(p) = handle.join() {
-                resume_unwind(p);
-            }
-        }
-    }
-}
+mod support;
+use support::finishes;
 
 /// A state with every amplitude populated: a random gate on each adjacent
 /// qubit pair.
@@ -182,43 +165,22 @@ fn nested_par_for_completes() {
 
 #[test]
 fn par_for_completes_in_jobs_of_a_busy_two_worker_pool() {
-    // The gh-jobs executor's shape: every worker of its own pool is inside
-    // a job that runs loops on the global pool.
-    finishes("a par_for from busy executor workers", || {
-        let pool = WorkStealingPool::new(2);
-        let both_busy = Arc::new(Barrier::new(2));
-        let hits = Arc::new(AtomicUsize::new(0));
-        for _ in 0..2 {
-            let (both_busy, hits) = (Arc::clone(&both_busy), Arc::clone(&hits));
-            pool.spawn(move || {
-                both_busy.wait();
-                par_for(0..1000, Grain::Fixed(10), |_| {
-                    hits.fetch_add(1, Ordering::Relaxed);
+    // The gh-jobs executor's shape: two scoped threads, each inside a job
+    // that runs loops on the global pool at the same time.
+    finishes("a par_for from busy executor threads", || {
+        let both_busy = Barrier::new(2);
+        let hits = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    both_busy.wait();
+                    par_for(0..1000, Grain::Fixed(10), |_| {
+                        hits.fetch_add(1, Ordering::Relaxed);
+                    });
                 });
-            });
-        }
-        pool.wait_idle();
-        assert_eq!(hits.load(Ordering::Relaxed), 2000);
-    });
-}
-
-#[test]
-fn pool_survives_a_panicking_job() {
-    finishes("wait_idle after a panicking job", || {
-        let pool = WorkStealingPool::new(1);
-        pool.spawn(|| panic!("a job panics on purpose"));
-        pool.wait_idle();
-        let ran = Arc::new(AtomicUsize::new(0));
-        let r = Arc::clone(&ran);
-        pool.spawn(move || {
-            r.fetch_add(1, Ordering::Relaxed);
+            }
         });
-        pool.wait_idle();
-        assert_eq!(
-            ran.load(Ordering::Relaxed),
-            1,
-            "the worker outlived the panic"
-        );
+        assert_eq!(hits.into_inner(), 2000);
     });
 }
 

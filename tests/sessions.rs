@@ -3,10 +3,13 @@
 //! sessions are per-run, so nothing is ambient — and the result is
 //! bitwise-identical to a serial sweep: reports, checksum bits, and
 //! trace event streams alike. The job cache serves repeated specs
-//! without re-simulating, proven through the self-profiler.
+//! without re-simulating, proven through the self-profiler, and a suite
+//! that races twin specs on the cache finishes within a deadline.
 
 use grace_mem::{jobs, AppId, JobCache, JobSpec, MemMode, SessionOptions};
 use std::sync::Arc;
+
+mod support;
 
 /// The adversarial observability mix: tracing armed (collectors busy on
 /// every worker) and the invariant sanitizer forced on.
@@ -104,4 +107,38 @@ fn specs_differing_only_in_trace_options_hash_differently() {
     assert_ne!(base.stable_hash(), sized.stable_hash());
     // Equal specs agree, across clones.
     assert_eq!(base.stable_hash(), base.clone().stable_hash());
+}
+
+#[test]
+fn twin_specs_finish_on_one_cache_at_any_worker_count() {
+    // Every spec twice, side by side, so at 4 workers the twins race on
+    // the cache. A lock taken twice on one thread deadlocks every time its
+    // path runs, so the deadline catches it on the first run.
+    support::finishes("a suite of twin specs", || {
+        let specs: Vec<JobSpec> = jobs::matrix(true, &SessionOptions::default())
+            .into_iter()
+            .flat_map(|s| [s.clone(), s])
+            .collect();
+        let rows = specs.len() as u64;
+        for workers in [1, 4] {
+            let cache = JobCache::new();
+            let reports: Vec<String> = jobs::run_suite(&specs, workers, &cache)
+                .into_iter()
+                .map(|r| r.expect("job runs").report.to_json())
+                .collect();
+            assert_eq!(reports.len(), specs.len());
+            for (twins, spec) in reports.chunks(2).zip(specs.iter().step_by(2)) {
+                assert_eq!(
+                    twins[0],
+                    twins[1],
+                    "{}: twins differ at {workers} workers",
+                    spec.canonical_key()
+                );
+            }
+            assert_eq!(cache.hits() + cache.misses(), rows, "{workers} workers");
+            if workers == 1 {
+                assert_eq!(cache.misses(), rows / 2, "one miss per distinct spec");
+            }
+        }
+    });
 }
