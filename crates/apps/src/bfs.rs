@@ -5,7 +5,7 @@
 //! irregular half that stresses remote cacheline access and TLB reach.
 
 use gh_profiler::Phase;
-use gh_sim::{Machine, MemMode, RunReport};
+use gh_sim::{Frag, Machine, MemMode, RunReport};
 
 use crate::common::{coalesce, coalesce_unit_ids, UBuf};
 
@@ -98,21 +98,13 @@ fn checksum_of(cost: &[i32]) -> f64 {
         .sum()
 }
 
-/// Meter a coalesced span: big merged runs are dense streaming reads,
-/// small fragments are irregular (line-granular) accesses.
-fn meter_read(k: &mut gh_sim::Kernel<'_>, buf: &gh_sim::Buffer, off: u64, len: u64) {
-    if len >= 2048 {
-        k.read(buf, off, len);
-    } else {
-        k.read_strided(buf, off, len, len.max(1), 1);
-    }
-}
-
-fn meter_write(k: &mut gh_sim::Kernel<'_>, buf: &gh_sim::Buffer, off: u64, len: u64) {
-    if len >= 2048 {
-        k.write(buf, off, len);
-    } else {
-        k.write_strided(buf, off, len, len.max(1), 1);
+/// A coalesced span as a fragment: merged runs of 2 KiB or more stream
+/// densely, smaller ones are irregular (line-granular) touches.
+fn frag((off, len): (u64, u64)) -> Frag {
+    Frag {
+        off,
+        len,
+        random: len < 2048,
     }
 }
 
@@ -170,9 +162,8 @@ pub fn run(mut m: Machine, mode: MemMode, p: &BfsParams) -> RunReport {
             // unit-granular touch lists go through the bitmap coalescer,
             // which produces the same spans as sort+merge without the
             // per-level sort).
-            for (off, len) in coalesce_unit_ids(&frontier, 8, n) {
-                meter_read(&mut k, nodes_buf.gpu(), off, len);
-            }
+            let nodes = coalesce_unit_ids(&frontier, 8, n);
+            k.fragments(nodes_buf.gpu(), false, nodes.into_iter().map(frag));
             // Per-node adjacency segments + neighbour visited checks.
             let mut edge_touches = Vec::with_capacity(frontier.len());
             let mut neigh_ids = Vec::new();
@@ -189,19 +180,15 @@ pub fn run(mut m: Machine, mode: MemMode, p: &BfsParams) -> RunReport {
                     }
                 }
             }
-            for (off, len) in coalesce(edge_touches) {
-                meter_read(&mut k, edges_buf.gpu(), off, len);
-            }
-            for (off, len) in coalesce_unit_ids(&neigh_ids, 1, n) {
-                meter_read(&mut k, vis_buf.gpu(), off, len);
-            }
+            let edges = coalesce(edge_touches);
+            k.fragments(edges_buf.gpu(), false, edges.into_iter().map(frag));
+            let visited = coalesce_unit_ids(&neigh_ids, 1, n);
+            k.fragments(vis_buf.gpu(), false, visited.into_iter().map(frag));
             // Scatter: new costs + updating mask for discovered nodes.
-            for (off, len) in coalesce_unit_ids(&discovered, 4, n) {
-                meter_write(&mut k, cost_buf.gpu(), off, len);
-            }
-            for (off, len) in coalesce_unit_ids(&discovered, 1, n) {
-                meter_write(&mut k, upd_buf.gpu(), off, len);
-            }
+            let costs = coalesce_unit_ids(&discovered, 4, n);
+            k.fragments(cost_buf.gpu(), true, costs.into_iter().map(frag));
+            let updating = coalesce_unit_ids(&discovered, 1, n);
+            k.fragments(upd_buf.gpu(), true, updating.into_iter().map(frag));
             k.compute((n + g.edges.len()) as u64);
             k.finish();
         }
@@ -209,9 +196,11 @@ pub fn run(mut m: Machine, mode: MemMode, p: &BfsParams) -> RunReport {
         {
             let mut k = m.rt.launch("bfs_kernel2");
             k.read(upd_buf.gpu(), 0, mask_bytes);
-            for (off, len) in coalesce_unit_ids(&next, 1, n) {
-                meter_write(&mut k, mask_buf.gpu(), off, len);
-                meter_write(&mut k, vis_buf.gpu(), off, len);
+            // One fragment per call: each node's mask and visited writes
+            // interleave, and the TLB, L2 and counters see that order.
+            for f in coalesce_unit_ids(&next, 1, n).into_iter().map(frag) {
+                k.fragments(mask_buf.gpu(), true, [f]);
+                k.fragments(vis_buf.gpu(), true, [f]);
             }
             k.compute(n as u64);
             k.finish();

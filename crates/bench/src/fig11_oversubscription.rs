@@ -46,7 +46,11 @@ pub fn run(fast: bool) -> Csv {
         compute_amplitudes: false,
         ..Default::default()
     };
-    let sv = gh_qsim::statevector_bytes(qp.sim_qubits);
+    #[expect(
+        clippy::expect_used,
+        reason = "20 qubits is a fixed, representable size"
+    )]
+    let sv = gh_qsim::statevector_bytes(qp.sim_qubits).expect("20-qubit statevector");
     for &ratio in ratios {
         let mut times = [0u64; 2];
         for (i, mode) in [MemMode::System, MemMode::Managed].into_iter().enumerate() {

@@ -13,6 +13,11 @@ use crate::util::machine;
 pub fn run(fast: bool) -> Csv {
     let mut csv = Csv::new(["case", "config", "init_ms", "compute_ms"]);
     let (q30, q34) = if fast { (14u32, 21u32) } else { (20u32, 24u32) };
+    #[expect(
+        clippy::expect_used,
+        reason = "the qubit counts above are fixed, representable sizes"
+    )]
+    let sv30 = statevector_bytes(q30).expect("paper-30q statevector");
 
     // Left panel: paper-30q with a balloon forcing ~130% oversubscription.
     for (config, mode, page4k, prefetch) in cases() {
@@ -23,7 +28,7 @@ pub fn run(fast: bool) -> Csv {
             ..Default::default()
         };
         let mut m = machine(page4k, true);
-        m.oversubscribe(statevector_bytes(q30), 1.3);
+        m.oversubscribe(sv30, 1.3);
         let r = run_qv(m, mode, &p);
         push(&mut csv, "30q_simulated", config, &r);
     }

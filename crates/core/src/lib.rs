@@ -52,7 +52,7 @@ pub mod replay;
 pub mod report;
 
 pub use advisor::{advise, advise_on, Advice};
-pub use gh_cuda::{BufKind, Buffer, Kernel, KernelRecord, KernelReport, Runtime, StreamId};
+pub use gh_cuda::{BufKind, Buffer, Frag, Kernel, KernelRecord, KernelReport, Runtime, StreamId};
 pub use gh_mem::params::{ParamError, KIB, MIB};
 pub use gh_mem::phys::Node;
 pub use gh_profiler::{Phase, PhaseTimes, Sample};

@@ -1,6 +1,6 @@
 //! The `Machine`: one simulated platform plus experiment bookkeeping.
 
-use gh_cuda::{Buffer, Runtime, RuntimeOptions};
+use gh_cuda::{BufKind, Buffer, Runtime, RuntimeOptions};
 use gh_mem::clock::Ns;
 use gh_mem::params::CostParams;
 use gh_mem::traffic::KernelTraffic;
@@ -97,6 +97,27 @@ impl Machine {
     /// platform.
     pub fn not_applicable(&self) -> &[String] {
         &self.not_applicable
+    }
+
+    /// The most bytes of `kind` allocations this machine's physical
+    /// memory can back at once: the bound `grace-mem qv` checks a
+    /// statevector against, and replay a trace's live footprint, before
+    /// either allocates. A unified pool backs every kind from the one
+    /// pool; on two tiers, device memory is the GPU's, pinned pages never
+    /// leave the CPU, managed blocks are evicted to the CPU so they
+    /// cannot outgrow it, and system pages land on whichever node has
+    /// room.
+    pub fn capacity(&self, kind: BufKind) -> u64 {
+        let p = self.rt.params();
+        let gpu = p.gpu_mem_bytes.saturating_sub(p.gpu_driver_baseline);
+        if p.unified_pool {
+            return gpu;
+        }
+        match kind {
+            BufKind::Device => gpu,
+            BufKind::Pinned | BufKind::Managed => p.cpu_mem_bytes,
+            BufKind::System => p.cpu_mem_bytes.saturating_add(gpu),
+        }
     }
 
     /// Current virtual time.

@@ -161,6 +161,8 @@ struct RBuf {
     dev: Buffer,
     host_dirty: bool,
     dev_dirty: bool,
+    /// What the allocation adds to the trace's live footprint.
+    footprint: u64,
 }
 
 impl RBuf {
@@ -170,6 +172,7 @@ impl RBuf {
             dev,
             host_dirty: false,
             dev_dirty: false,
+            footprint: 0,
         }
     }
 }
@@ -187,6 +190,8 @@ pub fn replay_on(
     mode: Option<MemMode>,
 ) -> Result<(), ReplayError> {
     let mut bufs: BTreeMap<String, RBuf> = BTreeMap::new();
+    // Page-rounded bytes of the live allocations (see `Machine::capacity`).
+    let mut live: u64 = 0;
     let mut lines = trace.lines().enumerate();
     machine.phase(Phase::Compute);
 
@@ -202,7 +207,6 @@ pub fn replay_on(
                 if bytes == 0 {
                     return Err(err(n, format!("buffer '{name}' has zero size")));
                 }
-                let bytes = gh_units::Bytes::new(bytes);
                 let kind =
                     match (*kind, mode) {
                         ("system", Some(MemMode::Managed))
@@ -214,7 +218,45 @@ pub fn replay_on(
                         | ("managed", Some(MemMode::Explicit)) => "explicit_pair",
                         (k, _) => k,
                     };
-                let buf = match kind {
+                // The memory the allocation draws on.
+                let class = match kind {
+                    "system" | "explicit_pair" => BufKind::System,
+                    "managed" => BufKind::Managed,
+                    "pinned" => BufKind::Pinned,
+                    "device" => BufKind::Device,
+                    other => return Err(err(n, format!("unknown kind '{other}'"))),
+                };
+                let p = machine.rt.params();
+                let (sys, gpu) = (p.system_page_size, p.gpu_page_size);
+                // Each allocator rounds up to its own page size; when the
+                // largest rounding fits a u64, every smaller one does.
+                if bytes.checked_next_multiple_of(sys.max(gpu)).is_none() {
+                    return Err(err(
+                        n,
+                        format!("buffer '{name}': {bytes} bytes overflow when rounded up to pages"),
+                    ));
+                }
+                let footprint = match kind {
+                    "device" => bytes.next_multiple_of(gpu),
+                    "explicit_pair" => bytes
+                        .next_multiple_of(sys)
+                        .saturating_add(bytes.next_multiple_of(gpu)),
+                    _ => bytes.next_multiple_of(sys),
+                };
+                let cap = machine.capacity(class);
+                // Device memory is checked by cudaMalloc itself.
+                if class != BufKind::Device && live.saturating_add(footprint) > cap {
+                    return Err(err(
+                        n,
+                        format!(
+                            "buffer '{name}': {bytes} bytes take the trace's live footprint past \
+                             the {cap} bytes {} can hold for {kind} allocations",
+                            machine.caps().name
+                        ),
+                    ));
+                }
+                let bytes = gh_units::Bytes::new(bytes);
+                let mut buf = match kind {
                     "system" => RBuf::unified(machine.rt.malloc_system(bytes, name)),
                     "managed" => RBuf::unified(machine.rt.cuda_malloc_managed(bytes, name)),
                     "pinned" => RBuf::unified(machine.rt.cuda_malloc_host(bytes, name)),
@@ -224,7 +266,7 @@ pub fn replay_on(
                             .cuda_malloc(bytes, name)
                             .map_err(|e| err(n, format!("cudaMalloc failed: {e}")))?,
                     ),
-                    "explicit_pair" => RBuf {
+                    _ => RBuf {
                         host: Some(machine.rt.malloc_system(bytes, &format!("{name}.host"))),
                         dev: machine
                             .rt
@@ -232,9 +274,11 @@ pub fn replay_on(
                             .map_err(|e| err(n, format!("cudaMalloc failed: {e}")))?,
                         host_dirty: false,
                         dev_dirty: false,
+                        footprint: 0,
                     },
-                    other => return Err(err(n, format!("unknown kind '{other}'"))),
                 };
+                buf.footprint = footprint;
+                live = live.saturating_add(footprint);
                 bufs.insert(name.to_string(), buf);
             }
             [op @ ("cpu_write" | "cpu_read"), name, off, len] => {
@@ -325,6 +369,7 @@ pub fn replay_on(
                 let b = bufs
                     .remove(*name)
                     .ok_or_else(|| err(n, format!("unknown buffer '{name}'")))?;
+                live = live.saturating_sub(b.footprint);
                 if let Some(h) = b.host {
                     machine.rt.free(h);
                 }
@@ -515,6 +560,39 @@ free out
             let e = replay(gh200(), &t, None).unwrap_err();
             assert_eq!(e.line, line, "{t:?}: {e}");
         }
+    }
+
+    #[test]
+    fn oversized_allocations_are_errors() {
+        // Each used to wrap, run for seconds, or panic in the runtime.
+        let cases = [
+            // Page rounding overflows: the buffer would wrap to a few pages.
+            (
+                "alloc a system 18446744073709551615\nkernel k\n  read a 0 64k\nend\n",
+                "overflow",
+            ),
+            // 256 PiB: an untouched allocation used to cost host time
+            // linear in its size.
+            ("alloc a system 268435456g\n", "footprint"),
+            // Touching more than both tiers hold.
+            ("alloc a system 1g\ncpu_write a 0 1g\n", "footprint"),
+            // Pinned pages never leave the CPU.
+            ("alloc a pinned 200g\n", "footprint"),
+        ];
+        for (t, what) in cases {
+            let e = replay(gh200(), t, None).unwrap_err();
+            assert_eq!(e.line, 1, "{t:?}: {e}");
+            assert!(e.msg.contains(what), "{t:?}: {e}");
+        }
+        // The bound is on the live footprint: freeing makes room again.
+        let t = "alloc a system 400m\nfree a\nalloc b system 400m\nalloc c system 400m\n";
+        let e = replay(gh200(), t, None).unwrap_err();
+        assert_eq!(e.line, 4, "{e}");
+        // Managed memory is bounded by the CPU it is evicted to.
+        let m = gh200();
+        let cpu = m.capacity(BufKind::Managed);
+        let e = replay(m, &format!("alloc a managed {}\n", cpu + 1), None).unwrap_err();
+        assert!(e.msg.contains("footprint"), "{e}");
     }
 
     #[test]

@@ -24,22 +24,44 @@
 //!
 //! ## Access paths
 //!
-//! The metering has two implementations that produce bitwise-identical
-//! RunReports and trace streams:
+//! Every metered access takes one of three paths, and all three give
+//! bitwise-identical `RunReport`s and trace streams:
 //!
-//! * the **batched core** (default): classifies whole `VpnRange`s into
-//!   resident/faulting runs and charges TLB walks, traffic, and access
-//!   counters per run;
-//! * the **reference walk**: the per-page loop, retained as the oracle
-//!   for differential testing and debugging.
+//! * the **per-span path** ([`Kernel::read`], [`Kernel::write`]): one
+//!   span at a time. A system-memory span of more than four pages is
+//!   classified into resident/faulting runs and charged per run (TLB
+//!   walks, traffic, access counters); shorter spans and faults go page
+//!   by page, managed memory block by block;
+//! * the **fragment core** ([`Kernel::fragments`], and through it the
+//!   strided, 2-D, gather and scatter forms): a list of fragments on one
+//!   buffer. Placement is resolved once per page run (system memory) or
+//!   2 MiB block (managed memory) and kept for the rest of the kernel.
+//!   Consecutive lookups of one TLB key, consecutive counter records of
+//!   one region, consecutive LRU touches of one block and overlapping
+//!   dirty ranges are queued and land as one update each; only the L2
+//!   model sees every fragment, in order. A fragment whose effects depend
+//!   on order lands the queue and takes the per-span path: unpopulated
+//!   system pages, a managed block not wholly on the GPU, migration
+//!   advice or a CPU pin, CPU-resident pages under tracing with counters
+//!   armed (`CounterNotify` must interleave with `TlbEvict`), and a
+//!   multi-page span whose geometry does not split exactly;
+//! * the **reference walk**: the per-page loop, kept as the oracle for
+//!   differential testing and debugging.
 //!
-//! The choice is the session's
-//! [`SessionCtx::access_ref`](crate::SessionCtx::access_ref) switch, set
-//! through [`SessionOptions::access_ref`](crate::SessionOptions::access_ref).
-//! It is read in four places: the TLB-walk and dirty-marking helpers, the
-//! fresh-vs-pooled L2 choice, and the system-memory batch guard. Managed
-//! block handling (first touch, migration, prefetch, eviction) is the
-//! same code on both paths.
+//! The queues are exact in any order: each structure (TLB, counters,
+//! touched pages, UVM LRU, dirty bits) receives only its own updates,
+//! in issue order, and a merge only ever joins equal neighbours, so an
+//! unsorted or overlapping list just merges less. Placement stays valid
+//! because nothing but per-span code moves pages while a kernel meters,
+//! and running it forgets what was resolved.
+//!
+//! The session's [`SessionCtx::access_ref`](crate::SessionCtx::access_ref)
+//! switch, set through
+//! [`SessionOptions::access_ref`](crate::SessionOptions::access_ref),
+//! selects the reference walk: fragment lists go to the per-span path
+//! whole, and that path walks TLB keys, dirty marks and system pages one
+//! at a time with a freshly allocated L2. Managed block handling (first
+//! touch, migration, prefetch, eviction) is the same code on every path.
 
 use gh_mem::clock::Ns;
 use gh_mem::link::Direction;
@@ -47,7 +69,7 @@ use gh_mem::params::CostParams;
 use gh_mem::phys::Node;
 use gh_mem::traffic::KernelTraffic;
 use gh_os::VaRange;
-use gh_units::{ns_from_f64, widen, Bytes, Lines, Pages, Vpn};
+use gh_units::{ns_from_f64, widen, Bytes, Lines, Pages, Vpn, VpnRange};
 
 use crate::buffer::{BufKind, Buffer};
 use crate::runtime::Runtime;
@@ -132,11 +154,108 @@ pub struct KernelReport {
     pub by_buffer: Vec<BufferTraffic>,
 }
 
+/// One touch of a [`Kernel::fragments`] list: `len` bytes at byte offset
+/// `off` of the buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frag {
+    /// Byte offset into the buffer.
+    pub off: u64,
+    /// Length in bytes; empty fragments are skipped.
+    pub len: u64,
+    /// Irregular (line-granular, L2-filtered, metered at random-access
+    /// efficiency) rather than a dense stream.
+    pub random: bool,
+}
+
+impl Frag {
+    /// An irregular touch, as one segment of [`Kernel::read_strided`]
+    /// meters it.
+    pub fn irregular(off: u64, len: u64) -> Self {
+        Frag {
+            off,
+            len,
+            random: true,
+        }
+    }
+}
+
 /// Per-buffer byte attribution accumulator (remote vs. local).
 #[derive(Debug, Clone, Copy, Default)]
 struct BufBytes {
     c2c: u64,
     hbm: u64,
+}
+
+/// The fragment core's state within one [`Kernel::fragments`] call:
+/// updates charged but not yet applied, and the buffer's resolved
+/// placement. Each queued field holds the last run of equal consecutive
+/// updates; a different update lands it first.
+#[derive(Debug, Default)]
+struct Pending {
+    /// A TLB key and how many lookups of it in a row are owed.
+    tlb: Option<(Vpn, u64)>,
+    /// A counter region and the remote cachelines owed to it.
+    lines: Option<(u64, u64)>,
+    /// A counter region and CPU-resident pages touched in it.
+    touched: Option<(u64, VpnRange)>,
+    /// A managed block owed one LRU touch.
+    lru: Option<u64>,
+    /// System pages owed dirty marks.
+    dirty: Option<VpnRange>,
+    /// What is known of the buffer's placement.
+    placed: Placed,
+}
+
+/// Placement a kernel's fragment calls resolved for one buffer. It
+/// holds until per-span code runs: nothing else moves pages while the
+/// kernel meters.
+#[derive(Debug, Default, Clone, Copy)]
+struct Placed {
+    /// System pages found resident on one node.
+    run: Option<(VpnRange, Node)>,
+    /// A managed block found wholly GPU-resident.
+    block: Option<u64>,
+    /// The managed buffer's migration advice and CPU pin were checked.
+    managed_ok: bool,
+}
+
+/// [`Placed`] for the last few buffers a kernel's fragment calls
+/// touched (bfs's second kernel alternates two), kept inline so a call
+/// never allocates.
+#[derive(Debug, Default)]
+struct Memo {
+    slots: [Option<(u32, Placed)>; 4],
+    next: usize,
+}
+
+impl Memo {
+    fn get(&self, id: u32) -> Placed {
+        self.slots
+            .iter()
+            .flatten()
+            .find(|(b, _)| *b == id)
+            .map_or_else(Placed::default, |&(_, placed)| placed)
+    }
+
+    fn put(&mut self, id: u32, placed: Placed) {
+        let i = match self
+            .slots
+            .iter()
+            .position(|s| s.is_some_and(|(b, _)| b == id))
+        {
+            Some(i) => i,
+            None => {
+                self.next = (self.next + 1) % self.slots.len();
+                self.next
+            }
+        };
+        self.slots[i] = Some((id, placed));
+    }
+}
+
+/// The smallest range covering two overlapping or adjacent ranges.
+fn union(a: VpnRange, b: VpnRange) -> VpnRange {
+    VpnRange::new(a.start.min(b.start), a.end.max(b.end))
 }
 
 /// An in-flight kernel recording.
@@ -160,6 +279,8 @@ pub struct Kernel<'r> {
     /// GPU L2 model for irregular remote accesses: a line fetched once
     /// this kernel is served from cache on re-touch.
     l2: gh_mem::SetCache,
+    /// Placement resolved by fragment calls, per buffer.
+    memo: Memo,
     finished: bool,
     /// Host-time profiling span covering launch → finish (gh-perf;
     /// no-op guard when profiling is off).
@@ -214,6 +335,7 @@ impl<'r> Kernel<'r> {
             t: KernelTraffic::default(),
             by_buffer: std::collections::BTreeMap::new(),
             l2,
+            memo: Memo::default(),
             finished: false,
             _perf_span: perf_span,
         }
@@ -256,9 +378,8 @@ impl<'r> Kernel<'r> {
         write: bool,
     ) {
         assert!(stride > 0, "stride must be positive");
-        for i in 0..count {
-            self.span(buf, off + i * stride, seg_len, write, true);
-        }
+        let segs = (0..count).map(|i| Frag::irregular(off + i * stride, seg_len));
+        self.fragments(buf, write, segs);
     }
 
     /// 2-D sub-grid read: `rows` rows of `row_bytes`, `pitch` bytes
@@ -291,9 +412,12 @@ impl<'r> Kernel<'r> {
         offsets: I,
         bytes_each: Bytes,
     ) {
-        for off in offsets {
-            self.span(buf, off, bytes_each.get(), false, true);
-        }
+        let len = bytes_each.get();
+        self.fragments(
+            buf,
+            false,
+            offsets.into_iter().map(|off| Frag::irregular(off, len)),
+        );
     }
 
     /// Irregular scatter: writes `bytes_each` at each byte offset.
@@ -303,8 +427,69 @@ impl<'r> Kernel<'r> {
         offsets: I,
         bytes_each: Bytes,
     ) {
-        for off in offsets {
-            self.span(buf, off, bytes_each.get(), true, true);
+        let len = bytes_each.get();
+        self.fragments(
+            buf,
+            true,
+            offsets.into_iter().map(|off| Frag::irregular(off, len)),
+        );
+    }
+
+    /// Meters a list of fragments of `buf`, all reads or all writes. The
+    /// result — `RunReport`, trace stream, every count — is that of one
+    /// [`Kernel::read`]/[`Kernel::write`] per dense fragment and one
+    /// single-segment [`Kernel::read_strided`]/[`Kernel::write_strided`]
+    /// per irregular one, issued in list order.
+    ///
+    /// Any order is exact, but ascending address order is what makes the
+    /// call cheap: the core resolves placement once per page run (system
+    /// memory) or 2 MiB block (managed memory), and merges consecutive
+    /// lookups of one TLB key, consecutive counter records of one region,
+    /// consecutive LRU touches of one block and overlapping dirty ranges
+    /// into one update each (see the module docs, "Access paths").
+    pub fn fragments<I: IntoIterator<Item = Frag>>(&mut self, buf: &Buffer, write: bool, frags: I) {
+        let before = self.attributable();
+        let mut p = Pending {
+            placed: self.memo.get(buf.id()),
+            ..Pending::default()
+        };
+        let mut any = false;
+        let unified = self.rt.params.unified_pool;
+        for f in frags {
+            if f.len == 0 {
+                continue;
+            }
+            assert!(buf.in_bounds(f.off, f.len), "kernel access out of range");
+            any = true;
+            let span = buf.range.slice(f.off, f.len);
+            let batched = !self.rt.session.access_ref
+                && match buf.kind {
+                    BufKind::Device => {
+                        self.queue_tlb(&mut p, self.device_keys(span));
+                        self.account_local(span.len, write, f.random);
+                        true
+                    }
+                    BufKind::Pinned if !unified => {
+                        self.frag_pinned(&mut p, span, write, f.random);
+                        true
+                    }
+                    BufKind::Managed if !unified => {
+                        self.frag_managed(&mut p, buf.range, span, write, f.random)
+                    }
+                    BufKind::Pinned | BufKind::System | BufKind::Managed => {
+                        self.frag_system(&mut p, span, write, f.random)
+                    }
+                };
+            if !batched {
+                self.flush(&mut p);
+                p.placed = Placed::default();
+                self.meter(buf, span, write, f.random);
+            }
+        }
+        self.flush(&mut p);
+        self.memo.put(buf.id(), p.placed);
+        if any {
+            self.attribute(buf.id(), before);
         }
     }
 
@@ -315,11 +500,16 @@ impl<'r> Kernel<'r> {
             return;
         }
         assert!(buf.in_bounds(off, len), "kernel access out of range");
-        let span = buf.range.slice(off, len);
-        let before = BufBytes {
-            c2c: self.t.c2c_read + self.t.c2c_write,
-            hbm: self.t.hbm_read + self.t.hbm_write,
-        };
+        let before = self.attributable();
+        self.meter(buf, buf.range.slice(off, len), write, random);
+        self.attribute(buf.id(), before);
+    }
+
+    /// The per-span access path: one span of `buf`, dispatched on the
+    /// buffer kind. It may fault, migrate or evict, so every placement
+    /// the kernel resolved is forgotten.
+    fn meter(&mut self, buf: &Buffer, span: VaRange, write: bool, random: bool) {
+        self.memo = Memo::default();
         match buf.kind {
             BufKind::Device => self.span_device(span, write, random),
             // In a unified pool every host-visible kind is just mapped
@@ -331,13 +521,22 @@ impl<'r> Kernel<'r> {
             BufKind::System => self.span_system(buf.id(), buf.range, span, write, random),
             BufKind::Managed => self.span_managed(buf.range, span, write, random),
         }
-        let entry = self.by_buffer.entry(buf.id()).or_default();
-        entry.c2c = entry
-            .c2c
-            .saturating_add((self.t.c2c_read + self.t.c2c_write).saturating_sub(before.c2c));
-        entry.hbm = entry
-            .hbm
-            .saturating_add((self.t.hbm_read + self.t.hbm_write).saturating_sub(before.hbm));
+    }
+
+    /// Remote and local bytes charged so far, for per-buffer attribution.
+    fn attributable(&self) -> BufBytes {
+        BufBytes {
+            c2c: self.t.c2c_read + self.t.c2c_write,
+            hbm: self.t.hbm_read + self.t.hbm_write,
+        }
+    }
+
+    /// Attributes everything charged since `before` to buffer `id`.
+    fn attribute(&mut self, id: u32, before: BufBytes) {
+        let now = self.attributable();
+        let entry = self.by_buffer.entry(id).or_default();
+        entry.c2c = entry.c2c.saturating_add(now.c2c.saturating_sub(before.c2c));
+        entry.hbm = entry.hbm.saturating_add(now.hbm.saturating_sub(before.hbm));
     }
 
     fn account_local(&mut self, bytes: u64, write: bool, random: bool) {
@@ -400,15 +599,19 @@ impl<'r> Kernel<'r> {
     fn translate(&mut self, key: Vpn) {
         if !self.rt.gpu_tlb.lookup(key) {
             self.rt.gpu_tlb.fill(key);
-            self.xlat_misses = self.xlat_misses.saturating_add(1);
-            self.t.tlb_misses = self.t.tlb_misses.saturating_add(1);
+            self.count_misses(1);
         }
+    }
+
+    fn count_misses(&mut self, misses: u64) {
+        self.xlat_misses = self.xlat_misses.saturating_add(misses);
+        self.t.tlb_misses = self.t.tlb_misses.saturating_add(misses);
     }
 
     /// TLB walk over contiguous keys in key order: one lookup per key on
     /// the reference walk, one batched range lookup on the batched core
     /// (bit-identical TLB state and miss counts).
-    fn walk_tlb(&mut self, keys: gh_units::VpnRange) {
+    fn walk_tlb(&mut self, keys: VpnRange) {
         if self.rt.session.access_ref {
             for key in keys {
                 self.translate(key);
@@ -416,14 +619,13 @@ impl<'r> Kernel<'r> {
             return;
         }
         let misses = self.rt.gpu_tlb.lookup_range(keys);
-        self.xlat_misses = self.xlat_misses.saturating_add(misses);
-        self.t.tlb_misses = self.t.tlb_misses.saturating_add(misses);
+        self.count_misses(misses);
     }
 
     /// Marks system pages dirty: page by page on the reference walk, as
     /// one range on the batched core. Dirty bits never touch the TLB, so
     /// callers may mark after walking.
-    fn mark_dirty(&mut self, vpns: gh_units::VpnRange) {
+    fn mark_dirty(&mut self, vpns: VpnRange) {
         if self.rt.session.access_ref {
             for vpn in vpns {
                 self.rt.os.system_pt.mark_dirty(vpn);
@@ -434,18 +636,16 @@ impl<'r> Kernel<'r> {
     }
 
     /// TLB key range covering the system pages of `[a0, a1)`.
-    fn sys_keys(&self, a0: u64, a1: u64) -> gh_units::VpnRange {
+    fn sys_keys(&self, a0: u64, a1: u64) -> VpnRange {
         let first = self.rt.os.system_pt.vpn(a0);
         let last = self.rt.os.system_pt.vpn(a1 - 1);
-        gh_units::VpnRange::new(tlb_key_sys(first), Vpn::new(tlb_key_sys(last).get() + 1))
+        VpnRange::new(tlb_key_sys(first), Vpn::new(tlb_key_sys(last).get() + 1))
     }
 
-    fn span_device(&mut self, span: VaRange, write: bool, random: bool) {
+    /// TLB key range covering the 2 MiB device pages of `span` (keys are
+    /// contiguous because `tlb_key_gpu` only sets a high namespace bit).
+    fn device_keys(&self, span: VaRange) -> VpnRange {
         let gp = self.rt.params.gpu_page_size;
-        // One TLB walk per page (keys are contiguous because `tlb_key_gpu`
-        // only sets a high namespace bit), traffic summed — per-page
-        // portions are linear in bytes, so one charge equals the per-page
-        // sum.
         let first = Vpn::new(span.addr / gp);
         let last = Vpn::new((span.end() - 1) / gp);
         #[cfg(debug_assertions)]
@@ -455,21 +655,23 @@ impl<'r> Kernel<'r> {
                 "access to unmapped device page"
             );
         }
-        self.walk_tlb(gh_units::VpnRange::new(
-            tlb_key_gpu(first),
-            Vpn::new(tlb_key_gpu(last).get() + 1),
-        ));
+        VpnRange::new(tlb_key_gpu(first), Vpn::new(tlb_key_gpu(last).get() + 1))
+    }
+
+    fn span_device(&mut self, span: VaRange, write: bool, random: bool) {
+        // One TLB walk per page, traffic summed — per-page portions are
+        // linear in bytes, so one charge equals the per-page sum.
+        self.walk_tlb(self.device_keys(span));
         self.account_local(span.len, write, random);
     }
 
     fn span_pinned(&mut self, span: VaRange, write: bool, random: bool) {
         // Pinned memory is always CPU-resident: pure remote traffic.
-        let spt = self.rt.os.system_pt.page_size();
         self.walk_tlb(self.sys_keys(span.addr, span.end()));
         if write {
             self.mark_dirty(self.rt.os.system_pt.vpn_range(span.addr, span.len));
         }
-        self.account_remote(span.addr, span.len.max(spt.min(span.len)), write, random);
+        self.account_remote(span.addr, span.len, write, random);
     }
 
     fn span_system(
@@ -480,20 +682,13 @@ impl<'r> Kernel<'r> {
         write: bool,
         random: bool,
     ) {
-        let spt = self.rt.os.system_pt.page_size();
-        let line = self.rt.params.gpu_cacheline;
         let vpns = self.rt.os.system_pt.vpn_range(span.addr, span.len);
-        // The batched core assumes line-aligned page boundaries (so
-        // per-page cacheline counts sum exactly), full pages never taking
-        // the small-irregular L2 path, and page-aligned counter regions
-        // (so counter chunks never split a page). Anything else — and
-        // tiny spans, where batch setup costs more than it saves — takes
-        // the reference walk; both paths are bit-identical.
+        // Tiny spans, where batch setup costs more than it saves, and
+        // geometry the batched accounting cannot split exactly take the
+        // reference walk; both paths are bit-identical.
         let batchable = !self.rt.session.access_ref
             && vpns.count().get() > BATCH_MIN_PAGES
-            && spt.is_multiple_of(line)
-            && spt >= 4 * line
-            && self.rt.params.counter_region.is_multiple_of(spt);
+            && self.lines_split_exactly();
         if !batchable {
             let (_, fault_cost) =
                 self.span_system_pages(span.addr, span.end(), write, random, 0, false);
@@ -507,6 +702,7 @@ impl<'r> Kernel<'r> {
             .session
             .perf
             .count(gh_perf::Ctr::BatchRuns, widen(runs.len()));
+        let spt = self.rt.os.system_pt.page_size();
         let mut fault_cost: Ns = 0;
         for (vr, node) in runs {
             // Clip the run (vpn-granular) to the accessed byte span.
@@ -529,7 +725,16 @@ impl<'r> Kernel<'r> {
                         fault_cost = fc;
                     }
                     if a < a1 {
-                        self.span_system_resident(a, a1, node, write, random);
+                        let mut p = Pending::default();
+                        let run = VaRange {
+                            addr: a,
+                            len: a1 - a,
+                        };
+                        if self.resident(&mut p, run, node, write, random) {
+                            self.flush(&mut p);
+                        } else {
+                            let _ = self.span_system_pages(a, a1, write, random, 0, false);
+                        }
                     }
                 }
                 // Unpopulated pages: fault service is inherently
@@ -543,6 +748,19 @@ impl<'r> Kernel<'r> {
         if fault_cost > 0 {
             self.rt.tick(fault_cost);
         }
+    }
+
+    /// Whether remote accounting can be charged per run instead of per
+    /// page: line-aligned page boundaries (so per-page cacheline counts
+    /// sum exactly), full pages never taking the small-irregular L2 path,
+    /// and page-aligned counter regions (so counter chunks never split a
+    /// page).
+    fn lines_split_exactly(&self) -> bool {
+        let spt = self.rt.os.system_pt.page_size();
+        let line = self.rt.params.gpu_cacheline;
+        spt.is_multiple_of(line)
+            && spt >= 4 * line
+            && self.rt.params.counter_region.is_multiple_of(spt)
     }
 
     /// The per-page reference walk over `[addr, end)` of system memory —
@@ -598,10 +816,7 @@ impl<'r> Kernel<'r> {
                             .entry(region)
                             .or_default()
                             .insert(vpn);
-                        if let Some(n) = self.rt.counters.record(region, lines) {
-                            self.rt.pending_notifs.push_back(n.region);
-                            self.t.notifications = self.t.notifications.saturating_add(1);
-                        }
+                        self.record(region, lines);
                     }
                 }
             }
@@ -623,77 +838,98 @@ impl<'r> Kernel<'r> {
         (addr, fault_cost)
     }
 
-    /// Batched accounting for a resident run `[a0, a1)` whose pages all
-    /// live on `node`. Charges exactly what the reference walk charges
-    /// page by page: TLB walks in key order, linear traffic sums, the
-    /// small-irregular L2 path only for the head/tail partial pages
-    /// (full pages never take it under the `spt >= 4 * line` batch
-    /// guard), and access-counter records per region chunk in address
-    /// order with per-page-exact cacheline sums.
-    fn span_system_resident(&mut self, a0: u64, a1: u64, node: Node, write: bool, random: bool) {
+    /// Records `lines` remote cachelines against counter `region`,
+    /// queueing the notification if it fires.
+    fn record(&mut self, region: u64, lines: u64) {
+        if let Some(n) = self.rt.counters.record(region, lines) {
+            self.rt.pending_notifs.push_back(n.region);
+            self.t.notifications = self.t.notifications.saturating_add(1);
+        }
+    }
+
+    /// Charges `span` of system memory, every page of it resident on
+    /// `node`, into `p`: exactly what the reference walk charges page by
+    /// page. TLB keys, linear traffic sums, and access-counter lines per
+    /// region. A span within one page is the walk's single step; a
+    /// longer one splits on the page grid (head/tail partial pages take
+    /// the small-irregular L2 path, full pages never do under
+    /// [`Kernel::lines_split_exactly`]) and sums per-page-exact
+    /// cachelines per region chunk.
+    ///
+    /// Returns `false`, having charged nothing, for a CPU-resident span
+    /// the per-page walk must take instead: a multi-page span whose
+    /// geometry does not split exactly, or tracing with counters armed,
+    /// where `CounterNotify` events must interleave with `TlbEvict` events
+    /// as the walk emits them.
+    fn resident(
+        &mut self,
+        p: &mut Pending,
+        span: VaRange,
+        node: Node,
+        write: bool,
+        random: bool,
+    ) -> bool {
         let spt = self.rt.os.system_pt.page_size();
         let line = self.rt.params.gpu_cacheline;
-        match node {
-            Node::Gpu => {
-                self.walk_tlb(self.sys_keys(a0, a1));
-                self.account_local(a1 - a0, write, random);
+        let (a0, a1) = (span.addr, span.end());
+        let vpns = self.rt.os.system_pt.vpn_range(a0, a1 - a0);
+        let one_page = vpns.count().get() == 1;
+        let keys = VpnRange::new(tlb_key_sys(vpns.start), tlb_key_sys(vpns.end));
+        if node == Node::Gpu || self.rt.params.unified_pool {
+            self.queue_tlb(p, keys);
+            self.account_local(a1 - a0, write, random);
+        } else {
+            let counters = self.rt.counters.enabled();
+            if (counters && self.rt.session.bus.is_on())
+                || !(one_page || self.lines_split_exactly())
+            {
+                return false;
             }
-            Node::Cpu if self.rt.params.unified_pool => {
-                self.walk_tlb(self.sys_keys(a0, a1));
-                self.account_local(a1 - a0, write, random);
-            }
-            Node::Cpu => {
-                // Under tracing with counters armed, CounterNotify events
-                // must interleave with TlbEvict events mid-run exactly as
-                // the per-page walk emits them — fall back.
-                if self.rt.counters.enabled() && self.rt.session.bus.is_on() {
-                    let _ = self.span_system_pages(a0, a1, write, random, 0, false);
-                    return; // dirty bits handled per page above
+            self.queue_tlb(p, keys);
+            if one_page {
+                self.account_remote(a0, a1 - a0, write, random);
+                if counters {
+                    let region = self.rt.counters.region_of(a0);
+                    self.queue_record(p, region, (a1 - a0).div_ceil(line), vpns);
                 }
-                self.walk_tlb(self.sys_keys(a0, a1));
+            } else {
                 // Head partial / interior full pages / tail partial:
                 // `ceil(total/line)` differs from the per-page sum, so the
                 // split must mirror the page grid.
-                let mut p = a0;
+                let mut a = a0;
                 let head_end = (a0 / spt + 1) * spt;
                 if !a0.is_multiple_of(spt) {
                     self.account_remote(a0, head_end.min(a1) - a0, write, random);
-                    p = head_end;
+                    a = head_end;
                 }
-                if p < a1 {
-                    let full = (a1 - p) / spt;
+                if a < a1 {
+                    let full = (a1 - a) / spt;
                     if full > 0 {
                         self.account_remote_full_pages(full, write, random);
-                        p += full * spt;
+                        a += full * spt;
                     }
-                    if p < a1 {
-                        self.account_remote(p, a1 - p, write, random);
+                    if a < a1 {
+                        self.account_remote(a, a1 - a, write, random);
                     }
                 }
-                if self.rt.counters.enabled() {
+                if counters {
                     let rsz = self.rt.params.counter_region;
                     let mut c = a0;
                     while c < a1 {
                         let c_end = ((c / rsz + 1) * rsz).min(a1);
                         let region = self.rt.counters.region_of(c);
-                        let chunk_vpns = self.rt.os.system_pt.vpn_range(c, c_end - c);
-                        let touched = self.rt.remote_touched.entry(region).or_default();
-                        for vpn in chunk_vpns {
-                            touched.insert(vpn);
-                        }
+                        let pages = self.rt.os.system_pt.vpn_range(c, c_end - c);
                         let lines = lines_per_page_sum(c, c_end, spt, line);
-                        if let Some(n) = self.rt.counters.record(region, lines) {
-                            self.rt.pending_notifs.push_back(n.region);
-                            self.t.notifications = self.t.notifications.saturating_add(1);
-                        }
+                        self.queue_record(p, region, lines, pages);
                         c = c_end;
                     }
                 }
             }
         }
         if write {
-            self.mark_dirty(self.rt.os.system_pt.vpn_range(a0, a1 - a0));
+            self.queue_dirty(p, vpns);
         }
+        true
     }
 
     /// Remote accounting for `pages` full system pages in one shot:
@@ -721,7 +957,6 @@ impl<'r> Kernel<'r> {
     }
 
     fn span_managed(&mut self, buf_range: VaRange, span: VaRange, write: bool, random: bool) {
-        let spt = self.rt.os.system_pt.page_size();
         // Thrash-pinned or ReadMostly/CPU-preferred-advised allocations
         // are served entirely by coherent remote access (no faults, no
         // migration attempts) once their pages exist.
@@ -753,101 +988,307 @@ impl<'r> Kernel<'r> {
             self.account_remote(span.addr, span.len, write, random);
             return;
         }
-        let first = block_of(span.addr);
-        let last = block_of(span.end() - 1);
-        for block in first..=last {
+        for block in block_of(span.addr)..=block_of(span.end() - 1) {
             let clip = block_range(block, span);
-            if clip.len == 0 {
-                continue;
-            }
-            let vpns = self.rt.os.system_pt.vpn_range(clip.addr, clip.len);
-            let n_pages = vpns.count();
-            let populated = self.rt.os.system_pt.count_resident_in(vpns, Node::Cpu)
-                + self.rt.os.system_pt.count_resident_in(vpns, Node::Gpu);
-            if populated < n_pages {
-                // GPU first touch: block-granularity population, directly
-                // in GPU memory — the *fast* managed init path (§5.1.2).
-                let (cost, on_gpu, _) = self.rt.uvm_first_touch_block(block, buf_range);
-                self.rt.tick(cost);
-                self.t.gpu_faults = self.t.gpu_faults.saturating_add(1);
-                self.rt.session.perf.count(gh_perf::Ctr::Faults, 1);
-                self.t.bytes_migrated_in = self.t.bytes_migrated_in.saturating_add(0); // population, not migration
-                let _ = on_gpu;
-                if self.rt.session.bus.is_on() {
-                    self.rt.session.bus.emit(gh_trace::Event::PageFault {
-                        kind: gh_trace::FaultKind::Gpu,
-                        va: block * crate::uvm::BLOCK,
-                        cost,
-                    });
-                    self.rt.session.bus.count("uvm.gpu_faults", 1);
-                    self.rt.session.bus.observe("fault.cost_ns", cost);
-                }
-            }
-            let cpu_pages = self.rt.os.system_pt.count_resident_in(vpns, Node::Cpu);
-            if !cpu_pages.is_zero() {
-                // Replayable GPU fault → driver migrates the block in
-                // (or falls back to remote mapping under self-eviction).
-                let fault = self.rt.params.uvm_fault_batch;
-                self.rt.tick(fault);
-                self.t.gpu_faults = self.t.gpu_faults.saturating_add(1);
-                self.rt.session.perf.count(gh_perf::Ctr::Faults, 1);
-                if self.rt.session.bus.is_on() {
-                    self.rt.session.bus.emit(gh_trace::Event::PageFault {
-                        kind: gh_trace::FaultKind::Gpu,
-                        va: block * crate::uvm::BLOCK,
-                        cost: fault,
-                    });
-                    self.rt.session.bus.count("uvm.gpu_faults", 1);
-                    self.rt.session.bus.observe("fault.cost_ns", fault);
-                }
-                // Pass the *whole* allocation range: the driver refuses to
-                // evict this same allocation to serve its own fault.
-                let (cost, migrated) = self.rt.uvm_migrate_block_in(block, buf_range);
-                self.rt.tick(cost);
-                if migrated > 0 {
-                    self.t.pages_migrated_in = self.t.pages_migrated_in.saturating_add(migrated);
-                    self.t.bytes_migrated_in =
-                        self.t.bytes_migrated_in.saturating_add(migrated * spt);
-                    // Speculative sequential prefetch: after two
-                    // consecutive migrated blocks, pull the next one in
-                    // without waiting for its fault.
-                    if self.rt.session.opts.uvm_prefetch
-                        && self
-                            .rt
-                            .uvm
-                            .migrated_this_kernel
-                            .contains(&(block.wrapping_sub(1)))
-                        && block_range(block + 1, buf_range).len > 0
-                    {
-                        let (pcost, pmigrated) = self.rt.uvm_migrate_block_in(block + 1, buf_range);
-                        self.rt.tick(pcost);
-                        self.t.pages_migrated_in =
-                            self.t.pages_migrated_in.saturating_add(pmigrated);
-                        self.t.bytes_migrated_in =
-                            self.t.bytes_migrated_in.saturating_add(pmigrated * spt);
-                    }
-                } else {
-                    // Remote mapping: cacheline-grain access to the
-                    // CPU-resident pages of this block.
-                    let page = self.rt.os.system_pt.page();
-                    let remote_bytes = (cpu_pages * page).get().min(clip.len);
-                    self.account_remote(clip.addr, remote_bytes, write, random);
-                    self.walk_tlb(self.sys_keys(clip.addr, clip.end()));
-                }
-            }
-            // Whatever is GPU-resident now is read/written locally.
-            let gpu_pages = self.rt.os.system_pt.count_resident_in(vpns, Node::Gpu);
-            if !gpu_pages.is_zero() {
-                let page = self.rt.os.system_pt.page();
-                let local_bytes = (gpu_pages * page).get().min(clip.len);
-                self.account_local(local_bytes, write, random);
-                self.translate(tlb_key_gpu(Vpn::new(block)));
-                self.rt.uvm.touch_lru(block);
-            }
-            if write {
-                self.mark_dirty(vpns);
+            if clip.len > 0 {
+                self.managed_block(buf_range, block, clip, write, random);
             }
         }
+    }
+
+    /// One block's share `clip` of a managed span: first touch, fault and
+    /// migration (or remote mapping) for the pages not yet on the GPU,
+    /// then local access to what is.
+    fn managed_block(
+        &mut self,
+        buf_range: VaRange,
+        block: u64,
+        clip: VaRange,
+        write: bool,
+        random: bool,
+    ) {
+        let spt = self.rt.os.system_pt.page_size();
+        let vpns = self.rt.os.system_pt.vpn_range(clip.addr, clip.len);
+        let n_pages = vpns.count();
+        let populated = self.rt.os.system_pt.count_resident_in(vpns, Node::Cpu)
+            + self.rt.os.system_pt.count_resident_in(vpns, Node::Gpu);
+        if populated < n_pages {
+            // GPU first touch: block-granularity population, directly
+            // in GPU memory — the *fast* managed init path (§5.1.2).
+            let (cost, _, _) = self.rt.uvm_first_touch_block(block, buf_range);
+            self.rt.tick(cost);
+            self.gpu_fault(block, cost);
+        }
+        let cpu_pages = self.rt.os.system_pt.count_resident_in(vpns, Node::Cpu);
+        if !cpu_pages.is_zero() {
+            // Replayable GPU fault → driver migrates the block in
+            // (or falls back to remote mapping under self-eviction).
+            let fault = self.rt.params.uvm_fault_batch;
+            self.rt.tick(fault);
+            self.gpu_fault(block, fault);
+            // Pass the *whole* allocation range: the driver refuses to
+            // evict this same allocation to serve its own fault.
+            let (cost, migrated) = self.rt.uvm_migrate_block_in(block, buf_range);
+            self.rt.tick(cost);
+            if migrated > 0 {
+                self.t.pages_migrated_in = self.t.pages_migrated_in.saturating_add(migrated);
+                self.t.bytes_migrated_in = self.t.bytes_migrated_in.saturating_add(migrated * spt);
+                // Speculative sequential prefetch: after two
+                // consecutive migrated blocks, pull the next one in
+                // without waiting for its fault.
+                if self.rt.session.opts.uvm_prefetch
+                    && self
+                        .rt
+                        .uvm
+                        .migrated_this_kernel
+                        .contains(&(block.wrapping_sub(1)))
+                    && block_range(block + 1, buf_range).len > 0
+                {
+                    let (pcost, pmigrated) = self.rt.uvm_migrate_block_in(block + 1, buf_range);
+                    self.rt.tick(pcost);
+                    self.t.pages_migrated_in = self.t.pages_migrated_in.saturating_add(pmigrated);
+                    self.t.bytes_migrated_in =
+                        self.t.bytes_migrated_in.saturating_add(pmigrated * spt);
+                }
+            } else {
+                // Remote mapping: cacheline-grain access to the
+                // CPU-resident pages of this block.
+                let page = self.rt.os.system_pt.page();
+                let remote_bytes = (cpu_pages * page).get().min(clip.len);
+                self.account_remote(clip.addr, remote_bytes, write, random);
+                self.walk_tlb(self.sys_keys(clip.addr, clip.end()));
+            }
+        }
+        // Whatever is GPU-resident now is read/written locally.
+        let gpu_pages = self.rt.os.system_pt.count_resident_in(vpns, Node::Gpu);
+        if !gpu_pages.is_zero() {
+            let page = self.rt.os.system_pt.page();
+            let local_bytes = (gpu_pages * page).get().min(clip.len);
+            self.account_local(local_bytes, write, random);
+            self.translate(tlb_key_gpu(Vpn::new(block)));
+            self.rt.uvm.touch_lru(block);
+        }
+        if write {
+            self.mark_dirty(vpns);
+        }
+    }
+
+    /// Counts one replayable GPU fault on `block` costing `cost`.
+    fn gpu_fault(&mut self, block: u64, cost: Ns) {
+        self.t.gpu_faults = self.t.gpu_faults.saturating_add(1);
+        self.rt.session.perf.count(gh_perf::Ctr::Faults, 1);
+        if self.rt.session.bus.is_on() {
+            self.rt.session.bus.emit(gh_trace::Event::PageFault {
+                kind: gh_trace::FaultKind::Gpu,
+                va: block * crate::uvm::BLOCK,
+                cost,
+            });
+            self.rt.session.bus.count("uvm.gpu_faults", 1);
+            self.rt.session.bus.observe("fault.cost_ns", cost);
+        }
+    }
+
+    // --- the fragment core (see `Kernel::fragments`) -------------------
+
+    /// A pinned fragment: CPU-resident by construction, so pure remote
+    /// traffic with no counters (as [`Kernel::span_pinned`]).
+    fn frag_pinned(&mut self, p: &mut Pending, span: VaRange, write: bool, random: bool) {
+        self.queue_tlb(p, self.sys_keys(span.addr, span.end()));
+        if write {
+            self.queue_dirty(p, self.rt.os.system_pt.vpn_range(span.addr, span.len));
+        }
+        self.account_remote(span.addr, span.len, write, random);
+    }
+
+    /// A system-memory fragment. Placement comes from the page run last
+    /// resolved for the buffer when it covers the fragment, else from one
+    /// page-table query; a fragment with unpopulated or mixed pages
+    /// returns `false` for the per-span code, which faults page by page.
+    fn frag_system(&mut self, p: &mut Pending, span: VaRange, write: bool, random: bool) -> bool {
+        let vpns = self.rt.os.system_pt.vpn_range(span.addr, span.len);
+        let (node, resolved) = match p.placed.run {
+            Some((run, node)) if run.start <= vpns.start && vpns.end <= run.end => (node, true),
+            _ => {
+                let pt = &self.rt.os.system_pt;
+                let node = if vpns.count().get() == 1 {
+                    pt.translate(vpns.start).map(|pte| pte.node)
+                } else {
+                    pt.translate_range(vpns)
+                };
+                let Some(node) = node else {
+                    return false;
+                };
+                p.placed.run = Some((vpns, node));
+                (node, false)
+            }
+        };
+        let batched = self.resident(p, span, node, write, random);
+        if batched {
+            self.count_batched(resolved);
+        }
+        batched
+    }
+
+    /// Counts one fragment charged as a resident run, `resolved` when
+    /// its placement came without a page-table query.
+    fn count_batched(&self, resolved: bool) {
+        let perf = &self.rt.session.perf;
+        perf.count(gh_perf::Ctr::BatchRuns, 1);
+        perf.count(gh_perf::Ctr::FastSpans, u64::from(resolved));
+    }
+
+    /// A managed fragment. Each 2 MiB block it touches is checked once
+    /// for full GPU residency; the fragment's share of a resident block
+    /// is local traffic, one lookup of the block's TLB key, an LRU touch
+    /// and dirty marks. A block with CPU-resident or unpopulated pages
+    /// takes the per-block code (faults, migration, eviction) until it is
+    /// resident. Migration advice or a CPU pin sends the whole fragment
+    /// to the per-span code (`false`).
+    fn frag_managed(
+        &mut self,
+        p: &mut Pending,
+        buf_range: VaRange,
+        span: VaRange,
+        write: bool,
+        random: bool,
+    ) -> bool {
+        if !p.placed.managed_ok {
+            if self.rt.migration_advised_off(buf_range.addr) || self.rt.uvm.is_pinned_cpu(buf_range)
+            {
+                return false;
+            }
+            p.placed.managed_ok = true;
+        }
+        for block in block_of(span.addr)..=block_of(span.end() - 1) {
+            let clip = block_range(block, span);
+            let resolved = p.placed.block == Some(block);
+            if !resolved {
+                let whole = block_range(block, buf_range);
+                let vpns = self.rt.os.system_pt.vpn_range(whole.addr, whole.len);
+                let on_gpu = self.rt.os.system_pt.count_resident_in(vpns, Node::Gpu);
+                if on_gpu != vpns.count() {
+                    // As `meter`: per-block code forgets every placement.
+                    self.flush(p);
+                    p.placed = Placed::default();
+                    self.memo = Memo::default();
+                    self.managed_block(buf_range, block, clip, write, random);
+                    continue;
+                }
+                p.placed.block = Some(block);
+            }
+            self.count_batched(resolved);
+            self.account_local(clip.len, write, random);
+            let key = tlb_key_gpu(Vpn::new(block));
+            self.queue_tlb(p, VpnRange::new(key, Vpn::new(key.get() + 1)));
+            if p.lru != Some(block) {
+                self.flush_lru(p);
+                p.lru = Some(block);
+            }
+            if write {
+                self.queue_dirty(p, self.rt.os.system_pt.vpn_range(clip.addr, clip.len));
+            }
+        }
+        true
+    }
+
+    /// Queues a walk over the ascending, non-empty `keys`: a first key
+    /// equal to the pending one extends its repeat count, the keys in
+    /// between are walked now, and the last stays pending for the next
+    /// fragment to extend.
+    fn queue_tlb(&mut self, p: &mut Pending, keys: VpnRange) {
+        let last = Vpn::new(keys.end.get() - 1);
+        let mut first = keys.start;
+        if let Some((key, n)) = &mut p.tlb {
+            if *key == first {
+                *n += 1;
+                if first == last {
+                    return;
+                }
+                first = Vpn::new(first.get() + 1);
+            }
+        }
+        self.flush_tlb(p);
+        let misses = self.rt.gpu_tlb.lookup_range(VpnRange::new(first, last));
+        self.count_misses(misses);
+        p.tlb = Some((last, 1));
+    }
+
+    /// Queues `lines` remote cachelines on counter `region` and the
+    /// CPU-resident `pages` touched in it.
+    fn queue_record(&mut self, p: &mut Pending, region: u64, lines: u64, pages: VpnRange) {
+        match &mut p.lines {
+            Some((r, n)) if *r == region => *n = n.saturating_add(lines),
+            _ => {
+                self.flush_lines(p);
+                p.lines = Some((region, lines));
+            }
+        }
+        match &mut p.touched {
+            Some((r, vr)) if *r == region && pages.start <= vr.end && vr.start <= pages.end => {
+                *vr = union(*vr, pages);
+            }
+            _ => {
+                self.flush_touched(p);
+                p.touched = Some((region, pages));
+            }
+        }
+    }
+
+    /// Queues dirty marks for `vpns`.
+    fn queue_dirty(&mut self, p: &mut Pending, vpns: VpnRange) {
+        match &mut p.dirty {
+            Some(vr) if vpns.start <= vr.end && vr.start <= vpns.end => *vr = union(*vr, vpns),
+            _ => {
+                self.flush_dirty(p);
+                p.dirty = Some(vpns);
+            }
+        }
+    }
+
+    fn flush_tlb(&mut self, p: &mut Pending) {
+        if let Some((key, n)) = p.tlb.take() {
+            let misses = self.rt.gpu_tlb.lookup_repeat(key, n);
+            self.count_misses(misses);
+        }
+    }
+
+    fn flush_lines(&mut self, p: &mut Pending) {
+        if let Some((region, lines)) = p.lines.take() {
+            self.record(region, lines);
+        }
+    }
+
+    fn flush_touched(&mut self, p: &mut Pending) {
+        if let Some((region, pages)) = p.touched.take() {
+            self.rt
+                .remote_touched
+                .entry(region)
+                .or_default()
+                .extend(pages);
+        }
+    }
+
+    fn flush_lru(&mut self, p: &mut Pending) {
+        if let Some(block) = p.lru.take() {
+            self.rt.uvm.touch_lru(block);
+        }
+    }
+
+    fn flush_dirty(&mut self, p: &mut Pending) {
+        if let Some(vpns) = p.dirty.take() {
+            self.mark_dirty(vpns);
+        }
+    }
+
+    /// Lands everything `p` has queued. Each structure receives its own
+    /// updates in issue order, and none of them reads another, so the
+    /// result is the per-span sequence's.
+    fn flush(&mut self, p: &mut Pending) {
+        self.flush_tlb(p);
+        self.flush_lines(p);
+        self.flush_touched(p);
+        self.flush_lru(p);
+        self.flush_dirty(p);
     }
 
     /// Ends the kernel: runs the access-counter migration driver, charges

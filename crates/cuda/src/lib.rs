@@ -65,7 +65,7 @@ pub mod streams;
 pub mod uvm;
 
 pub use buffer::{BufKind, Buffer};
-pub use kernel::{BufferTraffic, Kernel, KernelRecord, KernelReport};
+pub use kernel::{BufferTraffic, Frag, Kernel, KernelRecord, KernelReport};
 pub use runtime::{MemAdvise, Runtime, RuntimeOptions};
 pub use session::{SessionCtx, SessionOptions};
 pub use streams::{EventId, StreamId};

@@ -158,57 +158,89 @@ impl Tlb {
         if n == 0 {
             return 0;
         }
-        self.perf.count(gh_perf::Ctr::TlbWalks, n);
         let mut misses: u64 = 0;
         for vpn in keys {
-            let tag = vpn.get();
-            self.tick = self.tick.saturating_add(1);
-            let base = self.set_of(tag) * self.ways;
-            let mut hit = false;
-            for w in 0..self.ways {
-                let slot = &mut self.slots[base + w];
-                if slot.tag == tag {
-                    slot.stamp = self.tick;
-                    hit = true;
-                    break;
-                }
+            if !self.walk(vpn.get()) {
+                misses = misses.saturating_add(1);
             }
-            if hit {
-                continue;
-            }
-            misses = misses.saturating_add(1);
-            // Inline fill(): the tag is known absent, so go straight to
-            // victim selection. Keeps the exact tick/victim/trace behaviour
-            // of `fill` for an absent tag.
-            self.tick = self.tick.saturating_add(1);
-            let mut victim = base;
-            let mut oldest = u64::MAX;
-            for w in 0..self.ways {
-                let slot = &self.slots[base + w];
-                if slot.tag == EMPTY {
-                    victim = base + w;
-                    oldest = 0;
-                } else if slot.stamp < oldest {
-                    victim = base + w;
-                    oldest = slot.stamp;
-                }
-            }
-            let evicted = self.slots[victim].tag;
-            if evicted != EMPTY {
-                self.bus.emit(gh_trace::Event::TlbEvict { va: evicted });
-                self.bus.count("tlb.evictions", 1);
-            }
-            self.slots[victim] = Slot {
-                tag,
-                stamp: self.tick,
-            };
         }
-        self.hits = self.hits.saturating_add(n.saturating_sub(misses));
+        self.charge(n, misses);
+        misses
+    }
+
+    /// Batched equivalent of `n` consecutive `if !lookup(v) { fill(v) }`
+    /// on one key: the first may miss and fill, the other `n - 1` hit the
+    /// slot it left. Ticks, the final LRU stamp, trace events and every
+    /// count are those of the `n` calls. Returns the miss count (0 or 1).
+    pub fn lookup_repeat(&mut self, vpn: Vpn, n: u64) -> u64 {
+        if n == 0 {
+            return 0;
+        }
+        let tag = vpn.get();
+        let misses = u64::from(!self.walk(tag));
+        let again = n - 1;
+        if again > 0 {
+            self.tick = self.tick.saturating_add(again);
+            let base = self.set_of(tag) * self.ways;
+            if let Some(slot) = self.slots[base..base + self.ways]
+                .iter_mut()
+                .find(|s| s.tag == tag)
+            {
+                slot.stamp = self.tick;
+            }
+        }
+        self.charge(n, misses);
+        misses
+    }
+
+    /// One `lookup` + fill-on-miss step without the statistics: returns
+    /// whether `tag` hit. A miss goes straight to victim selection (the
+    /// tag is known absent), with `fill`'s exact tick, victim and trace
+    /// behaviour.
+    fn walk(&mut self, tag: u64) -> bool {
+        self.tick = self.tick.saturating_add(1);
+        let base = self.set_of(tag) * self.ways;
+        for w in 0..self.ways {
+            let slot = &mut self.slots[base + w];
+            if slot.tag == tag {
+                slot.stamp = self.tick;
+                return true;
+            }
+        }
+        self.tick = self.tick.saturating_add(1);
+        let mut victim = base;
+        let mut oldest = u64::MAX;
+        for w in 0..self.ways {
+            let slot = &self.slots[base + w];
+            if slot.tag == EMPTY {
+                victim = base + w;
+                oldest = 0;
+            } else if slot.stamp < oldest {
+                victim = base + w;
+                oldest = slot.stamp;
+            }
+        }
+        let evicted = self.slots[victim].tag;
+        if evicted != EMPTY {
+            self.bus.emit(gh_trace::Event::TlbEvict { va: evicted });
+            self.bus.count("tlb.evictions", 1);
+        }
+        self.slots[victim] = Slot {
+            tag,
+            stamp: self.tick,
+        };
+        false
+    }
+
+    /// Charges `walks` lookups with `misses` misses to the statistics
+    /// and the perf counters.
+    fn charge(&mut self, walks: u64, misses: u64) {
+        self.perf.count(gh_perf::Ctr::TlbWalks, walks);
+        self.hits = self.hits.saturating_add(walks.saturating_sub(misses));
         self.misses = self.misses.saturating_add(misses);
         if misses > 0 {
             self.perf.count(gh_perf::Ctr::TlbMisses, misses);
         }
-        misses
     }
 
     /// Invalidates a single translation (TLB shootdown on unmap/migrate).
@@ -386,6 +418,37 @@ mod tests {
         assert_eq!(per_key.misses(), batched.misses());
         // Identical internal state: every key agrees on hit/miss from here.
         for n in 0..100u64 {
+            assert_eq!(per_key.lookup(v(n)), batched.lookup(v(n)), "key {n}");
+        }
+    }
+
+    #[test]
+    fn lookup_repeat_matches_per_key_sequence() {
+        let mut per_key = Tlb::new(8); // 2 sets × 4 ways: forces evictions
+        let mut batched = Tlb::new(8);
+        for (key, n) in [
+            (3, 1),
+            (3, 4),
+            (9, 2),
+            (17, 1),
+            (3, 3),
+            (25, 5),
+            (33, 1),
+            (0, 0),
+        ] {
+            let mut expect = 0;
+            for _ in 0..n {
+                if !per_key.lookup(v(key)) {
+                    per_key.fill(v(key));
+                    expect += 1;
+                }
+            }
+            assert_eq!(batched.lookup_repeat(v(key), n), expect, "key {key} × {n}");
+        }
+        assert_eq!(per_key.hits(), batched.hits());
+        assert_eq!(per_key.misses(), batched.misses());
+        assert_eq!(per_key.tick, batched.tick);
+        for n in 0..40u64 {
             assert_eq!(per_key.lookup(v(n)), batched.lookup(v(n)), "key {n}");
         }
     }

@@ -73,9 +73,10 @@ pub use state::StateVector;
 /// `8 · 2^N` formula implies).
 pub const AMP_BYTES: u64 = 8;
 
-/// Statevector size in bytes for `n` qubits.
-pub fn statevector_bytes(n_qubits: u32) -> u64 {
-    AMP_BYTES << n_qubits
+/// Statevector size in bytes for `n` qubits; `None` when it does not
+/// fit in a `u64` (61 qubits and up).
+pub fn statevector_bytes(n_qubits: u32) -> Option<u64> {
+    1u64.checked_shl(n_qubits)?.checked_mul(AMP_BYTES)
 }
 
 /// Converts a simulated qubit count to the paper's scale (× 1024
@@ -90,9 +91,13 @@ mod tests {
 
     #[test]
     fn statevector_sizes() {
-        assert_eq!(statevector_bytes(0), 8);
-        assert_eq!(statevector_bytes(20), 8 << 20); // 8 MiB (paper 30q: 8 GB)
-        assert_eq!(statevector_bytes(24), 128 << 20); // 128 MiB > 96 MiB GPU
+        assert_eq!(statevector_bytes(0), Some(8));
+        assert_eq!(statevector_bytes(20), Some(8 << 20)); // 8 MiB (paper 30q: 8 GB)
+        assert_eq!(statevector_bytes(24), Some(128 << 20)); // 128 MiB > 96 MiB GPU
+        assert_eq!(statevector_bytes(60), Some(1 << 63));
+        for q in [61, 63, 64, 70, u32::MAX] {
+            assert_eq!(statevector_bytes(q), None, "{q} qubits");
+        }
     }
 
     #[test]

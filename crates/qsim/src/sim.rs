@@ -49,8 +49,15 @@ const PREFETCH_WINDOW: u64 = 4 << 20;
 
 /// Runs a Quantum Volume simulation under `mode`. Checksum is the
 /// statevector fingerprint when `compute_amplitudes` is set, else 0.
+///
+/// Panics when the statevector's size does not fit in a `u64`; callers
+/// check it against the machine's capacity first (`grace-mem qv` does).
 pub fn run_qv(mut m: Machine, mode: MemMode, p: &QsimParams) -> RunReport {
-    let sv_bytes = statevector_bytes(p.sim_qubits);
+    #[expect(
+        clippy::expect_used,
+        reason = "an unrepresentable statevector is a caller error, like any oversized experiment"
+    )]
+    let sv_bytes = statevector_bytes(p.sim_qubits).expect("statevector size overflows u64");
     let mut circuit = QvCircuit::generate(p.sim_qubits, p.seed);
     if p.fuse {
         circuit = crate::fusion::fuse(&circuit);

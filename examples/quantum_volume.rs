@@ -17,7 +17,11 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(20);
-    let sv_mib = gh_qsim::statevector_bytes(sim_qubits) >> 20;
+    let Some(sv_bytes) = gh_qsim::statevector_bytes(sim_qubits) else {
+        eprintln!("a {sim_qubits}-qubit statevector does not fit in 64-bit memory");
+        std::process::exit(2);
+    };
+    let sv_mib = sv_bytes >> 20;
     println!(
         "Quantum Volume: {sim_qubits} simulated qubits (paper scale: {} qubits), statevector {sv_mib} MiB\n",
         gh_qsim::paper_qubits(sim_qubits)

@@ -6,7 +6,7 @@
 //! cargo run --release --bin grace-mem -- list
 //! ```
 
-use grace_mem::sim::{KIB, MIB};
+use grace_mem::sim::{BufKind, KIB, MIB};
 use grace_mem::{
     platform, AppId, JobCache, JobError, Machine, MachineConfig, MemMode, Platform, QsimParams,
     SessionOptions,
@@ -414,6 +414,23 @@ fn main() {
                 ..Default::default()
             };
             let m = machine(&f, &so);
+            // Explicit mode keeps a statevector too big for the device
+            // in pinned host memory.
+            let kind = match f.mode {
+                MemMode::Explicit => BufKind::Pinned,
+                MemMode::System => BufKind::System,
+                MemMode::Managed => BufKind::Managed,
+            };
+            let cap = m.capacity(kind);
+            if grace_mem::qsim::statevector_bytes(q).is_none_or(|sv| sv > cap) {
+                eprintln!(
+                    "grace-mem: a {q}-qubit statevector does not fit {} in {} mode \
+                     ({cap} bytes at most)",
+                    f.platform.caps().name,
+                    f.mode
+                );
+                usage();
+            }
             let perf = m.rt.session().perf.clone();
             let r = grace_mem::run_qv(m, f.mode, &p);
             print_report_maybe_json(

@@ -1,0 +1,77 @@
+//! Sizes the platform cannot hold are usage errors (exit 2), never a
+//! wrapped size or a panic: `grace-mem qv` bounds the statevector, and
+//! `grace-mem replay` bounds a trace's live footprint, by the same
+//! `Machine::capacity`.
+
+use std::process::{Command, Output};
+
+use grace_mem::sim::BufKind;
+use grace_mem::{platform, qsim};
+
+fn grace_mem(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_grace-mem"))
+        .args(args)
+        // The sanitizer is observation-only; off, the largest runs stay fast.
+        .env("GH_SANITIZE", "0")
+        .output()
+        .expect("spawn grace-mem")
+}
+
+/// Asserts `args` exits with `code` and no panic.
+fn exits(args: &[&str], code: i32) -> String {
+    let out = grace_mem(args);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    stderr
+}
+
+#[test]
+fn qv_admits_exactly_the_statevectors_the_platform_holds() {
+    for p in platform::all() {
+        let name = p.caps().name;
+        for (mode, kind) in [
+            ("explicit", BufKind::Pinned),
+            ("system", BufKind::System),
+            ("managed", BufKind::Managed),
+        ] {
+            let cap = p.machine().capacity(kind);
+            let largest = (2..64)
+                .take_while(|&q| qsim::statevector_bytes(q).is_some_and(|sv| sv <= cap))
+                .last()
+                .expect("a 2-qubit statevector fits");
+            let q = largest.to_string();
+            exits(&["qv", &q, "--platform", name, "--mode", mode], 0);
+            let next = (largest + 1).to_string();
+            let err = exits(&["qv", &next, "--platform", name, "--mode", mode], 2);
+            assert!(
+                err.contains("does not fit"),
+                "{name} {mode} qv {next}: {err}"
+            );
+        }
+    }
+    // Sizes a u64 cannot hold, and sizes it wraps to zero or a few bytes.
+    for q in ["61", "63", "64", "70"] {
+        exits(&["qv", q], 2);
+    }
+}
+
+#[test]
+fn replay_rejects_allocations_the_platform_cannot_hold() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for (i, trace) in [
+        "alloc a system 18446744073709551615\nkernel k\n  read a 0 64k\nend\n",
+        "alloc a system 268435456g\n",
+        "alloc a system 1g\ncpu_write a 0 1g\n",
+        "alloc a pinned 200g\n",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let path = dir.join(format!("oversized{i}.trace"));
+        std::fs::write(&path, trace).expect("write trace");
+        let path = path.to_str().expect("utf-8 path");
+        let err = exits(&["replay", path], 2);
+        assert!(err.contains("trace line 1:"), "{trace:?}: {err}");
+    }
+}

@@ -58,47 +58,43 @@ fn batched_and_reference_paths_agree_for_every_app() {
 fn batched_and_reference_paths_agree_under_tracing() {
     // Tracing is the adversarial case: the batched core must emit
     // TlbEvict / CounterNotify / PageFault events in exactly the order
-    // the per-page walk does (it falls back per page for CPU-resident
-    // runs when counters are armed under tracing). srad trips the
-    // access-counter migration engine; needle stays fault-heavy.
-    for app in [AppId::Srad, AppId::Needle] {
-        for mode in [MemMode::System, MemMode::Managed] {
-            let p = platform::gh200();
-            let cfg = MachineConfig::default();
-            let traced_ref = SessionOptions {
-                trace: true,
-                ..reference_walk()
-            };
-            let traced = SessionOptions {
-                trace: true,
-                ..Default::default()
-            };
-            let reference = app.run_small(
-                p.machine_session(&cfg, &traced_ref).expect("valid config"),
-                mode,
-            );
-            let batched = app.run_small(
-                p.machine_session(&cfg, &traced).expect("valid config"),
-                mode,
-            );
-            let ref_trace = reference.chrome_trace();
-            assert!(
-                ref_trace.is_some(),
-                "{}/{mode}: traced run must capture a trace section",
-                app.name()
-            );
-            assert_eq!(
-                reference.to_json(),
-                batched.to_json(),
-                "{}/{mode}: traced batched run diverged from the reference walk",
-                app.name()
-            );
-            assert_eq!(
-                ref_trace,
-                batched.chrome_trace(),
-                "{}/{mode}: batched run's trace event stream diverged",
-                app.name()
-            );
+    // the per-page walk does (it falls back per span for CPU-resident
+    // memory when counters are armed under tracing). Every app runs on
+    // every platform, traced and sanitized: srad trips the
+    // access-counter migration engine, needle and bfs meter fragment
+    // lists, managed runs fault and migrate blocks.
+    let traced = |access_ref| SessionOptions {
+        trace: true,
+        sanitize: Some(true),
+        access_ref,
+        ..Default::default()
+    };
+    for p in platform::all() {
+        for app in AppId::ALL {
+            for mode in [MemMode::System, MemMode::Managed] {
+                let what = format!("{}/{}/{mode}", app.name(), p.caps().name);
+                let cfg = MachineConfig::default();
+                let run = |so: &SessionOptions| {
+                    app.run_small(p.machine_session(&cfg, so).expect("valid config"), mode)
+                };
+                let reference = run(&traced(true));
+                let batched = run(&traced(false));
+                let ref_trace = reference.chrome_trace();
+                assert!(
+                    ref_trace.is_some(),
+                    "{what}: traced run must capture a trace section"
+                );
+                assert_eq!(
+                    reference.to_json(),
+                    batched.to_json(),
+                    "{what}: traced batched run diverged from the reference walk"
+                );
+                assert_eq!(
+                    ref_trace,
+                    batched.chrome_trace(),
+                    "{what}: batched run's trace event stream diverged"
+                );
+            }
         }
     }
 }
