@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the simulator's hot primitives: page table
-//! operations, TLB lookups, the radix map, kernel span metering,
-//! statevector gate application and the parallel substrate.
+//! operations, TLB lookups, the radix map, the L2 model, runtime boot,
+//! kernel span metering, statevector gate application and the parallel
+//! substrate.
 //!
 //! Self-timed (the offline dependency set has no criterion): each case
 //! runs a few warmup iterations, then reports min/median wall time over a
@@ -152,18 +153,56 @@ fn bench_gate_apply() {
     }
 }
 
+/// gh200's L2 model with its storage already allocated (the first
+/// access allocates it), so the timed loop sees only accesses.
+fn warm_l2() -> gh_mem::SetCache {
+    let mut l2 = gh_mem::SetCache::new(Bytes::new(40 << 20), Bytes::new(128), 16);
+    l2.access(0);
+    l2.reset();
+    l2
+}
+
 fn bench_setcache() {
-    bench(
-        "setcache_stream_64k_lines",
-        || gh_mem::SetCache::new(Bytes::new(40 << 20), Bytes::new(128), 16),
-        |mut l2| {
-            let mut misses = 0;
-            for i in 0..65_536u64 {
-                if !l2.access(i * 128) {
+    bench("setcache_stream_64k_lines", warm_l2, |mut l2| {
+        let mut misses = 0;
+        for i in 0..65_536u64 {
+            if !l2.access(i * 128) {
+                misses += 1;
+            }
+        }
+        misses
+    });
+    // 64 simulated kernels of 1,024 touches each: a reset per launch,
+    // then lines drawn from 2,048 scattered ones, so re-touches hit.
+    bench("setcache_random_reset", warm_l2, |mut l2| {
+        let mut misses = 0;
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..64 {
+            l2.reset();
+            for _ in 0..1024 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let line = (x % 2048).wrapping_mul(0x9E37_79B9) & ((1 << 36) - 1);
+                if !l2.access(line * 128) {
                     misses += 1;
                 }
             }
-            misses
+        }
+        misses
+    });
+}
+
+fn bench_runtime_boot() {
+    bench(
+        "runtime_boot_first_launch",
+        || (),
+        |_| {
+            let mut m = platform::gh200().machine();
+            let buf = m.rt.cuda_malloc(Bytes::new(1 << 20), "x").unwrap();
+            let mut k = m.rt.launch("bench");
+            k.read(&buf, 0, 1 << 20);
+            k.finish().time
         },
     );
 }
@@ -275,6 +314,7 @@ fn main() {
     bench_kernel_span();
     bench_gate_apply();
     bench_setcache();
+    bench_runtime_boot();
     bench_par_sort();
     bench_fusion();
     bench_replay_parse();

@@ -60,7 +60,7 @@
 //! [`SessionOptions::access_ref`](crate::SessionOptions::access_ref),
 //! selects the reference walk: fragment lists go to the per-span path
 //! whole, and that path walks TLB keys, dirty marks and system pages one
-//! at a time with a freshly allocated L2. Managed block handling (first
+//! at a time with a freshly built L2 model. Managed block handling (first
 //! touch, migration, prefetch, eviction) is the same code on every path.
 
 use gh_mem::clock::Ns;
@@ -276,9 +276,6 @@ pub struct Kernel<'r> {
     t: KernelTraffic,
     /// Per-buffer byte attribution.
     by_buffer: std::collections::BTreeMap<u32, BufBytes>,
-    /// GPU L2 model for irregular remote accesses: a line fetched once
-    /// this kernel is served from cache on re-touch.
-    l2: gh_mem::SetCache,
     /// Placement resolved by fragment calls, per buffer.
     memo: Memo,
     finished: bool,
@@ -299,27 +296,15 @@ impl<'r> Kernel<'r> {
         let perf_span = rt.session.perf.span(&perf_path);
         let name = format!("{name}#{}", rt.kernel_seq);
         let start = rt.now();
-        // The L2 model's slot array is megabytes; building it fresh per
-        // launch dominated launch cost on the host. The batched path
-        // revives the runtime's parked instance with an O(1) reset
-        // (observationally identical to a fresh cache — see
-        // `SetCache::reset`); the reference walk keeps the original
-        // fresh allocation.
-        let fresh_l2 = |rt: &Runtime| {
-            gh_mem::SetCache::new(
-                Bytes::new(rt.params.gpu_l2_bytes),
-                Bytes::new(rt.params.gpu_cacheline),
-                16,
-            )
-        };
-        let l2 = if rt.session.access_ref {
-            fresh_l2(rt)
-        } else if let Some(mut parked) = rt.l2_pool.take() {
-            parked.reset();
-            parked
+        // Each kernel starts with an empty L2. The batched path resets
+        // the runtime's cache in O(1) and keeps its storage; the
+        // reference walk takes a fresh one, which answers alike (see
+        // `SetCache::reset`) and allocates nothing until used.
+        if rt.session.access_ref {
+            rt.l2 = crate::runtime::gpu_l2(&rt.params);
         } else {
-            fresh_l2(rt)
-        };
+            rt.l2.reset();
+        }
         Self {
             rt,
             name,
@@ -334,7 +319,6 @@ impl<'r> Kernel<'r> {
             xlat_misses: 0,
             t: KernelTraffic::default(),
             by_buffer: std::collections::BTreeMap::new(),
-            l2,
             memo: Memo::default(),
             finished: false,
             _perf_span: perf_span,
@@ -344,7 +328,7 @@ impl<'r> Kernel<'r> {
     /// Declares `units` of compute work (≈ simple arithmetic ops across
     /// all threads). Overlapped with memory traffic at finish.
     pub fn compute(&mut self, units: u64) {
-        self.compute_units += units;
+        self.compute_units = self.compute_units.saturating_add(units);
     }
 
     /// Dense streaming read of `[off, off+len)`.
@@ -559,7 +543,7 @@ impl<'r> Kernel<'r> {
         // this kernel is served from cache on re-touch. Dense streams
         // bypass (no reuse; streaming loads are marked non-allocating).
         if random && bytes < 4 * line {
-            let missed = self.l2.access_range(addr, Bytes::new(bytes.max(1)));
+            let missed = self.rt.l2.access_range(addr, Bytes::new(bytes.max(1)));
             if missed.is_zero() {
                 self.t.l1l2 = self.t.l1l2.saturating_add(bytes); // pure cache hit
                 return;
@@ -1296,13 +1280,6 @@ impl<'r> Kernel<'r> {
     /// report.
     pub fn finish(mut self) -> KernelReport {
         self.finished = true;
-        // Park the L2 model so the next launch revives it with an O(1)
-        // reset instead of a fresh multi-megabyte allocation. A
-        // zero-capacity stand-in takes its place; no access touches the
-        // L2 after this point.
-        let line = Bytes::new(self.rt.params.gpu_cacheline);
-        let parked = std::mem::replace(&mut self.l2, gh_mem::SetCache::new(Bytes::new(0), line, 1));
-        self.rt.l2_pool = Some(parked);
         // --- access-counter migration driver (system memory, §2.2.1) ---
         let budget = self.rt.params.counter_budget_per_kernel;
         let mut serviced = 0;
@@ -1699,6 +1676,69 @@ mod tests {
         let rep = k.finish();
         assert_eq!(rep.traffic.c2c_read, MIB);
         assert_eq!(rep.traffic.hbm_read, 0);
+    }
+
+    /// One kernel that writes each buffer densely, then reads it
+    /// irregularly (strided and gathered 8-byte touches).
+    fn touch_irregularly(r: &mut Runtime, bufs: &[Buffer]) {
+        let mut k = r.launch("k");
+        for b in bufs {
+            k.write(b, 0, MIB);
+            k.read_strided(b, 0, 8, 4 * KIB, 64);
+            k.gather_read(b, [8, 640, 8], Bytes::new(8));
+        }
+        k.finish();
+    }
+
+    #[test]
+    fn l2_storage_appears_at_the_first_remote_irregular_touch() {
+        // gh200, GPU-resident memory only: device memory, and system and
+        // managed memory first touched by the GPU.
+        let mut r = rt();
+        let bufs = [
+            r.cuda_malloc(Bytes::new(MIB), "d").unwrap(),
+            r.malloc_system(Bytes::new(MIB), "s"),
+            r.cuda_malloc_managed(Bytes::new(MIB), "m"),
+        ];
+        touch_irregularly(&mut r, &bufs);
+        touch_irregularly(&mut r, &bufs);
+        assert_eq!(r.l2.heap_bytes(), Bytes::ZERO);
+
+        // An MI300A-style unified pool: every host-visible kind is local,
+        // CPU-initialised or not.
+        let unified = CostParams {
+            unified_pool: true,
+            gpu_mem_bytes: 128 * MIB,
+            cpu_mem_bytes: 128 * MIB,
+            gpu_driver_baseline: 512 * KIB,
+            ..CostParams::default()
+        };
+        let mut r = Runtime::new(unified, RuntimeOptions::default());
+        let bufs = [
+            r.cuda_malloc(Bytes::new(MIB), "d").unwrap(),
+            r.cuda_malloc_host(Bytes::new(MIB), "h"),
+            r.malloc_system(Bytes::new(MIB), "s"),
+            r.cuda_malloc_managed(Bytes::new(MIB), "m"),
+        ];
+        for b in &bufs[1..] {
+            r.cpu_write(b, 0, MIB);
+        }
+        touch_irregularly(&mut r, &bufs);
+        assert_eq!(r.l2.heap_bytes(), Bytes::ZERO);
+
+        // gh200, one 8-byte read of pinned memory: the whole model.
+        let mut r = rt();
+        let h = r.cuda_malloc_host(Bytes::new(MIB), "h");
+        let mut k = r.launch("k");
+        k.read_strided(&h, 0, 8, 4 * KIB, 1);
+        k.finish();
+        // 40 MiB of 128 B lines in 16 ways is 20,480 sets, rounded up to
+        // 32,768; each holds 16 line ids and a header word.
+        let full = Bytes::new(32_768 * (16 + 1) * 8);
+        assert_eq!(r.l2.heap_bytes(), full);
+        r.launch("k").finish();
+        r.l2.reset();
+        assert_eq!(r.l2.heap_bytes(), full, "reset keeps the storage");
     }
 
     #[test]

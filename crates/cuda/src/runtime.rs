@@ -99,12 +99,20 @@ pub struct Runtime {
     /// placement epoch. Keyed access only (buffer ids are never reused),
     /// so the `HashMap` cannot leak iteration order.
     placement_cache: HashMap<u32, PlacementEntry>,
-    /// Recycled GPU-L2 model for the batched path: `Kernel::finish`
-    /// parks the multi-megabyte [`gh_mem::SetCache`] here and the next
-    /// launch revives it with an O(1) `reset()` instead of re-allocating
-    /// and re-zeroing the whole slot array (the dominant per-launch host
-    /// cost). Reference-forced runs keep the original fresh allocation.
-    pub(crate) l2_pool: Option<gh_mem::SetCache>,
+    /// The GPU L2 model for irregular remote touches, emptied by every
+    /// launch. It allocates its storage at its first access, so a
+    /// runtime whose kernels never consult it holds no L2 memory.
+    pub(crate) l2: gh_mem::SetCache,
+}
+
+/// A fresh GPU L2 model: `gpu_l2_bytes` of `gpu_cacheline` lines,
+/// 16-way.
+pub(crate) fn gpu_l2(params: &CostParams) -> gh_mem::SetCache {
+    gh_mem::SetCache::new(
+        Bytes::new(params.gpu_l2_bytes),
+        Bytes::new(params.gpu_cacheline),
+        16,
+    )
 }
 
 /// Cached whole-buffer placement snapshot (see
@@ -172,6 +180,7 @@ impl Runtime {
         )
         .with_obs(session.bus.clone());
         let profiler = MemProfiler::new(opts.profiler_period);
+        let l2 = gpu_l2(&params);
         Self {
             params,
             clock: Clock::new(),
@@ -196,7 +205,7 @@ impl Runtime {
             session,
             migrated_pages: 0,
             placement_cache: HashMap::new(),
-            l2_pool: None,
+            l2,
         }
     }
 

@@ -1,7 +1,7 @@
 //! Sizes the platform cannot hold are usage errors (exit 2), never a
 //! wrapped size or a panic: `grace-mem qv` bounds the statevector, and
 //! `grace-mem replay` bounds a trace's live footprint, by the same
-//! `Machine::capacity`.
+//! `Machine::capacity`. A replay's compute units saturate, never wrap.
 
 use std::process::{Command, Output};
 
@@ -17,13 +17,18 @@ fn grace_mem(args: &[&str]) -> Output {
         .expect("spawn grace-mem")
 }
 
-/// Asserts `args` exits with `code` and no panic.
-fn exits(args: &[&str], code: i32) -> String {
+/// Runs `args`, asserting it exits with `code` and no panic.
+fn checked(args: &[&str], code: i32) -> Output {
     let out = grace_mem(args);
-    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
     assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-    stderr
+    out
+}
+
+/// Asserts `args` exits with `code` and no panic; returns its stderr.
+fn exits(args: &[&str], code: i32) -> String {
+    String::from_utf8_lossy(&checked(args, code).stderr).into_owned()
 }
 
 #[test]
@@ -74,4 +79,17 @@ fn replay_rejects_allocations_the_platform_cannot_hold() {
         let err = exits(&["replay", path], 2);
         assert!(err.contains("trace line 1:"), "{trace:?}: {err}");
     }
+}
+
+#[test]
+fn compute_units_saturate_instead_of_wrapping() {
+    // One path for both traces, so the report headers match too.
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("compute.trace");
+    let replay = |units: &[&str]| {
+        let body: String = units.iter().map(|u| format!("  compute {u}\n")).collect();
+        std::fs::write(&path, format!("kernel k\n{body}end\n")).expect("write trace");
+        checked(&["replay", path.to_str().expect("utf-8 path")], 0).stdout
+    };
+    let max = "18446744073709551615";
+    assert_eq!(replay(&[max, max]), replay(&[max]));
 }
