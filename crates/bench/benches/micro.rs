@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the simulator's hot primitives: page table
 //! operations, TLB lookups, the radix map, the L2 model, runtime boot,
-//! kernel span metering, statevector gate application and the parallel
-//! substrate.
+//! kernel span metering, page migration and unmapping, statevector gate
+//! application and the parallel substrate.
 //!
 //! Self-timed (the offline dependency set has no criterion): each case
 //! runs a few warmup iterations, then reports min/median wall time over a
@@ -14,7 +14,7 @@ use gh_mem::phys::{Node, PhysMem};
 use gh_mem::radix::RadixTable;
 use gh_mem::tlb::Tlb;
 use gh_qsim::{Gate2, StateVector};
-use gh_sim::{platform, MemMode};
+use gh_sim::{platform, MachineConfig, MemMode};
 use gh_units::{Bytes, Vpn};
 
 fn iters() -> usize {
@@ -131,6 +131,45 @@ fn bench_kernel_span() {
             k.read(&buf, 0, 64 << 20);
             k.finish().time
         },
+    );
+}
+
+fn bench_migration() {
+    // QV's prefetch windows over a statevector larger than the GPU: with
+    // the GPU already full, each 4 MiB window moves 64 pages in and
+    // evicts 64 pages of an older window.
+    const BUF: u64 = 128 << 20;
+    const WINDOW: u64 = 4 << 20;
+    bench(
+        "uvm_prefetch_window_evict",
+        || {
+            let mut m = platform::gh200().machine();
+            let buf = m.rt.cuda_malloc_managed(Bytes::new(BUF), "sv");
+            m.rt.cpu_write(&buf, 0, BUF);
+            for off in (0..BUF).step_by(WINDOW as usize) {
+                m.rt.prefetch(&buf, off, WINDOW, Node::Gpu);
+            }
+            (m, buf)
+        },
+        |(mut m, buf)| {
+            for off in (0..BUF).step_by(WINDOW as usize) {
+                m.rt.prefetch(&buf, off, WINDOW, Node::Gpu);
+            }
+            m.rt.migrated_pages()
+        },
+    );
+    // munmap of 32,768 CPU-resident 4 KiB pages.
+    bench(
+        "munmap_128mib_4k",
+        || {
+            let mut m = platform::gh200()
+                .machine_cfg(&MachineConfig::with_page_size(4096))
+                .unwrap();
+            let buf = m.rt.malloc_system(Bytes::new(128 << 20), "x");
+            m.rt.cpu_write(&buf, 0, 128 << 20);
+            (m, buf)
+        },
+        |(mut m, buf)| m.rt.free(buf),
     );
 }
 
@@ -312,6 +351,7 @@ fn main() {
     bench_tlb();
     bench_physmem();
     bench_kernel_span();
+    bench_migration();
     bench_gate_apply();
     bench_setcache();
     bench_runtime_boot();

@@ -1407,8 +1407,12 @@ impl<'r> Kernel<'r> {
         if bytes.is_zero() || self.rt.phys.free(Node::Gpu) < bytes {
             return 0;
         }
-        for &vpn in &movable {
-            self.rt.move_page(vpn, Node::Gpu);
+        // `movable` is ascending: move each run of consecutive pages at once.
+        for run in movable.chunk_by(|a, b| b.get() == a.get() + 1) {
+            if let (Some(&first), Some(&last)) = (run.first(), run.last()) {
+                let vpns = VpnRange::new(first, last.offset(1));
+                self.rt.move_pages(vpns, Node::Cpu, Node::Gpu);
+            }
         }
         self.t.pages_migrated_in = self.t.pages_migrated_in.saturating_add(pages.get());
         self.t.bytes_migrated_in = self.t.bytes_migrated_in.saturating_add(bytes.get());

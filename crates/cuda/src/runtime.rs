@@ -91,7 +91,7 @@ pub struct Runtime {
     pub(crate) kernel_seq: u64,
     pub(crate) session: crate::session::SessionCtx,
     /// Cumulative pages moved between memories (every migration funnels
-    /// through [`Runtime::move_page`]). State-level: available without
+    /// through [`Runtime::move_pages`]). State-level: available without
     /// tracing, feeds the sanitizer's capability-gating check.
     pub(crate) migrated_pages: u64,
     /// Stable-placement cache for the batched access path: per-buffer

@@ -31,7 +31,7 @@ use gh_mem::link::Direction;
 use gh_mem::params::CostParams;
 use gh_mem::phys::Node;
 use gh_os::VaRange;
-use gh_units::{widen, Bytes, Pages, Vpn};
+use gh_units::{Bytes, Pages, Vpn, VpnRange};
 use std::collections::VecDeque;
 
 use crate::kernel::tlb_key_sys;
@@ -128,23 +128,32 @@ pub fn block_range(block: u64, clip: VaRange) -> VaRange {
 }
 
 impl Runtime {
-    /// Moves one system page to `dst`, updating frames and shooting down
-    /// the GPU TLB. Panics if the destination node cannot hold the page —
-    /// callers must have made room first.
-    pub(crate) fn move_page(&mut self, vpn: Vpn, dst: Node) {
+    /// Moves every system page of `vpns` resident on `from` to `to` in
+    /// one page-table pass: frames for the whole run are reserved at once,
+    /// and the GPU TLB entry of each moved page is shot down. Returns the
+    /// number of pages moved. Panics if `to` cannot hold them — callers
+    /// must have made room first.
+    pub(crate) fn move_pages(&mut self, vpns: VpnRange, from: Node, to: Node) -> u64 {
         let page = self.os.system_pt.page();
+        let n = self.os.system_pt.count_resident_in(vpns, from);
+        if n.is_zero() {
+            return 0;
+        }
         #[expect(
             clippy::expect_used,
             reason = "caller evicts before migrating; a full destination is a logic error"
         )]
-        let frame = self
+        let first = self
             .phys
-            .alloc(dst, page.bytes())
+            .alloc_frames(to, page, n.get())
             .expect("destination node full: caller must evict first");
-        let old = self.os.system_pt.remap(vpn, dst, frame);
-        self.phys.release(old.node, page.bytes());
-        self.migrated_pages = self.migrated_pages.saturating_add(1);
-        self.gpu_tlb.invalidate(tlb_key_sys(vpn));
+        let tlb = &mut self.gpu_tlb;
+        self.os.system_pt.remap_range(vpns, from, to, first, |vpn| {
+            tlb.invalidate(tlb_key_sys(vpn))
+        });
+        self.phys.release(from, n * page);
+        self.migrated_pages = self.migrated_pages.saturating_add(n.get());
+        n.get()
     }
 
     /// GPU first-touch of a managed block: map every unpopulated page of
@@ -237,11 +246,11 @@ impl Runtime {
         let clip = block_range(block, buf_range);
         let page = self.os.system_pt.page();
         let vpns = self.os.system_pt.vpn_range(clip.addr, clip.len);
-        let cpu_pages = self.os.system_pt.vpns_on_node(vpns, Node::Cpu);
-        if cpu_pages.is_empty() {
+        let cpu_pages = self.os.system_pt.count_resident_in(vpns, Node::Cpu);
+        if cpu_pages.is_zero() {
             return (0, 0);
         }
-        let bytes = Pages::new(widen(cpu_pages.len())) * page;
+        let bytes = cpu_pages * page;
         let mut cost: Ns = 0;
         if self.phys.free(Node::Gpu) < bytes {
             // Make room, but never by evicting this same allocation: that
@@ -269,15 +278,12 @@ impl Runtime {
                 return (cost, 0);
             }
         }
-        for &vpn in &cpu_pages {
-            self.move_page(vpn, Node::Gpu);
-        }
+        let pages = self.move_pages(vpns, Node::Cpu, Node::Gpu);
         self.uvm.touch_lru(block);
         self.uvm.migrated_this_kernel.push(block);
         cost = cost.saturating_add(
             self.params.uvm_migration_fixed + self.link.bulk(bytes, Direction::H2D),
         );
-        let pages = widen(cpu_pages.len());
         self.session.perf.count(gh_perf::Ctr::MigratedPages, pages);
         if self.session.bus.is_on() {
             self.session.bus.emit(gh_trace::Event::Migration {
@@ -331,12 +337,8 @@ impl Runtime {
                 len: BLOCK,
             };
             let vpns = self.os.system_pt.vpn_range(clip.addr, clip.len);
-            let gpu_pages = self.os.system_pt.vpns_on_node(vpns, Node::Gpu);
-            let pages = widen(gpu_pages.len());
+            let pages = self.move_pages(vpns, Node::Gpu, Node::Cpu);
             let bytes = Pages::new(pages) * page;
-            for vpn in gpu_pages {
-                self.move_page(vpn, Node::Cpu);
-            }
             self.uvm.drop_block(block);
             self.uvm.evictions = self.uvm.evictions.saturating_add(1);
             freed = freed.saturating_add(bytes);
@@ -371,12 +373,8 @@ impl Runtime {
     pub(crate) fn uvm_pin_cpu(&mut self, buf_range: VaRange) -> Ns {
         let page = self.os.system_pt.page();
         let vpns = self.os.system_pt.vpn_range(buf_range.addr, buf_range.len);
-        let gpu_pages = self.os.system_pt.vpns_on_node(vpns, Node::Gpu);
-        let pages = widen(gpu_pages.len());
+        let pages = self.move_pages(vpns, Node::Gpu, Node::Cpu);
         let bytes = Pages::new(pages) * page;
-        for vpn in gpu_pages {
-            self.move_page(vpn, Node::Cpu);
-        }
         let first = block_of(buf_range.addr);
         let last = block_of(buf_range.end().saturating_sub(1));
         for b in first..=last {
@@ -404,23 +402,23 @@ impl Runtime {
     /// blocks back to CPU memory (fault batch + D2H transfer).
     pub(crate) fn uvm_retrieve_to_cpu(&mut self, chunk: VaRange) -> Ns {
         let page = self.os.system_pt.page();
-        let vpns = self.os.system_pt.vpn_range(chunk.addr, chunk.len);
-        let gpu_pages = self.os.system_pt.vpns_on_node(vpns, Node::Gpu);
-        if gpu_pages.is_empty() {
+        // Each block that held GPU-resident pages pays a fault batch and
+        // leaves the LRU.
+        let (mut pages, mut blocks) = (0u64, 0u64);
+        for block in block_of(chunk.addr)..=block_of(chunk.end().saturating_sub(1)) {
+            let clip = block_range(block, chunk);
+            let vpns = self.os.system_pt.vpn_range(clip.addr, clip.len);
+            let moved = self.move_pages(vpns, Node::Gpu, Node::Cpu);
+            if moved > 0 {
+                pages = pages.saturating_add(moved);
+                blocks += 1;
+                self.uvm.drop_block(block);
+            }
+        }
+        if pages == 0 {
             return 0;
         }
-        let pages = widen(gpu_pages.len());
         let bytes = Pages::new(pages) * page;
-        let blocks: std::collections::BTreeSet<u64> = gpu_pages
-            .iter()
-            .map(|&v| block_of(v.get() * page.get()))
-            .collect();
-        for vpn in gpu_pages {
-            self.move_page(vpn, Node::Cpu);
-        }
-        for b in &blocks {
-            self.uvm.drop_block(*b);
-        }
         self.session.perf.count(gh_perf::Ctr::MigratedPages, pages);
         if self.session.bus.is_on() {
             self.session.bus.emit(gh_trace::Event::Migration {
@@ -435,7 +433,7 @@ impl Runtime {
                 .count("uvm.bytes_migrated_out", bytes.get());
             self.session.bus.observe("migration.bytes", bytes.get());
         }
-        self.params.uvm_fault_batch * widen(blocks.len()) + self.link.bulk(bytes, Direction::D2H)
+        self.params.uvm_fault_batch * blocks + self.link.bulk(bytes, Direction::D2H)
     }
 
     /// `cudaMemPrefetchAsync` body: bulk migration toward `to`, block by
@@ -466,11 +464,11 @@ impl Runtime {
             let mut dt: Ns = 0;
             match to {
                 Node::Gpu => {
-                    let cpu_pages = self.os.system_pt.vpns_on_node(vpns, Node::Cpu);
-                    if cpu_pages.is_empty() {
+                    let cpu_pages = self.os.system_pt.count_resident_in(vpns, Node::Cpu);
+                    if cpu_pages.is_zero() {
                         continue;
                     }
-                    let bytes = Pages::new(widen(cpu_pages.len())) * page;
+                    let bytes = cpu_pages * page;
                     if self.phys.free(Node::Gpu) < bytes {
                         let (c, freed) = self.uvm_evict_lru(
                             bytes - self.phys.free(Node::Gpu),
@@ -487,16 +485,11 @@ impl Runtime {
                             continue;
                         }
                     }
-                    for &vpn in &cpu_pages {
-                        self.move_page(vpn, Node::Gpu);
-                    }
+                    let pages = self.move_pages(vpns, Node::Cpu, Node::Gpu);
                     self.uvm.touch_lru(block);
                     dt = dt.saturating_add(self.link.bulk(bytes, Direction::H2D));
-                    self.session
-                        .perf
-                        .count(gh_perf::Ctr::MigratedPages, widen(cpu_pages.len()));
+                    self.session.perf.count(gh_perf::Ctr::MigratedPages, pages);
                     if self.session.bus.is_on() {
-                        let pages = widen(cpu_pages.len());
                         self.session.bus.emit(gh_trace::Event::Migration {
                             engine: gh_trace::Engine::Prefetch,
                             dir: gh_trace::Dir::H2D,
@@ -509,15 +502,11 @@ impl Runtime {
                     }
                 }
                 Node::Cpu => {
-                    let gpu_pages = self.os.system_pt.vpns_on_node(vpns, Node::Gpu);
-                    if gpu_pages.is_empty() {
+                    let pages = self.move_pages(vpns, Node::Gpu, Node::Cpu);
+                    if pages == 0 {
                         continue;
                     }
-                    let pages = widen(gpu_pages.len());
                     let bytes = Pages::new(pages) * page;
-                    for &vpn in &gpu_pages {
-                        self.move_page(vpn, Node::Cpu);
-                    }
                     self.uvm.drop_block(block);
                     dt = dt.saturating_add(self.link.bulk(bytes, Direction::D2H));
                     self.session.perf.count(gh_perf::Ctr::MigratedPages, pages);

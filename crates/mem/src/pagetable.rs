@@ -169,6 +169,55 @@ impl PageTable {
         old
     }
 
+    /// Moves every page of `vpns` resident on `from` to `to`: the moved
+    /// pages get frames `first_frame`, `first_frame + 1`, ... in ascending
+    /// VPN order, and `moved` sees each one. Entries, frames and epoch end
+    /// up as under one [`PageTable::remap`] per page, at one summary and
+    /// one directory probe per leaf. Returns the number of pages moved.
+    pub fn remap_range(
+        &mut self,
+        vpns: VpnRange,
+        from: Node,
+        to: Node,
+        first_frame: u64,
+        mut moved: impl FnMut(Vpn),
+    ) -> Pages {
+        let (lo, hi) = (vpns.start.get(), vpns.end.get());
+        let mut frame = first_frame;
+        let mut k = lo;
+        while k < hi {
+            let idx = radix::leaf_index(k);
+            let base = idx << radix::LEAF_BITS;
+            let end = hi.min(base + widen(radix::LEAF_LEN));
+            // A leaf with nothing on `from` is skipped on its summary alone.
+            if let Some(c) = self.summary.get_mut(&idx).filter(|c| c[node_idx(from)] > 0) {
+                if let Some(leaf) = self.entries.leaf_mut(idx) {
+                    let mut n = 0u32;
+                    for i in (k - base)..(end - base) {
+                        if let Some(pte) = leaf[i as usize].as_mut().filter(|p| p.node == from) {
+                            *pte = Pte {
+                                node: to,
+                                frame,
+                                dirty: false,
+                            };
+                            frame += 1;
+                            n += 1;
+                            moved(Vpn::new(base + i));
+                        }
+                    }
+                    c[node_idx(from)] = c[node_idx(from)].saturating_sub(n);
+                    c[node_idx(to)] = c[node_idx(to)].saturating_add(n);
+                }
+            }
+            k = end;
+        }
+        let n = Pages::new(frame - first_frame);
+        self.resident[node_idx(from)] -= n;
+        self.resident[node_idx(to)] += n;
+        self.epoch = self.epoch.saturating_add(n.get());
+        n
+    }
+
     /// Marks `vpn` dirty (a write hit the page). No-op if unpopulated.
     pub fn mark_dirty(&mut self, vpn: Vpn) {
         if let Some(e) = self.entries.get_mut(vpn.get()) {
@@ -313,30 +362,37 @@ impl PageTable {
             .for_each_in_range_mut(vpns.start.get(), vpns.end.get(), |_, e| e.dirty = true);
     }
 
-    /// Collects the VPNs in range that are populated on `node`.
-    pub fn vpns_on_node(&self, vpns: VpnRange, node: Node) -> Vec<Vpn> {
-        self.entries
-            .range(vpns.start.get(), vpns.end.get())
-            .filter(|(_, pte)| pte.node == node)
-            .map(|(k, _)| Vpn::new(k))
-            .collect()
-    }
-
     /// Unmaps every populated page in the VPN range, returning the removed
-    /// entries (for frame release).
+    /// entries in ascending VPN order (for frame release). Works a leaf at
+    /// a time: one summary update per leaf and one epoch bump of the
+    /// number of pages removed, as one [`PageTable::unmap`] per page
+    /// would leave it.
     pub fn unmap_range(&mut self, vpns: VpnRange) -> Vec<(Vpn, Pte)> {
-        let keys: Vec<Vpn> = self
-            .entries
-            .range(vpns.start.get(), vpns.end.get())
-            .map(|(k, _)| Vpn::new(k))
-            .collect();
-        keys.into_iter()
-            .map(|k| {
-                #[expect(clippy::expect_used, reason = "key was observed under the same borrow")]
-                let pte = self.unmap(k).expect("key was just observed");
-                (k, pte)
-            })
-            .collect()
+        let (lo, hi) = (vpns.start.get(), vpns.end.get());
+        let mut removed = Vec::new();
+        let mut k = lo;
+        while k < hi {
+            let idx = radix::leaf_index(k);
+            let base = idx << radix::LEAF_BITS;
+            let end = hi.min(base + widen(radix::LEAF_LEN));
+            if let Some(c) = self.summary.get_mut(&idx) {
+                let mut gone = [0u32; 2];
+                self.entries.drain_range(k, end, |key, pte| {
+                    gone[node_idx(pte.node)] += 1;
+                    removed.push((Vpn::new(key), pte));
+                });
+                for (i, g) in gone.into_iter().enumerate() {
+                    c[i] = c[i].saturating_sub(g);
+                    self.resident[i] -= Pages::new(u64::from(g));
+                }
+                if c[0] == 0 && c[1] == 0 {
+                    self.summary.remove(&idx);
+                }
+            }
+            k = end;
+        }
+        self.epoch = self.epoch.saturating_add(widen(removed.len()));
+        removed
     }
 }
 
@@ -434,17 +490,24 @@ mod tests {
     }
 
     #[test]
-    fn count_and_collect_by_node() {
+    fn count_and_remap_by_node() {
         let mut t = table();
         for n in 0..10 {
             t.populate(v(n), if n % 2 == 0 { Node::Cpu } else { Node::Gpu }, n);
         }
         assert_eq!(t.count_resident_in(r(0, 10), Node::Cpu), Pages::new(5));
-        assert_eq!(
-            t.vpns_on_node(r(0, 10), Node::Gpu),
-            vec![v(1), v(3), v(5), v(7), v(9)]
-        );
         assert_eq!(t.count_resident_in(r(3, 5), Node::Gpu), Pages::new(1));
+        let mut moved = Vec::new();
+        let n = t.remap_range(r(2, 10), Node::Gpu, Node::Cpu, 100, |v| moved.push(v));
+        assert_eq!(n, Pages::new(4));
+        assert_eq!(moved, vec![v(3), v(5), v(7), v(9)]);
+        assert_eq!(t.translate(v(7)).unwrap().frame, 102);
+        assert_eq!(
+            t.translate(v(1)).unwrap().node,
+            Node::Gpu,
+            "outside the range"
+        );
+        assert_eq!(t.count_resident_in(r(0, 10), Node::Cpu), Pages::new(9));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! opaque frame numbers for page-table entries. Exhaustion is an explicit
 //! error so callers (the UVM driver, the OS) can trigger eviction.
 
-use gh_units::Bytes;
+use gh_units::{Bytes, PageSize, Pages};
 
 /// A NUMA node of the superchip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -125,7 +125,22 @@ impl PhysMem {
 
     /// Reserves `bytes` on `node`, returning an opaque frame id for the
     /// reservation. Frame ids are unique across the machine's lifetime.
+    #[inline]
     pub fn alloc(&mut self, node: Node, bytes: Bytes) -> Result<u64, OutOfMemory> {
+        self.reserve(node, bytes, 1)
+    }
+
+    /// Reserves `n` pages of `page` bytes on `node` at once, returning
+    /// the first of `n` consecutive frame ids: the ids `n` one-page
+    /// [`PhysMem::alloc`] calls would return. All or nothing: if the node
+    /// cannot hold every page, nothing is reserved and the error reports
+    /// the whole request.
+    pub fn alloc_frames(&mut self, node: Node, page: PageSize, n: u64) -> Result<u64, OutOfMemory> {
+        self.reserve(node, Pages::new(n) * page, n)
+    }
+
+    #[inline]
+    fn reserve(&mut self, node: Node, bytes: Bytes, frames: u64) -> Result<u64, OutOfMemory> {
         if self.free(node) < bytes {
             return Err(OutOfMemory {
                 node,
@@ -134,9 +149,9 @@ impl PhysMem {
             });
         }
         self.used[node.idx()] += bytes;
-        let frame = self.next_frame;
-        self.next_frame += 1;
-        Ok(frame)
+        let first = self.next_frame;
+        self.next_frame += frames;
+        Ok(first)
     }
 
     /// Releases `bytes` previously reserved on `node`.

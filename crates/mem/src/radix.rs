@@ -99,6 +99,11 @@ impl<T> RadixTable<T> {
         self.dir.get(&idx).map(|b| &**b)
     }
 
+    /// Mutably borrows the leaf at directory index `idx`, if allocated.
+    pub fn leaf_mut(&mut self, idx: u64) -> Option<&mut [Option<T>; LEAF_LEN]> {
+        self.dir.get_mut(&idx).map(|b| &mut **b)
+    }
+
     /// Iterates over present entries in `[lo, hi)` in ascending key order.
     ///
     /// Walks leaf-by-leaf — one directory probe per 512 keys instead of one
@@ -145,10 +150,11 @@ impl<T> RadixTable<T> {
         }
     }
 
-    /// Removes every entry in `[lo, hi)`, returning how many were removed.
-    /// A fully covered leaf is dropped whole without per-key probing.
-    pub fn remove_range(&mut self, lo: u64, hi: u64) -> usize {
-        let mut removed: usize = 0;
+    /// Removes every entry in `[lo, hi)`, handing each to `f` in
+    /// ascending key order. A fully covered leaf is dropped whole; a
+    /// partly covered one is checked for emptiness once, after its
+    /// entries are taken.
+    pub fn drain_range(&mut self, lo: u64, hi: u64, mut f: impl FnMut(u64, T)) {
         let mut k = lo;
         while k < hi {
             let idx = k >> LEAF_BITS;
@@ -156,15 +162,18 @@ impl<T> RadixTable<T> {
             let end = hi.min(base + gh_units::widen(LEAF_LEN));
             if k == base && end == base + gh_units::widen(LEAF_LEN) {
                 if let Some(leaf) = self.dir.remove(&idx) {
-                    let n = leaf.iter().filter(|e| e.is_some()).count();
-                    removed = removed.saturating_add(n);
-                    self.len -= n;
+                    for (i, v) in (*leaf).into_iter().enumerate() {
+                        if let Some(v) = v {
+                            self.len -= 1;
+                            f(base + gh_units::widen(i), v);
+                        }
+                    }
                 }
             } else if let Some(leaf) = self.dir.get_mut(&idx) {
                 for i in (k - base)..(end - base) {
-                    if leaf[i as usize].take().is_some() {
-                        removed = removed.saturating_add(1);
+                    if let Some(v) = leaf[i as usize].take() {
                         self.len -= 1;
+                        f(base + i, v);
                     }
                 }
                 if leaf.iter().all(|e| e.is_none()) {
@@ -173,7 +182,6 @@ impl<T> RadixTable<T> {
             }
             k = end;
         }
-        removed
     }
 }
 
@@ -228,12 +236,14 @@ mod tests {
     }
 
     #[test]
-    fn remove_range_counts() {
+    fn drain_range_hands_out_entries_in_order() {
         let mut t = RadixTable::new();
         for k in 0..100u64 {
-            t.insert(k, ());
+            t.insert(k, k * 2);
         }
-        assert_eq!(t.remove_range(10, 20), 10);
+        let mut got = Vec::new();
+        t.drain_range(10, 20, |k, v| got.push((k, v)));
+        assert_eq!(got, (10..20).map(|k| (k, k * 2)).collect::<Vec<_>>());
         assert_eq!(t.len(), 90);
         assert!(t.get(15).is_none());
         assert!(t.get(20).is_some());
@@ -276,14 +286,20 @@ mod tests {
     }
 
     #[test]
-    fn remove_range_drops_full_leaf_whole() {
+    fn drain_range_drops_emptied_leaves() {
         let mut t = RadixTable::new();
         for k in 0..1536u64 {
             t.insert(k, ());
         }
-        // [512, 1024) covers leaf 1 exactly; [200, 512) and [1024, 1100) are partial.
-        assert_eq!(t.remove_range(200, 1100), 900);
+        t.insert(5000, ());
+        // [512, 1024) covers leaf 1 exactly; [200, 512) and [1024, 1100)
+        // are partial; [4900, 5100) empties leaf 9 without covering it.
+        let mut n = 0;
+        t.drain_range(200, 1100, |_, ()| n += 1);
+        t.drain_range(4900, 5100, |_, ()| n += 1);
+        assert_eq!(n, 901);
         assert_eq!(t.len(), 1536 - 900);
+        assert_eq!(t.dir.len(), 2, "leaves 0 and 2 remain");
         assert!(t.get(199).is_some());
         assert!(t.get(200).is_none());
         assert!(t.get(700).is_none());

@@ -1,12 +1,16 @@
 //! Property tests for the memory-model building blocks.
 
-use gh_mem::pagetable::PageTable;
-use gh_mem::phys::{Node, PhysMem};
+use gh_mem::pagetable::{PageTable, PlacementRun, Pte};
+use gh_mem::phys::{Node, OutOfMemory, PhysMem};
 use gh_mem::radix::RadixTable;
 use gh_mem::tlb::Tlb;
-use gh_units::{Bytes, Pages, Vpn, VpnRange};
+use gh_units::{Bytes, PageSize, Pages, Vpn, VpnRange};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+
+/// VPN domain of the page-table property: three radix leaves, so ranges
+/// cross two leaf boundaries.
+const DOMAIN: u64 = 3 * gh_mem::radix::LEAF_LEN as u64;
 
 proptest! {
     /// RadixTable must behave exactly like a HashMap under a random
@@ -32,62 +36,178 @@ proptest! {
         }
     }
 
-    /// Under a random sequence of placement ops (populate, unmap, remap,
-    /// unmap_range) and dirty-bit ops (mark_dirty, mark_dirty_range):
-    /// residency counters always equal a recount from scratch, the
-    /// placement epoch changes whenever some page's `(node, frame)` does,
-    /// and the dirty-bit ops never change it. The span-classification
-    /// cache is valid only under that epoch rule. An extra bump (remap to
-    /// the same node) only costs a cache miss, so it is allowed.
+    /// Under a random sequence of placement ops (populate, fill a range,
+    /// unmap, remap, unmap_range, remap_range) and dirty-bit ops
+    /// (mark_dirty, mark_dirty_range) over VPNs spanning three radix
+    /// leaves:
+    ///
+    /// * residency counters and the range queries `count_resident_in`,
+    ///   `translate_range` and `classify_runs` always equal a recount from
+    ///   scratch, on the op's range, the whole domain and the middle leaf;
+    /// * `remap_range` moves exactly the pages resident on `from`, and
+    ///   leaves every entry, frame id and the epoch as one `remap` per
+    ///   such page leaves a twin table; `unmap_range` removes and returns
+    ///   what one `unmap` per page would, with the same epoch;
+    /// * the placement epoch changes whenever some page's `(node, frame)`
+    ///   does, and the dirty-bit ops never change it. The
+    ///   span-classification cache is valid only under that rule. An
+    ///   extra bump (remap to the same node) only costs a cache miss, so
+    ///   it is allowed.
     #[test]
     fn pagetable_residency_is_consistent(ops in proptest::collection::vec(
-        (0u8..6, 0u64..200, prop::bool::ANY, 0u64..24), 0..300)) {
-        let placement = |pt: &PageTable| -> Vec<Option<(Node, u64)>> {
-            (0..224).map(|v| pt.translate(Vpn::new(v)).map(|p| (p.node, p.frame))).collect()
+        (0u8..8, 0u64..DOMAIN, prop::bool::ANY, 0u64..700), 0..150)) {
+        let entries = |pt: &PageTable| -> Vec<Option<Pte>> {
+            (0..DOMAIN).map(|v| pt.translate(Vpn::new(v)).copied()).collect()
+        };
+        let placement = |e: &[Option<Pte>]| -> Vec<Option<(Node, u64)>> {
+            e.iter().map(|p| p.map(|p| (p.node, p.frame))).collect()
         };
         let mut pt = PageTable::new(4096);
-        let mut model: HashMap<u64, Node> = HashMap::new();
+        // Takes every op as `pt` does, except that `unmap_range` and
+        // `remap_range` become one `unmap` or `remap` per page.
+        let mut twin = PageTable::new(4096);
+        let mut model: BTreeMap<u64, Node> = BTreeMap::new();
         let mut frame = 0u64;
         for (op, vpn, on_gpu, span) in ops {
             let node = if on_gpu { Node::Gpu } else { Node::Cpu };
-            let range = VpnRange::new(Vpn::new(vpn), Vpn::new(vpn + span));
-            let (before, epoch) = (placement(&pt), pt.placement_epoch());
+            let hi = (vpn + span).min(DOMAIN);
+            let range = VpnRange::new(Vpn::new(vpn), Vpn::new(hi));
+            let (before, epoch) = (placement(&entries(&pt)), pt.placement_epoch());
             match op {
-                0 => {
-                    model.entry(vpn).or_insert_with(|| {
-                        frame += 1;
-                        pt.populate(Vpn::new(vpn), node, frame);
-                        node
-                    });
-                }
-                1 => {
-                    pt.unmap(Vpn::new(vpn));
-                    model.remove(&vpn);
+                0 | 1 => {
+                    // One page, or every unpopulated page of the range.
+                    let last = if op == 0 { vpn + 1 } else { hi };
+                    for v in vpn..last {
+                        model.entry(v).or_insert_with(|| {
+                            frame += 1;
+                            pt.populate(Vpn::new(v), node, frame);
+                            twin.populate(Vpn::new(v), node, frame);
+                            node
+                        });
+                    }
                 }
                 2 => {
+                    pt.unmap(Vpn::new(vpn));
+                    twin.unmap(Vpn::new(vpn));
+                    model.remove(&vpn);
+                }
+                3 => {
                     if model.contains_key(&vpn) {
                         frame += 1;
                         pt.remap(Vpn::new(vpn), node, frame);
+                        twin.remap(Vpn::new(vpn), node, frame);
                         model.insert(vpn, node);
                     }
                 }
-                3 => {
-                    pt.unmap_range(range);
-                    model.retain(|v, _| !(vpn..vpn + span).contains(v));
+                4 => {
+                    let per_page: Vec<(Vpn, Pte)> = (vpn..hi)
+                        .filter_map(|v| twin.unmap(Vpn::new(v)).map(|p| (Vpn::new(v), p)))
+                        .collect();
+                    prop_assert_eq!(pt.unmap_range(range), per_page);
+                    model.retain(|v, _| !(vpn..hi).contains(v));
                 }
-                4 => pt.mark_dirty(Vpn::new(vpn)),
-                _ => pt.mark_dirty_range(range),
+                5 => {
+                    let from = node.peer();
+                    let on_from: Vec<u64> = model
+                        .range(vpn..hi)
+                        .filter(|&(_, &n)| n == from)
+                        .map(|(&v, _)| v)
+                        .collect();
+                    let mut moved = Vec::new();
+                    let n = pt.remap_range(range, from, node, frame + 1, |v| moved.push(v.get()));
+                    prop_assert_eq!(&moved, &on_from);
+                    prop_assert_eq!(n, Pages::new(on_from.len() as u64));
+                    for v in on_from {
+                        frame += 1;
+                        twin.remap(Vpn::new(v), node, frame);
+                        model.insert(v, node);
+                    }
+                }
+                6 => {
+                    pt.mark_dirty(Vpn::new(vpn));
+                    twin.mark_dirty(Vpn::new(vpn));
+                }
+                _ => {
+                    pt.mark_dirty_range(range);
+                    twin.mark_dirty_range(range);
+                }
             }
-            if op >= 4 {
+            let now = entries(&pt);
+            if op >= 6 {
                 prop_assert_eq!(pt.placement_epoch(), epoch, "dirty bits are not placement");
-            } else if placement(&pt) != before {
+            } else if placement(&now) != before {
                 prop_assert_ne!(pt.placement_epoch(), epoch, "op {} moved a page without an epoch bump", op);
             }
+            prop_assert_eq!(&now, &entries(&twin), "op {} diverged from per-page ops", op);
+            prop_assert_eq!(pt.placement_epoch(), twin.placement_epoch(), "op {}", op);
             let cpu = model.values().filter(|&&n| n == Node::Cpu).count() as u64;
             let gpu = model.values().filter(|&&n| n == Node::Gpu).count() as u64;
             prop_assert_eq!(pt.resident_pages(Node::Cpu), Pages::new(cpu));
             prop_assert_eq!(pt.resident_pages(Node::Gpu), Pages::new(gpu));
+            let whole = VpnRange::new(Vpn::new(0), Vpn::new(DOMAIN));
+            let leaf1 = VpnRange::new(Vpn::new(512), Vpn::new(1024));
+            for q in [range, whole, leaf1] {
+                let states: Vec<Option<Node>> = q.iter().map(|v| model.get(&v.get()).copied()).collect();
+                for n in [Node::Cpu, Node::Gpu] {
+                    let count = states.iter().filter(|&&s| s == Some(n)).count() as u64;
+                    prop_assert_eq!(pt.count_resident_in(q, n), Pages::new(count), "{} on {:?}", q, n);
+                }
+                let uniform = match states.first() {
+                    Some(&Some(n)) if states.iter().all(|&s| s == Some(n)) => Some(n),
+                    _ => None,
+                };
+                prop_assert_eq!(pt.translate_range(q), uniform, "{}", q);
+                let mut runs: Vec<PlacementRun> = Vec::new();
+                for (v, s) in q.iter().zip(states) {
+                    match runs.last_mut() {
+                        Some((r, last)) if *last == s => r.end = v.offset(1),
+                        _ => runs.push((VpnRange::new(v, v.offset(1)), s)),
+                    }
+                }
+                prop_assert_eq!(pt.classify_runs(q), runs, "{}", q);
+            }
         }
+    }
+
+    /// `alloc_frames(n)` reserves what `n` one-page `alloc` calls would,
+    /// with the same frame ids; when they would not all fit it reserves
+    /// nothing and reports the whole request. Frame ids continue after
+    /// the run, or where they were.
+    #[test]
+    fn alloc_frames_matches_one_page_allocs(used in 0u64..60_000, n in 0u64..40,
+                                            shift in 8u32..12, on_gpu in prop::bool::ANY,
+                                            unified in prop::bool::ANY) {
+        let node = if on_gpu { Node::Gpu } else { Node::Cpu };
+        let page = PageSize::new(1 << shift);
+        let fresh = || {
+            let mut pm = if unified {
+                PhysMem::new_unified(Bytes::new(80_000), Bytes::new(1_000))
+            } else {
+                PhysMem::new(Bytes::new(80_000), Bytes::new(50_000), Bytes::new(1_000))
+            };
+            let _ = pm.alloc(node, Bytes::new(used));
+            pm
+        };
+        let (mut bulk, mut each) = (fresh(), fresh());
+        let got = bulk.alloc_frames(node, page, n);
+        let ids: Vec<_> = (0..n).map(|_| each.alloc(node, page.bytes())).collect();
+        let next = if ids.iter().all(Result::is_ok) {
+            let first = got.unwrap();
+            let ids: Vec<u64> = ids.into_iter().map(Result::unwrap).collect();
+            prop_assert_eq!(ids, (first..first + n).collect::<Vec<_>>());
+            prop_assert_eq!(bulk.used(node), each.used(node));
+            first + n
+        } else {
+            let mut untouched = fresh();
+            prop_assert_eq!(got, Err(OutOfMemory {
+                node,
+                requested: Pages::new(n) * page,
+                free: untouched.free(node),
+            }));
+            prop_assert_eq!(bulk.used(node), untouched.used(node));
+            untouched.alloc(node, Bytes::ZERO).unwrap()
+        };
+        prop_assert_eq!(bulk.alloc(node, Bytes::ZERO).unwrap(), next);
     }
 
     /// PhysMem usage never exceeds capacity and free+used == capacity.

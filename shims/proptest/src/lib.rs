@@ -330,7 +330,9 @@ pub mod prelude {
 }
 
 /// Declares property tests. Each `fn name(pat in strategy, ...) { body }`
-/// becomes a `#[test]` running `cases` sampled iterations.
+/// becomes a function running `cases` sampled iterations. As with the
+/// real crate, the caller writes its `#[test]`; the macro adds none, so
+/// each property registers once.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -350,7 +352,6 @@ macro_rules! __proptest_fns {
      fn $name:ident($($p:pat in $s:expr),+ $(,)?) $body:block
      $($rest:tt)*) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let cfg: $crate::ProptestConfig = $cfg;
             let mut rng =
@@ -449,6 +450,7 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
+        #[test]
         fn macro_generates_tests(x in 0u64..100, mut v in prop::collection::vec(0u8..3, 0..4)) {
             prop_assume!(x != 1000); // always holds
             v.push(0);
