@@ -1,8 +1,7 @@
 //! Workspace walker and rule driver: discovers source files, classifies
-//! them, runs every token rule and workspace flow rule, applies allow
+//! them, runs every rule over each file's token stream, applies allow
 //! directives, and reports malformed directives.
 
-use crate::resolve::Workspace;
 use crate::rules::{self, Finding};
 use crate::source::{FileKind, SourceFile};
 use std::collections::BTreeSet;
@@ -77,15 +76,11 @@ pub fn audit_workspace_with_stats(
 ) -> Result<(Vec<Finding>, AuditStats), AuditError> {
     let files = collect_files(&cfg.root)?;
     let mut findings = Vec::new();
-    let per_file_rules = rules::all_rules();
+    let rules = rules::all_rules();
     for f in &files {
-        for rule in &per_file_rules {
+        for rule in &rules {
             rule.check_file(f, &mut findings);
         }
-    }
-    let ws = Workspace::build(&files);
-    for rule in rules::flow_rules() {
-        rule.check_workspace(&ws, &mut findings);
     }
     // Allow filtering, then malformed-directive reporting.
     findings.retain(|f| {
@@ -130,9 +125,6 @@ pub fn audit_workspace_with_stats(
     }
     findings
         .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
-    // The dataflow driver runs loop bodies twice, so flow rules can report
-    // the same finding twice; drop exact duplicates post-sort.
-    findings.dedup();
     let stats = AuditStats {
         files_scanned: files.len(),
     };

@@ -9,52 +9,42 @@
 //! *source-level* discipline that makes the properties hold everywhere,
 //! for the rules rustc and clippy cannot state:
 //!
-//! Token rules (per-file shape checks):
-//!
 //! | rule | what it guards |
 //! |------|----------------|
 //! | `no-unchecked-accounting-arithmetic` | saturating math for byte/page/cost accumulators |
 //! | `typed-units` | unit-named raw-`u64` parameters on model-crate APIs |
 //! | `no-raw-unit-cast` | no `as u64` / `.0` unit launders in model crates |
+//! | `unit-launder` | no raw `.get()` value rewrapped by a gh-units constructor |
 //! | `no-float-eq` | no exact float compares in cost-model decisions |
 //! | `no-platform-leak` | experiment layers build machines through `gh_sim::platform` |
 //! | `allow-syntax` | suppressions are well-formed and carry a reason |
 //!
-//! Flow rules (workspace AST + taint dataflow):
-//!
-//! | rule | what it guards |
-//! |------|----------------|
-//! | `unit-launder-flow` | `.get()`-escaped raw values stay in their unit domain |
-//! | `unordered-iter-flow` | hash iteration order never reaches returns/state/output |
-//!
 //! The rest is the compiler's job (`docs/static-analysis.md`, "What
 //! rustc proves instead"): the workspace `clippy.toml` bans host clocks,
-//! lazy statics, `thread_local!` and env reads outside reasoned
-//! `#[expect]`s; each library crate root denies clippy's unwrap family
-//! and reasonless `#[allow]`/`#[expect]`; session handles are
-//! `!Send`/`!Sync` (`compile_fail` doctests in `gh-jobs`); the job cache
-//! is keyed by the whole `JobSpec` through a derived `Ord`; trace export
-//! matches every `Event` variant with no `_` arm; a `gh-mem` proptest
-//! checks that every placement change bumps the page table's epoch. No
-//! function holds two lock guards at once, so no lock order can invert,
-//! and a same-thread relock deadlocks the first time its path runs, which
-//! the deadline test in `tests/sessions.rs` catches.
+//! lazy statics, `thread_local!`, env reads and the hash containers
+//! outside reasoned `#[expect]`s, and their order-yielding methods
+//! everywhere; each library crate root denies clippy's unwrap family,
+//! `iter_over_hash_type` and reasonless `#[allow]`/`#[expect]`; session
+//! handles are `!Send`/`!Sync` (`compile_fail` doctests in `gh-jobs`);
+//! the job cache is keyed by the whole `JobSpec` through a derived `Ord`;
+//! trace export matches every `Event` variant with no `_` arm; a `gh-mem`
+//! proptest checks that every placement change bumps the page table's
+//! epoch. No function holds two lock guards at once, so no lock order can
+//! invert, and a same-thread relock deadlocks the first time its path
+//! runs, which the deadline test in `tests/sessions.rs` catches.
 //!
 //! Suppression is per-line and audited itself:
 //!
 //! ```text
-//! let ks = m.keys(); // gh-audit: allow(unordered-iter-flow) -- sorted below
+//! // gh-audit: allow(unit-launder) -- a namespace bit, not a unit crossing
 //! // gh-audit: allow-file(no-raw-unit-cast) -- the unit crate's own internals
 //! ```
 //!
-//! The engine is from scratch (no `syn`/`dylint`: the build environment
-//! is offline), layered as **tokens → AST → dataflow**: a lossless lexer
-//! ([`lexer`]), an error-tolerant recursive-descent parser ([`ast`]),
-//! shallow name/type resolution ([`resolve`]), and an intraprocedural
-//! taint driver ([`dataflow`]) the flow rules plug specs into. The lints
-//! stay *heuristic* — over-approximate environments, by-name resolution
-//! of function returns — so false negatives are possible; false
-//! positives get an allow with a reason.
+//! Every rule is a shape check over one file's token stream ([`lexer`],
+//! [`source`]); there is no parser and no cross-file analysis (no
+//! `syn`/`dylint`: the build environment is offline). The rules are
+//! heuristic, so false negatives are possible; false positives get an
+//! allow with a reason.
 //!
 //! Run it: `cargo run -p gh-audit` (report) or `cargo run -p gh-audit --
 //! --deny` (CI gate, exits 1 on any finding). See `docs/static-analysis.md`.
@@ -69,15 +59,13 @@
     clippy::unreachable,
     clippy::todo,
     clippy::unimplemented,
+    clippy::iter_over_hash_type,
     clippy::allow_attributes_without_reason
 )]
 
-pub mod ast;
-pub mod dataflow;
 pub mod engine;
 pub mod lexer;
 pub mod report;
-pub mod resolve;
 pub mod rules;
 pub mod source;
 

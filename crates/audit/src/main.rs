@@ -40,7 +40,7 @@ fn main() -> ExitCode {
             },
             "--rule" => match args.next() {
                 // Comma-separated lists let CI request a rule subset in
-                // one flag: `--rule no-float-eq,unit-launder-flow`.
+                // one flag: `--rule no-float-eq,unit-launder`.
                 Some(names) => {
                     for name in names.split(',').map(str::trim).filter(|n| !n.is_empty()) {
                         if !rules::rule_names().contains(&name) {
@@ -62,9 +62,6 @@ fn main() -> ExitCode {
             },
             "--list-rules" => {
                 for r in rules::all_rules() {
-                    println!("{:<38} {}", r.name(), r.describe());
-                }
-                for r in rules::flow_rules() {
                     println!("{:<38} {}", r.name(), r.describe());
                 }
                 println!(

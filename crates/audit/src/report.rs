@@ -152,11 +152,11 @@ mod tests {
 
     #[test]
     fn sarif_has_schema_rules_and_results() {
-        // The renderer derives rule ids from findings, so flow rules
-        // surface beside token rules without any registry edit.
-        const FLOW_RULES: [&str; 2] = ["unit-launder-flow", "unordered-iter-flow"];
+        // The renderer derives rule ids from findings, so every rule
+        // surfaces without any registry edit.
+        const MORE_RULES: [&str; 2] = ["unit-launder", "typed-units"];
         let mut findings = sample();
-        findings.extend(FLOW_RULES.map(|rule| Finding {
+        findings.extend(MORE_RULES.map(|rule| Finding {
             rule,
             path: "crates/jobs/src/lib.rs".into(),
             line: 1,
@@ -167,7 +167,7 @@ mod tests {
         assert!(s.contains("\"name\": \"gh-audit\""));
         assert!(s.contains("\"startLine\": 3"));
         assert!(s.contains("\"uri\": \"a/src/lib.rs\""));
-        for r in ["no-float-eq"].into_iter().chain(FLOW_RULES) {
+        for r in ["no-float-eq"].into_iter().chain(MORE_RULES) {
             assert!(s.contains(&format!("{{\"id\": \"{r}\"}}")), "{r}");
             assert!(s.contains(&format!("\"ruleId\": \"{r}\"")), "{r}");
         }

@@ -27,7 +27,7 @@
 
 use crate::rules::{Finding, Rule};
 use crate::source::{FileKind, SourceFile};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Crates whose lib sources carry accounting state.
 pub const ACCOUNTING_CRATES: [&str; 3] = ["gh-mem", "gh-os", "gh-cuda"];
@@ -56,9 +56,9 @@ pub const UNIT_TYPES: [&str; 6] = ["Bytes", "Pages", "Lines", "SimNs", "Vpn", "B
 /// newtype: struct fields and parameters (`name: Bytes`, `name: [Pages; 2]`)
 /// and let bindings whose initializer calls into a unit type
 /// (`let mut freed = Bytes::ZERO`, `let pages = gh_units::Pages::new(1)`).
-fn unit_typed_idents(code: &[&crate::lexer::Tok]) -> HashSet<String> {
+fn unit_typed_idents(code: &[&crate::lexer::Tok]) -> BTreeSet<String> {
     use crate::lexer::TokKind;
-    let mut set = HashSet::new();
+    let mut set = BTreeSet::new();
     for i in 0..code.len() {
         if code[i].kind != TokKind::Ident {
             continue;

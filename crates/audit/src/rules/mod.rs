@@ -1,19 +1,12 @@
-//! The audit rules, in two tiers:
-//!
-//! * **token rules** ([`Rule`]) walk one file's token stream — cheap
-//!   shape checks that need no context;
-//! * **flow rules** ([`FlowRule`]) run against the shared [`Workspace`]
-//!   (parsed ASTs, struct/type tables) and use the [`crate::dataflow`]
-//!   taint driver for value-flow reasoning.
+//! The audit rules. Each [`Rule`] walks one file's token stream: a
+//! shape check that needs no context beyond the file's crate, target
+//! kind and test-module ranges.
 
 pub mod accounting;
 pub mod float_eq;
 pub mod no_platform_leak;
-pub mod unit_launder;
 pub mod units;
-pub mod unordered_flow;
 
-use crate::resolve::Workspace;
 use crate::source::SourceFile;
 
 /// One rule violation.
@@ -40,42 +33,22 @@ pub trait Rule {
     fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>);
 }
 
-/// A workspace-level dataflow rule. Flow rules see the whole parsed
-/// workspace at once and run a [`crate::dataflow::TaintSpec`] over each
-/// function.
-pub trait FlowRule {
-    /// Stable rule name (what `allow(...)` takes).
-    fn name(&self) -> &'static str;
-    /// One-line description for `--list-rules`.
-    fn describe(&self) -> &'static str;
-    /// Appends findings for the whole workspace.
-    fn check_workspace(&self, ws: &Workspace<'_>, out: &mut Vec<Finding>);
-}
-
 /// All per-file rules, in report order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(accounting::UncheckedAccounting),
         Box::new(units::TypedUnits),
         Box::new(units::NoRawUnitCast),
+        Box::new(units::UnitLaunder),
         Box::new(float_eq::FloatEq),
         Box::new(no_platform_leak::PlatformLeak),
     ]
 }
 
-/// All workspace flow rules, in report order.
-pub fn flow_rules() -> Vec<Box<dyn FlowRule>> {
-    vec![
-        Box::new(unit_launder::UnitLaunderFlow),
-        Box::new(unordered_flow::UnorderedIterFlow),
-    ]
-}
-
-/// Names of every rule (per-file rules, flow rules, and the
-/// `allow-syntax` meta rule), for `--rule` validation and docs.
+/// Names of every rule (the per-file rules and the `allow-syntax` meta
+/// rule), for `--rule` validation and docs.
 pub fn rule_names() -> Vec<&'static str> {
     let mut names: Vec<&'static str> = all_rules().iter().map(|r| r.name()).collect();
-    names.extend(flow_rules().iter().map(|r| r.name()));
     names.push(crate::engine::ALLOW_SYNTAX);
     names
 }

@@ -1,5 +1,6 @@
-//! `typed-units` and `no-raw-unit-cast`: the gh-units newtypes must not
-//! decay back to raw integers inside the model crates.
+//! `typed-units`, `no-raw-unit-cast` and `unit-launder`: the gh-units
+//! newtypes must not decay back to raw integers, or be rewrapped from
+//! them, without a declared conversion.
 //!
 //! The `gh-units` crate (`Bytes`, `Pages`, `Lines`, `SimNs`, `Vpn`,
 //! `BwGiBs`) exists so that a page count can never be added to a byte
@@ -23,11 +24,22 @@
 //!   `gh_units::widen` (usize → u64) and the units' `.get()` accessor
 //!   are the sanctioned exits; `as f64`/`as usize` casts toward the
 //!   float/indexing domains stay legal.
+//! * **`unit-launder`** — a no-argument `.get()` inside the argument list
+//!   of a gh-units constructor (`Pages::new(bytes.get())`). The raw value
+//!   is relabelled with no conversion: a byte count read back as a page
+//!   count is off by exactly the page size, and deterministically so, so
+//!   no determinism test notices. Step within a unit (`Vpn::offset`,
+//!   `Vpn::back`) or cross through a declared conversion (`Bytes /
+//!   PageSize`, `PageSize::vpn`) instead. The rule reads tokens only: a
+//!   raw value bound by `let`, or returned from a function, before it
+//!   reaches the constructor is not followed.
 //!
-//! Scope for both rules: lib sources of the model crates, test modules
-//! exempt (tests may build raw fixtures).
+//! Scope: `typed-units` and `no-raw-unit-cast` audit lib sources of the
+//! model crates; `unit-launder` audits lib and bin code of every crate.
+//! Test modules are exempt (tests may build raw fixtures).
 
 use crate::lexer::{Tok, TokKind};
+use crate::rules::accounting::UNIT_TYPES;
 use crate::rules::{Finding, Rule};
 use crate::source::{FileKind, SourceFile};
 
@@ -241,6 +253,85 @@ impl Rule for NoRawUnitCast {
     }
 }
 
+/// The gh-units types whose `new`/`from_raw` constructors
+/// `unit-launder` watches: the saturating newtypes of [`UNIT_TYPES`] plus
+/// `VpnRange` and `PageSize`.
+fn is_unit_ctor_type(name: &str) -> bool {
+    UNIT_TYPES.contains(&name) || matches!(name, "VpnRange" | "PageSize")
+}
+
+/// See module docs.
+#[derive(Debug)]
+pub struct UnitLaunder;
+
+impl Rule for UnitLaunder {
+    fn name(&self) -> &'static str {
+        "unit-launder"
+    }
+
+    fn describe(&self) -> &'static str {
+        "a raw `.get()` value must not be rewrapped by a gh-units constructor"
+    }
+
+    fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
+        if !matches!(file.kind, FileKind::Lib | FileKind::Bin) {
+            return;
+        }
+        let code: Vec<_> = file.code_tokens().map(|(_, t)| t).collect();
+        // Open constructor calls, innermost last: the index of the unit's
+        // name, the paren depth inside the argument list, and whether the
+        // call has been reported (one finding per call).
+        let mut open: Vec<(usize, i32, bool)> = Vec::new();
+        let mut depth = 0i32;
+        for i in 0..code.len() {
+            let t = code[i];
+            if t.is_punct("(") {
+                depth += 1;
+                continue;
+            }
+            if t.is_punct(")") {
+                depth -= 1;
+                while open.last().is_some_and(|c| c.1 > depth) {
+                    open.pop();
+                }
+                continue;
+            }
+            let at = |k: usize| code.get(i + k).copied();
+            let is_ctor = t.kind == TokKind::Ident
+                && is_unit_ctor_type(&t.text)
+                && at(1).is_some_and(|n| n.is_punct("::"))
+                && at(2).is_some_and(|n| n.is_ident("new") || n.is_ident("from_raw"))
+                && at(3).is_some_and(|n| n.is_punct("("));
+            if is_ctor {
+                open.push((i, depth + 1, false));
+                continue;
+            }
+            let is_raw_get = t.is_punct(".")
+                && at(1).is_some_and(|n| n.is_ident("get"))
+                && at(2).is_some_and(|n| n.is_punct("("))
+                && at(3).is_some_and(|n| n.is_punct(")"));
+            let Some((unit, _, reported)) = open.last_mut() else {
+                continue;
+            };
+            if is_raw_get && !*reported && !file.in_test_mod(t.line) {
+                *reported = true;
+                out.push(Finding {
+                    rule: self.name(),
+                    path: file.rel_path.clone(),
+                    line: t.line,
+                    msg: format!(
+                        "`.get()` hands a raw value to `{}::{}`, which relabels it with no \
+                         conversion; step within the unit (`Vpn::offset`) or convert through \
+                         gh_units (`Bytes / PageSize`, `PageSize::vpn`)",
+                        code[*unit].text,
+                        code[*unit + 2].text
+                    ),
+                });
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,5 +455,60 @@ mod tests {
         let src = "#[cfg(test)]\nmod tests {\n    fn f(x: u32) -> u64 { x as u64 }\n}";
         assert!(run_cast("gh-mem", src).is_empty());
         assert!(run_cast("gh-trace", "fn f(x: u32) -> u64 { x as u64 }").is_empty());
+    }
+
+    fn run_launder(kind: FileKind, src: &str) -> Vec<Finding> {
+        let f = SourceFile::parse("c/src/lib.rs", "gh-bench", kind, src);
+        let mut out = Vec::new();
+        UnitLaunder.check_file(&f, &mut out);
+        out
+    }
+
+    #[test]
+    fn raw_get_into_a_unit_constructor_fires() {
+        for src in [
+            "fn f(b: Bytes) -> Pages { Pages::new(b.get()) }",
+            "fn f(b: Bytes, p: PageSize) -> Pages { Pages::new(b.get() / p.get()) }",
+            "fn f(v: Vpn) -> Vpn { gh_units::Vpn::from_raw(v.get() + 1) }",
+        ] {
+            let out = run_launder(FileKind::Lib, src);
+            assert_eq!(out.len(), 1, "{src}: {out:?}");
+        }
+        let out = run_launder(
+            FileKind::Bin,
+            "fn f(b: Bytes) -> Pages { Pages::new(b.get()) }",
+        );
+        assert!(out[0].msg.contains("`Pages::new`"), "{out:?}");
+    }
+
+    #[test]
+    fn one_finding_per_call_on_its_innermost_constructor() {
+        let src = "fn f(a: Vpn, b: Vpn) -> VpnRange {\n\
+                   VpnRange::new(a, Vpn::new(b.get()\n + a.get()))\n}";
+        let out = run_launder(FileKind::Lib, src);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].line, 2);
+        assert!(out[0].msg.contains("`Vpn::new`"), "{out:?}");
+    }
+
+    #[test]
+    fn keyed_gets_typed_steps_and_outside_gets_are_fine() {
+        for src in [
+            "fn f(m: &Map, k: u64) -> Pages { Pages::new(m.get(&k).copied().unwrap_or(0)) }",
+            "fn f(n: u64, p: PageSize) -> u64 { (Pages::new(n) * p).get() }",
+            "fn f(v: Vpn) -> VpnRange { VpnRange::new(v, v.offset(1)) }",
+            "fn f(b: Bytes, p: PageSize) -> Pages { b / p }",
+            "fn f(c: Cell) -> Thing { Thing::new(c.get()) }",
+        ] {
+            assert!(run_launder(FileKind::Lib, src).is_empty(), "{src}");
+        }
+    }
+
+    #[test]
+    fn launder_rule_skips_tests() {
+        let src = "fn f(b: Bytes) -> Pages { Pages::new(b.get()) }";
+        assert!(run_launder(FileKind::Test, src).is_empty());
+        let in_mod = format!("#[cfg(test)]\nmod tests {{\n    {src}\n}}");
+        assert!(run_launder(FileKind::Lib, &in_mod).is_empty());
     }
 }

@@ -2,12 +2,9 @@
 //! findings — including one well-formed, reasoned suppression.
 
 use gh_units::{widen, Bytes, PageSize, Pages};
-use std::collections::{BTreeMap, HashMap};
 
 pub struct Counters {
     pub total_bytes: u64,
-    pub by_node: BTreeMap<u32, u64>,
-    pub hot_pages: HashMap<u64, u64>,
 }
 
 impl Counters {
@@ -18,29 +15,9 @@ impl Counters {
         self.total_bytes = self.total_bytes.saturating_add(bytes.get());
     }
 
-    // BTreeMap iterates in key order; no randomness reaches the output.
-    pub fn report(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        for (_, v) in self.by_node.iter() {
-            out.push(*v);
-        }
-        out
-    }
-
     // Epsilon compare instead of exact float equality.
     pub fn is_idle(&self, utilization: f64) -> bool {
         utilization.abs() < 1e-12
-    }
-
-    // A commutative fold over an unordered map: `unordered-iter-flow`
-    // recognizes order-insensitive accumulation, so — unlike under the
-    // retired token rule — no suppression is needed.
-    pub fn merged(&self) -> u64 {
-        let mut sum = 0u64;
-        for v in self.hot_pages.values() {
-            sum = sum.saturating_add(*v);
-        }
-        sum
     }
 
     // A reasoned suppression parses cleanly and silences its rule.
@@ -63,9 +40,8 @@ pub fn span_cost(lens: &[usize]) -> u64 {
     widen(lens.len())
 }
 
-// unit-launder-flow's disciplined twin: the byte count is scaled by the
-// page size on its way into the page domain — a real conversion, not a
-// relabeling.
+// unit-launder's disciplined twin: the byte count crosses into the page
+// domain through gh-units' declared conversion, not a relabeling.
 pub fn pages_from_bytes(b: Bytes, page: PageSize) -> Pages {
-    Pages::new(b.get() / page.get())
+    b / page
 }

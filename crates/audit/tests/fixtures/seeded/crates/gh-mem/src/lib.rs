@@ -2,11 +2,9 @@
 //! Never compiled — consumed by `tests/fixtures.rs` through the engine.
 
 use gh_units::{Bytes, Pages};
-use std::collections::HashMap;
 
 pub struct Counters {
     pub total_bytes: u64,
-    pub by_node: HashMap<u32, u64>,
 }
 
 impl Counters {
@@ -14,16 +12,6 @@ impl Counters {
     // accounting accumulator in an accounting crate (gh-mem).
     pub fn tally(&mut self, bytes: u64) {
         self.total_bytes += bytes;
-    }
-
-    // unordered-iter-flow: HashMap iteration order flows element-wise
-    // into the returned vec — genuinely nondeterministic output.
-    pub fn report(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        for (_, v) in self.by_node.iter() {
-            out.push(*v);
-        }
-        out
     }
 
     // no-float-eq: exact float compare in a cost decision.
@@ -56,8 +44,8 @@ pub fn escape_hatch(count: u32, b: &RawBytes) -> u64 {
     (count as u64).saturating_add(b.0)
 }
 
-// unit-launder-flow: a byte count escapes through `.get()` and is
-// rewrapped as a page count with no conversion — off by the page size,
+// unit-launder: a byte count escapes through `.get()` and is rewrapped
+// as a page count with no conversion — off by the page size,
 // deterministically wrong.
 pub fn pages_from_bytes(b: Bytes) -> Pages {
     Pages::new(b.get())

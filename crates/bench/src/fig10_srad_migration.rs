@@ -62,67 +62,70 @@ pub fn series(csv: &Csv, mode: &str, col: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::Claims;
 
     #[test]
-    fn managed_first_iteration_is_slowest() {
-        // Paper: the managed version pays on-demand migration in
-        // iteration 1; later iterations run from HBM.
+    fn every_claim_holds_on_one_sweep() {
         let csv = run(true);
-        let t = series(&csv, "managed", 2);
-        let later_max = t[2..].iter().cloned().fold(0.0f64, f64::max);
-        assert!(
-            t[0] > later_max * 2.0,
-            "managed iter 1 ({}) must dominate later iterations ({later_max})",
-            t[0]
-        );
-    }
-
-    #[test]
-    fn system_c2c_reads_decay_as_migration_progresses() {
-        // Paper: C2C reads decrease over iterations 1-4 while GPU reads
-        // grow; after the working set migrated, C2C reads are ~0.
-        let csv = run(true);
+        let mut claims = Claims::default();
+        let managed = series(&csv, "managed", 2);
+        let system = series(&csv, "system", 2);
         let c2c = series(&csv, "system", 4);
         let gpu = series(&csv, "system", 3);
-        assert!(c2c[0] > 0.0, "iteration 1 must read remotely");
-        let last = *c2c.last().unwrap();
-        assert!(
-            last < c2c[0] * 0.2,
-            "C2C reads must decay: first {} last {last}",
-            c2c[0]
-        );
-        assert!(
-            gpu.last().unwrap() > &gpu[0],
-            "GPU reads must grow as pages migrate"
-        );
-    }
+        let first = |v: &[f64]| v.first().copied().unwrap_or(f64::NAN);
+        let last = |v: &[f64]| v.last().copied().unwrap_or(f64::NAN);
 
-    #[test]
-    fn system_late_iterations_beat_managed_late_iterations() {
+        // Paper: the managed version pays on-demand migration in
+        // iteration 1; later iterations run from HBM.
+        let later_max = managed.iter().skip(2).copied().fold(0.0f64, f64::max);
+        claims.check(
+            "managed_first_iteration_is_slowest",
+            first(&managed) > later_max * 2.0,
+            format!(
+                "managed iter 1 ({}) must dominate later iterations ({later_max})",
+                first(&managed)
+            ),
+        );
+
+        // Paper: C2C reads decrease over iterations 1-4 while GPU reads
+        // grow; after the working set migrated, C2C reads are ~0.
+        claims.check(
+            "system_c2c_reads_decay_as_migration_progresses",
+            first(&c2c) > 0.0,
+            "iteration 1 must read remotely".to_string(),
+        );
+        claims.check(
+            "system_c2c_reads_decay_as_migration_progresses",
+            last(&c2c) < first(&c2c) * 0.2,
+            format!(
+                "C2C reads must decay: first {} last {}",
+                first(&c2c),
+                last(&c2c)
+            ),
+        );
+        claims.check(
+            "system_c2c_reads_decay_as_migration_progresses",
+            last(&gpu) > first(&gpu),
+            "GPU reads must grow as pages migrate".to_string(),
+        );
+
         // Paper: from iteration ~5 the system version stabilizes and
         // outperforms managed.
-        let csv = run(true);
-        let ts = series(&csv, "system", 2);
-        let tm = series(&csv, "managed", 2);
-        let sys_late = ts[ts.len() - 3..].iter().sum::<f64>();
-        let man_late = tm[tm.len() - 3..].iter().sum::<f64>();
-        assert!(
+        let late = |v: &[f64]| v.iter().rev().take(3).sum::<f64>();
+        let (sys_late, man_late) = (late(&system), late(&managed));
+        claims.check(
+            "system_late_iterations_beat_managed_late_iterations",
             sys_late <= man_late * 1.05,
-            "late system iterations {sys_late} vs managed {man_late}\n{}",
-            csv.render()
+            format!("late system iterations {sys_late} vs managed {man_late}"),
         );
-    }
 
-    #[test]
-    fn migration_spread_over_multiple_iterations() {
         // The access-counter driver is budget-bound: the working set must
         // not migrate entirely within iteration 1 (delayed migration).
-        let csv = run(true);
-        let c2c = series(&csv, "system", 4);
-        assert!(
-            c2c[1] > 0.0,
-            "iteration 2 must still read remotely (delayed migration)\n{}",
-            csv.render()
+        claims.check(
+            "migration_spread_over_multiple_iterations",
+            c2c.get(1).is_some_and(|&r| r > 0.0),
+            "iteration 2 must still read remotely (delayed migration)".to_string(),
         );
+        claims.assert_all(&csv);
     }
 }

@@ -82,31 +82,32 @@ pub fn speedup(csv: &Csv, app: &str, ratio: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::Claims;
 
     #[test]
-    fn speedup_grows_with_oversubscription() {
+    fn every_claim_holds_on_one_sweep() {
+        let csv = run(true);
+        let mut claims = Claims::default();
+
         // Paper Fig 11: the system version becomes increasingly faster
         // relative to managed as oversubscription grows (eviction +
         // re-migration churn hits managed; system reads remotely).
-        let csv = run(true);
-        let mut grew = 0;
-        for app in AppId::ALL {
-            let base = speedup(&csv, app.name(), 1.0);
-            let over = speedup(&csv, app.name(), 1.5);
-            if over > base {
-                grew += 1;
-            }
-        }
-        assert!(
+        let grew = AppId::ALL
+            .iter()
+            .filter(|app| speedup(&csv, app.name(), 1.5) > speedup(&csv, app.name(), 1.0))
+            .count();
+        claims.check(
+            "speedup_grows_with_oversubscription",
             grew >= 3,
-            "most apps must favour system memory more under oversubscription\n{}",
-            csv.render()
+            format!("most apps must favour system memory more under oversubscription ({grew} do)"),
         );
-    }
 
-    #[test]
-    fn all_apps_and_ratios_present() {
-        let csv = run(true);
-        assert_eq!(csv.len(), (AppId::ALL.len() + 1) * 2);
+        let rows = (AppId::ALL.len() + 1) * 2;
+        claims.check(
+            "all_apps_and_ratios_present",
+            csv.len() == rows,
+            format!("{} rows, expected {rows}", csv.len()),
+        );
+        claims.assert_all(&csv);
     }
 }

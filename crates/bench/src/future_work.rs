@@ -142,39 +142,46 @@ pub fn cell(csv: &Csv, workload: &str, page: &str, migration: &str, col: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::Claims;
 
     #[test]
-    fn migration_selectivity_matches_pattern_class() {
+    fn every_claim_holds_on_one_sweep() {
         let csv = run(true);
+        let mut claims = Claims::default();
+
         // Dense/sequential and skewed patterns migrate; sparse uniform
         // does not.
-        assert!(cell(&csv, "stream", "64k", "on", 4) > 0.0);
-        assert!(cell(&csv, "pointer_chase", "64k", "on", 4) > 0.0);
-        assert_eq!(
-            cell(&csv, "gups_sparse", "64k", "on", 4),
-            0.0,
-            "\n{}",
-            csv.render()
+        for w in ["stream", "pointer_chase"] {
+            let migrated = cell(&csv, w, "64k", "on", 4);
+            claims.check(
+                "migration_selectivity_matches_pattern_class",
+                migrated > 0.0,
+                format!("{w} must migrate, migrated {migrated}"),
+            );
+        }
+        let sparse = cell(&csv, "gups_sparse", "64k", "on", 4);
+        claims.check(
+            "migration_selectivity_matches_pattern_class",
+            sparse == 0.0,
+            format!("gups_sparse must not migrate, migrated {sparse}"),
         );
-    }
 
-    #[test]
-    fn iterative_workloads_drain_remote_traffic() {
-        let csv = run(true);
         for w in ["kmeans", "srad"] {
             let first = cell(&csv, w, "64k", "on", 5);
             let last = cell(&csv, w, "64k", "on", 6);
-            assert!(
+            claims.check(
+                "iterative_workloads_drain_remote_traffic",
                 last < first,
-                "{w}: remote traffic must decay with migration on\n{}",
-                csv.render()
+                format!("{w}: remote traffic must decay with migration on ({first} -> {last})"),
             );
         }
-    }
 
-    #[test]
-    fn sweep_covers_all_cells() {
-        let csv = run(true);
-        assert_eq!(csv.len(), WORKLOADS.len() * 4);
+        let cells = WORKLOADS.len() * 4;
+        claims.check(
+            "sweep_covers_all_cells",
+            csv.len() == cells,
+            format!("{} rows, expected {cells}", csv.len()),
+        );
+        claims.assert_all(&csv);
     }
 }

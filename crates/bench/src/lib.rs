@@ -15,10 +15,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
-#![expect(
-    clippy::disallowed_methods,
-    reason = "the bench harness is the env boundary: GH_FAST, GH_TRACE, GH_JOBS and GH_TRACE_OUT seed per-run SessionOptions"
-)]
+#![deny(clippy::iter_over_hash_type)]
 
 pub mod ablations;
 pub mod bandwidth;
@@ -55,6 +52,10 @@ pub fn emit(title: &str, csv: &Csv, notes: &[&str]) {
 }
 
 /// True when the `GH_FAST` environment variable asks for shrunk inputs.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the bench harness is the env boundary: GH_FAST picks fast inputs"
+)]
 pub fn fast_requested() -> bool {
     std::env::var("GH_FAST").is_ok_and(|v| v != "0" && !v.is_empty())
 }

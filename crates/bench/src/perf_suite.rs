@@ -74,6 +74,10 @@ pub struct PerfSuite {
 /// by default — the wall-time columns are the tracked signal, and
 /// co-scheduled runs would perturb them — but `GH_JOBS=<n>` fans the
 /// matrix over the `gh-jobs` executor for a quick (untracked) pass.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the bench harness is the env boundary: GH_BENCH_TEST_SECS carries the test-suite time"
+)]
 pub fn run(fast: bool) -> PerfSuite {
     let so = gh_cuda::SessionOptions {
         perf: true,
@@ -224,6 +228,10 @@ impl PerfSuite {
     /// Writes `BENCH_<date>.json` + `BENCH_<date>.folded` at the repo
     /// root (`GH_BENCH_OUT=<dir>` overrides the directory) and returns
     /// the two paths.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the bench harness is the env boundary: GH_BENCH_OUT names the output directory"
+    )]
     pub fn write(&self) -> std::io::Result<(std::path::PathBuf, std::path::PathBuf)> {
         let dir = std::env::var("GH_BENCH_OUT")
             .map(std::path::PathBuf::from)

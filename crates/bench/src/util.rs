@@ -55,12 +55,20 @@ pub fn run_app(
 }
 
 /// True when the `GH_TRACE` environment variable asks for bus tracing.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the bench harness is the env boundary: GH_TRACE arms per-run tracing"
+)]
 pub fn trace_requested() -> bool {
     std::env::var("GH_TRACE").is_ok_and(|v| v != "0" && !v.is_empty())
 }
 
 /// Worker count for concurrent harnesses: `GH_JOBS=<n>` wins, otherwise
 /// `default` (pass 1 for serial-by-default suites).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the bench harness is the env boundary: GH_JOBS sets the worker count"
+)]
 pub fn jobs_requested(default: usize) -> usize {
     std::env::var("GH_JOBS")
         .ok()
@@ -95,6 +103,10 @@ pub fn traced(label: &str, f: impl FnOnce(&SessionOptions) -> RunReport) -> RunR
 /// and `<prefix>-<label>.metrics.csv` next to the working directory and
 /// prints the explain table to stderr. The prefix defaults to `gh-trace`
 /// and is overridden with `GH_TRACE_OUT`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the bench harness is the env boundary: GH_TRACE_OUT names the export files"
+)]
 pub fn export_trace(label: &str, r: &RunReport) {
     let Some(t) = &r.trace else { return };
     let prefix = std::env::var("GH_TRACE_OUT").unwrap_or_else(|_| "gh-trace".into());
@@ -161,6 +173,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test reads GH_JOBS to know whether the default applies"
+    )]
     fn jobs_default_applies_without_env() {
         // GH_JOBS is not set under `cargo test`; the default wins.
         if std::env::var("GH_JOBS").is_err() {
@@ -174,5 +190,33 @@ mod tests {
         assert_eq!(ms(1_500_000), "1.500");
         assert_eq!(ratio(3, 2), "1.500");
         assert_eq!(ratio(1, 0), "inf");
+    }
+}
+
+/// The failed claims of one figure's sweep. A figure's test computes its
+/// sweep once and checks every claim against it; the failure message
+/// names each claim that fails, not just the first.
+#[cfg(test)]
+#[derive(Debug, Default)]
+pub(crate) struct Claims(Vec<String>);
+
+#[cfg(test)]
+impl Claims {
+    /// Records `claim` as failed, with its evidence, unless it holds.
+    pub(crate) fn check(&mut self, claim: &str, holds: bool, evidence: String) {
+        if !holds {
+            self.0.push(format!("{claim}: {evidence}"));
+        }
+    }
+
+    /// Panics naming every failed claim, followed by the sweep's table.
+    pub(crate) fn assert_all(self, csv: &gh_profiler::Csv) {
+        assert!(
+            self.0.is_empty(),
+            "{} claim(s) failed:\n{}\n{}",
+            self.0.len(),
+            self.0.join("\n"),
+            csv.render()
+        );
     }
 }

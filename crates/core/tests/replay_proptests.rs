@@ -1,6 +1,7 @@
 //! Property tests for the replay engine: randomly generated valid traces
 //! must execute without leaking memory, deterministically, in every
-//! substituted memory mode.
+//! substituted memory mode; random garbage must be a typed error that
+//! names a line of the trace, never a panic.
 
 use gh_sim::{replay, MemMode};
 use proptest::prelude::*;
@@ -71,6 +72,134 @@ fn build_trace(sizes: &[u64], stmts: &[Stmt]) -> String {
         }
     }
     t
+}
+
+/// The directives and kernel ops with their argument slots: `n` a
+/// buffer name, `k` an allocation kind, `d` a node, `s` a number, `l` a
+/// kernel label, `w` the strided write flag.
+const DIRECTIVES: [(&str, &str); 9] = [
+    ("alloc", "nks"),
+    ("cpu_write", "nss"),
+    ("cpu_read", "nss"),
+    ("kernel", "l"),
+    ("prefetch", "ndss"),
+    ("host_register", "n"),
+    ("memcpy", "nsnss"),
+    ("sync", ""),
+    ("free", "n"),
+];
+const KERNEL_OPS: [(&str, &str); 5] = [
+    ("read", "nss"),
+    ("write", "nss"),
+    ("strided", "nssssw"),
+    ("compute", "s"),
+    ("end", ""),
+];
+
+/// The words a slot draws from: usually one that fits it, one time in
+/// eight one that does not (any label fits). Names are the ones the allocations use (`a`,
+/// `b`) or one no allocation does (`zz`). Numbers run from `0` to
+/// `u64::MAX`, suffixed, past capacity, overflowing or malformed.
+fn slot_word(slot: char, pick: usize) -> &'static str {
+    let (fits, misfits): (&[&str], &[&str]) = match slot {
+        'n' => (&["a", "b"], &["zz"]),
+        'k' => (&["system", "managed", "device", "pinned"], &["gpu"]),
+        'd' => (&["cpu", "gpu"], &["system"]),
+        'l' => (&["step", "end", "kernel"], &[]),
+        'w' => (&["w"], &["r"]),
+        _ => (
+            &["0", "1", "4095", "4096", "64k", "1m"],
+            &[
+                "100000g",
+                "18446744073709551615",
+                "18446744073709551616",
+                "17179869184g",
+                "-1",
+                "1.5",
+                "k",
+            ],
+        ),
+    };
+    if pick % 8 == 7 && !misfits.is_empty() {
+        misfits[pick / 8 % misfits.len()]
+    } else {
+        fits[pick % fits.len()]
+    }
+}
+
+/// The hostile lines of a trace, one per `(form, shape, picks)`. `form`
+/// picks a kernel op inside a kernel body and a directive outside one,
+/// except one time in eight, when it takes a stray from the other list
+/// (a nested `kernel`, an `end` with no kernel open). `shape` keeps the
+/// line's slots (0-13), drops the last one (14) or adds a number (15).
+/// `picks` choose each slot's word.
+fn hostile_lines(lines: &[(usize, usize, Vec<usize>)]) -> String {
+    let mut in_kernel = false;
+    let mut trace = String::new();
+    for (form, shape, picks) in lines {
+        let forms: &[(&str, &str)] = if in_kernel == (*form >= 56) {
+            &DIRECTIVES
+        } else {
+            &KERNEL_OPS
+        };
+        let (head, slots) = forms[form % forms.len()];
+        in_kernel = match head {
+            "kernel" => true,
+            "end" => false,
+            _ => in_kernel,
+        };
+        let mut slots: Vec<char> = slots.chars().collect();
+        match shape {
+            14 => {
+                slots.pop();
+            }
+            15 => slots.push('s'),
+            _ => {}
+        }
+        trace.push_str(head);
+        for (slot, &pick) in slots.into_iter().zip(picks) {
+            trace.push(' ');
+            trace.push_str(slot_word(slot, pick));
+        }
+        trace.push('\n');
+    }
+    trace
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Traces built from the directive vocabulary (unknown buffers,
+    /// missing and extra arguments, stray `end`, nested `kernel`, sizes
+    /// from 0 to past `u64::MAX`) replay, or fail with a `ReplayError`
+    /// whose line lies inside the trace, in every mode. They never panic.
+    #[test]
+    fn hostile_traces_fail_typed_on_a_trace_line(
+        allocs in proptest::collection::vec((0usize..4, 0usize..4), 2),
+        lines in proptest::collection::vec(
+            (0usize..64, 0usize..16, proptest::collection::vec(0usize..64, 7)),
+            0..24,
+        ),
+        mode in 0usize..4,
+    ) {
+        // Buffers `a` and `b` exist first, so later lines get past the
+        // name lookup.
+        let mut trace = String::new();
+        for (name, (kind, size)) in ["a", "b"].into_iter().zip(allocs) {
+            let kind = ["system", "managed", "device", "pinned"][kind];
+            let size = ["4k", "64k", "1m", "16m"][size];
+            trace += &format!("alloc {name} {kind} {size}\n");
+        }
+        trace += &hostile_lines(&lines);
+        // Index 3 replays the trace's own kinds.
+        let mode = MemMode::ALL.get(mode).copied();
+        if let Err(e) = replay(gh_sim::platform::gh200().machine(), &trace, mode) {
+            prop_assert!(
+                (1..=trace.lines().count()).contains(&e.line),
+                "{e} is outside the trace\n{}", &trace
+            );
+        }
+    }
 }
 
 proptest! {

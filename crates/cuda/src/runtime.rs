@@ -27,7 +27,6 @@ pub enum MemAdvise {
 }
 use crate::kernel::Kernel;
 use crate::uvm::UvmState;
-use std::collections::HashMap;
 
 /// Behavioural switches for a simulated run.
 #[derive(Debug, Clone)]
@@ -75,17 +74,20 @@ pub struct Runtime {
     pub(crate) profiler: MemProfiler,
     pub(crate) uvm: UvmState,
     pub(crate) streams: crate::streams::State,
-    allocs: HashMap<u32, (Buffer, String)>,
+    #[expect(clippy::disallowed_types, reason = "keyed lookup only; never iterated")]
+    allocs: std::collections::HashMap<u32, (Buffer, String)>,
     /// Access-counter notifications waiting for driver service (FIFO,
     /// drained `counter_budget_per_kernel` at a time at kernel end).
     pub(crate) pending_notifs: std::collections::VecDeque<u64>,
     /// Allocations with migration advised off (`cudaMemAdvise`).
+    #[expect(clippy::disallowed_types, reason = "keyed lookup only; never iterated")]
     pub(crate) advise_no_migrate: std::collections::HashSet<u64>,
     /// Remotely-touched system pages per counter region, accumulated
     /// across kernels; the migration driver moves exactly these (touched)
     /// pages, which is what produces 64 KiB-page amplification for
     /// sparse access patterns (Fig 7).
-    pub(crate) remote_touched: HashMap<u64, std::collections::BTreeSet<Vpn>>,
+    #[expect(clippy::disallowed_types, reason = "keyed lookup only; never iterated")]
+    pub(crate) remote_touched: std::collections::HashMap<u64, std::collections::BTreeSet<Vpn>>,
     next_buf: u32,
     ctx_ready: bool,
     pub(crate) kernel_seq: u64,
@@ -96,9 +98,9 @@ pub struct Runtime {
     pub(crate) migrated_pages: u64,
     /// Stable-placement cache for the batched access path: per-buffer
     /// classification results, validated against the system page table's
-    /// placement epoch. Keyed access only (buffer ids are never reused),
-    /// so the `HashMap` cannot leak iteration order.
-    placement_cache: HashMap<u32, PlacementEntry>,
+    /// placement epoch. Buffer ids are never reused.
+    #[expect(clippy::disallowed_types, reason = "keyed lookup only; never iterated")]
+    placement_cache: std::collections::HashMap<u32, PlacementEntry>,
     /// The GPU L2 model for irregular remote touches, emptied by every
     /// launch. It allocates its storage at its first access, so a
     /// runtime whose kernels never consult it holds no L2 memory.
@@ -195,16 +197,16 @@ impl Runtime {
             profiler,
             uvm: UvmState::new(),
             streams: crate::streams::State::default(),
-            allocs: HashMap::new(),
-            advise_no_migrate: std::collections::HashSet::new(),
+            allocs: Default::default(),
+            advise_no_migrate: Default::default(),
             pending_notifs: std::collections::VecDeque::new(),
-            remote_touched: HashMap::new(),
+            remote_touched: Default::default(),
             next_buf: 1,
             ctx_ready: false,
             kernel_seq: 0,
             session,
             migrated_pages: 0,
-            placement_cache: HashMap::new(),
+            placement_cache: Default::default(),
             l2,
         }
     }

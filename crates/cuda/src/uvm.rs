@@ -58,6 +58,7 @@ pub struct UvmState {
     /// Allocations the driver has pinned CPU-side after repeated
     /// thrashing (the `uvm_perf_thrashing` behaviour: all access remote
     /// until an explicit prefetch pulls data back).
+    #[expect(clippy::disallowed_types, reason = "keyed lookup only; never iterated")]
     pub(crate) pinned_cpu: std::collections::HashSet<u64>,
 }
 

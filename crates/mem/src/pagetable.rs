@@ -41,7 +41,8 @@ pub struct PageTable {
     resident: [Pages; 2], // pages per node
     /// Per-leaf populated-page counts per node, keyed by radix leaf index.
     /// Lets range queries answer a uniform fully-resident leaf in O(1)
-    /// without touching the 512 slots. Keyed access only — never iterated.
+    /// without touching the 512 slots.
+    #[expect(clippy::disallowed_types, reason = "keyed lookup only; never iterated")]
     summary: std::collections::HashMap<u64, [u32; 2]>,
     /// Bumped on every placement change (populate/unmap/remap — not
     /// `mark_dirty`, which doesn't move pages). Callers cache
@@ -57,7 +58,7 @@ impl PageTable {
             page: PageSize::new(page_size),
             entries: RadixTable::new(),
             resident: [Pages::ZERO, Pages::ZERO],
-            summary: std::collections::HashMap::new(),
+            summary: Default::default(),
             epoch: 0,
         }
     }
@@ -80,7 +81,7 @@ impl PageTable {
 
     /// Virtual page number containing `vaddr`.
     pub fn vpn(&self, vaddr: u64) -> Vpn {
-        Vpn::new(vaddr / self.page.get())
+        self.page.vpn(vaddr)
     }
 
     /// Inclusive-exclusive VPN range covering `[vaddr, vaddr + len)`.
@@ -88,10 +89,7 @@ impl PageTable {
         if len == 0 {
             return VpnRange::empty(self.vpn(vaddr));
         }
-        VpnRange::new(
-            self.vpn(vaddr),
-            Vpn::new((vaddr + len - 1) / self.page.get() + 1),
-        )
+        VpnRange::new(self.vpn(vaddr), self.vpn(vaddr + len - 1).offset(1))
     }
 
     /// Looks up the entry for `vpn`.

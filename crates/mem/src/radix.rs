@@ -20,6 +20,7 @@ pub fn leaf_index(key: u64) -> u64 {
 /// Sparse map from `u64` keys to `T`, organized as 512-entry leaves.
 #[derive(Debug, Clone)]
 pub struct RadixTable<T> {
+    #[expect(clippy::disallowed_types, reason = "keyed lookup only; never iterated")]
     dir: std::collections::HashMap<u64, Box<[Option<T>; 512]>>,
     len: usize,
 }
@@ -27,7 +28,7 @@ pub struct RadixTable<T> {
 impl<T> Default for RadixTable<T> {
     fn default() -> Self {
         Self {
-            dir: std::collections::HashMap::new(),
+            dir: Default::default(),
             len: 0,
         }
     }

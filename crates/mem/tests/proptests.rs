@@ -6,20 +6,20 @@ use gh_mem::radix::RadixTable;
 use gh_mem::tlb::Tlb;
 use gh_units::{Bytes, PageSize, Pages, Vpn, VpnRange};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// VPN domain of the page-table property: three radix leaves, so ranges
 /// cross two leaf boundaries.
 const DOMAIN: u64 = 3 * gh_mem::radix::LEAF_LEN as u64;
 
 proptest! {
-    /// RadixTable must behave exactly like a HashMap under a random
+    /// RadixTable must behave exactly like a map under a random
     /// insert/remove/get workload.
     #[test]
-    fn radix_matches_hashmap(ops in proptest::collection::vec(
+    fn radix_matches_btreemap(ops in proptest::collection::vec(
         (0u8..3, 0u64..5000, 0u32..1000), 0..400)) {
         let mut radix = RadixTable::new();
-        let mut model: HashMap<u64, u32> = HashMap::new();
+        let mut model: BTreeMap<u64, u32> = BTreeMap::new();
         for (op, key, val) in ops {
             match op {
                 0 => {

@@ -45,6 +45,7 @@
     clippy::unreachable,
     clippy::todo,
     clippy::unimplemented,
+    clippy::iter_over_hash_type,
     clippy::allow_attributes_without_reason
 )]
 

@@ -119,7 +119,7 @@ mod tests {
         let c = QvCircuit::generate(n, 5);
         let per_layer = (n / 2) as usize;
         for layer in c.gates.chunks(per_layer) {
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for g in layer {
                 assert!(seen.insert(g.q0));
                 assert!(seen.insert(g.q1));

@@ -21,6 +21,7 @@
 //!
 //! * `Bytes / PageSize -> Pages` (floor) and [`Bytes::pages_ceil`] (ceil);
 //! * `Pages * PageSize -> Bytes`;
+//! * [`PageSize::vpn`] (address -> the [`Vpn`] holding it);
 //! * [`Lines::bytes`] (lines × line size);
 //! * [`VpnRange::count`] `-> Pages`;
 //! * [`BwGiBs::transfer_ns`] / [`transfer_ns`] (bytes ÷ bandwidth, rounded
@@ -38,6 +39,7 @@
     clippy::unreachable,
     clippy::todo,
     clippy::unimplemented,
+    clippy::iter_over_hash_type,
     clippy::allow_attributes_without_reason
 )]
 
@@ -264,6 +266,12 @@ impl PageSize {
     pub const fn bytes(self) -> Bytes {
         Bytes(self.0)
     }
+
+    /// The virtual page number of the page holding address `vaddr`.
+    #[inline]
+    pub const fn vpn(self, vaddr: u64) -> Vpn {
+        Vpn(vaddr / self.0)
+    }
 }
 
 impl fmt::Display for PageSize {
@@ -294,6 +302,12 @@ impl Vpn {
     #[inline]
     pub const fn offset(self, n: u64) -> Vpn {
         Vpn(self.0.saturating_add(n))
+    }
+
+    /// The VPN `n` pages before this one (saturating at VPN 0).
+    #[inline]
+    pub const fn back(self, n: u64) -> Vpn {
+        Vpn(self.0.saturating_sub(n))
     }
 }
 
@@ -417,6 +431,9 @@ mod tests {
         assert_eq!(Bytes::new(4097).pages_ceil(page), Pages::new(2));
         assert_eq!(Bytes::new(8191) / page, Pages::new(1));
         assert_eq!(Pages::new(3) * page, Bytes::new(12288));
+        assert_eq!(page.vpn(0), Vpn::new(0));
+        assert_eq!(page.vpn(8191), Vpn::new(1));
+        assert_eq!(page.vpn(8192), Vpn::new(2));
     }
 
     #[test]
@@ -455,6 +472,11 @@ mod tests {
         assert!(inv.is_empty());
         assert_eq!(inv.count(), Pages::ZERO);
         assert_eq!(inv.iter().count(), 0);
+        // Single-page steps saturate at the ends of the VPN space.
+        assert_eq!(Vpn::new(3).offset(1), Vpn::new(4));
+        assert_eq!(Vpn::new(3).back(1), Vpn::new(2));
+        assert_eq!(Vpn::new(0).back(1), Vpn::new(0));
+        assert_eq!(Vpn::new(u64::MAX).offset(1), Vpn::new(u64::MAX));
     }
 
     #[test]

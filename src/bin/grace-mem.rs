@@ -57,13 +57,6 @@ session — library code never reads GH_* variables):
     std::process::exit(2);
 }
 
-/// Exits with the platform layer's error message on a bad registry name,
-/// unsupported page size, or invalid parameter tweak.
-fn platform_fail(e: grace_mem::PlatformError) -> ! {
-    eprintln!("{e}");
-    std::process::exit(2);
-}
-
 /// Everything that can go wrong after argument parsing. All variants
 /// render as one `grace-mem: ...` line on stderr and exit with status 2,
 /// the same code as usage errors, so scripts can test a single status.
@@ -73,6 +66,9 @@ enum CliError {
     Read(String, std::io::Error),
     /// An output file (`--trace-out`, `--perf-out`) could not be written.
     Write(String, std::io::Error),
+    /// The platform layer rejected a registry name, a page size or a
+    /// parameter tweak.
+    Platform(grace_mem::PlatformError),
     /// The simulator rejected or failed the run (malformed trace, replay
     /// error, a panicked suite job).
     Sim(String),
@@ -83,6 +79,7 @@ impl std::fmt::Display for CliError {
         match self {
             CliError::Read(path, e) => write!(w, "cannot read {path}: {e}"),
             CliError::Write(path, e) => write!(w, "cannot write {path}: {e}"),
+            CliError::Platform(e) => write!(w, "{e}"),
             CliError::Sim(e) => write!(w, "{e}"),
         }
     }
@@ -130,7 +127,8 @@ fn parse_flags(args: &[String]) -> Flags {
         match a.as_str() {
             "--platform" => {
                 let Some(name) = it.next() else { usage() };
-                f.platform = platform::by_name(name).unwrap_or_else(|e| platform_fail(e));
+                f.platform =
+                    platform::by_name(name).unwrap_or_else(|e| fail(CliError::Platform(e)));
             }
             "--mode" => {
                 f.mode = match it.next().map(String::as_str) {
@@ -196,7 +194,7 @@ fn machine(f: &Flags, so: &SessionOptions) -> Machine {
     };
     f.platform
         .machine_session(&cfg, so)
-        .unwrap_or_else(|e| platform_fail(e))
+        .unwrap_or_else(|e| fail(CliError::Platform(e)))
 }
 
 fn print_report_maybe_json(label: &str, r: &grace_mem::RunReport, json: bool) {
@@ -473,7 +471,7 @@ fn main() {
             println!("app,platform,mode,total_ns,checksum_bits,job_hash");
             for (spec, out) in specs.iter().zip(outcomes) {
                 let out = out.unwrap_or_else(|e| match e {
-                    JobError::Platform(e) => platform_fail(e),
+                    JobError::Platform(e) => fail(CliError::Platform(e)),
                     e @ JobError::Panicked { .. } => fail(CliError::Sim(e.to_string())),
                 });
                 println!(

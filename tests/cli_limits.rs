@@ -93,3 +93,14 @@ fn compute_units_saturate_instead_of_wrapping() {
     let max = "18446744073709551615";
     assert_eq!(replay(&[max, max]), replay(&[max]));
 }
+
+#[test]
+fn platform_errors_exit_2_with_the_cli_prefix() {
+    for args in [
+        &["app", "needle", "--small", "--page", "2m"][..],
+        &["app", "needle", "--small", "--platform", "foo"][..],
+    ] {
+        let err = exits(args, 2);
+        assert!(err.starts_with("grace-mem: "), "{args:?}: {err}");
+    }
+}
