@@ -3,35 +3,6 @@
 fn main() {
     let fast = gh_bench::fast_requested();
     let csv = gh_bench::fig04_hotspot_profile::run(fast);
-    // ASCII rendering of the two memory profiles.
-    for mode in ["system", "managed"] {
-        let text = csv.render();
-        let rows: Vec<(f64, f64, f64)> = text
-            .lines()
-            .skip(1)
-            .filter(|l| l.starts_with(mode))
-            .map(|l| {
-                let c: Vec<&str> = l.split(',').collect();
-                (
-                    c[1].parse().unwrap(),
-                    c[2].parse().unwrap(),
-                    c[3].parse().unwrap(),
-                )
-            })
-            .collect();
-        let t: Vec<f64> = rows.iter().map(|r| r.0).collect();
-        let rss: Vec<f64> = rows.iter().map(|r| r.1).collect();
-        let gpu: Vec<f64> = rows.iter().map(|r| r.2).collect();
-        println!(
-            "{}",
-            gh_profiler::ascii_chart(
-                &format!("hotspot memory profile ({mode})"),
-                &t,
-                &[("RSS MiB", '*', rss), ("GPU MiB", 'o', gpu)],
-                72,
-                12,
-            )
-        );
-    }
+    gh_bench::emit_profile_charts("hotspot", &csv);
     gh_bench::emit("Figure 4: hotspot memory usage over time (system vs managed)", &csv, &["paper: system keeps data CPU-resident; managed migrates at compute start (RSS drops, GPU rises)"]);
 }

@@ -45,19 +45,9 @@ pub fn run(fast: bool) -> Csv {
 /// the timeline — i.e. still inside the compute phase, before the
 /// de-allocation teardown zeroes everything.
 pub fn shape(csv: &Csv, mode: &str) -> (f64, f64, f64) {
-    let rows: Vec<(f64, f64)> = csv
-        .render()
-        .lines()
-        .skip(1)
-        .filter_map(|l| {
-            let c: Vec<&str> = l.split(',').collect();
-            (c[0] == mode).then(|| (c[2].parse().unwrap(), c[3].parse().unwrap()))
-        })
-        .collect();
-    let peak_rss = rows.iter().map(|r| r.0).fold(0.0f64, f64::max);
-    let peak_gpu = rows.iter().map(|r| r.1).fold(0.0f64, f64::max);
-    let late = rows[rows.len() * 4 / 5].0;
-    (peak_rss, late, peak_gpu)
+    let rows = crate::profile_rows(csv, mode);
+    let peak = |i: usize| rows.iter().map(|r| r[i]).fold(0.0f64, f64::max);
+    (peak(1), rows[rows.len() * 4 / 5][1], peak(2))
 }
 
 #[cfg(test)]

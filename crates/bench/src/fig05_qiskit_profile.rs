@@ -43,28 +43,12 @@ pub fn run(fast: bool) -> Csv {
 /// isolates the initialization ramp from the 250 ms context-init offset
 /// shared by both versions.
 pub fn ramp_time(csv: &Csv, mode: &str, frac: f64) -> f64 {
-    let rows: Vec<(f64, f64)> = csv
-        .render()
-        .lines()
-        .skip(1)
-        .filter_map(|l| {
-            let c: Vec<&str> = l.split(',').collect();
-            (c[0] == mode).then(|| (c[1].parse().unwrap(), c[3].parse().unwrap()))
-        })
-        .collect();
-    let base = rows.first().map(|r| r.1).unwrap_or(0.0);
-    let peak = rows.iter().map(|r| r.1).fold(0.0f64, f64::max);
-    let start = rows
-        .iter()
-        .find(|r| r.1 > base + (peak - base) * 0.02)
-        .map(|r| r.0)
-        .unwrap_or(0.0);
-    let hit = rows
-        .iter()
-        .find(|r| r.1 >= base + (peak - base) * frac)
-        .map(|r| r.0)
-        .unwrap_or(f64::INFINITY);
-    (hit - start).max(0.0)
+    let rows = crate::profile_rows(csv, mode);
+    let base = rows.first().map_or(0.0, |r| r[2]);
+    let peak = rows.iter().map(|r| r[2]).fold(0.0f64, f64::max);
+    let start = rows.iter().find(|r| r[2] > base + (peak - base) * 0.02);
+    let hit = rows.iter().find(|r| r[2] >= base + (peak - base) * frac);
+    (hit.map_or(f64::INFINITY, |r| r[0]) - start.map_or(0.0, |r| r[0])).max(0.0)
 }
 
 #[cfg(test)]

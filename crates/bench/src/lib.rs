@@ -32,10 +32,10 @@ pub mod fig12_qv_throughput;
 pub mod fig13_qv_oversub_breakdown;
 pub mod future_work;
 pub mod grand_matrix;
-pub mod perf_suite;
 pub mod platform_matrix;
 pub mod scoreboard;
 pub mod tables;
+pub mod trajectory;
 pub mod util;
 
 pub use gh_profiler::Csv;
@@ -49,6 +49,31 @@ pub fn emit(title: &str, csv: &Csv, notes: &[&str]) {
         println!("# {n}");
     }
     println!();
+}
+
+/// The `[t_ms, rss_mib, gpu_used_mib]` rows of `mode` in a memory-profile
+/// table (`mode,t_ms,rss_mib,gpu_used_mib`, as Figs 4 and 5 make).
+pub fn profile_rows(csv: &Csv, mode: &str) -> Vec<Vec<f64>> {
+    let text = csv.render();
+    let rows = text
+        .lines()
+        .filter_map(|l| l.strip_prefix(mode)?.strip_prefix(','));
+    rows.map(|l| l.split(',').map(|c| c.parse().unwrap()).collect())
+        .collect()
+}
+
+/// Prints an ASCII chart of a memory-profile table per unified memory mode.
+pub fn emit_profile_charts(what: &str, csv: &Csv) {
+    for mode in ["system", "managed"] {
+        let rows = profile_rows(csv, mode);
+        let col = |i: usize| -> Vec<f64> { rows.iter().map(|r| r[i]).collect() };
+        let series = [("RSS MiB", '*', col(1)), ("GPU MiB", 'o', col(2))];
+        let title = format!("{what} memory profile ({mode})");
+        println!(
+            "{}",
+            gh_profiler::ascii_chart(&title, &col(0), &series, 72, 12)
+        );
+    }
 }
 
 /// True when the `GH_FAST` environment variable asks for shrunk inputs.

@@ -6,16 +6,16 @@
 //! access is local after the initial mapping fault. The ratio column
 //! makes the architectural trade visible per access pattern.
 //!
-//! The matrix runs **concurrently by default** on the `gh-jobs` executor
-//! (one worker per core, `GH_JOBS=<n>` overrides): sessions are per-run,
-//! so the parallel sweep's reports are bitwise-identical to a serial one.
+//! The matrix runs concurrently on the `gh-jobs` executor, one worker per
+//! core: sessions are per-run, so the parallel sweep's reports are
+//! bitwise-identical to a serial one.
 
 use gh_apps::{AppId, MemMode};
 use gh_jobs::{JobCache, JobSpec};
 use gh_profiler::Csv;
 use gh_sim::platform;
 
-use crate::util::{export_trace, jobs_requested, ratio, session_opts};
+use crate::util::{export_trace, ratio, session_opts};
 
 /// Rows: (app, mode, <name>_ms per platform..., mi300a_over_gh200).
 pub fn run(fast: bool) -> Csv {
@@ -28,7 +28,6 @@ pub fn run(fast: bool) -> Csv {
     let mut csv = Csv::new(header);
 
     let so = session_opts();
-    let workers = jobs_requested(gh_par::default_parallelism());
     let mut specs: Vec<JobSpec> = Vec::new();
     for app in AppId::ALL {
         for mode in [MemMode::System, MemMode::Managed] {
@@ -44,7 +43,8 @@ pub fn run(fast: bool) -> Csv {
             }
         }
     }
-    let mut outcomes = gh_jobs::run_suite(&specs, workers, &JobCache::new()).into_iter();
+    let mut outcomes =
+        gh_jobs::run_suite(&specs, gh_par::default_parallelism(), &JobCache::new()).into_iter();
 
     for app in AppId::ALL {
         for mode in [MemMode::System, MemMode::Managed] {

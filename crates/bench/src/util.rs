@@ -1,7 +1,7 @@
 //! Shared harness utilities.
 //!
-//! Benches are a *boundary*: this module is where `GH_TRACE`/`GH_JOBS`
-//! env vars are read and folded into per-run
+//! Benches are a *boundary*: this module is where the `GH_TRACE` and
+//! `GH_TRACE_OUT` env vars are read and folded into per-run
 //! [`SessionOptions`](gh_cuda::SessionOptions). Library code below this
 //! layer never touches the environment (clippy `disallowed-methods`).
 
@@ -61,20 +61,6 @@ pub fn run_app(
 )]
 pub fn trace_requested() -> bool {
     std::env::var("GH_TRACE").is_ok_and(|v| v != "0" && !v.is_empty())
-}
-
-/// Worker count for concurrent harnesses: `GH_JOBS=<n>` wins, otherwise
-/// `default` (pass 1 for serial-by-default suites).
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the bench harness is the env boundary: GH_JOBS sets the worker count"
-)]
-pub fn jobs_requested(default: usize) -> usize {
-    std::env::var("GH_JOBS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(default)
 }
 
 /// Session options for one harness run: tracing per `GH_TRACE`,
@@ -170,19 +156,6 @@ mod tests {
     #[test]
     fn peak_usage_is_positive() {
         assert!(peak_gpu_usage(AppId::Hotspot, true) > 0);
-    }
-
-    #[test]
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the test reads GH_JOBS to know whether the default applies"
-    )]
-    fn jobs_default_applies_without_env() {
-        // GH_JOBS is not set under `cargo test`; the default wins.
-        if std::env::var("GH_JOBS").is_err() {
-            assert_eq!(jobs_requested(1), 1);
-            assert_eq!(jobs_requested(8), 8);
-        }
     }
 
     #[test]

@@ -204,8 +204,10 @@ fn derive_notes(caps: &PlatformCaps, rows: &[AdvisorRow]) -> Vec<String> {
     let sys4 = rows
         .iter()
         .find(|r| r.mode == MemMode::System && r.page_size == 4096);
-    if let (Some(a), Some(b)) = (sys64, sys4) {
-        let ratio = b.total_ns as f64 / a.total_ns.max(1) as f64;
+    // A zero total (an empty trace) supports no page-size claim.
+    let timed = |r: &&AdvisorRow| r.total_ns > 0;
+    if let (Some(a), Some(b)) = (sys64.filter(timed), sys4.filter(timed)) {
+        let ratio = b.total_ns as f64 / a.total_ns as f64;
         if ratio > 1.5 {
             notes.push(format!(
                 "64 KiB pages are {ratio:.1}x faster for the system version \
@@ -304,6 +306,13 @@ end
             assert_eq!(r.report.traffic.pages_migrated_in, 0);
             assert_eq!(r.report.traffic.pages_migrated_out, 0);
         }
+    }
+
+    #[test]
+    fn an_empty_trace_makes_no_page_size_claim() {
+        let text = advise_on(platform::gh200(), "").unwrap().render();
+        assert!(!text.contains("inf"), "\n{text}");
+        assert!(!text.contains("pages are"), "\n{text}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! (`gh-trace` exporters, `gh-profiler`'s Chrome trace, `gh-sim`'s run
 //! report), so string escaping lives in exactly one place — plus a small
 //! recursive-descent reader ([`Value::parse`]) for the consumers that
-//! load those dumps back (the perf-suite baseline comparator, the
+//! load those dumps back (the host-speed trajectory recorder, the
 //! exporter roundtrip tests). No external crates: the build is offline.
 
 use std::collections::BTreeMap;

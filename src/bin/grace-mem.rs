@@ -16,21 +16,18 @@ fn usage() -> ! {
     eprintln!(
         "usage:
   grace-mem list
-  grace-mem app <needle|pathfinder|bfs|hotspot|srad>
-            [--platform gh200|mi300a] [--mode explicit|system|managed]
-            [--page 4k|64k|2m] [--no-migration] [--oversubscribe <ratio >= 1>]
-            [--small] [--trace-out <json-file>]
-            [--perf] [--perf-out <json-file>]
-  grace-mem qv <sim_qubits (>= 2)>
-            [--platform gh200|mi300a] [--mode explicit|system|managed]
-            [--page 4k|64k|2m] [--prefetch] [--amplitudes]
-            [--trace-out <json-file>] [--perf] [--perf-out <json-file>]
-  grace-mem replay <trace-file>
-            [--platform gh200|mi300a] [--mode explicit|system|managed]
-            [--page 4k|64k|2m] [--no-migration] [--trace-out <json-file>]
-            [--perf] [--perf-out <json-file>]
+  grace-mem app <needle|pathfinder|bfs|hotspot|srad> <run flags>
+            [--oversubscribe <ratio >= 1>] [--small]
+  grace-mem app <kmeans|lud|stream|gups|pointer-chase> <run flags>
+  grace-mem qv <sim_qubits (>= 2)> <run flags> [--prefetch] [--amplitudes]
+  grace-mem replay <trace-file> <run flags>
   grace-mem advise <trace-file> [--platform gh200|mi300a]
   grace-mem suite [--jobs <n>] [--small]
+
+run flags: [--platform gh200|mi300a] [--mode explicit|system|managed]
+           [--page 4k|64k|2m] [--no-migration] [--json]
+           [--trace-out <json-file>] [--perf] [--perf-out <json-file>]
+           A subcommand rejects every flag it does not list (exit 2).
 
 platforms: gh200 (default; two tiers + migration), mi300a (one unified
            physical pool, no page migration). The default page size is
@@ -106,7 +103,26 @@ struct Flags {
     jobs: usize,
 }
 
-fn parse_flags(args: &[String]) -> Flags {
+/// The flags of every subcommand that runs one machine and prints its
+/// report (`app`, `qv`, `replay`).
+const RUN_FLAGS: [&str; 8] = [
+    "--platform",
+    "--mode",
+    "--page",
+    "--no-migration",
+    "--json",
+    "--trace-out",
+    "--perf",
+    "--perf-out",
+];
+
+/// The extension workloads, which `app` runs through their own entry
+/// points.
+const EXTENSIONS: [&str; 5] = ["kmeans", "lud", "stream", "gups", "pointer-chase"];
+
+/// Parses the flags of subcommand `sub`. A flag outside the `allowed`
+/// sets is a usage error, reported before any machine boots.
+fn parse_flags(sub: &str, allowed: &[&[&str]], args: &[String]) -> Flags {
     let mut f = Flags {
         platform: platform::gh200(),
         mode: MemMode::System,
@@ -124,6 +140,10 @@ fn parse_flags(args: &[String]) -> Flags {
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if a.starts_with("--") && !allowed.iter().any(|set| set.contains(&a.as_str())) {
+            eprintln!("grace-mem: {sub} does not take {a}");
+            std::process::exit(2);
+        }
         match a.as_str() {
             "--platform" => {
                 let Some(name) = it.next() else { usage() };
@@ -314,18 +334,10 @@ fn print_report(label: &str, r: &grace_mem::RunReport) {
     }
 }
 
-fn run_extension(
-    name: &str,
-    flag_args: &[String],
-) -> Option<(grace_mem::RunReport, gh_perf::Perf)> {
+/// Runs extension workload `name` (one of [`EXTENSIONS`]).
+fn run_extension(name: &str, f: &Flags) -> (grace_mem::RunReport, gh_perf::Perf) {
     use grace_mem::apps::{kmeans, lud, micro};
-    // Cheap membership check first so unknown names never boot a machine.
-    if !matches!(name, "kmeans" | "lud" | "stream" | "gups" | "pointer-chase") {
-        return None;
-    }
-    let f = parse_flags(flag_args);
-    let so = session_opts(&f);
-    let m = machine(&f, &so);
+    let m = machine(f, &session_opts(f));
     let perf = m.rt.session().perf.clone();
     let mp = micro::MicroParams::default();
     let r = match name {
@@ -334,9 +346,9 @@ fn run_extension(
         "stream" => micro::stream(m, f.mode, &mp),
         "gups" => micro::gups(m, f.mode, &mp),
         "pointer-chase" => micro::pointer_chase(m, f.mode, &mp),
-        _ => unreachable!("membership checked above"),
+        _ => unreachable!("the caller checks membership in EXTENSIONS"),
     };
-    Some((r, perf))
+    (r, perf)
 }
 
 fn main() {
@@ -360,10 +372,11 @@ fn main() {
         }
         Some("app") => {
             let Some(name) = args.get(1) else { usage() };
-            // Extension workloads run through their own entry points.
-            if let Some((report, perf)) = run_extension(name, &args[2..]) {
-                let f = parse_flags(&args[2..]);
-                print_report_maybe_json(&name.to_string(), &report, f.json);
+            let sub = format!("app {name}");
+            if EXTENSIONS.contains(&name.as_str()) {
+                let f = parse_flags(&sub, &[&RUN_FLAGS], &args[2..]);
+                let (report, perf) = run_extension(name, &f);
+                print_report_maybe_json(name, &report, f.json);
                 maybe_dump_trace(&report, &f);
                 maybe_dump_perf(&f, &perf);
                 return;
@@ -371,7 +384,8 @@ fn main() {
             let Some(app) = AppId::ALL.iter().find(|a| a.name() == name) else {
                 usage()
             };
-            let f = parse_flags(&args[2..]);
+            let paper_flags = ["--oversubscribe", "--small"];
+            let f = parse_flags(&sub, &[&RUN_FLAGS, &paper_flags], &args[2..]);
             let so = session_opts(&f);
             let mut m = machine(&f, &so);
             let perf = m.rt.session().perf.clone();
@@ -403,7 +417,8 @@ fn main() {
             else {
                 usage()
             };
-            let f = parse_flags(&args[2..]);
+            let qv_flags = ["--prefetch", "--amplitudes"];
+            let f = parse_flags("qv", &[&RUN_FLAGS, &qv_flags], &args[2..]);
             let so = session_opts(&f);
             let p = QsimParams {
                 sim_qubits: q,
@@ -442,7 +457,7 @@ fn main() {
         Some("replay") => {
             let Some(path) = args.get(1) else { usage() };
             let explicit_mode = args[2..].iter().any(|a| a == "--mode");
-            let f = parse_flags(&args[2..]);
+            let f = parse_flags("replay", &[&RUN_FLAGS], &args[2..]);
             let so = session_opts(&f);
             let trace = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| fail(CliError::Read(path.clone(), e)));
@@ -461,7 +476,7 @@ fn main() {
             }
         }
         Some("suite") => {
-            let f = parse_flags(&args[1..]);
+            let f = parse_flags("suite", &[&["--jobs", "--small"]], &args[1..]);
             let so = session_opts(&f);
             let specs = grace_mem::jobs::matrix(f.small, &so);
             let cache = JobCache::new();
@@ -495,7 +510,7 @@ fn main() {
         }
         Some("advise") => {
             let Some(path) = args.get(1) else { usage() };
-            let f = parse_flags(&args[2..]);
+            let f = parse_flags("advise", &[&["--platform"]], &args[2..]);
             let trace = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| fail(CliError::Read(path.clone(), e)));
             match grace_mem::sim::advise_on(f.platform, &trace) {

@@ -2,6 +2,7 @@
 //! wrapped size or a panic: `grace-mem qv` bounds the statevector, and
 //! `grace-mem replay` bounds a trace's live footprint, by the same
 //! `Machine::capacity`. A replay's compute units saturate, never wrap.
+//! A flag its subcommand does not honour is a usage error too.
 
 use std::process::{Command, Output};
 
@@ -102,5 +103,66 @@ fn platform_errors_exit_2_with_the_cli_prefix() {
     ] {
         let err = exits(args, 2);
         assert!(err.starts_with("grace-mem: "), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn each_subcommand_takes_exactly_the_flags_it_honours() {
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("flags.json");
+    let out = out.to_str().expect("utf-8 path");
+    let trace = concat!(env!("CARGO_MANIFEST_DIR"), "/traces/example.trace");
+    let flags: [&[&str]; 13] = [
+        &["--platform", "gh200"],
+        &["--mode", "system"],
+        &["--page", "64k"],
+        &["--no-migration"],
+        &["--oversubscribe", "1.5"],
+        &["--small"],
+        &["--prefetch"],
+        &["--amplitudes"],
+        &["--json"],
+        &["--trace-out", out],
+        &["--jobs", "2"],
+        &["--perf"],
+        &["--perf-out", out],
+    ];
+    let run = [
+        "--platform",
+        "--mode",
+        "--page",
+        "--no-migration",
+        "--json",
+        "--trace-out",
+        "--perf",
+        "--perf-out",
+    ];
+    // (cheap invocation, the flags it honours)
+    let subcommands: [(&[&str], Vec<&str>); 6] = [
+        (
+            &["app", "hotspot", "--small"],
+            [&run[..], &["--oversubscribe", "--small"]].concat(),
+        ),
+        (&["app", "stream"], run.to_vec()),
+        (
+            &["qv", "4"],
+            [&run[..], &["--prefetch", "--amplitudes"]].concat(),
+        ),
+        (&["replay", trace], run.to_vec()),
+        (&["advise", trace], vec!["--platform"]),
+        (&["suite", "--small"], vec!["--jobs", "--small"]),
+    ];
+    for (base, honoured) in &subcommands {
+        for flag in flags {
+            let args = [base, flag].concat();
+            if honoured.contains(&flag[0]) {
+                checked(&args, 0);
+            } else {
+                let err = exits(&args, 2);
+                assert!(
+                    err.contains(&format!("does not take {}", flag[0])),
+                    "{args:?}: {err}"
+                );
+            }
+        }
     }
 }
