@@ -175,11 +175,14 @@ fn bench_migration() {
 
 fn bench_gate_apply() {
     let g = Gate2::random_su4(1);
-    // Lower qubit 3 takes the lane-blocked kernel, lower qubit 0 the
-    // per-group one.
+    // One kernel serves every pair. Lower qubit 3 reads each stream on its
+    // own; lower qubits 0 and 1 read two streams from one window, and
+    // upper qubit 2 walks whole 8-amplitude blocks.
     for (name, q0, q1) in [
         ("statevector_gate2_apply_16q", 3, 11),
         ("statevector_gate2_apply_16q_lo0", 0, 11),
+        ("statevector_gate2_apply_16q_lo1", 1, 11),
+        ("statevector_gate2_apply_16q_pair12", 1, 2),
     ] {
         bench(
             name,

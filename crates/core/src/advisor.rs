@@ -132,11 +132,15 @@ fn fmt_page_long(ps: u64) -> String {
 fn derive_notes(caps: &PlatformCaps, rows: &[AdvisorRow]) -> Vec<String> {
     let mut notes = Vec::new();
     let best = &rows[0];
-    notes.push(format!(
-        "best configuration: {} memory with {} pages",
-        best.mode.label(),
-        fmt_page_long(best.page_size)
-    ));
+    // A trace that takes no time ties every row: nothing wins.
+    let won = best.total_ns > 0;
+    if won {
+        notes.push(format!(
+            "best configuration: {} memory with {} pages",
+            best.mode.label(),
+            fmt_page_long(best.page_size)
+        ));
+    }
     if !caps.migration {
         notes.push(format!(
             "page-migration guidance not applicable on {}: single physical \
@@ -144,7 +148,7 @@ fn derive_notes(caps: &PlatformCaps, rows: &[AdvisorRow]) -> Vec<String> {
             caps.name
         ));
     }
-    if best.mode == MemMode::System {
+    if won && best.mode == MemMode::System {
         notes.push(
             "system-allocated memory wins: coherent NVLink-C2C access avoids \
              fault-driven migration (the paper's headline result)"
@@ -313,6 +317,20 @@ end
         let text = advise_on(platform::gh200(), "").unwrap().render();
         assert!(!text.contains("inf"), "\n{text}");
         assert!(!text.contains("pages are"), "\n{text}");
+    }
+
+    #[test]
+    fn an_empty_trace_names_no_winner() {
+        let advice = advise_on(platform::gh200(), "").unwrap();
+        assert!(
+            advice
+                .notes
+                .iter()
+                .all(|n| !n.contains("best configuration")
+                    && !n.contains("system-allocated memory wins")),
+            "\n{}",
+            advice.render()
+        );
     }
 
     #[test]

@@ -86,10 +86,12 @@ impl StateVector {
     pub fn apply_gate1(&mut self, g: &Gate1, q: u32) {
         assert!(q < self.n_qubits(), "qubit out of range");
         let m = g.m;
-        for_each_bit_pair(self.amps_mut(), q, 1, |clear, set| {
-            for (a, b) in clear.iter_mut().zip(set) {
-                (*a, *b) = (m[0][0] * *a + m[0][1] * *b, m[1][0] * *a + m[1][1] * *b);
-            }
+        for_each_bit_pair(self.amps_mut(), q, 1, |claim| {
+            claim.for_each_pair(|clear, set| {
+                for (a, b) in clear.iter_mut().zip(set) {
+                    (*a, *b) = (m[0][0] * *a + m[0][1] * *b, m[1][0] * *a + m[1][1] * *b);
+                }
+            });
         });
     }
 }

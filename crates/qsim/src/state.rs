@@ -4,10 +4,6 @@ use crate::complex::C32;
 use crate::gates::Gate2;
 use gh_par::{default_parallelism, par_chunks_mut, par_map_reduce};
 
-/// Groups one lane-blocked step of [`StateVector::apply_gate2`] handles:
-/// four `f32`s fill a 128-bit vector register.
-const LANES: usize = 4;
-
 /// The fewest amplitudes per side that a gate kernel hands one claim:
 /// 1024 two-qubit groups, which outweigh the claim.
 const MIN_PIECE: usize = 2048;
@@ -84,34 +80,24 @@ impl StateVector {
     }
 
     /// Applies a two-qubit gate to qubits `(q0, q1)`, `q0 != q1`, exactly
-    /// and in parallel. Basis order inside a group is |q1 q0⟩.
+    /// and in parallel. Basis order inside a group is |q1 q0⟩. One kernel
+    /// serves every pair: it steps two groups at a time on interleaved
+    /// complex pairs, and the amplitudes are bit-identical to
+    /// [`Gate2::apply`]'s on each group (see [`row`]).
     pub fn apply_gate2(&mut self, g: &Gate2, q0: u32, q1: u32) {
         assert!(q0 < self.n && q1 < self.n && q0 != q1, "bad qubit pair");
         let lo = q0.min(q1);
+        // The streams' gate order swaps when `q0` is the upper qubit.
+        let kernel: fn(Split, usize, Claim<'_>) = match (lo, q0 == lo) {
+            (0, true) => apply_claim::<true, false>,
+            (0, false) => apply_claim::<true, true>,
+            (_, true) => apply_claim::<false, false>,
+            (_, false) => apply_claim::<false, true>,
+        };
+        let m = Split::new(g);
         let run = 1usize << lo;
-        for_each_bit_pair(&mut self.amps, q0.max(q1), 2 * run, |clear, set| {
-            // Bit `lo` alternates in runs of `run` amplitudes on both sides.
-            for (c, s) in clear
-                .chunks_exact_mut(2 * run)
-                .zip(set.chunks_exact_mut(2 * run))
-            {
-                let (c0, c1) = c.split_at_mut(run);
-                let (s0, s1) = s.split_at_mut(run);
-                // The group's four streams in the gate's basis order.
-                let streams = if q0 == lo {
-                    [c0, c1, s0, s1]
-                } else {
-                    [c0, s0, c1, s1]
-                };
-                if run >= LANES {
-                    apply_lanes(&g.m, streams);
-                } else {
-                    let [v0, v1, v2, v3] = streams;
-                    for (((a, b), c), d) in v0.iter_mut().zip(v1).zip(v2).zip(v3) {
-                        [*a, *b, *c, *d] = g.apply([*a, *b, *c, *d]);
-                    }
-                }
-            }
+        for_each_bit_pair(&mut self.amps, q0.max(q1), 2 * run, |claim| {
+            kernel(m, run, claim)
         });
     }
 
@@ -134,14 +120,39 @@ impl StateVector {
     }
 }
 
-/// Runs `kernel(clear, set)` in parallel over disjoint, equally long
-/// slice pairs of `amps`: `clear[k]` and `set[k]` are the amplitudes of
-/// indices `i` and `i | 1 << bit`. `min_piece` is a power of two no larger
-/// than `1 << bit`; every slice starts and ends on a multiple of it, so a
-/// kernel sees whole runs of that length.
+/// The amplitudes one claim of [`for_each_bit_pair`] owns.
+pub(crate) enum Claim<'a> {
+    /// Whole blocks of `2 · half` amplitudes, the bit clear in the first
+    /// half of each.
+    Blocks { amps: &'a mut [C32], half: usize },
+    /// Equally long pieces of one block's clear and set halves.
+    Halves(&'a mut [C32], &'a mut [C32]),
+}
+
+impl Claim<'_> {
+    /// Calls `f(clear, set)` on the claim's slice pairs, in which
+    /// `clear[k]` and `set[k]` differ only in the bit.
+    pub(crate) fn for_each_pair(self, mut f: impl FnMut(&mut [C32], &mut [C32])) {
+        match self {
+            Claim::Blocks { amps, half } => {
+                for block in amps.chunks_exact_mut(2 * half) {
+                    let (clear, set) = block.split_at_mut(half);
+                    f(clear, set);
+                }
+            }
+            Claim::Halves(clear, set) => f(clear, set),
+        }
+    }
+}
+
+/// Runs `kernel` once per claim, in parallel over disjoint claims that
+/// together cover `amps`, pairing the amplitudes of indices `i` and
+/// `i | 1 << bit`. `min_piece` is a power of two no larger than
+/// `1 << bit`; every slice a claim holds starts and ends on a multiple of
+/// it, so a kernel sees whole runs of that length.
 pub(crate) fn for_each_bit_pair<K>(amps: &mut [C32], bit: u32, min_piece: usize, kernel: K)
 where
-    K: Fn(&mut [C32], &mut [C32]) + Sync,
+    K: Fn(Claim<'_>) + Sync,
 {
     let half = 1usize << bit;
     debug_assert!(min_piece.is_power_of_two() && min_piece <= half);
@@ -149,11 +160,8 @@ where
     let piece = (1usize << target.ilog2()).max(MIN_PIECE).max(min_piece);
     if half <= piece {
         // A claim takes whole blocks of `2 · half` amplitudes.
-        par_chunks_mut(amps, 2 * piece, |_, chunk| {
-            for block in chunk.chunks_exact_mut(2 * half) {
-                let (clear, set) = block.split_at_mut(half);
-                kernel(clear, set);
-            }
+        par_chunks_mut(amps, 2 * piece, |_, amps| {
+            kernel(Claim::Blocks { amps, half });
         });
     } else {
         // A claim takes one piece from each half of a block.
@@ -168,41 +176,212 @@ where
             .collect();
         par_chunks_mut(&mut pairs, 1, |_, pairs| {
             for (clear, set) in pairs {
-                kernel(clear, set);
+                kernel(Claim::Halves(clear, set));
             }
         });
     }
 }
 
-/// Applies `m` to [`LANES`] groups per step. Each lane repeats
-/// [`Gate2::apply`]'s operations in its order (`acc = 0`, then
-/// `acc += m[r][c] · v[c]` for `c = 0..4`, no fused multiply-add), so the
-/// amplitudes are bit-identical to the per-group loop's.
-fn apply_lanes(m: &[[C32; 4]; 4], streams: [&mut [C32]; 4]) {
-    let [s0, s1, s2, s3] = streams.map(|s| s.as_chunks_mut::<LANES>().0);
-    for (((x0, x1), x2), x3) in s0.iter_mut().zip(s1).zip(s2).zip(s3) {
-        let xs = [x0, x1, x2, x3];
-        let mut re = [[0.0f32; LANES]; 4];
-        let mut im = [[0.0f32; LANES]; 4];
-        for (c, x) in xs.iter().enumerate() {
-            for (l, z) in x.iter().enumerate() {
-                re[c][l] = z.re;
-                im[c][l] = z.im;
+/// A [`Gate2`] split for [`row`]: lane `l` of `re[r][c]` and `im[r][c]`
+/// multiplies lane `l` of column `c`'s stream vector and of its pair swap.
+#[derive(Debug, Clone, Copy)]
+struct Split {
+    /// `[m.re; 4]`.
+    re: [[[f32; 4]; 4]; 4],
+    /// `[-m.im, m.im, -m.im, m.im]`.
+    im: [[[f32; 4]; 4]; 4],
+}
+
+impl Split {
+    fn new(g: &Gate2) -> Split {
+        Split {
+            re: g.m.map(|row| row.map(|z| [z.re; 4])),
+            im: g.m.map(|row| row.map(|z| [-z.im, z.im, -z.im, z.im])),
+        }
+    }
+}
+
+/// A stream vector: one stream's amplitude in each of two groups,
+/// `[re₀, im₀, re₁, im₁]`.
+type Vector = [f32; 4];
+
+/// Applies `m` to two groups, given as their four streams in memory
+/// order: upper bit clear with the lower bit clear, then set; then the
+/// same with the upper bit set. Each stream is an adjacent pair of
+/// amplitudes, one per group. `SWAP` puts the streams in the gate's basis
+/// order, which it does when `q0` is the upper qubit.
+#[inline(always)]
+fn step<const SWAP: bool>(m: &Split, streams: [&mut [C32; 2]; 4]) {
+    let [c0, c1, s0, s1] = streams;
+    let [a, b, c, d] = if SWAP {
+        [c0, s0, c1, s1]
+    } else {
+        [c0, c1, s0, s1]
+    };
+    let v = [vector(a), vector(b), vector(c), vector(d)];
+    // Storing each row as soon as it is summed keeps the compiler's
+    // vectors one row wide: its four lanes in one register.
+    *a = amplitudes(row(m, 0, v));
+    *b = amplitudes(row(m, 1, v));
+    *c = amplitudes(row(m, 2, v));
+    *d = amplitudes(row(m, 3, v));
+}
+
+/// [`step`] for lower qubit 0. There the two adjacent pairs of a side hold
+/// `c₀ c₁ | c₀' c₁'`, so their middle amplitudes swap to form the streams,
+/// and swap back. `pairs` holds the two pairs with the upper bit clear,
+/// then the two with it set.
+#[inline(always)]
+fn step_lo0<const SWAP: bool>(m: &Split, pairs: [&mut [C32; 2]; 4]) {
+    let [x0, x1, y0, y1] = pairs;
+    let [c0, c1] = swap_middle([vector(x0), vector(x1)]);
+    let [s0, s1] = swap_middle([vector(y0), vector(y1)]);
+    let v = if SWAP {
+        [c0, s0, c1, s1]
+    } else {
+        [c0, c1, s0, s1]
+    };
+    let out = [row(m, 0, v), row(m, 1, v), row(m, 2, v), row(m, 3, v)];
+    let [c0, s0, c1, s1] = if SWAP {
+        out
+    } else {
+        let [c0, c1, s0, s1] = out;
+        [c0, s0, c1, s1]
+    };
+    let [a, b] = swap_middle([c0, c1]);
+    let [c, d] = swap_middle([s0, s1]);
+    *x0 = amplitudes(a);
+    *x1 = amplitudes(b);
+    *y0 = amplitudes(c);
+    *y1 = amplitudes(d);
+}
+
+/// Row `r` of `m` applied to the streams `v`, in the gate's basis order.
+///
+/// `w = [im₀, re₀, im₁, re₁]` is a stream vector's pair swap. The
+/// accumulator starts at 0 and takes
+/// `acc[l] += re[r][c][l]·v[c][l] + im[r][c][l]·w[c][l]` for `c = 0..4`.
+/// That is [`Gate2::apply`] operation for operation. In IEEE-754,
+/// `(-a)·b = -(a·b)` and `x + (-y) = x - y` exactly, so the real lanes
+/// compute `g.re·vr - g.im·vi` and the imaginary lanes `g.re·vi + g.im·vr`,
+/// in `C32`'s order. There is no fused multiply-add and no
+/// reassociation, so every amplitude keeps its bits.
+#[inline(always)]
+fn row(m: &Split, r: usize, v: [Vector; 4]) -> Vector {
+    let mut acc = [0.0; 4];
+    for (((re, im), v), [r0, i0, r1, i1]) in m.re[r].iter().zip(&m.im[r]).zip(v).zip(v) {
+        acc = lanes(acc, *re, v, *im, [i0, r0, i1, r1]);
+    }
+    acc
+}
+
+/// `acc + (a·v + b·w)`, lane by lane. Spelled out per lane, each step of
+/// the formula compiles to one vector operation.
+#[inline(always)]
+fn lanes(acc: Vector, a: Vector, v: Vector, b: Vector, w: Vector) -> Vector {
+    [
+        acc[0] + (a[0] * v[0] + b[0] * w[0]),
+        acc[1] + (a[1] * v[1] + b[1] * w[1]),
+        acc[2] + (a[2] * v[2] + b[2] * w[2]),
+        acc[3] + (a[3] * v[3] + b[3] * w[3]),
+    ]
+}
+
+/// The stream vector of an adjacent pair of amplitudes.
+#[inline(always)]
+fn vector([a, b]: &[C32; 2]) -> Vector {
+    [a.re, a.im, b.re, b.im]
+}
+
+/// The amplitudes of stream vector `v`.
+#[inline(always)]
+fn amplitudes(v: Vector) -> [C32; 2] {
+    [C32::new(v[0], v[1]), C32::new(v[2], v[3])]
+}
+
+/// Swaps the middle amplitudes of two stream vectors, `[a₀ a₁] [b₀ b₁]`
+/// to `[a₀ b₀] [a₁ b₁]`. It is its own inverse.
+#[inline(always)]
+fn swap_middle([a, b]: [Vector; 2]) -> [Vector; 2] {
+    [[a[0], a[1], b[0], b[1]], [a[2], a[3], b[2], b[3]]]
+}
+
+/// [`step`] or [`step_lo0`], as `LO0` says.
+#[inline(always)]
+fn step_pairs<const LO0: bool, const SWAP: bool>(m: &Split, pairs: [&mut [C32; 2]; 4]) {
+    if LO0 {
+        step_lo0::<SWAP>(m, pairs);
+    } else {
+        step::<SWAP>(m, pairs);
+    }
+}
+
+/// [`step_pairs`] over equally long pieces `clear` and `set` of a block's
+/// two halves, whole runs of `2 · run` amplitudes each.
+#[inline(always)]
+fn step_halves<const LO0: bool, const SWAP: bool>(
+    m: &Split,
+    run: usize,
+    clear: &mut [C32],
+    set: &mut [C32],
+) {
+    if run <= 2 {
+        // A 4-amplitude window of each side holds two groups.
+        let xs = clear.as_chunks_mut::<2>().0.as_chunks_mut::<2>().0;
+        let ys = set.as_chunks_mut::<2>().0.as_chunks_mut::<2>().0;
+        for (x, y) in xs.iter_mut().zip(ys) {
+            let ([x0, x1], [y0, y1]) = (x.each_mut(), y.each_mut());
+            step_pairs::<LO0, SWAP>(m, [x0, x1, y0, y1]);
+        }
+        return;
+    }
+    // Lower qubit 2 and up: a stream's consecutive groups are adjacent.
+    for (c, s) in clear
+        .chunks_exact_mut(2 * run)
+        .zip(set.chunks_exact_mut(2 * run))
+    {
+        let (c0, c1) = c.split_at_mut(run);
+        let (s0, s1) = s.split_at_mut(run);
+        let [c0, c1, s0, s1] = [c0, c1, s0, s1].map(|s| s.as_chunks_mut::<2>().0);
+        for (((a, b), c), d) in c0.iter_mut().zip(c1).zip(s0).zip(s1) {
+            step_pairs::<LO0, SWAP>(m, [a, b, c, d]);
+        }
+    }
+}
+
+/// Applies `m` to one claim, two groups per [`step`]. `LO0` says the
+/// lower qubit is 0, and `run` is `1 << lower qubit`. The split gate comes
+/// by value, so the loops read a private copy.
+#[inline(never)]
+fn apply_claim<const LO0: bool, const SWAP: bool>(m: Split, run: usize, claim: Claim<'_>) {
+    match claim {
+        // Upper qubits 1 and 2: eight amplitudes hold two groups.
+        Claim::Blocks { amps, half } if half <= 4 => {
+            let (windows, tail) = amps.as_chunks_mut::<2>().0.as_chunks_mut::<4>();
+            for w in windows {
+                let [p0, p1, p2, p3] = w.each_mut();
+                // Upper qubit 1 puts two whole blocks `c₀ c₁ | s₀ s₁` here.
+                let pairs = if half == 2 {
+                    [p0, p2, p1, p3]
+                } else {
+                    [p0, p1, p2, p3]
+                };
+                step_pairs::<LO0, SWAP>(&m, pairs);
+            }
+            // A 2-qubit state is one group: it runs beside a zero group.
+            if let [c, s] = tail {
+                let mut zero = [[C32::ZERO; 2]; 2];
+                let [z0, z1] = zero.each_mut();
+                step_pairs::<LO0, SWAP>(&m, [c, z0, s, z1]);
             }
         }
-        for (row, x) in m.iter().zip(xs) {
-            let mut acc_re = [0.0f32; LANES];
-            let mut acc_im = [0.0f32; LANES];
-            for (g, (vr, vi)) in row.iter().zip(re.iter().zip(&im)) {
-                for l in 0..LANES {
-                    acc_re[l] += g.re * vr[l] - g.im * vi[l];
-                    acc_im[l] += g.re * vi[l] + g.im * vr[l];
-                }
-            }
-            for (l, z) in x.iter_mut().enumerate() {
-                *z = C32::new(acc_re[l], acc_im[l]);
+        Claim::Blocks { amps, half } => {
+            for block in amps.chunks_exact_mut(2 * half) {
+                let (clear, set) = block.split_at_mut(half);
+                step_halves::<LO0, SWAP>(&m, run, clear, set);
             }
         }
+        Claim::Halves(clear, set) => step_halves::<LO0, SWAP>(&m, run, clear, set),
     }
 }
 

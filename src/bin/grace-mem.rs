@@ -87,6 +87,23 @@ fn fail(e: CliError) -> ! {
     std::process::exit(2);
 }
 
+/// `print!` that fails like every other CLI error when stdout does not
+/// take the text (a closed pipe, a full disk), where `print!` panics.
+fn write_stdout(text: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_fmt(text).and_then(|()| out.flush()) {
+        fail(CliError::Write("stdout".into(), e));
+    }
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! say {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 struct Flags {
     platform: &'static dyn Platform,
     mode: MemMode,
@@ -219,7 +236,7 @@ fn machine(f: &Flags, so: &SessionOptions) -> Machine {
 
 fn print_report_maybe_json(label: &str, r: &grace_mem::RunReport, json: bool) {
     if json {
-        println!("{}", r.to_json());
+        say!("{}", r.to_json());
     } else {
         print_report(label, r);
     }
@@ -299,8 +316,8 @@ fn maybe_dump_trace(r: &grace_mem::RunReport, f: &Flags) {
 }
 
 fn print_report(label: &str, r: &grace_mem::RunReport) {
-    println!("== {label} [{}] ==", r.platform);
-    println!(
+    say!("== {label} [{}] ==", r.platform);
+    say!(
         "phases (ms): ctx {:.3} | alloc {:.3} | cpu_init {:.3} | compute {:.3} | dealloc {:.3}",
         r.phases.ctx_init as f64 / 1e6,
         r.phases.alloc as f64 / 1e6,
@@ -308,12 +325,12 @@ fn print_report(label: &str, r: &grace_mem::RunReport) {
         r.phases.compute as f64 / 1e6,
         r.phases.dealloc as f64 / 1e6,
     );
-    println!(
+    say!(
         "reported total: {:.3} ms   checksum: {:.6}",
         r.reported_total() as f64 / 1e6,
         r.checksum
     );
-    println!(
+    say!(
         "traffic (MiB): HBM r/w {}/{} | C2C r/w {}/{} | migrated in/out {}/{}",
         r.traffic.hbm_read >> 20,
         r.traffic.hbm_write >> 20,
@@ -322,7 +339,7 @@ fn print_report(label: &str, r: &grace_mem::RunReport) {
         r.traffic.bytes_migrated_in >> 20,
         r.traffic.bytes_migrated_out >> 20,
     );
-    println!(
+    say!(
         "faults: {} GPU (managed), {} ATS (system) | peak GPU {} MiB | peak RSS {} MiB",
         r.traffic.gpu_faults,
         r.traffic.ats_faults,
@@ -330,7 +347,7 @@ fn print_report(label: &str, r: &grace_mem::RunReport) {
         r.peak_rss >> 20,
     );
     for note in &r.not_applicable {
-        println!("n/a: {note}");
+        say!("n/a: {note}");
     }
 }
 
@@ -355,20 +372,20 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("list") => {
-            println!("paper applications:");
+            say!("paper applications:");
             for app in AppId::ALL {
-                println!("  {:<14} {}", app.name(), app.pattern());
+                say!("  {:<14} {}", app.name(), app.pattern());
             }
-            println!(
+            say!(
                 "  {:<14} mixed (gh-qsim, `grace-mem qv <qubits>`)",
                 "qiskit-qv"
             );
-            println!("extension workloads (future-work study):");
-            println!("  {:<14} iterative reuse, read-only hot set", "kmeans");
-            println!("  {:<14} shrinking working set", "lud");
-            println!("  {:<14} sequential bandwidth", "stream");
-            println!("  {:<14} uniform sparse updates", "gups");
-            println!("  {:<14} skewed irregular reads", "pointer-chase");
+            say!("extension workloads (future-work study):");
+            say!("  {:<14} iterative reuse, read-only hot set", "kmeans");
+            say!("  {:<14} shrinking working set", "lud");
+            say!("  {:<14} sequential bandwidth", "stream");
+            say!("  {:<14} uniform sparse updates", "gups");
+            say!("  {:<14} skewed irregular reads", "pointer-chase");
         }
         Some("app") => {
             let Some(name) = args.get(1) else { usage() };
@@ -483,13 +500,13 @@ fn main() {
             let outcomes = grace_mem::jobs::run_suite(&specs, f.jobs, &cache);
             // Deterministic stdout: one line per job, identical at any
             // worker count (CI diffs `--jobs 8` against `--jobs 1`).
-            println!("app,platform,mode,total_ns,checksum_bits,job_hash");
+            say!("app,platform,mode,total_ns,checksum_bits,job_hash");
             for (spec, out) in specs.iter().zip(outcomes) {
                 let out = out.unwrap_or_else(|e| match e {
                     JobError::Platform(e) => fail(CliError::Platform(e)),
                     e @ JobError::Panicked { .. } => fail(CliError::Sim(e.to_string())),
                 });
-                println!(
+                say!(
                     "{},{},{},{},0x{:016x},0x{:016x}",
                     spec.app.name(),
                     spec.platform,
@@ -514,7 +531,7 @@ fn main() {
             let trace = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| fail(CliError::Read(path.clone(), e)));
             match grace_mem::sim::advise_on(f.platform, &trace) {
-                Ok(a) => print!("{}", a.render()),
+                Ok(a) => write_stdout(format_args!("{}", a.render())),
                 Err(e) => fail(CliError::Sim(e.to_string())),
             }
         }

@@ -2,9 +2,10 @@
 //! wrapped size or a panic: `grace-mem qv` bounds the statevector, and
 //! `grace-mem replay` bounds a trace's live footprint, by the same
 //! `Machine::capacity`. A replay's compute units saturate, never wrap.
-//! A flag its subcommand does not honour is a usage error too.
+//! A flag its subcommand does not honour is a usage error too, and so is
+//! a stdout that takes no output.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use grace_mem::sim::BufKind;
 use grace_mem::{platform, qsim};
@@ -93,6 +94,30 @@ fn compute_units_saturate_instead_of_wrapping() {
     };
     let max = "18446744073709551615";
     assert_eq!(replay(&[max, max]), replay(&[max]));
+}
+
+#[test]
+fn a_closed_stdout_exits_2_without_a_panic() {
+    for args in [&["list"][..], &["suite", "--small"][..]] {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        // With no reader left, the first write fails with a broken pipe.
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_grace-mem"))
+            .args(args)
+            .env("GH_SANITIZE", "0")
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("spawn grace-mem");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("grace-mem: cannot write stdout"),
+            "{args:?}: {stderr}"
+        );
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -60,10 +60,12 @@ fn oracle_gate1(amps: &[C32], g: &Gate1, q: u32) -> Vec<C32> {
 
 #[test]
 fn apply_gate2_matches_the_scalar_oracle_bit_for_bit() {
-    // Every ordered pair on 2..=9 qubits: lower qubits 0 and 1 take the
-    // per-group loop, higher ones the lane-blocked one, and the upper
-    // qubit reaches the top qubit.
-    for n in 2..=9u32 {
+    // Every ordered pair on 2..=9 and 13 qubits: lower qubits 0 and 1
+    // read two streams from one window, higher ones each stream on its
+    // own; upper qubits 1 and 2 walk whole blocks in one window, and the
+    // upper qubit reaches the top qubit. At 13 qubits an upper qubit of
+    // 12 splits each half of its block between claims.
+    for n in (2..=9u32).chain([13]) {
         let start = scrambled(n);
         for q0 in 0..n {
             for q1 in (0..n).filter(|&q| q != q0) {
