@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the simulator's hot primitives: page table
 //! operations, TLB lookups, the radix map, the L2 model, runtime boot,
-//! kernel span metering, page migration and unmapping, statevector gate
-//! application and the parallel substrate.
+//! kernel span metering (system and managed memory), page migration and
+//! unmapping, statevector gate application and the parallel substrate.
 //!
 //! Self-timed (the offline dependency set has no criterion): each case
 //! runs a few warmup iterations, then reports min/median wall time over a
@@ -26,6 +26,8 @@ fn iters() -> usize {
 }
 
 /// Runs `f` with per-iteration setup from `setup`, printing min/median ns.
+/// What `f` returns is dropped after the clock stops, so a case can hand
+/// back its machine to keep teardown out of the timing.
 #[expect(
     clippy::disallowed_methods,
     clippy::disallowed_types,
@@ -45,8 +47,9 @@ where
     for _ in 0..n {
         let input = setup();
         let t0 = std::time::Instant::now();
-        black_box(f(input));
+        let out = black_box(f(input));
         times.push(t0.elapsed().as_nanos());
+        drop(out);
     }
     times.sort_unstable();
     let min = times[0];
@@ -156,6 +159,25 @@ fn bench_migration() {
                 m.rt.prefetch(&buf, off, WINDOW, Node::Gpu);
             }
             m.rt.migrated_pages()
+        },
+    );
+    // QV's gate step under that prefetch: one launch that reads and
+    // writes a 4 MiB managed window already resident on the GPU.
+    bench(
+        "kernel_managed_window_rw",
+        || {
+            let mut m = platform::gh200().machine();
+            let buf = m.rt.cuda_malloc_managed(Bytes::new(WINDOW), "sv");
+            m.rt.cpu_write(&buf, 0, WINDOW);
+            m.rt.prefetch(&buf, 0, WINDOW, Node::Gpu);
+            (m, buf)
+        },
+        |(mut m, buf)| {
+            let mut k = m.rt.launch("qv_gate");
+            k.read(&buf, 0, WINDOW);
+            k.write(&buf, 0, WINDOW);
+            let time = k.finish().time;
+            (m, time)
         },
     );
     // munmap of 32,768 CPU-resident 4 KiB pages.

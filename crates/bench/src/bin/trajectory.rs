@@ -1,6 +1,7 @@
 //! `cargo run --release -p gh-bench --bin trajectory` records the
 //! simulator's host-speed trajectory in `BENCH_<date>.json` at the repo
-//! root; the rows are in `gh_bench::trajectory`. It takes no flags and
+//! root (`BENCH_<date>b.json`, `c`, ... for later recordings that day);
+//! the rows are in `gh_bench::trajectory`. It takes no flags and
 //! reads no environment variable. It exits 1, naming the row, when a
 //! command fails, a grace-bench result line does not parse, lacks a
 //! declared metric or is not `"correct"`, or a `grace-mem` row's stdout
@@ -72,7 +73,13 @@ fn record(root: &Path) -> Result<(), String> {
     }
 
     let date = gh_perf::host_date();
-    let path = root.join(format!("BENCH_{date}.json"));
+    // A later recording on the same day takes the next letter, so the
+    // files sort in recording order and none is overwritten.
+    let path = std::iter::once(String::new())
+        .chain(('b'..='z').map(String::from))
+        .map(|letter| root.join(format!("BENCH_{date}{letter}.json")))
+        .find(|p| !p.exists())
+        .ok_or_else(|| format!("BENCH_{date}.json through BENCH_{date}z.json all exist"))?;
     let doc = t::document(&date, &bench, &workloads, &cli, &tools);
     std::fs::write(&path, doc).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     println!("trajectory: wrote {}", path.display());

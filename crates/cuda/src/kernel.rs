@@ -67,6 +67,7 @@ use gh_mem::clock::Ns;
 use gh_mem::link::Direction;
 use gh_mem::params::CostParams;
 use gh_mem::phys::Node;
+use gh_mem::tlb::{tlb_key_gpu, tlb_key_sys};
 use gh_mem::traffic::KernelTraffic;
 use gh_os::VaRange;
 use gh_units::{ns_from_f64, widen, Bytes, Lines, Pages, Vpn, VpnRange};
@@ -74,18 +75,6 @@ use gh_units::{ns_from_f64, widen, Bytes, Lines, Pages, Vpn, VpnRange};
 use crate::buffer::{BufKind, Buffer};
 use crate::runtime::Runtime;
 use crate::uvm::{block_of, block_range};
-
-/// TLB key namespace for system-page-table translations.
-pub(crate) fn tlb_key_sys(vpn: Vpn) -> Vpn {
-    vpn
-}
-
-/// TLB key namespace for GPU-exclusive-page-table translations
-/// (2 MiB-grain entries).
-pub(crate) fn tlb_key_gpu(vpn: Vpn) -> Vpn {
-    // gh-audit: allow(unit-launder) -- sets a namespace bit on a VPN; the value stays a VPN
-    Vpn::new(vpn.get() | (1 << 63))
-}
 
 /// How many translation requests the GPU keeps in flight; ATS latency is
 /// amortized by this factor for streaming access. The H100's many TBUs
@@ -947,9 +936,9 @@ impl<'r> Kernel<'r> {
         // migration attempts) once their pages exist.
         if self.rt.migration_advised_off(buf_range.addr) {
             let vpns = self.rt.os.system_pt.vpn_range(span.addr, span.len);
-            let cpu = self.rt.os.system_pt.count_resident_in(vpns, Node::Cpu);
-            let gpu = self.rt.os.system_pt.count_resident_in(vpns, Node::Gpu);
-            if cpu + gpu == vpns.count() {
+            let res = self.rt.os.system_pt.residency(vpns);
+            let gpu = res.gpu;
+            if res.populated() == vpns.count() {
                 self.walk_tlb(self.sys_keys(span.addr, span.end()));
                 if write {
                     self.mark_dirty(vpns);
@@ -994,17 +983,18 @@ impl<'r> Kernel<'r> {
     ) {
         let spt = self.rt.os.system_pt.page_size();
         let vpns = self.rt.os.system_pt.vpn_range(clip.addr, clip.len);
-        let n_pages = vpns.count();
-        let populated = self.rt.os.system_pt.count_resident_in(vpns, Node::Cpu)
-            + self.rt.os.system_pt.count_resident_in(vpns, Node::Gpu);
-        if populated < n_pages {
+        // One residency read, repeated only after a first touch or a
+        // migration attempt has moved pages.
+        let mut res = self.rt.os.system_pt.residency(vpns);
+        if res.populated() < vpns.count() {
             // GPU first touch: block-granularity population, directly
             // in GPU memory — the *fast* managed init path (§5.1.2).
             let (cost, _, _) = self.rt.uvm_first_touch_block(block, buf_range);
             self.rt.tick(cost);
             self.gpu_fault(block, cost);
+            res = self.rt.os.system_pt.residency(vpns);
         }
-        let cpu_pages = self.rt.os.system_pt.count_resident_in(vpns, Node::Cpu);
+        let cpu_pages = res.cpu;
         if !cpu_pages.is_zero() {
             // Replayable GPU fault → driver migrates the block in
             // (or falls back to remote mapping under self-eviction).
@@ -1043,9 +1033,10 @@ impl<'r> Kernel<'r> {
                 self.account_remote(clip.addr, remote_bytes, write, random);
                 self.walk_tlb(self.sys_keys(clip.addr, clip.end()));
             }
+            res = self.rt.os.system_pt.residency(vpns);
         }
         // Whatever is GPU-resident now is read/written locally.
-        let gpu_pages = self.rt.os.system_pt.count_resident_in(vpns, Node::Gpu);
+        let gpu_pages = res.gpu;
         if !gpu_pages.is_zero() {
             let page = self.rt.os.system_pt.page();
             let local_bytes = (gpu_pages * page).get().min(clip.len);

@@ -8,7 +8,8 @@ use gh_mem::pagetable::PageTable;
 use gh_mem::params::CostParams;
 use gh_mem::phys::{Node, OutOfMemory, PhysMem};
 use gh_mem::smmu::Smmu;
-use gh_mem::tlb::Tlb;
+use gh_mem::tlb::{tlb_key_gpu, Tlb};
+use gh_mem::IntHash;
 use gh_os::{Os, OsConfig, VmaKind};
 use gh_profiler::MemProfiler;
 use gh_units::{Bytes, Lines, Vpn};
@@ -75,19 +76,20 @@ pub struct Runtime {
     pub(crate) uvm: UvmState,
     pub(crate) streams: crate::streams::State,
     #[expect(clippy::disallowed_types, reason = "keyed lookup only; never iterated")]
-    allocs: std::collections::HashMap<u32, (Buffer, String)>,
+    allocs: std::collections::HashMap<u32, (Buffer, String), IntHash>,
     /// Access-counter notifications waiting for driver service (FIFO,
     /// drained `counter_budget_per_kernel` at a time at kernel end).
     pub(crate) pending_notifs: std::collections::VecDeque<u64>,
     /// Allocations with migration advised off (`cudaMemAdvise`).
     #[expect(clippy::disallowed_types, reason = "keyed lookup only; never iterated")]
-    pub(crate) advise_no_migrate: std::collections::HashSet<u64>,
+    pub(crate) advise_no_migrate: std::collections::HashSet<u64, IntHash>,
     /// Remotely-touched system pages per counter region, accumulated
     /// across kernels; the migration driver moves exactly these (touched)
     /// pages, which is what produces 64 KiB-page amplification for
     /// sparse access patterns (Fig 7).
     #[expect(clippy::disallowed_types, reason = "keyed lookup only; never iterated")]
-    pub(crate) remote_touched: std::collections::HashMap<u64, std::collections::BTreeSet<Vpn>>,
+    pub(crate) remote_touched:
+        std::collections::HashMap<u64, std::collections::BTreeSet<Vpn>, IntHash>,
     next_buf: u32,
     ctx_ready: bool,
     pub(crate) kernel_seq: u64,
@@ -100,7 +102,7 @@ pub struct Runtime {
     /// classification results, validated against the system page table's
     /// placement epoch. Buffer ids are never reused.
     #[expect(clippy::disallowed_types, reason = "keyed lookup only; never iterated")]
-    placement_cache: std::collections::HashMap<u32, PlacementEntry>,
+    placement_cache: std::collections::HashMap<u32, PlacementEntry, IntHash>,
     /// The GPU L2 model for irregular remote touches, emptied by every
     /// launch. It allocates its storage at its first access, so a
     /// runtime whose kernels never consult it holds no L2 memory.
@@ -555,7 +557,7 @@ impl Runtime {
                 let removed = self.gpu_pt.unmap_range(vpns);
                 for (vpn, pte) in &removed {
                     self.phys.release(pte.node, page.bytes());
-                    self.gpu_tlb.invalidate(crate::kernel::tlb_key_gpu(*vpn));
+                    self.gpu_tlb.invalidate(tlb_key_gpu(*vpn));
                 }
                 // Release the VA without system-page teardown (no system
                 // PTEs were ever created for a device-only VMA).

@@ -25,24 +25,117 @@
 //! land on the CPU at the system page size), while all driver operations
 //! — fault service, migration, eviction, first touch — work on 2 MiB VA
 //! blocks, matching the managed-memory granularities of Table 1.
+//!
+//! The driver's host work is per block, plus the per-page PTE rewrite a
+//! migration cannot avoid. The page table counts each block's pages per
+//! node, so a residency query over a block reads two counters. Every
+//! migration goes through [`Runtime::move_pages`]: one frame reservation
+//! and one page-table pass. Its per-page GPU TLB shootdown probes run only
+//! while the TLB holds a system-space entry; GPU accesses to GPU-resident
+//! blocks use GPU-space keys, which only eviction would shoot down. The
+//! LRU is a linked list threaded through arrays indexed by block number,
+//! so a touch or a drop is O(1).
 
 use gh_mem::clock::Ns;
 use gh_mem::link::Direction;
 use gh_mem::params::CostParams;
 use gh_mem::phys::Node;
+use gh_mem::tlb::tlb_key_sys;
+use gh_mem::IntHash;
 use gh_os::VaRange;
-use gh_units::{Bytes, Pages, Vpn, VpnRange};
-use std::collections::VecDeque;
+use gh_units::{widen, Bytes, Pages, Vpn, VpnRange};
 
-use crate::kernel::tlb_key_sys;
 use crate::runtime::Runtime;
+
+/// Link of a block that is not in the [`Lru`].
+const FREE: usize = usize::MAX;
+
+/// Managed blocks holding GPU-resident pages, coldest first: a circular
+/// doubly-linked list threaded through `prev`/`next` arrays. Slot `b + 1`
+/// holds block `b`'s links; slot 0 is the list head, whose `next` is the
+/// coldest block and whose `prev` the hottest. Block numbers are dense,
+/// because the OS hands out 2 MiB-aligned addresses from a cursor that
+/// only grows, so the arrays (grown on demand) cost 16 bytes per block of
+/// address space, and a touch or a drop is O(1).
+#[derive(Debug, Default)]
+struct Lru {
+    prev: Vec<usize>,
+    next: Vec<usize>,
+}
+
+impl Lru {
+    fn slot(block: u64) -> usize {
+        block as usize + 1
+    }
+
+    /// Moves `block` to the hot end, linking it if absent.
+    fn touch(&mut self, block: u64) {
+        self.remove(block);
+        let i = Self::slot(block);
+        if i >= self.next.len() {
+            if self.next.is_empty() {
+                self.prev.push(0);
+                self.next.push(0);
+            }
+            self.prev.resize(i + 1, FREE);
+            self.next.resize(i + 1, FREE);
+        }
+        let hottest = self.prev[0];
+        self.next[hottest] = i;
+        self.prev[i] = hottest;
+        self.next[i] = 0;
+        self.prev[0] = i;
+    }
+
+    /// Unlinks `block` if it is linked.
+    fn remove(&mut self, block: u64) {
+        let i = Self::slot(block);
+        let Some(&n) = self.next.get(i).filter(|&&n| n != FREE) else {
+            return;
+        };
+        let p = self.prev[i];
+        self.next[p] = n;
+        self.prev[n] = p;
+        self.next[i] = FREE;
+        self.prev[i] = FREE;
+    }
+
+    /// The block after `block` toward the hot end, or the coldest block
+    /// when `block` is `None`. `block` must be linked.
+    fn after(&self, block: Option<u64>) -> Option<u64> {
+        let i = block.map_or(0, Self::slot);
+        match self.next.get(i) {
+            Some(&n) if n != 0 && n != FREE => Some(widen(n - 1)),
+            _ => None,
+        }
+    }
+
+    /// The blocks, coldest first.
+    #[cfg(test)]
+    fn order(&self) -> Vec<u64> {
+        std::iter::successors(self.after(None), |&b| self.after(Some(b))).collect()
+    }
+}
+
+/// A walk over the LRU from the cold end for eviction victims (see
+/// [`UvmState::next_victim`]).
+#[derive(Debug)]
+pub(crate) struct VictimScan {
+    /// The next block to consider, saved before its predecessor is handed
+    /// out, so the caller may drop each victim.
+    next: Option<u64>,
+    /// Allocation protected from self-eviction.
+    exclude: Option<VaRange>,
+    /// The block being served.
+    skip: Option<u64>,
+}
 
 /// Driver-side state for managed memory.
 #[derive(Debug, Default)]
 pub struct UvmState {
     /// 2 MiB blocks holding at least one GPU-resident managed page, in
-    /// LRU order (front = coldest).
-    lru: VecDeque<u64>,
+    /// LRU order.
+    lru: Lru,
     /// Blocks migrated in during the current kernel (sequential-prefetch
     /// detection).
     pub(crate) migrated_this_kernel: Vec<u64>,
@@ -59,7 +152,7 @@ pub struct UvmState {
     /// thrashing (the `uvm_perf_thrashing` behaviour: all access remote
     /// until an explicit prefetch pulls data back).
     #[expect(clippy::disallowed_types, reason = "keyed lookup only; never iterated")]
-    pub(crate) pinned_cpu: std::collections::HashSet<u64>,
+    pub(crate) pinned_cpu: std::collections::HashSet<u64, IntHash>,
 }
 
 impl UvmState {
@@ -70,24 +163,47 @@ impl UvmState {
 
     /// Marks `block` most-recently-used (inserting it if absent).
     pub(crate) fn touch_lru(&mut self, block: u64) {
-        if let Some(pos) = self.lru.iter().position(|&b| b == block) {
-            self.lru.remove(pos);
-        }
-        self.lru.push_back(block);
+        self.lru.touch(block);
     }
 
     fn drop_block(&mut self, block: u64) {
-        if let Some(pos) = self.lru.iter().position(|&b| b == block) {
-            self.lru.remove(pos);
-        }
+        self.lru.remove(block);
     }
 
     /// Forgets all blocks overlapping `range` (allocation freed).
     pub(crate) fn forget_range(&mut self, range: VaRange) {
-        self.lru
-            .retain(|&b| b * BLOCK >= range.end() || (b + 1) * BLOCK <= range.addr);
+        for block in range.addr / BLOCK..range.end().div_ceil(BLOCK) {
+            self.lru.remove(block);
+        }
         self.fallback_counts.remove(&range.addr);
         self.pinned_cpu.remove(&range.addr);
+    }
+
+    /// Starts an eviction scan at the cold end of the LRU that passes over
+    /// blocks overlapping `exclude` and the block `skip`.
+    pub(crate) fn victims(&self, exclude: Option<VaRange>, skip: Option<u64>) -> VictimScan {
+        VictimScan {
+            next: self.lru.after(None),
+            exclude,
+            skip,
+        }
+    }
+
+    /// The scan's next victim, coldest first. The caller may drop it
+    /// before asking for the next one.
+    pub(crate) fn next_victim(&self, scan: &mut VictimScan) -> Option<u64> {
+        while let Some(block) = scan.next {
+            scan.next = self.lru.after(Some(block));
+            let whole = VaRange {
+                addr: block * BLOCK,
+                len: BLOCK,
+            };
+            let excluded = scan.exclude.is_some_and(|r| whole.intersect(&r).is_some());
+            if !excluded && Some(block) != scan.skip {
+                return Some(block);
+            }
+        }
+        None
     }
 
     /// Whether the driver pinned this allocation to CPU memory.
@@ -131,9 +247,11 @@ pub fn block_range(block: u64, clip: VaRange) -> VaRange {
 impl Runtime {
     /// Moves every system page of `vpns` resident on `from` to `to` in
     /// one page-table pass: frames for the whole run are reserved at once,
-    /// and the GPU TLB entry of each moved page is shot down. Returns the
-    /// number of pages moved. Panics if `to` cannot hold them — callers
-    /// must have made room first.
+    /// and the GPU TLB's system-space entry of each moved page is shot
+    /// down. The shootdown probes stop while the TLB holds no
+    /// system-space entry, since invalidating an absent key changes
+    /// nothing. Returns the number of pages moved. Panics if `to` cannot
+    /// hold them — callers must have made room first.
     pub(crate) fn move_pages(&mut self, vpns: VpnRange, from: Node, to: Node) -> u64 {
         let page = self.os.system_pt.page();
         let n = self.os.system_pt.count_resident_in(vpns, from);
@@ -150,7 +268,9 @@ impl Runtime {
             .expect("destination node full: caller must evict first");
         let tlb = &mut self.gpu_tlb;
         self.os.system_pt.remap_range(vpns, from, to, first, |vpn| {
-            tlb.invalidate(tlb_key_sys(vpn))
+            if tlb.sys_entries() > 0 {
+                tlb.invalidate(tlb_key_sys(vpn));
+            }
         });
         self.phys.release(from, n * page);
         self.migrated_pages = self.migrated_pages.saturating_add(n.get());
@@ -257,13 +377,15 @@ impl Runtime {
             // Make room, but never by evicting this same allocation: that
             // would be guaranteed thrash, and the GH200 driver instead
             // leaves the data CPU-resident for coherent remote access.
-            let (evict_cost, freed) = self.uvm_evict_lru(
+            let (evict_cost, _) = self.uvm_evict_lru(
                 bytes - self.phys.free(Node::Gpu),
                 Some(buf_range),
                 Some(block),
             );
             cost = cost.saturating_add(evict_cost);
-            if freed + self.phys.free(Node::Gpu) < bytes && self.phys.free(Node::Gpu) < bytes {
+            // `uvm_evict_lru` has already returned what it freed to
+            // `phys`: the free count is all that can back the move.
+            if self.phys.free(Node::Gpu) < bytes {
                 self.uvm.remote_fallbacks += 1;
                 // Thrash detection (uvm_perf_thrashing): after repeated
                 // refused migrations the driver evicts the allocation's
@@ -313,26 +435,11 @@ impl Runtime {
         let page = self.os.system_pt.page();
         let mut cost: Ns = 0;
         let mut freed = Bytes::ZERO;
-        // Scan from the cold end; collect victims first to avoid borrowing
-        // issues while mutating.
-        let mut idx = 0;
-        while freed < needed && idx < self.uvm.lru.len() {
-            let block = self.uvm.lru[idx];
-            let in_excluded = exclude.is_some_and(|r| {
-                block_range(
-                    block,
-                    VaRange {
-                        addr: 0,
-                        len: u64::MAX,
-                    },
-                )
-                .intersect(&r)
-                .is_some()
-            });
-            if in_excluded || Some(block) == skip_block {
-                idx += 1;
-                continue;
-            }
+        let mut scan = self.uvm.victims(exclude, skip_block);
+        while freed < needed {
+            let Some(block) = self.uvm.next_victim(&mut scan) else {
+                break;
+            };
             let clip = VaRange {
                 addr: block * BLOCK,
                 len: BLOCK,
@@ -364,7 +471,6 @@ impl Runtime {
                     .count("uvm.bytes_migrated_out", bytes.get());
                 self.session.bus.observe("migration.bytes", bytes.get());
             }
-            // idx unchanged: removal shifted the deque.
         }
         (cost, freed)
     }
@@ -471,15 +577,13 @@ impl Runtime {
                     }
                     let bytes = cpu_pages * page;
                     if self.phys.free(Node::Gpu) < bytes {
-                        let (c, freed) = self.uvm_evict_lru(
+                        let (c, _) = self.uvm_evict_lru(
                             bytes - self.phys.free(Node::Gpu),
                             None,
                             Some(block),
                         );
                         dt = dt.saturating_add(c);
-                        if freed + self.phys.free(Node::Gpu) < bytes
-                            && self.phys.free(Node::Gpu) < bytes
-                        {
+                        if self.phys.free(Node::Gpu) < bytes {
                             // GPU genuinely full (e.g. balloon): skip.
                             self.tick(dt);
                             total = total.saturating_add(dt);
@@ -537,10 +641,73 @@ impl Runtime {
 mod tests {
     use super::*;
     use crate::runtime::RuntimeOptions;
-    use gh_mem::params::MIB;
+    use gh_mem::params::{KIB, MIB};
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     fn rt() -> Runtime {
         Runtime::new(CostParams::default(), RuntimeOptions::default())
+    }
+
+    /// Writes `[off, off + len)` of `buf` in a GPU kernel.
+    fn gpu_touch(r: &mut Runtime, buf: &crate::Buffer, off: u64, len: u64) {
+        let mut k = r.launch("touch");
+        k.write(buf, off, len);
+        k.finish();
+    }
+
+    /// Fills the GPU with `cudaMalloc` memory until `left` bytes are free
+    /// (`cudaMalloc` rounds to 2 MiB pages, so the gap must be a multiple).
+    fn fill_gpu_to(r: &mut Runtime, left: u64) {
+        let fill = r.gpu_free() - left;
+        assert_eq!(fill % (2 * MIB), 0, "fill of {fill} bytes");
+        r.cuda_malloc(Bytes::new(fill), "fill").unwrap();
+        assert_eq!(r.gpu_free(), left);
+    }
+
+    #[test]
+    fn fault_that_eviction_cannot_cover_falls_back_to_remote() {
+        // Eviction frees B's 64 KiB but A's own tail is protected, so
+        // 2,016 KiB are free for a 2 MiB block: the fault must map the
+        // block remotely, not migrate into a full GPU.
+        let mut r = Runtime::new(CostParams::with_4k_pages(), RuntimeOptions::default());
+        let b = r.cuda_malloc_managed(Bytes::new(64 * KIB), "b");
+        gpu_touch(&mut r, &b, 0, 64 * KIB);
+        let a = r.cuda_malloc_managed(Bytes::new(2 * MIB + 1_480 * KIB), "a");
+        r.cpu_write(&a, 0, 2 * MIB);
+        gpu_touch(&mut r, &a, 2 * MIB, 1_480 * KIB);
+        fill_gpu_to(&mut r, 1_952 * KIB);
+        let fallbacks = r.uvm.remote_fallbacks();
+        let mut k = r.launch("read");
+        k.read(&a, 0, 2 * MIB);
+        let rep = k.finish();
+        assert_eq!(r.uvm.remote_fallbacks(), fallbacks + 1);
+        assert_eq!(rep.traffic.pages_migrated_in, 0);
+        assert_eq!(r.gpu_free(), 2_016 * KIB, "B was evicted");
+        let vpns = r.os().system_pt.vpn_range(a.range.addr, 2 * MIB);
+        assert_eq!(
+            r.os().system_pt.count_resident_in(vpns, Node::Cpu),
+            Pages::new(512)
+        );
+    }
+
+    #[test]
+    fn prefetch_that_eviction_cannot_cover_skips_the_block() {
+        // Evicting B frees 1 MiB, leaving 1,448 KiB free for A's 2 MiB
+        // block: the prefetch skips it.
+        let mut r = Runtime::new(CostParams::with_4k_pages(), RuntimeOptions::default());
+        let b = r.cuda_malloc_managed(Bytes::new(MIB), "b");
+        gpu_touch(&mut r, &b, 0, MIB);
+        let a = r.cuda_malloc_managed(Bytes::new(2 * MIB), "a");
+        r.cpu_write(&a, 0, 2 * MIB);
+        fill_gpu_to(&mut r, 424 * KIB);
+        r.prefetch(&a, 0, 2 * MIB, Node::Gpu);
+        assert_eq!(r.gpu_free(), 1_448 * KIB, "B was evicted");
+        let vpns = r.os().system_pt.vpn_range(a.range.addr, 2 * MIB);
+        assert_eq!(
+            r.os().system_pt.count_resident_in(vpns, Node::Cpu),
+            Pages::new(512)
+        );
     }
 
     #[test]
@@ -566,7 +733,117 @@ mod tests {
         s.touch_lru(1);
         s.touch_lru(2);
         s.touch_lru(1);
-        assert_eq!(s.lru, VecDeque::from(vec![2, 1]));
+        assert_eq!(s.lru.order(), vec![2, 1]);
+    }
+
+    /// The LRU as a `VecDeque` with position scans, as the driver kept it
+    /// before the linked list: the reference for [`Lru`].
+    #[derive(Default)]
+    struct DequeLru(VecDeque<u64>);
+
+    impl DequeLru {
+        fn touch(&mut self, block: u64) {
+            self.drop_block(block);
+            self.0.push_back(block);
+        }
+
+        fn drop_block(&mut self, block: u64) {
+            if let Some(pos) = self.0.iter().position(|&b| b == block) {
+                self.0.remove(pos);
+            }
+        }
+
+        fn forget_range(&mut self, range: VaRange) {
+            self.0
+                .retain(|&b| b * BLOCK >= range.end() || (b + 1) * BLOCK <= range.addr);
+        }
+
+        /// `uvm_evict_lru`'s scan with one unit freed per victim.
+        fn evict(
+            &mut self,
+            needed: usize,
+            exclude: Option<VaRange>,
+            skip: Option<u64>,
+        ) -> Vec<u64> {
+            let mut victims = Vec::new();
+            let mut idx = 0;
+            while victims.len() < needed && idx < self.0.len() {
+                let block = self.0[idx];
+                let all = VaRange {
+                    addr: 0,
+                    len: u64::MAX,
+                };
+                let in_excluded =
+                    exclude.is_some_and(|r| block_range(block, all).intersect(&r).is_some());
+                if in_excluded || Some(block) == skip {
+                    idx += 1;
+                    continue;
+                }
+                victims.push(block);
+                self.drop_block(block);
+            }
+            victims
+        }
+    }
+
+    /// `uvm_evict_lru`'s loop over [`UvmState::next_victim`], one unit
+    /// freed per victim.
+    fn evict(
+        s: &mut UvmState,
+        needed: usize,
+        exclude: Option<VaRange>,
+        skip: Option<u64>,
+    ) -> Vec<u64> {
+        let mut victims = Vec::new();
+        let mut scan = s.victims(exclude, skip);
+        while victims.len() < needed {
+            let Some(block) = s.next_victim(&mut scan) else {
+                break;
+            };
+            victims.push(block);
+            s.drop_block(block);
+        }
+        victims
+    }
+
+    proptest! {
+        /// Random touches, drops, freed ranges (quarter-block aligned, so
+        /// some cut blocks) and eviction scans leave the linked list in
+        /// the deque's order, and each scan picks the deque's victims.
+        #[test]
+        fn lru_matches_the_deque_reference(ops in proptest::collection::vec(
+            (0u8..4, 0u64..24, 0u64..12, 0usize..5, prop::bool::ANY), 0..120)) {
+            let (mut s, mut reference) = (UvmState::new(), DequeLru::default());
+            for (op, block, n, needed, flag) in ops {
+                let range = VaRange {
+                    addr: block * BLOCK / 4 * 3,
+                    len: n * BLOCK / 4,
+                };
+                match op {
+                    0 => {
+                        s.touch_lru(block);
+                        reference.touch(block);
+                    }
+                    1 => {
+                        s.drop_block(block);
+                        reference.drop_block(block);
+                    }
+                    2 => {
+                        s.forget_range(range);
+                        reference.forget_range(range);
+                    }
+                    _ => {
+                        let exclude = flag.then_some(range);
+                        let skip = (n % 2 == 0).then_some(n);
+                        prop_assert_eq!(
+                            evict(&mut s, needed, exclude, skip),
+                            reference.evict(needed, exclude, skip)
+                        );
+                    }
+                }
+                prop_assert_eq!(s.lru.order(), reference.0.iter().copied().collect::<Vec<_>>());
+            }
+        }
     }
 
     #[test]

@@ -44,6 +44,7 @@
 pub mod cache;
 pub mod clock;
 pub mod counters;
+pub mod hash;
 pub mod link;
 pub mod pagetable;
 pub mod params;
@@ -56,6 +57,7 @@ pub mod traffic;
 pub use cache::SetCache;
 pub use clock::{Clock, Ns};
 pub use counters::{AccessCounters, Notification};
+pub use hash::IntHash;
 pub use link::{Direction, Link};
 pub use pagetable::{PageTable, Pte};
 pub use params::{CostParams, ParamError, KIB, MIB};

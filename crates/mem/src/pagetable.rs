@@ -10,7 +10,15 @@
 //!   GMMU), with 2 MiB pages, holding `cudaMalloc` allocations and managed
 //!   pages whose current physical location is GPU memory.
 //!
-//! Entries are keyed by virtual page number (`vaddr / page_size`).
+//! Entries are keyed by virtual page number (`vaddr / page_size`) in a
+//! sparse radix map. Beside the entries, each table counts its populated
+//! pages per node for every 2 MiB block of address space (one radix leaf
+//! at 4 KiB pages, 32 pages at 64 KiB, one page of the GPU table), in a
+//! vector indexed by block number. The range queries answer a block that
+//! the range covers whole, or whose pages all share one state, from its
+//! counts; they read slots only in a mixed block the range cuts. A
+//! migration rewrites each moved entry and updates its block's counts
+//! once.
 
 use crate::phys::Node;
 use crate::radix::{self, RadixTable};
@@ -20,6 +28,9 @@ use gh_units::{widen, Bytes, PageSize, Pages, Vpn, VpnRange};
 /// every page is populated and resident on `node`, `None` when every page
 /// is unpopulated.
 pub type PlacementRun = (VpnRange, Option<Node>);
+
+/// Address space covered by one residency block.
+const BLOCK_BYTES: u64 = 2 * 1024 * 1024;
 
 /// A page table entry: where the page physically lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,17 +44,45 @@ pub struct Pte {
     pub dirty: bool,
 }
 
+/// Populated pages of a VPN range, per node.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Residency {
+    /// Pages resident on the CPU.
+    pub cpu: Pages,
+    /// Pages resident on the GPU.
+    pub gpu: Pages,
+}
+
+impl Residency {
+    /// Pages resident on `node`.
+    pub fn on(self, node: Node) -> Pages {
+        match node {
+            Node::Cpu => self.cpu,
+            Node::Gpu => self.gpu,
+        }
+    }
+
+    /// Populated pages on either node.
+    pub fn populated(self) -> Pages {
+        self.cpu + self.gpu
+    }
+}
+
 /// A single page table with fixed page size.
 #[derive(Debug, Clone)]
 pub struct PageTable {
     page: PageSize,
     entries: RadixTable<Pte>,
     resident: [Pages; 2], // pages per node
-    /// Per-leaf populated-page counts per node, keyed by radix leaf index.
-    /// Lets range queries answer a uniform fully-resident leaf in O(1)
-    /// without touching the 512 slots.
-    #[expect(clippy::disallowed_types, reason = "keyed lookup only; never iterated")]
-    summary: std::collections::HashMap<u64, [u32; 2]>,
+    /// log2 of the pages per residency block: 2 MiB of address space, or
+    /// one page when pages are 2 MiB or larger.
+    block_shift: u32,
+    /// Populated pages per node (CPU, GPU) of each block, indexed by block
+    /// number (`vpn >> block_shift`) and grown on demand. The index is
+    /// dense because the OS hands out 2 MiB-aligned virtual addresses from
+    /// a cursor that starts at 2 MiB and only grows (`Os::mmap`): the
+    /// table costs 8 bytes per 2 MiB of address space ever mapped.
+    blocks: Vec<[u32; 2]>,
     /// Bumped on every placement change (populate/unmap/remap — not
     /// `mark_dirty`, which doesn't move pages). Callers cache
     /// classification results keyed on this.
@@ -58,7 +97,8 @@ impl PageTable {
             page: PageSize::new(page_size),
             entries: RadixTable::new(),
             resident: [Pages::ZERO, Pages::ZERO],
-            summary: Default::default(),
+            block_shift: (BLOCK_BYTES / page_size).max(1).trailing_zeros(),
+            blocks: Vec::new(),
             epoch: 0,
         }
     }
@@ -117,11 +157,12 @@ impl PageTable {
         );
         assert!(old.is_none(), "double population of {vpn}");
         self.resident[node_idx(node)] += Pages::new(1);
-        let c = self
-            .summary
-            .entry(radix::leaf_index(vpn.get()))
-            .or_insert([0u32; 2]);
-        c[node_idx(node)] = c[node_idx(node)].saturating_add(1);
+        let b = self.block_of(vpn.get());
+        if b >= self.blocks.len() {
+            self.blocks.resize(b + 1, [0; 2]);
+        }
+        let c = &mut self.blocks[b][node_idx(node)];
+        *c = c.saturating_add(1);
         self.epoch = self.epoch.saturating_add(1);
     }
 
@@ -130,12 +171,9 @@ impl PageTable {
         let pte = self.entries.remove(vpn.get());
         if let Some(p) = pte {
             self.resident[node_idx(p.node)] -= Pages::new(1);
-            let idx = radix::leaf_index(vpn.get());
-            if let Some(c) = self.summary.get_mut(&idx) {
+            let b = self.block_of(vpn.get());
+            if let Some(c) = self.blocks.get_mut(b) {
                 c[node_idx(p.node)] = c[node_idx(p.node)].saturating_sub(1);
-                if c[0] == 0 && c[1] == 0 {
-                    self.summary.remove(&idx);
-                }
             }
             self.epoch = self.epoch.saturating_add(1);
         }
@@ -159,7 +197,8 @@ impl PageTable {
         e.node = node;
         e.frame = frame;
         e.dirty = false;
-        if let Some(c) = self.summary.get_mut(&radix::leaf_index(vpn.get())) {
+        let b = self.block_of(vpn.get());
+        if let Some(c) = self.blocks.get_mut(b) {
             c[node_idx(old.node)] = c[node_idx(old.node)].saturating_sub(1);
             c[node_idx(node)] = c[node_idx(node)].saturating_add(1);
         }
@@ -170,8 +209,9 @@ impl PageTable {
     /// Moves every page of `vpns` resident on `from` to `to`: the moved
     /// pages get frames `first_frame`, `first_frame + 1`, ... in ascending
     /// VPN order, and `moved` sees each one. Entries, frames and epoch end
-    /// up as under one [`PageTable::remap`] per page, at one summary and
-    /// one directory probe per leaf. Returns the number of pages moved.
+    /// up as under one [`PageTable::remap`] per page. A block with nothing
+    /// on `from` is skipped on its counts; any other is rewritten with one
+    /// directory probe and one count update.
     pub fn remap_range(
         &mut self,
         vpns: VpnRange,
@@ -184,12 +224,12 @@ impl PageTable {
         let mut frame = first_frame;
         let mut k = lo;
         while k < hi {
-            let idx = radix::leaf_index(k);
-            let base = idx << radix::LEAF_BITS;
-            let end = hi.min(base + widen(radix::LEAF_LEN));
-            // A leaf with nothing on `from` is skipped on its summary alone.
-            if let Some(c) = self.summary.get_mut(&idx).filter(|c| c[node_idx(from)] > 0) {
-                if let Some(leaf) = self.entries.leaf_mut(idx) {
+            let end = self.chunk_end(k, hi);
+            let b = self.block_of(k);
+            let on_from = self.blocks.get(b).map_or(0, |c| c[node_idx(from)]);
+            if on_from > 0 {
+                if let Some(leaf) = self.entries.leaf_mut(radix::leaf_index(k)) {
+                    let base = radix::leaf_base(k);
                     let mut n = 0u32;
                     for i in (k - base)..(end - base) {
                         if let Some(pte) = leaf[i as usize].as_mut().filter(|p| p.node == from) {
@@ -203,6 +243,7 @@ impl PageTable {
                             moved(Vpn::new(base + i));
                         }
                     }
+                    let c = &mut self.blocks[b];
                     c[node_idx(from)] = c[node_idx(from)].saturating_sub(n);
                     c[node_idx(to)] = c[node_idx(to)].saturating_add(n);
                 }
@@ -238,38 +279,54 @@ impl PageTable {
         Pages::new(widen(self.entries.len()))
     }
 
-    /// Counts populated pages in `vpns` residing on `node`.
-    ///
-    /// Leaves fully covered by the range are answered from the per-leaf
-    /// summary in O(1); only boundary leaves are scanned.
+    /// Counts populated pages in `vpns` residing on `node` (one half of
+    /// [`PageTable::residency`]).
     pub fn count_resident_in(&self, vpns: VpnRange, node: Node) -> Pages {
+        self.residency(vpns).on(node)
+    }
+
+    /// Populated pages of `vpns` on each node. A block the range covers
+    /// whole, or whose pages all share one state, is answered from its
+    /// counts; only a mixed block the range cuts has its slots read.
+    pub fn residency(&self, vpns: VpnRange) -> Residency {
         let (lo, hi) = (vpns.start.get(), vpns.end.get());
-        let mut total: u64 = 0;
+        let mut n = [0u64; 2];
         let mut k = lo;
         while k < hi {
-            let idx = radix::leaf_index(k);
-            let base = idx << radix::LEAF_BITS;
-            let end = hi.min(base + widen(radix::LEAF_LEN));
-            if let Some(c) = self.summary.get(&idx) {
-                if k == base && end == base + widen(radix::LEAF_LEN) {
-                    total = total.saturating_add(u64::from(c[node_idx(node)]));
-                } else if let Some(leaf) = self.entries.leaf(idx) {
-                    for i in (k - base)..(end - base) {
-                        if leaf[i as usize].is_some_and(|pte| pte.node == node) {
-                            total = total.saturating_add(1);
+            let end = self.chunk_end(k, hi);
+            let c = self.counts(k);
+            let part = if end - k == self.block_len() {
+                c.map(u64::from)
+            } else {
+                match self.known_state(c) {
+                    Some(None) => [0, 0],
+                    Some(Some(node)) => {
+                        let mut part = [0, 0];
+                        part[node_idx(node)] = end - k;
+                        part
+                    }
+                    None => {
+                        let mut part = [0u64; 2];
+                        for pte in self.slots(k, end).iter().flatten() {
+                            part[node_idx(pte.node)] += 1;
                         }
+                        part
                     }
                 }
-            }
+            };
+            n = [n[0].saturating_add(part[0]), n[1].saturating_add(part[1])];
             k = end;
         }
-        Pages::new(total)
+        Residency {
+            cpu: Pages::new(n[0]),
+            gpu: Pages::new(n[1]),
+        }
     }
 
     /// If every page in `vpns` is populated and resident on one node,
     /// returns that node. Mixed, partially populated, and empty ranges
-    /// return `None`. Uniform fully-covered leaves are answered from the
-    /// summary without touching their slots.
+    /// return `None`. A block whose pages share one state is answered
+    /// from its counts without touching its slots.
     pub fn translate_range(&self, vpns: VpnRange) -> Option<Node> {
         let (lo, hi) = (vpns.start.get(), vpns.end.get());
         if lo >= hi {
@@ -278,31 +335,27 @@ impl PageTable {
         let mut uniform: Option<Node> = None;
         let mut k = lo;
         while k < hi {
-            let idx = radix::leaf_index(k);
-            let base = idx << radix::LEAF_BITS;
-            let end = hi.min(base + widen(radix::LEAF_LEN));
-            let c = self.summary.get(&idx)?;
-            let full = k == base && end == base + widen(radix::LEAF_LEN);
-            let leaf_node = if full && u64::from(c[node_idx(Node::Cpu)]) == widen(radix::LEAF_LEN) {
-                Node::Cpu
-            } else if full && u64::from(c[node_idx(Node::Gpu)]) == widen(radix::LEAF_LEN) {
-                Node::Gpu
-            } else {
-                let leaf = self.entries.leaf(idx)?;
-                let mut node: Option<Node> = None;
-                for i in (k - base)..(end - base) {
-                    match (leaf[i as usize], node) {
-                        (None, _) => return None,
-                        (Some(pte), None) => node = Some(pte.node),
-                        (Some(pte), Some(n)) if pte.node != n => return None,
-                        _ => {}
+            let end = self.chunk_end(k, hi);
+            let node = match self.known_state(self.counts(k)) {
+                Some(state) => state?,
+                // A whole block with mixed or missing pages.
+                None if end - k == self.block_len() => return None,
+                None => {
+                    let mut node: Option<Node> = None;
+                    for slot in self.slots(k, end) {
+                        match (slot, node) {
+                            (None, _) => return None,
+                            (Some(pte), None) => node = Some(pte.node),
+                            (Some(pte), Some(n)) if pte.node != n => return None,
+                            _ => {}
+                        }
                     }
+                    node?
                 }
-                node?
             };
             match uniform {
-                None => uniform = Some(leaf_node),
-                Some(n) if n != leaf_node => return None,
+                None => uniform = Some(node),
+                Some(n) if n != node => return None,
                 _ => {}
             }
             k = end;
@@ -312,8 +365,9 @@ impl PageTable {
 
     /// Classifies `vpns` into maximal [`PlacementRun`]s in ascending
     /// address order: `Some(node)` runs are populated-and-resident on that
-    /// node, `None` runs are unpopulated. Uniform fully-covered leaves are
-    /// classified from the summary in O(1); mixed leaves are scanned once.
+    /// node, `None` runs are unpopulated. A block whose pages share one
+    /// state is classified from its counts in O(1); a mixed block is
+    /// scanned once.
     pub fn classify_runs(&self, vpns: VpnRange) -> Vec<PlacementRun> {
         let (lo, hi) = (vpns.start.get(), vpns.end.get());
         let mut runs: Vec<PlacementRun> = Vec::new();
@@ -328,23 +382,12 @@ impl PageTable {
         }
         let mut k = lo;
         while k < hi {
-            let idx = radix::leaf_index(k);
-            let base = idx << radix::LEAF_BITS;
-            let end = hi.min(base + widen(radix::LEAF_LEN));
-            let full = k == base && end == base + widen(radix::LEAF_LEN);
-            match self.summary.get(&idx) {
-                None => push(&mut runs, k, end, None),
-                Some(c) if full && u64::from(c[node_idx(Node::Cpu)]) == widen(radix::LEAF_LEN) => {
-                    push(&mut runs, k, end, Some(Node::Cpu));
-                }
-                Some(c) if full && u64::from(c[node_idx(Node::Gpu)]) == widen(radix::LEAF_LEN) => {
-                    push(&mut runs, k, end, Some(Node::Gpu));
-                }
-                Some(_) => {
-                    let leaf = self.entries.leaf(idx);
-                    for key in k..end {
-                        let state = leaf.and_then(|l| l[(key - base) as usize].map(|pte| pte.node));
-                        push(&mut runs, key, key + 1, state);
+            let end = self.chunk_end(k, hi);
+            match self.known_state(self.counts(k)) {
+                Some(state) => push(&mut runs, k, end, state),
+                None => {
+                    for (key, slot) in (k..end).zip(self.slots(k, end)) {
+                        push(&mut runs, key, key + 1, slot.map(|pte| pte.node));
                     }
                 }
             }
@@ -361,36 +404,80 @@ impl PageTable {
     }
 
     /// Unmaps every populated page in the VPN range, returning the removed
-    /// entries in ascending VPN order (for frame release). Works a leaf at
-    /// a time: one summary update per leaf and one epoch bump of the
-    /// number of pages removed, as one [`PageTable::unmap`] per page
-    /// would leave it.
+    /// entries in ascending VPN order (for frame release). Drains a radix
+    /// leaf at a time, with one epoch bump of the number of pages removed,
+    /// as one [`PageTable::unmap`] per page would leave it.
     pub fn unmap_range(&mut self, vpns: VpnRange) -> Vec<(Vpn, Pte)> {
         let (lo, hi) = (vpns.start.get(), vpns.end.get());
         let mut removed = Vec::new();
+        let shift = self.block_shift;
+        let blocks = &mut self.blocks;
+        let mut gone = [0u64; 2];
         let mut k = lo;
         while k < hi {
-            let idx = radix::leaf_index(k);
-            let base = idx << radix::LEAF_BITS;
-            let end = hi.min(base + widen(radix::LEAF_LEN));
-            if let Some(c) = self.summary.get_mut(&idx) {
-                let mut gone = [0u32; 2];
-                self.entries.drain_range(k, end, |key, pte| {
-                    gone[node_idx(pte.node)] += 1;
-                    removed.push((Vpn::new(key), pte));
-                });
-                for (i, g) in gone.into_iter().enumerate() {
-                    c[i] = c[i].saturating_sub(g);
-                    self.resident[i] -= Pages::new(u64::from(g));
+            let end = hi.min(radix::leaf_base(k) + widen(radix::LEAF_LEN));
+            self.entries.drain_range(k, end, |key, pte| {
+                gone[node_idx(pte.node)] += 1;
+                if let Some(c) = blocks.get_mut((key >> shift) as usize) {
+                    c[node_idx(pte.node)] = c[node_idx(pte.node)].saturating_sub(1);
                 }
-                if c[0] == 0 && c[1] == 0 {
-                    self.summary.remove(&idx);
-                }
-            }
+                removed.push((Vpn::new(key), pte));
+            });
             k = end;
+        }
+        for (i, g) in gone.into_iter().enumerate() {
+            self.resident[i] -= Pages::new(g);
         }
         self.epoch = self.epoch.saturating_add(widen(removed.len()));
         removed
+    }
+
+    /// Residency block holding VPN `key`.
+    fn block_of(&self, key: u64) -> usize {
+        (key >> self.block_shift) as usize
+    }
+
+    /// Pages per residency block.
+    fn block_len(&self) -> u64 {
+        1 << self.block_shift
+    }
+
+    /// The populated-page counts of the block holding VPN `key`.
+    fn counts(&self, key: u64) -> [u32; 2] {
+        self.blocks
+            .get(self.block_of(key))
+            .copied()
+            .unwrap_or([0; 2])
+    }
+
+    /// The state every page of a block shares, when its counts say:
+    /// `Some(None)` for an empty block, `Some(Some(node))` for a block
+    /// wholly on `node`, `None` for a mixed or partly populated one.
+    fn known_state(&self, c: [u32; 2]) -> Option<Option<Node>> {
+        let full = self.block_len();
+        match c {
+            [0, 0] => Some(None),
+            [n, _] if u64::from(n) == full => Some(Some(Node::Cpu)),
+            [_, n] if u64::from(n) == full => Some(Some(Node::Gpu)),
+            _ => None,
+        }
+    }
+
+    /// End of the chunk of `[k, hi)` that starts at `k`: chunks never
+    /// cross a block or a radix leaf boundary.
+    fn chunk_end(&self, k: u64, hi: u64) -> u64 {
+        let step = self.block_len().min(widen(radix::LEAF_LEN));
+        hi.min((k / step + 1) * step)
+    }
+
+    /// The slots of the chunk `[k, end)` (empty when its leaf is absent,
+    /// which the block counts rule out for a mixed block).
+    fn slots(&self, k: u64, end: u64) -> &[Option<Pte>] {
+        let base = radix::leaf_base(k);
+        match self.entries.leaf(radix::leaf_index(k)) {
+            Some(leaf) => &leaf[(k - base) as usize..(end - base) as usize],
+            None => &[],
+        }
     }
 }
 
@@ -561,12 +648,12 @@ mod tests {
 
     #[test]
     fn leaf_boundary_511_vs_512_resident() {
-        // The range walkers answer fully-covered, fully-resident leaves
-        // from the per-leaf summary in O(1) and fall back to slot scans
-        // otherwise. 511 vs 512 resident entries in one leaf is exactly
-        // the edge between those two paths: a one-page hole must be
-        // reported by the scan, and plugging it must flip the leaf onto
-        // the summary fast path with identical semantics.
+        // At 4 KiB pages a residency block is one leaf. The range walkers
+        // answer a fully-resident block from its counts in O(1) and fall
+        // back to slot scans otherwise. 511 vs 512 resident entries in one
+        // block is exactly the edge between those two paths: a one-page
+        // hole must be reported by the scan, and plugging it must flip the
+        // block onto the counts with identical semantics.
         let mut t = table();
         for n in 0..512 {
             if n != 511 {
@@ -581,7 +668,7 @@ mod tests {
             t.classify_runs(r(0, 512)),
             vec![(r(0, 511), Some(Node::Cpu)), (r(511, 512), None)]
         );
-        // Plug the hole: 512 resident, summary fast path takes over.
+        // Plug the hole: 512 resident, the block counts take over.
         t.populate(v(511), Node::Cpu, 511);
         assert_eq!(t.count_resident_in(r(0, 512), Node::Cpu), Pages::new(512));
         assert_eq!(t.translate_range(r(0, 512)), Some(Node::Cpu));
@@ -597,6 +684,39 @@ mod tests {
             t.classify_runs(r(0, 512)),
             vec![(r(0, 1), None), (r(1, 512), Some(Node::Cpu))]
         );
+    }
+
+    #[test]
+    fn block_counts_answer_cut_ranges_at_64k_pages() {
+        // 32 pages per block: a range that cuts a uniform block is
+        // answered from the block's counts, one that cuts a mixed block
+        // from its slots.
+        let mut t = PageTable::new(64 * KIB);
+        for n in 32..64 {
+            t.populate(v(n), Node::Gpu, n);
+        }
+        t.populate(v(70), Node::Cpu, 70);
+        let res = |cpu, gpu| Residency {
+            cpu: Pages::new(cpu),
+            gpu: Pages::new(gpu),
+        };
+        assert_eq!(t.residency(r(40, 72)), res(1, 24));
+        assert_eq!(t.translate_range(r(33, 50)), Some(Node::Gpu));
+        assert_eq!(t.translate_range(r(60, 66)), None);
+        assert_eq!(
+            t.classify_runs(r(60, 72)),
+            vec![
+                (r(60, 64), Some(Node::Gpu)),
+                (r(64, 70), None),
+                (r(70, 71), Some(Node::Cpu)),
+                (r(71, 72), None),
+            ]
+        );
+        let n = t.remap_range(r(40, 72), Node::Gpu, Node::Cpu, 100, |_| {});
+        assert_eq!(n, Pages::new(24));
+        assert_eq!(t.residency(r(0, 96)), res(25, 8));
+        assert_eq!(t.unmap_range(r(0, 48)).len(), 16);
+        assert_eq!(t.residency(r(32, 64)), res(16, 0));
     }
 
     #[test]

@@ -17,11 +17,16 @@ pub fn leaf_index(key: u64) -> u64 {
     key >> LEAF_BITS
 }
 
+/// First key of the leaf holding `key`.
+pub fn leaf_base(key: u64) -> u64 {
+    key & !LEAF_MASK
+}
+
 /// Sparse map from `u64` keys to `T`, organized as 512-entry leaves.
 #[derive(Debug, Clone)]
 pub struct RadixTable<T> {
     #[expect(clippy::disallowed_types, reason = "keyed lookup only; never iterated")]
-    dir: std::collections::HashMap<u64, Box<[Option<T>; 512]>>,
+    dir: std::collections::HashMap<u64, Box<[Option<T>; 512]>, crate::IntHash>,
     len: usize,
 }
 

@@ -5,8 +5,35 @@
 //! A 4-way set-associative organization with LRU within each set is used —
 //! realistic enough to capture capacity behaviour on large working sets
 //! while keeping lookup O(ways).
+//!
+//! Two key spaces share the slots: system-page-table translations
+//! ([`tlb_key_sys`], the ATS path) and GPU-exclusive-table translations
+//! ([`tlb_key_gpu`], 2 MiB grain). The TLB counts its live system-space
+//! entries, so a migration can skip its per-page shootdown probes while
+//! none can hit.
 
 use gh_units::{widen, Vpn, VpnRange};
+
+/// Namespace bit of GPU-exclusive-table keys.
+const GPU_SPACE: u64 = 1 << 63;
+
+/// TLB key of a system-page-table translation.
+pub fn tlb_key_sys(vpn: Vpn) -> Vpn {
+    vpn
+}
+
+/// TLB key of a GPU-exclusive-page-table translation (2 MiB-grain
+/// entries).
+pub fn tlb_key_gpu(vpn: Vpn) -> Vpn {
+    // gh-audit: allow(unit-launder) -- sets a namespace bit on a VPN; the value stays a VPN
+    Vpn::new(vpn.get() | GPU_SPACE)
+}
+
+/// Whether `tag` is a live system-space key (the vacant tag has the
+/// namespace bit set, so it is not).
+fn is_sys(tag: u64) -> bool {
+    tag & GPU_SPACE == 0
+}
 
 /// One TLB way: the cached translation tag plus its LRU stamp.
 #[derive(Debug, Clone, Copy)]
@@ -33,6 +60,8 @@ pub struct Tlb {
     sets: usize,
     /// `sets × ways` slots; `tag == u64::MAX` means empty.
     slots: Vec<Slot>,
+    /// Slots holding a system-space key.
+    sys_live: usize,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -52,6 +81,7 @@ impl Tlb {
             ways,
             sets,
             slots: vec![Slot::VACANT; sets * ways],
+            sys_live: 0,
             tick: 0,
             hits: 0,
             misses: 0,
@@ -82,6 +112,12 @@ impl Tlb {
     /// Cumulative miss count.
     pub fn misses(&self) -> u64 {
         self.misses
+    }
+
+    /// Live system-space entries ([`tlb_key_sys`] keys). While it is 0,
+    /// invalidating a system-space key is a no-op.
+    pub fn sys_entries(&self) -> usize {
+        self.sys_live
     }
 
     fn set_of(&self, tag: u64) -> usize {
@@ -133,15 +169,7 @@ impl Tlb {
                 oldest = slot.stamp;
             }
         }
-        let evicted = self.slots[victim].tag;
-        if evicted != EMPTY {
-            self.bus.emit(gh_trace::Event::TlbEvict { va: evicted });
-            self.bus.count("tlb.evictions", 1);
-        }
-        self.slots[victim] = Slot {
-            tag,
-            stamp: self.tick,
-        };
+        self.replace(victim, tag);
     }
 
     /// Batched equivalent of `for v in keys { if !lookup(v) { fill(v) } }`:
@@ -220,16 +248,23 @@ impl Tlb {
                 oldest = slot.stamp;
             }
         }
+        self.replace(victim, tag);
+        false
+    }
+
+    /// Puts `tag` into slot `victim` at the current tick, emitting the
+    /// eviction of the tag it held.
+    fn replace(&mut self, victim: usize, tag: u64) {
         let evicted = self.slots[victim].tag;
         if evicted != EMPTY {
             self.bus.emit(gh_trace::Event::TlbEvict { va: evicted });
             self.bus.count("tlb.evictions", 1);
         }
+        self.sys_live = self.sys_live - usize::from(is_sys(evicted)) + usize::from(is_sys(tag));
         self.slots[victim] = Slot {
             tag,
             stamp: self.tick,
         };
-        false
     }
 
     /// Charges `walks` lookups with `misses` misses to the statistics
@@ -250,6 +285,7 @@ impl Tlb {
         for w in 0..self.ways {
             if self.slots[base + w].tag == tag {
                 self.slots[base + w] = Slot::VACANT;
+                self.sys_live -= usize::from(is_sys(tag));
                 return;
             }
         }
@@ -271,6 +307,7 @@ impl Tlb {
     /// Drops every translation.
     pub fn flush(&mut self) {
         self.slots.fill(Slot::VACANT);
+        self.sys_live = 0;
     }
 
     /// Resets hit/miss statistics (used between kernel launches).
@@ -283,6 +320,7 @@ impl Tlb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn v(n: u64) -> Vpn {
         Vpn::new(n)
@@ -450,6 +488,56 @@ mod tests {
         assert_eq!(per_key.tick, batched.tick);
         for n in 0..40u64 {
             assert_eq!(per_key.lookup(v(n)), batched.lookup(v(n)), "key {n}");
+        }
+    }
+
+    /// Slots holding a system-space key, recounted slot by slot.
+    fn recount(t: &Tlb) -> usize {
+        t.slots.iter().filter(|s| is_sys(s.tag)).count()
+    }
+
+    #[test]
+    fn sys_entries_count_only_system_space_keys() {
+        let mut t = Tlb::new(8);
+        t.fill(tlb_key_sys(v(3)));
+        t.fill(tlb_key_gpu(v(3)));
+        assert!(t.lookup(tlb_key_gpu(v(3))));
+        assert_eq!(t.sys_entries(), 1);
+        t.invalidate(tlb_key_gpu(v(3)));
+        assert_eq!(t.sys_entries(), 1);
+        t.invalidate(tlb_key_sys(v(3)));
+        assert_eq!(t.sys_entries(), 0);
+        assert!(!t.lookup(tlb_key_sys(v(3))));
+    }
+
+    proptest! {
+        /// After any mix of fills, range and repeat lookups,
+        /// invalidations and flushes over both key spaces, the live
+        /// system-space count equals a recount of the slots.
+        #[test]
+        fn sys_entries_match_a_recount(ops in proptest::collection::vec(
+            (0u8..7, 0u64..64, 0u64..24, proptest::bool::ANY), 0..200)) {
+            let mut t = Tlb::new(16);
+            for (op, key, n, gpu) in ops {
+                let k = |x: u64| if gpu { tlb_key_gpu(v(x)) } else { tlb_key_sys(v(x)) };
+                match op {
+                    0 => t.fill(k(key)),
+                    1 => {
+                        t.lookup_range(VpnRange::new(k(key), k(key + n)));
+                    }
+                    2 => {
+                        t.lookup_repeat(k(key), n);
+                    }
+                    3 => t.invalidate(k(key)),
+                    // Past 64 keys (4 × capacity) this is a whole flush.
+                    4 => t.invalidate_range(VpnRange::new(k(key), k(key + 4 * n))),
+                    5 => t.flush(),
+                    _ => {
+                        t.lookup(k(key));
+                    }
+                }
+                prop_assert_eq!(t.sys_entries(), recount(&t), "op {}", op);
+            }
         }
     }
 

@@ -12,6 +12,10 @@ use std::collections::BTreeMap;
 /// cross two leaf boundaries.
 const DOMAIN: u64 = 3 * gh_mem::radix::LEAF_LEN as u64;
 
+/// Page sizes of the page-table property: a 2 MiB residency block is one
+/// radix leaf, 32 pages of one leaf, and one page.
+const PAGE_SIZES: [u64; 3] = [4 << 10, 64 << 10, 2 << 20];
+
 proptest! {
     /// RadixTable must behave exactly like a map under a random
     /// insert/remove/get workload.
@@ -39,7 +43,8 @@ proptest! {
     /// Under a random sequence of placement ops (populate, fill a range,
     /// unmap, remap, unmap_range, remap_range) and dirty-bit ops
     /// (mark_dirty, mark_dirty_range) over VPNs spanning three radix
-    /// leaves:
+    /// leaves, at 4 KiB pages (a 2 MiB residency block is one leaf),
+    /// 64 KiB pages (32 pages) and 2 MiB pages (one page):
     ///
     /// * residency counters and the range queries `count_resident_in`,
     ///   `translate_range` and `classify_runs` always equal a recount from
@@ -56,115 +61,117 @@ proptest! {
     #[test]
     fn pagetable_residency_is_consistent(ops in proptest::collection::vec(
         (0u8..8, 0u64..DOMAIN, prop::bool::ANY, 0u64..700), 0..150)) {
-        let entries = |pt: &PageTable| -> Vec<Option<Pte>> {
-            (0..DOMAIN).map(|v| pt.translate(Vpn::new(v)).copied()).collect()
-        };
-        let placement = |e: &[Option<Pte>]| -> Vec<Option<(Node, u64)>> {
-            e.iter().map(|p| p.map(|p| (p.node, p.frame))).collect()
-        };
-        let mut pt = PageTable::new(4096);
-        // Takes every op as `pt` does, except that `unmap_range` and
-        // `remap_range` become one `unmap` or `remap` per page.
-        let mut twin = PageTable::new(4096);
-        let mut model: BTreeMap<u64, Node> = BTreeMap::new();
-        let mut frame = 0u64;
-        for (op, vpn, on_gpu, span) in ops {
-            let node = if on_gpu { Node::Gpu } else { Node::Cpu };
-            let hi = (vpn + span).min(DOMAIN);
-            let range = VpnRange::new(Vpn::new(vpn), Vpn::new(hi));
-            let (before, epoch) = (placement(&entries(&pt)), pt.placement_epoch());
-            match op {
-                0 | 1 => {
-                    // One page, or every unpopulated page of the range.
-                    let last = if op == 0 { vpn + 1 } else { hi };
-                    for v in vpn..last {
-                        model.entry(v).or_insert_with(|| {
+        for page in PAGE_SIZES {
+            let entries = |pt: &PageTable| -> Vec<Option<Pte>> {
+                (0..DOMAIN).map(|v| pt.translate(Vpn::new(v)).copied()).collect()
+            };
+            let placement = |e: &[Option<Pte>]| -> Vec<Option<(Node, u64)>> {
+                e.iter().map(|p| p.map(|p| (p.node, p.frame))).collect()
+            };
+            let mut pt = PageTable::new(page);
+            // Takes every op as `pt` does, except that `unmap_range` and
+            // `remap_range` become one `unmap` or `remap` per page.
+            let mut twin = PageTable::new(page);
+            let mut model: BTreeMap<u64, Node> = BTreeMap::new();
+            let mut frame = 0u64;
+            for &(op, vpn, on_gpu, span) in &ops {
+                let node = if on_gpu { Node::Gpu } else { Node::Cpu };
+                let hi = (vpn + span).min(DOMAIN);
+                let range = VpnRange::new(Vpn::new(vpn), Vpn::new(hi));
+                let (before, epoch) = (placement(&entries(&pt)), pt.placement_epoch());
+                match op {
+                    0 | 1 => {
+                        // One page, or every unpopulated page of the range.
+                        let last = if op == 0 { vpn + 1 } else { hi };
+                        for v in vpn..last {
+                            model.entry(v).or_insert_with(|| {
+                                frame += 1;
+                                pt.populate(Vpn::new(v), node, frame);
+                                twin.populate(Vpn::new(v), node, frame);
+                                node
+                            });
+                        }
+                    }
+                    2 => {
+                        pt.unmap(Vpn::new(vpn));
+                        twin.unmap(Vpn::new(vpn));
+                        model.remove(&vpn);
+                    }
+                    3 => {
+                        if model.contains_key(&vpn) {
                             frame += 1;
-                            pt.populate(Vpn::new(v), node, frame);
-                            twin.populate(Vpn::new(v), node, frame);
-                            node
-                        });
+                            pt.remap(Vpn::new(vpn), node, frame);
+                            twin.remap(Vpn::new(vpn), node, frame);
+                            model.insert(vpn, node);
+                        }
+                    }
+                    4 => {
+                        let per_page: Vec<(Vpn, Pte)> = (vpn..hi)
+                            .filter_map(|v| twin.unmap(Vpn::new(v)).map(|p| (Vpn::new(v), p)))
+                            .collect();
+                        prop_assert_eq!(pt.unmap_range(range), per_page);
+                        model.retain(|v, _| !(vpn..hi).contains(v));
+                    }
+                    5 => {
+                        let from = node.peer();
+                        let on_from: Vec<u64> = model
+                            .range(vpn..hi)
+                            .filter(|&(_, &n)| n == from)
+                            .map(|(&v, _)| v)
+                            .collect();
+                        let mut moved = Vec::new();
+                        let n = pt.remap_range(range, from, node, frame + 1, |v| moved.push(v.get()));
+                        prop_assert_eq!(&moved, &on_from);
+                        prop_assert_eq!(n, Pages::new(on_from.len() as u64));
+                        for v in on_from {
+                            frame += 1;
+                            twin.remap(Vpn::new(v), node, frame);
+                            model.insert(v, node);
+                        }
+                    }
+                    6 => {
+                        pt.mark_dirty(Vpn::new(vpn));
+                        twin.mark_dirty(Vpn::new(vpn));
+                    }
+                    _ => {
+                        pt.mark_dirty_range(range);
+                        twin.mark_dirty_range(range);
                     }
                 }
-                2 => {
-                    pt.unmap(Vpn::new(vpn));
-                    twin.unmap(Vpn::new(vpn));
-                    model.remove(&vpn);
+                let now = entries(&pt);
+                if op >= 6 {
+                    prop_assert_eq!(pt.placement_epoch(), epoch, "dirty bits are not placement");
+                } else if placement(&now) != before {
+                    prop_assert_ne!(pt.placement_epoch(), epoch, "op {} moved a page without an epoch bump", op);
                 }
-                3 => {
-                    if model.contains_key(&vpn) {
-                        frame += 1;
-                        pt.remap(Vpn::new(vpn), node, frame);
-                        twin.remap(Vpn::new(vpn), node, frame);
-                        model.insert(vpn, node);
+                prop_assert_eq!(&now, &entries(&twin), "op {} diverged from per-page ops", op);
+                prop_assert_eq!(pt.placement_epoch(), twin.placement_epoch(), "op {}", op);
+                let cpu = model.values().filter(|&&n| n == Node::Cpu).count() as u64;
+                let gpu = model.values().filter(|&&n| n == Node::Gpu).count() as u64;
+                prop_assert_eq!(pt.resident_pages(Node::Cpu), Pages::new(cpu));
+                prop_assert_eq!(pt.resident_pages(Node::Gpu), Pages::new(gpu));
+                let whole = VpnRange::new(Vpn::new(0), Vpn::new(DOMAIN));
+                let leaf1 = VpnRange::new(Vpn::new(512), Vpn::new(1024));
+                for q in [range, whole, leaf1] {
+                    let states: Vec<Option<Node>> = q.iter().map(|v| model.get(&v.get()).copied()).collect();
+                    for n in [Node::Cpu, Node::Gpu] {
+                        let count = states.iter().filter(|&&s| s == Some(n)).count() as u64;
+                        prop_assert_eq!(pt.count_resident_in(q, n), Pages::new(count), "{} on {:?}", q, n);
                     }
-                }
-                4 => {
-                    let per_page: Vec<(Vpn, Pte)> = (vpn..hi)
-                        .filter_map(|v| twin.unmap(Vpn::new(v)).map(|p| (Vpn::new(v), p)))
-                        .collect();
-                    prop_assert_eq!(pt.unmap_range(range), per_page);
-                    model.retain(|v, _| !(vpn..hi).contains(v));
-                }
-                5 => {
-                    let from = node.peer();
-                    let on_from: Vec<u64> = model
-                        .range(vpn..hi)
-                        .filter(|&(_, &n)| n == from)
-                        .map(|(&v, _)| v)
-                        .collect();
-                    let mut moved = Vec::new();
-                    let n = pt.remap_range(range, from, node, frame + 1, |v| moved.push(v.get()));
-                    prop_assert_eq!(&moved, &on_from);
-                    prop_assert_eq!(n, Pages::new(on_from.len() as u64));
-                    for v in on_from {
-                        frame += 1;
-                        twin.remap(Vpn::new(v), node, frame);
-                        model.insert(v, node);
+                    let uniform = match states.first() {
+                        Some(&Some(n)) if states.iter().all(|&s| s == Some(n)) => Some(n),
+                        _ => None,
+                    };
+                    prop_assert_eq!(pt.translate_range(q), uniform, "{}", q);
+                    let mut runs: Vec<PlacementRun> = Vec::new();
+                    for (v, s) in q.iter().zip(states) {
+                        match runs.last_mut() {
+                            Some((r, last)) if *last == s => r.end = v.offset(1),
+                            _ => runs.push((VpnRange::new(v, v.offset(1)), s)),
+                        }
                     }
+                    prop_assert_eq!(pt.classify_runs(q), runs, "{}", q);
                 }
-                6 => {
-                    pt.mark_dirty(Vpn::new(vpn));
-                    twin.mark_dirty(Vpn::new(vpn));
-                }
-                _ => {
-                    pt.mark_dirty_range(range);
-                    twin.mark_dirty_range(range);
-                }
-            }
-            let now = entries(&pt);
-            if op >= 6 {
-                prop_assert_eq!(pt.placement_epoch(), epoch, "dirty bits are not placement");
-            } else if placement(&now) != before {
-                prop_assert_ne!(pt.placement_epoch(), epoch, "op {} moved a page without an epoch bump", op);
-            }
-            prop_assert_eq!(&now, &entries(&twin), "op {} diverged from per-page ops", op);
-            prop_assert_eq!(pt.placement_epoch(), twin.placement_epoch(), "op {}", op);
-            let cpu = model.values().filter(|&&n| n == Node::Cpu).count() as u64;
-            let gpu = model.values().filter(|&&n| n == Node::Gpu).count() as u64;
-            prop_assert_eq!(pt.resident_pages(Node::Cpu), Pages::new(cpu));
-            prop_assert_eq!(pt.resident_pages(Node::Gpu), Pages::new(gpu));
-            let whole = VpnRange::new(Vpn::new(0), Vpn::new(DOMAIN));
-            let leaf1 = VpnRange::new(Vpn::new(512), Vpn::new(1024));
-            for q in [range, whole, leaf1] {
-                let states: Vec<Option<Node>> = q.iter().map(|v| model.get(&v.get()).copied()).collect();
-                for n in [Node::Cpu, Node::Gpu] {
-                    let count = states.iter().filter(|&&s| s == Some(n)).count() as u64;
-                    prop_assert_eq!(pt.count_resident_in(q, n), Pages::new(count), "{} on {:?}", q, n);
-                }
-                let uniform = match states.first() {
-                    Some(&Some(n)) if states.iter().all(|&s| s == Some(n)) => Some(n),
-                    _ => None,
-                };
-                prop_assert_eq!(pt.translate_range(q), uniform, "{}", q);
-                let mut runs: Vec<PlacementRun> = Vec::new();
-                for (v, s) in q.iter().zip(states) {
-                    match runs.last_mut() {
-                        Some((r, last)) if *last == s => r.end = v.offset(1),
-                        _ => runs.push((VpnRange::new(v, v.offset(1)), s)),
-                    }
-                }
-                prop_assert_eq!(pt.classify_runs(q), runs, "{}", q);
             }
         }
     }

@@ -373,14 +373,13 @@ impl Os {
             .values()
             .map(|v| {
                 let vpns = self.system_pt.vpn_range(v.range.addr, v.range.len);
-                let cpu = (self.system_pt.count_resident_in(vpns, Node::Cpu) * page).get();
-                let gpu = (self.system_pt.count_resident_in(vpns, Node::Gpu) * page).get();
+                let res = self.system_pt.residency(vpns);
                 SmapsEntry {
                     tag: v.tag.clone(),
                     kind: v.kind,
                     size: v.range.len,
-                    resident_cpu: cpu,
-                    resident_gpu: gpu,
+                    resident_cpu: (res.cpu * page).get(),
+                    resident_gpu: (res.gpu * page).get(),
                 }
             })
             .collect()
