@@ -7,7 +7,7 @@
 use gh_profiler::Phase;
 use gh_sim::{Frag, Machine, MemMode, RunReport};
 
-use crate::common::{coalesce, coalesce_unit_ids, UBuf};
+use crate::common::UBuf;
 
 /// Input parameters.
 #[derive(Debug, Clone)]
@@ -108,6 +108,114 @@ fn frag((off, len): (u64, u64)) -> Frag {
     }
 }
 
+/// Runs of node ids `(first, count)` as fragments over `unit`-byte
+/// elements.
+fn frags(runs: &[(u64, u64)], unit: u64) -> impl Iterator<Item = Frag> + '_ {
+    runs.iter()
+        .map(move |&(first, count)| frag((first * unit, count * unit)))
+}
+
+/// The set bits of `bits` (bit `id % 64` of word `id / 64`) as runs of
+/// consecutive ids `(first, count)`, ascending; clears the bitmap.
+fn take_runs(bits: &mut [u64]) -> Vec<(u64, u64)> {
+    let mut runs: Vec<(u64, u64)> = Vec::new();
+    for (w, word) in bits.iter_mut().enumerate() {
+        let mut x = std::mem::take(word);
+        while x != 0 {
+            let lo = x.trailing_zeros();
+            let ones = (x >> lo).trailing_ones();
+            let first = w as u64 * 64 + u64::from(lo);
+            match runs.last_mut() {
+                Some((f, c)) if *f + *c == first => *c += u64::from(ones),
+                _ => runs.push((first, u64::from(ones))),
+            }
+            x &= (!0u64).checked_shl(lo + ones).unwrap_or(0);
+        }
+    }
+    runs
+}
+
+/// What one level touches, each list ascending.
+#[derive(Debug)]
+struct Level {
+    /// The frontier's CSR edge segments as coalesced byte spans.
+    edges: Vec<(u64, u64)>,
+    /// Runs of neighbour ids: the visited checks.
+    neigh: Vec<(u64, u64)>,
+    /// Runs of newly discovered ids: the cost and updating scatters, and
+    /// the next frontier.
+    next: Vec<(u64, u64)>,
+}
+
+/// A BFS in flight: each node's level, and bitmaps over node ids.
+///
+/// A level's frontier, neighbour set, discovered set and edge segments
+/// are sets: they do not depend on the order its nodes were found in.
+/// Expanding the frontier in ascending id order yields each one sorted,
+/// so each list equals the sort-and-merge of its touches, with no sort.
+#[derive(Debug)]
+struct Walk {
+    /// Each node's level; -1 until reached.
+    cost: Vec<i32>,
+    /// Reached so far.
+    seen: Vec<u64>,
+    /// Discovered by the level being expanded.
+    next: Vec<u64>,
+    /// Neighbours of the level being expanded.
+    neigh: Vec<u64>,
+}
+
+impl Walk {
+    /// A walk from node 0 over `n` nodes.
+    fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        let mut walk = Walk {
+            cost: vec![-1; n],
+            seen: vec![0; words],
+            next: vec![0; words],
+            neigh: vec![0; words],
+        };
+        walk.cost[0] = 0;
+        walk.seen[0] = 1;
+        walk
+    }
+
+    /// Expands `frontier`, the runs of ids at `level`, in id order.
+    fn expand(&mut self, g: &Graph, frontier: &[(u64, u64)], level: i32) -> Level {
+        let mut edges: Vec<(u64, u64)> = Vec::new();
+        for &(first, count) in frontier {
+            for u in first..first + count {
+                let (s, c) = g.nodes[u as usize];
+                if c == 0 {
+                    continue;
+                }
+                // CSR segments ascend with the id: each one joins the
+                // previous span when it starts at or before that span's
+                // end, the merge rule of a sorted coalesce.
+                let (off, len) = (u64::from(s) * 4, u64::from(c) * 4);
+                match edges.last_mut() {
+                    Some((o, l)) if *o + *l >= off => *l = (off + len).max(*o + *l) - *o,
+                    _ => edges.push((off, len)),
+                }
+                for &v in &g.edges[s as usize..(s + c) as usize] {
+                    let (w, bit) = (v as usize / 64, 1u64 << (v % 64));
+                    self.neigh[w] |= bit;
+                    if self.seen[w] & bit == 0 {
+                        self.seen[w] |= bit;
+                        self.next[w] |= bit;
+                        self.cost[v as usize] = level + 1;
+                    }
+                }
+            }
+        }
+        Level {
+            edges,
+            neigh: take_runs(&mut self.neigh),
+            next: take_runs(&mut self.next),
+        }
+    }
+}
+
 /// Runs BFS under `mode` (checksum = Σ (level+1) over reached nodes).
 pub fn run(mut m: Machine, mode: MemMode, p: &BfsParams) -> RunReport {
     let g = build_graph(p);
@@ -147,58 +255,39 @@ pub fn run(mut m: Machine, mode: MemMode, p: &BfsParams) -> RunReport {
         b.upload(&mut m);
     }
 
-    // Real BFS with metered per-level kernels.
-    let mut cost = vec![-1i32; n];
-    cost[0] = 0;
-    let mut frontier: Vec<u32> = vec![0];
+    // Real BFS with metered per-level kernels. Each level is a set of
+    // node ids expanded in id order (`Walk`), so every list the kernels
+    // meter comes off a bitmap as runs of consecutive ids, already
+    // sorted and coalesced.
+    let mut walk = Walk::new(n);
+    let mut frontier: Vec<(u64, u64)> = vec![(0, 1)];
+    let mut level = 0;
     while !frontier.is_empty() {
-        let mut next: Vec<u32> = Vec::new();
         // Kernel 1: expand the frontier.
-        {
+        let next = {
             let mut k = m.rt.launch("bfs_kernel1");
+            let lv = walk.expand(&g, &frontier, level);
             // Dense sweep over the mask to find frontier threads.
             k.read(mask_buf.gpu(), 0, mask_bytes);
-            // Gather node descriptors of the frontier (coalesced; all
-            // unit-granular touch lists go through the bitmap coalescer,
-            // which produces the same spans as sort+merge without the
-            // per-level sort).
-            let nodes = coalesce_unit_ids(&frontier, 8, n);
-            k.fragments(nodes_buf.gpu(), false, nodes.into_iter().map(frag));
+            // Gather node descriptors of the frontier.
+            k.fragments(nodes_buf.gpu(), false, frags(&frontier, 8));
             // Per-node adjacency segments + neighbour visited checks.
-            let mut edge_touches = Vec::with_capacity(frontier.len());
-            let mut neigh_ids = Vec::new();
-            let mut discovered = Vec::new();
-            for &u in &frontier {
-                let (s, c) = g.nodes[u as usize];
-                edge_touches.push(((s as u64) * 4, (c as u64) * 4));
-                for &v in &g.edges[s as usize..(s + c) as usize] {
-                    neigh_ids.push(v);
-                    if cost[v as usize] < 0 {
-                        cost[v as usize] = cost[u as usize] + 1;
-                        next.push(v);
-                        discovered.push(v);
-                    }
-                }
-            }
-            let edges = coalesce(edge_touches);
-            k.fragments(edges_buf.gpu(), false, edges.into_iter().map(frag));
-            let visited = coalesce_unit_ids(&neigh_ids, 1, n);
-            k.fragments(vis_buf.gpu(), false, visited.into_iter().map(frag));
+            k.fragments(edges_buf.gpu(), false, lv.edges.into_iter().map(frag));
+            k.fragments(vis_buf.gpu(), false, frags(&lv.neigh, 1));
             // Scatter: new costs + updating mask for discovered nodes.
-            let costs = coalesce_unit_ids(&discovered, 4, n);
-            k.fragments(cost_buf.gpu(), true, costs.into_iter().map(frag));
-            let updating = coalesce_unit_ids(&discovered, 1, n);
-            k.fragments(upd_buf.gpu(), true, updating.into_iter().map(frag));
+            k.fragments(cost_buf.gpu(), true, frags(&lv.next, 4));
+            k.fragments(upd_buf.gpu(), true, frags(&lv.next, 1));
             k.compute((n + g.edges.len()) as u64);
             k.finish();
-        }
+            lv.next
+        };
         // Kernel 2: fold the updating mask into mask/visited.
         {
             let mut k = m.rt.launch("bfs_kernel2");
             k.read(upd_buf.gpu(), 0, mask_bytes);
             // One fragment per call: each node's mask and visited writes
             // interleave, and the TLB, L2 and counters see that order.
-            for f in coalesce_unit_ids(&next, 1, n).into_iter().map(frag) {
+            for f in frags(&next, 1) {
                 k.fragments(mask_buf.gpu(), true, [f]);
                 k.fragments(vis_buf.gpu(), true, [f]);
             }
@@ -206,9 +295,10 @@ pub fn run(mut m: Machine, mode: MemMode, p: &BfsParams) -> RunReport {
             k.finish();
         }
         frontier = next;
+        level += 1;
     }
     cost_buf.download(&mut m, 0, cost_bytes);
-    m.set_checksum(checksum_of(&cost));
+    m.set_checksum(checksum_of(&walk.cost));
 
     // ---- de-allocation ----
     m.phase(Phase::Dealloc);
@@ -268,6 +358,100 @@ mod tests {
             expected_start = s + c;
         }
         assert_eq!(expected_start as usize, g.edges.len());
+    }
+
+    /// Sort-and-merge coalescing of `(offset, len)` touches, the way the
+    /// level lists were built before the bitmaps: the oracle they equal.
+    fn coalesce(mut touches: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+        touches.sort_unstable();
+        let mut out: Vec<(u64, u64)> = Vec::new();
+        for (off, len) in touches.into_iter().filter(|&(_, len)| len > 0) {
+            match out.last_mut() {
+                Some((o, l)) if *o + *l >= off => *l = (off + len).max(*o + *l) - *o,
+                _ => out.push((off, len)),
+            }
+        }
+        out
+    }
+
+    fn unit_touches(ids: &[u32], unit: u64) -> Vec<(u64, u64)> {
+        coalesce(ids.iter().map(|&id| (u64::from(id) * unit, unit)).collect())
+    }
+
+    fn spans(runs: &[(u64, u64)], unit: u64) -> Vec<(u64, u64)> {
+        frags(runs, unit).map(|f| (f.off, f.len)).collect()
+    }
+
+    /// A random CSR graph with out-degrees 0..=4, a third of them 0, and
+    /// no chain edge, so some nodes are unreachable.
+    fn random_csr(n: usize, seed: u64) -> Graph {
+        let mut state = seed;
+        let mut nodes = Vec::with_capacity(n);
+        let mut edges = Vec::new();
+        for _ in 0..n {
+            let start = edges.len() as u32;
+            for _ in 0..(rng_next(&mut state) % 6).saturating_sub(1) {
+                edges.push((rng_next(&mut state) % n as u64) as u32);
+            }
+            nodes.push((start, edges.len() as u32 - start));
+        }
+        Graph { nodes, edges }
+    }
+
+    #[test]
+    fn level_lists_match_sort_and_merge_and_costs_match_reference() {
+        let (mut unreachable, mut empty_in_frontier) = (false, false);
+        for n in [1usize, 63, 64, 65, 3000] {
+            for seed in 1..=12 {
+                let g = random_csr(n, seed);
+                // The per-level id vectors the bitmaps replace.
+                let mut cost = vec![-1i32; n];
+                cost[0] = 0;
+                let mut ids: Vec<u32> = vec![0];
+                let mut walk = Walk::new(n);
+                let mut frontier = vec![(0, 1)];
+                let mut level = 0;
+                while !ids.is_empty() {
+                    let what = format!("n={n} seed={seed} level={level}");
+                    assert_eq!(spans(&frontier, 8), unit_touches(&ids, 8), "{what}: nodes");
+                    let (mut segments, mut neigh, mut next) = (vec![], vec![], vec![]);
+                    for &u in &ids {
+                        let (s, c) = g.nodes[u as usize];
+                        empty_in_frontier |= c == 0;
+                        segments.push((u64::from(s) * 4, u64::from(c) * 4));
+                        for &v in &g.edges[s as usize..(s + c) as usize] {
+                            neigh.push(v);
+                            if cost[v as usize] < 0 {
+                                cost[v as usize] = level + 1;
+                                next.push(v);
+                            }
+                        }
+                    }
+                    let lv = walk.expand(&g, &frontier, level);
+                    assert_eq!(lv.edges, coalesce(segments), "{what}: edges");
+                    assert_eq!(
+                        spans(&lv.neigh, 1),
+                        unit_touches(&neigh, 1),
+                        "{what}: visited"
+                    );
+                    for unit in [1, 4] {
+                        assert_eq!(
+                            spans(&lv.next, unit),
+                            unit_touches(&next, unit),
+                            "{what}: next"
+                        );
+                    }
+                    (ids, frontier, level) = (next, lv.next, level + 1);
+                }
+                assert!(frontier.is_empty(), "n={n} seed={seed}");
+                assert_eq!(walk.cost, reference(&g), "n={n} seed={seed}");
+                unreachable |= walk.cost.contains(&-1);
+            }
+        }
+        assert!(
+            unreachable && empty_in_frontier,
+            "the graphs cover both cases"
+        );
     }
 
     #[test]

@@ -144,76 +144,6 @@ impl UBuf {
     }
 }
 
-/// Merges a sorted sequence of `(offset, len)` touches into maximal
-/// contiguous spans, so irregular-but-clustered gathers (BFS frontiers)
-/// are metered as the coalesced transactions a GPU would issue.
-pub fn coalesce(mut touches: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
-    gh_par::par_sort_unstable(&mut touches);
-    let mut out: Vec<(u64, u64)> = Vec::with_capacity(touches.len());
-    for (off, len) in touches {
-        if len == 0 {
-            continue;
-        }
-        match out.last_mut() {
-            Some((o, l)) if *o + *l >= off => {
-                let end = (off + len).max(*o + *l);
-                *l = end - *o;
-            }
-            _ => out.push((off, len)),
-        }
-    }
-    out
-}
-
-/// Coalesces *unit* touches — every touch is `(id * unit, unit)` for an
-/// id below `universe` — into the same maximal contiguous spans
-/// [`coalesce`] would produce, via a touched-id bitmap instead of a
-/// sort: O(ids + universe/64) beats O(ids log ids) on the per-level
-/// frontier lists BFS meters by orders of magnitude. Two ids merge
-/// exactly when consecutive, which is precisely `coalesce`'s
-/// `end >= next_off` rule for equal-size unit touches, so the output is
-/// identical span for span.
-pub fn coalesce_unit_ids(ids: &[u32], unit: u64, universe: usize) -> Vec<(u64, u64)> {
-    let words = universe.div_ceil(64);
-    let mut bits = vec![0u64; words];
-    let mut max_id = 0usize;
-    for &id in ids {
-        let id = id as usize;
-        debug_assert!(id < universe, "id {id} outside universe {universe}");
-        bits[id / 64] |= 1u64 << (id % 64);
-        max_id = max_id.max(id);
-    }
-    let mut out: Vec<(u64, u64)> = Vec::new();
-    if ids.is_empty() {
-        return out;
-    }
-    let mut run_start: Option<u64> = None;
-    let mut run_end = 0u64; // exclusive end of the open run
-    for (w, &bits_w) in bits.iter().enumerate().take(max_id / 64 + 1) {
-        let mut word = bits_w;
-        while word != 0 {
-            let id = (w as u64) * 64 + word.trailing_zeros() as u64;
-            word &= word - 1; // clear lowest set bit
-            match run_start {
-                Some(_) if id == run_end => run_end = id + 1,
-                Some(s) => {
-                    out.push((s * unit, (run_end - s) * unit));
-                    run_start = Some(id);
-                    run_end = id + 1;
-                }
-                None => {
-                    run_start = Some(id);
-                    run_end = id + 1;
-                }
-            }
-        }
-    }
-    if let Some(s) = run_start {
-        out.push((s * unit, (run_end - s) * unit));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,44 +185,5 @@ mod tests {
         let before = m2.rt.link().bytes_h2d();
         b2.upload(&mut m2);
         assert_eq!(m2.rt.link().bytes_h2d(), before, "no copy in system mode");
-    }
-
-    #[test]
-    fn coalesce_merges_adjacent_and_overlapping() {
-        let spans = coalesce(vec![(0, 8), (8, 8), (32, 4), (100, 8), (30, 4)]);
-        assert_eq!(spans, vec![(0, 16), (30, 6), (100, 8)]);
-    }
-
-    #[test]
-    fn coalesce_drops_empty_and_sorts() {
-        let spans = coalesce(vec![(50, 0), (10, 2), (4, 2)]);
-        assert_eq!(spans, vec![(4, 2), (10, 2)]);
-    }
-
-    #[test]
-    fn coalesce_unit_ids_matches_coalesce() {
-        // The bitmap fast path must match sort+merge span for span on
-        // scattered, duplicated, clustered, and boundary-straddling ids.
-        let mut state = 7u64;
-        for unit in [1u64, 4, 8] {
-            for universe in [1usize, 63, 64, 65, 1000] {
-                let mut ids: Vec<u32> = (0..universe * 2)
-                    .map(|_| {
-                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        ((state >> 33) as usize % universe) as u32
-                    })
-                    .collect();
-                ids.push(0);
-                ids.push((universe - 1) as u32);
-                let reference =
-                    coalesce(ids.iter().map(|&id| (u64::from(id) * unit, unit)).collect());
-                assert_eq!(
-                    coalesce_unit_ids(&ids, unit, universe),
-                    reference,
-                    "unit={unit} universe={universe}"
-                );
-            }
-        }
-        assert!(coalesce_unit_ids(&[], 4, 100).is_empty());
     }
 }

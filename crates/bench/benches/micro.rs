@@ -271,21 +271,6 @@ fn bench_runtime_boot() {
     );
 }
 
-fn bench_par_sort() {
-    bench(
-        "par_sort_unstable_1M_u64",
-        || {
-            (0..1_000_000u64)
-                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .collect::<Vec<_>>()
-        },
-        |mut v| {
-            gh_par::par_sort_unstable(&mut v);
-            v[0]
-        },
-    );
-}
-
 fn bench_fusion() {
     let circuit = gh_qsim::QvCircuit::generate(20, 3);
     bench(
@@ -380,7 +365,6 @@ fn main() {
     bench_gate_apply();
     bench_setcache();
     bench_runtime_boot();
-    bench_par_sort();
     bench_fusion();
     bench_replay_parse();
     bench_par();

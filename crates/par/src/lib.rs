@@ -7,12 +7,11 @@
 //!
 //! The public surface is [`scope`]: borrowing, dynamically scheduled loop
 //! primitives ([`scope::par_for`], [`scope::par_chunks_mut`],
-//! [`scope::par_chunks`], [`scope::par_map_reduce`], and [`sort`]'s
-//! [`par_sort_unstable`] on top of them), which is what application
-//! kernels use: they capture plain `&mut [T]` slices with no `Arc`
-//! ceremony and get load balance from a shared chunk counter. The calling
-//! thread and helper jobs on a process-wide pool share the chunks; no
-//! call spawns a thread. The pool (`pool.rs`) is private: one FIFO job
+//! [`scope::par_chunks`] and [`scope::par_map_reduce`]), which is what
+//! application kernels use: they capture plain `&mut [T]` slices with no
+//! `Arc` ceremony and get load balance from a shared chunk counter. The
+//! calling thread and helper jobs on a process-wide pool share the chunks;
+//! no call spawns a thread. The pool (`pool.rs`) is private: one FIFO job
 //! queue, a condvar, and [`default_parallelism`] workers named
 //! `gh-par-<i>`.
 //!
@@ -51,10 +50,8 @@
 
 mod pool;
 pub mod scope;
-pub mod sort;
 
 pub use scope::{par_chunks, par_chunks_mut, par_for, par_map_reduce, Grain};
-pub use sort::par_sort_unstable;
 
 /// Returns the degree of parallelism used by default: the number of
 /// available CPUs, capped at 16 so simulation runs stay well-behaved on

@@ -43,15 +43,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    /// Parallel sort must agree with the standard library's for any
-    /// content, including duplicates and presorted runs.
-    #[test]
-    fn par_sort_matches_std(mut v in proptest::collection::vec(0u64..1000, 0..60_000)) {
-        let mut expected = v.clone();
-        expected.sort_unstable();
-        gh_par::par_sort_unstable(&mut v);
-        prop_assert_eq!(v, expected);
-    }
-}

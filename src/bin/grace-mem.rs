@@ -17,7 +17,7 @@ fn usage() -> ! {
         "usage:
   grace-mem list
   grace-mem app <needle|pathfinder|bfs|hotspot|srad> <run flags>
-            [--oversubscribe <ratio >= 1>] [--small]
+            [--oversubscribe <ratio >= 1> (system or managed mode)] [--small]
   grace-mem app <kmeans|lud|stream|gups|pointer-chase> <run flags>
   grace-mem qv <sim_qubits (>= 2)> <run flags> [--prefetch] [--amplitudes]
   grace-mem replay <trace-file> <run flags>
@@ -403,6 +403,12 @@ fn main() {
             };
             let paper_flags = ["--oversubscribe", "--small"];
             let f = parse_flags(&sub, &[&RUN_FLAGS, &paper_flags], &args[2..]);
+            if f.mode == MemMode::Explicit && f.oversubscribe.is_some() {
+                // Explicit mode holds every device buffer in GPU memory,
+                // so a balloon can only make its allocations fail.
+                eprintln!("grace-mem: {sub}: --oversubscribe needs --mode system or managed");
+                std::process::exit(2);
+            }
             let so = session_opts(&f);
             let mut m = machine(&f, &so);
             let perf = m.rt.session().perf.clone();

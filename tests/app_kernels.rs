@@ -97,3 +97,42 @@ fn small_run_reports_match_recorded_digests() {
         }
     }
 }
+
+#[test]
+fn traced_bfs_reports_and_traces_match_recorded_digests() {
+    // bfs meters lists it builds per level from data-dependent gathers;
+    // the trace event stream sees every list's order, so pin it beside
+    // the report. (fnv1a64(to_json()), fnv1a64(chrome_trace())) of a
+    // traced `run_small`, in loop order.
+    const DIGESTS: [(u64, u64); 4] = [
+        (0x669d_d774_943b_6c99, 0x6207_139c_24ae_aa86), // gh200 system
+        (0xb440_34bc_b723_23e1, 0xeb0f_15e7_c4ef_0300), // gh200 managed
+        (0x64aa_cb23_af39_c425, 0xc1bf_140a_f2c4_91f1), // mi300a system
+        (0x5ccf_bcef_7b64_75ac, 0x5e56_ae99_96ba_6135), // mi300a managed
+    ];
+    let so = SessionOptions {
+        trace: true,
+        sanitize: Some(false),
+        ..Default::default()
+    };
+    let mut goldens = DIGESTS.iter();
+    for p in platform::all() {
+        for mode in [MemMode::System, MemMode::Managed] {
+            let m = p
+                .machine_session(&MachineConfig::default(), &so)
+                .expect("platform default configuration is valid");
+            let report = AppId::Bfs.run_small(m, mode);
+            let trace = report.chrome_trace().expect("traced session");
+            let digests = (
+                fnv1a64(report.to_json().as_bytes()),
+                fnv1a64(trace.as_bytes()),
+            );
+            assert_eq!(
+                Some(&digests),
+                goldens.next(),
+                "{}/bfs/{mode}: traced digests {digests:#018x?} moved",
+                p.caps().name
+            );
+        }
+    }
+}

@@ -2,8 +2,8 @@
 //! wrapped size or a panic: `grace-mem qv` bounds the statevector, and
 //! `grace-mem replay` bounds a trace's live footprint, by the same
 //! `Machine::capacity`. A replay's compute units saturate, never wrap.
-//! A flag its subcommand does not honour is a usage error too, and so is
-//! a stdout that takes no output.
+//! A flag its subcommand does not honour is a usage error too, and so are
+//! `--oversubscribe` in explicit mode and a stdout that takes no output.
 
 use std::process::{Command, Output, Stdio};
 
@@ -128,6 +128,31 @@ fn platform_errors_exit_2_with_the_cli_prefix() {
     ] {
         let err = exits(args, 2);
         assert!(err.starts_with("grace-mem: "), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn oversubscribe_needs_a_unified_mode() {
+    for app in grace_mem::AppId::ALL {
+        for (mode, code) in [("explicit", 2), ("system", 0), ("managed", 0)] {
+            let args = [
+                "app",
+                app.name(),
+                "--small",
+                "--mode",
+                mode,
+                "--oversubscribe",
+                "1.5",
+            ];
+            let err = exits(&args, code);
+            if code == 2 {
+                assert!(
+                    err.starts_with("grace-mem: ")
+                        && err.contains("--oversubscribe needs --mode system or managed"),
+                    "{args:?}: {err}"
+                );
+            }
+        }
     }
 }
 
