@@ -3,6 +3,11 @@
 
 use gh_sim::{Buffer, Machine, MemMode, Node};
 
+/// Grid rows per `gh-par` chunk in the banded stencil passes of srad and
+/// hotspot: enough rows that a band's edge work (one plane row or two
+/// halo rows) stays small, few enough that every worker gets bands.
+pub(crate) const BAND: usize = 16;
+
 /// A data buffer under one of the three memory-management strategies.
 ///
 /// * `Explicit`: a host (`malloc`) / device (`cudaMalloc`) pair with

@@ -6,16 +6,20 @@
 //! shape the paper's §5.1.1 discusses (Fig 4 plots this application's
 //! memory profile).
 //!
-//! `run` computes the real grid as row kernels on `gh-par`: each row
-//! handles its first and last columns on their own, then runs the
-//! interior as one branch-free loop over zipped neighbour slices.
-//! [`reference`] is the scalar oracle; `run`'s checksum equals its bits.
+//! `run` updates the real grid in place, one band of rows per `gh-par`
+//! chunk. Before each iteration it copies the row just above and the row
+//! just below every band into a halo buffer; a band then walks its rows
+//! in order, holding the old copy of the row above in a one-row buffer,
+//! so every cell still reads only old values. Each row handles its first
+//! and last columns on their own, then runs the interior as one
+//! branch-free loop over zipped neighbour slices. [`reference`] is the
+//! scalar oracle; `run`'s checksum equals its bits.
 
 use gh_par::par_chunks_mut;
 use gh_profiler::Phase;
 use gh_sim::{Machine, MemMode, RunReport};
 
-use crate::common::UBuf;
+use crate::common::{UBuf, BAND};
 
 /// Input parameters.
 #[derive(Debug, Clone)]
@@ -116,6 +120,38 @@ fn hotspot_row(up: &[f32], cur: &[f32], down: &[f32], power: &[f32], out: &mut [
     }
 }
 
+/// One stencil iteration in place: `temp` becomes its next grid, one band
+/// of [`BAND`] rows per `gh-par` chunk. `halo` holds two rows per band,
+/// filled here with the old rows just above and just below the band
+/// (the band's own edge rows at the grid border) before any band writes.
+fn hotspot_pass(temp: &mut [f32], power: &[f32], halo: &mut [f32], n: usize) {
+    let row = |r: usize| r * n..(r + 1) * n;
+    for (b, h) in halo.chunks_exact_mut(2 * n).enumerate() {
+        let (above, below) = h.split_at_mut(n);
+        let (first, end) = (b * BAND, ((b + 1) * BAND).min(n));
+        above.copy_from_slice(&temp[row(first.saturating_sub(1))]);
+        below.copy_from_slice(&temp[row(end.min(n - 1))]);
+    }
+    let halo = &*halo;
+    par_chunks_mut(temp, BAND * n, |b, band| {
+        let (above, below) = halo[b * 2 * n..(b + 1) * 2 * n].split_at(n);
+        // `prev` holds the old row above; `out` takes the next new row.
+        let (mut prev, mut out) = (above.to_vec(), vec![0.0f32; n]);
+        let rows = band.len() / n;
+        for i in 0..rows {
+            let down = if i + 1 < rows {
+                &band[row(i + 1)]
+            } else {
+                below
+            };
+            let power = &power[row(b * BAND + i)];
+            hotspot_row(&prev, &band[row(i)], down, power, &mut out);
+            band[row(i)].swap_with_slice(&mut out);
+            std::mem::swap(&mut prev, &mut out);
+        }
+    });
+}
+
 /// Sequential reference implementation (for correctness tests).
 pub fn reference(p: &HotspotParams) -> Vec<f32> {
     let n = p.size;
@@ -140,7 +176,7 @@ pub fn run(mut m: Machine, mode: MemMode, p: &HotspotParams) -> RunReport {
     // ---- real data ----
     let mut temp_h: Vec<f32> = (0..n * n).map(|i| seeded(p.seed, i as u64)).collect();
     let power_h: Vec<f32> = (0..n * n).map(|i| seeded(p.seed + 1, i as u64)).collect();
-    let mut next_h = vec![0.0f32; n * n];
+    let mut halo = vec![0.0f32; n.div_ceil(BAND) * 2 * n];
 
     // ---- GPU context initialization + argument parsing (phase 1) ----
     m.phase(Phase::CtxInit);
@@ -170,14 +206,8 @@ pub fn run(mut m: Machine, mode: MemMode, p: &HotspotParams) -> RunReport {
     temp.upload(&mut m);
     power.upload(&mut m);
     for it in 0..p.iterations {
-        // Real stencil, row-parallel.
-        par_chunks_mut(&mut next_h, n, |r, out| {
-            let row = |r: usize| &temp_h[r * n..(r + 1) * n];
-            let up = row(r.saturating_sub(1));
-            let down = row((r + 1).min(n - 1));
-            hotspot_row(up, row(r), down, &power_h[r * n..(r + 1) * n], out);
-        });
-        std::mem::swap(&mut temp_h, &mut next_h);
+        // Real stencil, in place over parallel row bands.
+        hotspot_pass(&mut temp_h, &power_h, &mut halo, n);
 
         // Metered accesses: ping-pong between temp and scratch.
         let (src, dst) = if it % 2 == 0 {
@@ -248,18 +278,21 @@ mod tests {
     }
 
     #[test]
-    fn hotspot_row_equals_stencil_row_at_every_width() {
-        for n in 1..=6 {
-            let t: Vec<f32> = (0..n * n).map(|i| seeded(5, i as u64)).collect();
+    fn in_place_pass_equals_stencil_row_at_band_edges() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in (1..=6).chain([BAND - 1, BAND, BAND + 1, 2 * BAND + 1]) {
+            let mut want: Vec<f32> = (0..n * n).map(|i| seeded(5, i as u64)).collect();
             let p: Vec<f32> = (0..n * n).map(|i| seeded(6, i as u64)).collect();
-            let row = |r: usize| r * n..(r + 1) * n;
-            for r in 0..n {
-                let (mut want, mut got) = (vec![0.0f32; n], vec![0.0f32; n]);
-                stencil_row(&t, &p, &mut want, n, r);
-                let (up, down) = (row(r.saturating_sub(1)), row((r + 1).min(n - 1)));
-                hotspot_row(&t[up], &t[row(r)], &t[down], &p[row(r)], &mut got);
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got), bits(&want), "width {n}, row {r}");
+            let mut got = want.clone();
+            let mut halo = vec![0.0f32; n.div_ceil(BAND) * 2 * n];
+            let mut next = vec![0.0f32; n * n];
+            for it in 0..3 {
+                for (r, out) in next.chunks_exact_mut(n).enumerate() {
+                    stencil_row(&want, &p, out, n, r);
+                }
+                std::mem::swap(&mut want, &mut next);
+                hotspot_pass(&mut got, &p, &mut halo, n);
+                assert_eq!(bits(&got), bits(&want), "size {n}, iteration {it}");
             }
         }
     }

@@ -22,12 +22,14 @@
 //!
 //! srad, hotspot and pathfinder compute their real arithmetic as row
 //! kernels: each row handles its edge columns on their own and runs the
-//! interior as one branch-free loop. srad's two stencils and hotspot's
-//! run their rows in parallel on `gh-par`; pathfinder's DP rows depend
-//! on each other and run in order. Each module's `reference()` is the
-//! scalar oracle these kernels equal bit for bit. pathfinder generates
-//! its input rows on the fly, a launch's rows just before that launch,
-//! instead of holding the whole grid on the host.
+//! interior as one branch-free loop. srad (both stencils fused) and
+//! hotspot (in place) run bands of rows in parallel on `gh-par`;
+//! pathfinder's DP rows depend on each other and run in order. Each
+//! module's `reference()` is the scalar oracle these kernels equal bit
+//! for bit. pathfinder generates its input rows on the fly, a launch's
+//! rows just before that launch, instead of holding the whole grid on
+//! the host, and needle reads scores from per-row tables instead of the
+//! reference matrix.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]

@@ -6,12 +6,14 @@
 //! migration amplification visible (§5.2, Fig 7).
 //!
 //! `run` generates the wall rows of each launch just before that launch,
-//! into one reused buffer of `rows_per_kernel` rows, so the host never
-//! holds the whole grid and input generation stays outside the kernel.
+//! one row per `gh-par` chunk, into one reused buffer of
+//! `rows_per_kernel` rows, so the host never holds the whole grid and
+//! input generation stays outside the kernel.
 //! The DP step is a row kernel: the two edge columns on their own, then
 //! one branch-free loop over the interior. [`reference`] is the scalar
 //! oracle; `run`'s checksum equals it exactly.
 
+use gh_par::par_chunks_mut;
 use gh_profiler::Phase;
 use gh_sim::{Machine, MemMode, RunReport};
 
@@ -136,9 +138,12 @@ pub fn run(mut m: Machine, mode: MemMode, p: &PathfinderParams) -> RunReport {
         let batch = p.rows_per_kernel.min(rows - row);
         // Host input: this launch's wall rows, generated outside the kernel.
         let walls = &mut walls[..batch * cols];
-        for (j, w) in walls.iter_mut().enumerate() {
-            *w = wall_value(p.seed, (row * cols + j) as u64);
-        }
+        par_chunks_mut(walls, cols, |i, wall_row| {
+            let first = (row + i) * cols;
+            for (j, w) in wall_row.iter_mut().enumerate() {
+                *w = wall_value(p.seed, (first + j) as u64);
+            }
+        });
         let mut k = m.rt.launch("pathfinder_step");
         for (i, wall_row) in walls.chunks_exact(cols).enumerate() {
             let r = row + i;

@@ -7,16 +7,21 @@
 //! the derivative/coefficient arrays are *GPU-first-touched* in iteration
 //! 1 (the §5.1.2 GPU-side-initialization cost for system memory).
 //!
-//! `run` computes the real image as row kernels on `gh-par`: each row
-//! handles its first and last columns on their own, then runs the
-//! interior as one branch-free loop over zipped neighbour slices.
-//! [`reference`] is the scalar oracle; `run`'s checksum equals its bits.
+//! `run` fuses both stencils into one pass per iteration over bands of
+//! rows on `gh-par`. A band computes its plane rows (`dN | dS | dW | dE |
+//! c`) into a two-row window and writes next-image row `r` from plane row
+//! `r` and the coefficients of row `r + 1`, so the host never holds the
+//! five plane arrays (the modelled GPU still writes and reads them). Each
+//! row handles its first and last columns on their own, then runs the
+//! interior as one branch-free loop over zipped neighbour slices. Every
+//! pixel takes the scalar stencils' f32 operations in their order, so
+//! [`reference`] is the oracle and `run`'s checksum equals its bits.
 
 use gh_par::par_chunks_mut;
 use gh_profiler::Phase;
 use gh_sim::{Machine, MemMode, RunReport};
 
-use crate::common::UBuf;
+use crate::common::{UBuf, BAND};
 
 /// Input parameters.
 #[derive(Debug, Clone)]
@@ -57,6 +62,20 @@ struct Grids {
     de: Vec<f32>,
     dw: Vec<f32>,
     c: Vec<f32>,
+}
+
+impl Grids {
+    fn new(j: Vec<f32>) -> Self {
+        let zeros = || vec![0.0; j.len()];
+        Grids {
+            dn: zeros(),
+            ds: zeros(),
+            de: zeros(),
+            dw: zeros(),
+            c: zeros(),
+            j,
+        }
+    }
 }
 
 fn q0sqr(j: &[f32]) -> f32 {
@@ -155,56 +174,51 @@ fn split_planes(row: &[f32], n: usize) -> [&[f32]; 5] {
     [dn, ds, dw, de, c]
 }
 
-/// `srad1` as row kernels: writes `planes` (row `r` holds
-/// `dN | dS | dW | dE | c`) from image rows `r - 1`, `r` and `r + 1`.
-fn srad1_rows(j: &[f32], planes: &mut [f32], n: usize, q0: f32) {
-    par_chunks_mut(planes, 5 * n, |r, out| {
-        let row = |r: usize| &j[r * n..(r + 1) * n];
-        let (up, cur, down) = (row(r.saturating_sub(1)), row(r), row((r + 1).min(n - 1)));
-        let (dn, rest) = out.split_at_mut(n);
-        let (ds, rest) = rest.split_at_mut(n);
-        let (dw, rest) = rest.split_at_mut(n);
-        let (de, c) = rest.split_at_mut(n);
-        let mut put = |col: usize, jw: f32, je: f32| {
-            [dn[col], ds[col], dw[col], de[col], c[col]] =
-                coeff(cur[col], up[col], down[col], jw, je, q0);
-        };
-        let last = n - 1;
-        put(0, cur[0], cur[1.min(last)]);
-        if last > 0 {
-            put(last, cur[last - 1], cur[last]);
+/// `srad1` for one row: writes its plane row (`dN | dS | dW | dE | c`)
+/// from image row `cur` and its neighbour rows `up` and `down`.
+fn plane_row(up: &[f32], cur: &[f32], down: &[f32], q0: f32, plane: &mut [f32]) {
+    let n = cur.len();
+    let (dn, rest) = plane.split_at_mut(n);
+    let (ds, rest) = rest.split_at_mut(n);
+    let (dw, rest) = rest.split_at_mut(n);
+    let (de, c) = rest.split_at_mut(n);
+    let mut put = |col: usize, jw: f32, je: f32| {
+        [dn[col], ds[col], dw[col], de[col], c[col]] =
+            coeff(cur[col], up[col], down[col], jw, je, q0);
+    };
+    let last = n - 1;
+    put(0, cur[0], cur[1.min(last)]);
+    if last > 0 {
+        put(last, cur[last - 1], cur[last]);
+    }
+    if last > 1 {
+        let outs = dn[1..last]
+            .iter_mut()
+            .zip(&mut ds[1..last])
+            .zip(&mut dw[1..last])
+            .zip(&mut de[1..last])
+            .zip(&mut c[1..last]);
+        let ins = cur[1..last]
+            .iter()
+            .zip(&up[1..last])
+            .zip(&down[1..last])
+            .zip(&cur[..last - 1])
+            .zip(&cur[2..]);
+        for (((((dn, ds), dw), de), c), ((((&jc, &jn), &js), &jw), &je)) in outs.zip(ins) {
+            [*dn, *ds, *dw, *de, *c] = coeff(jc, jn, js, jw, je, q0);
         }
-        if last > 1 {
-            let outs = dn[1..last]
-                .iter_mut()
-                .zip(&mut ds[1..last])
-                .zip(&mut dw[1..last])
-                .zip(&mut de[1..last])
-                .zip(&mut c[1..last]);
-            let ins = cur[1..last]
-                .iter()
-                .zip(&up[1..last])
-                .zip(&down[1..last])
-                .zip(&cur[..last - 1])
-                .zip(&cur[2..]);
-            for (((((dn, ds), dw), de), c), ((((&jc, &jn), &js), &jw), &je)) in outs.zip(ins) {
-                [*dn, *ds, *dw, *de, *c] = coeff(jc, jn, js, jw, je, q0);
-            }
-        }
-    });
+    }
 }
 
-/// `srad2` as row kernels: updates image row `r` from plane rows `r`
-/// and `r + 1` (the south neighbour's coefficient).
-fn srad2_rows(planes: &[f32], j: &mut [f32], n: usize, lambda: f32) {
-    let rate = 0.25 * lambda;
-    par_chunks_mut(j, n, |r, jrow| {
-        let row = |r: usize| split_planes(&planes[r * 5 * n..(r + 1) * 5 * n], n);
-        let [dn, ds, dw, de, c] = row(r);
-        let south = row((r + 1).min(n - 1))[4];
-        let last = n - 1;
-        // The last column is its own east neighbour.
-        jrow[last] += rate
+/// `srad2` for one row: `out` is image row `cur` plus `rate` times the
+/// flux from its plane row and the coefficients `south` of the row below.
+fn update_row(cur: &[f32], plane: &[f32], south: &[f32], rate: f32, out: &mut [f32]) {
+    let n = cur.len();
+    let [dn, ds, dw, de, c] = split_planes(plane, n);
+    let last = n - 1;
+    // The last column is its own east neighbour.
+    out[last] = cur[last]
+        + rate
             * flux(
                 c[last],
                 south[last],
@@ -214,16 +228,54 @@ fn srad2_rows(planes: &[f32], j: &mut [f32], n: usize, lambda: f32) {
                 dw[last],
                 de[last],
             );
-        let ins = c[..last]
-            .iter()
-            .zip(&south[..last])
-            .zip(&c[1..])
-            .zip(&dn[..last])
-            .zip(&ds[..last])
-            .zip(&dw[..last])
-            .zip(&de[..last]);
-        for (jv, ((((((&c, &cs), &ce), &dn), &ds), &dw), &de)) in jrow[..last].iter_mut().zip(ins) {
-            *jv += rate * flux(c, cs, ce, dn, ds, dw, de);
+    let ins = c[..last]
+        .iter()
+        .zip(&south[..last])
+        .zip(&c[1..])
+        .zip(&dn[..last])
+        .zip(&ds[..last])
+        .zip(&dw[..last])
+        .zip(&de[..last]);
+    for ((o, &jv), ((((((&c, &cs), &ce), &dn), &ds), &dw), &de)) in
+        out[..last].iter_mut().zip(&cur[..last]).zip(ins)
+    {
+        *o = jv + rate * flux(c, cs, ce, dn, ds, dw, de);
+    }
+}
+
+/// One SRAD iteration with both stencils fused: writes the next image to
+/// `next` from `j`, one band of [`BAND`] rows per `gh-par` chunk. A band
+/// keeps plane rows `r` and `r + 1` in a two-row window, so the `5·n²`
+/// plane array of the two-kernel form never exists; the one plane row
+/// past its last row is computed by both neighbouring bands.
+fn srad_pass(j: &[f32], next: &mut [f32], n: usize, q0: f32, lambda: f32) {
+    let rate = 0.25 * lambda;
+    let row = |r: usize| &j[r * n..(r + 1) * n];
+    let plane = |r: usize, out: &mut [f32]| {
+        plane_row(
+            row(r.saturating_sub(1)),
+            row(r),
+            row((r + 1).min(n - 1)),
+            q0,
+            out,
+        );
+    };
+    par_chunks_mut(next, BAND * n, |b, band| {
+        let r0 = b * BAND;
+        let mut window = vec![0.0f32; 10 * n];
+        let (mut cur, mut below) = window.split_at_mut(5 * n);
+        plane(r0, cur);
+        for (i, out) in band.chunks_exact_mut(n).enumerate() {
+            let r = r0 + i;
+            // The last image row is its own south neighbour.
+            let south = if r + 1 < n {
+                plane(r + 1, below);
+                &below[4 * n..]
+            } else {
+                &cur[4 * n..]
+            };
+            update_row(row(r), cur, south, rate, out);
+            std::mem::swap(&mut cur, &mut below);
         }
     });
 }
@@ -231,14 +283,7 @@ fn srad2_rows(planes: &[f32], j: &mut [f32], n: usize, lambda: f32) {
 /// Sequential reference: final image after all iterations.
 pub fn reference(p: &SradParams) -> Vec<f32> {
     let n = p.size;
-    let mut g = Grids {
-        j: (0..n * n).map(|i| image_value(p.seed, i as u64)).collect(),
-        dn: vec![0.0; n * n],
-        ds: vec![0.0; n * n],
-        de: vec![0.0; n * n],
-        dw: vec![0.0; n * n],
-        c: vec![0.0; n * n],
-    };
+    let mut g = Grids::new((0..n * n).map(|i| image_value(p.seed, i as u64)).collect());
     for _ in 0..p.iterations {
         let q0 = q0sqr(&g.j);
         srad1(&mut g, n, q0);
@@ -253,8 +298,13 @@ pub fn run(mut m: Machine, mode: MemMode, p: &SradParams) -> RunReport {
     let bytes = (n * n * 4) as u64;
 
     // ---- real data ----
-    let mut j: Vec<f32> = (0..n * n).map(|i| image_value(p.seed, i as u64)).collect();
-    let mut planes = vec![0.0f32; 5 * n * n];
+    let mut j = vec![0.0f32; n * n];
+    par_chunks_mut(&mut j, n, |r, row| {
+        for (col, x) in row.iter_mut().enumerate() {
+            *x = image_value(p.seed, (r * n + col) as u64);
+        }
+    });
+    let mut next = vec![0.0f32; n * n];
 
     // ---- GPU context initialization + argument parsing (phase 1) ----
     m.phase(Phase::CtxInit);
@@ -277,7 +327,9 @@ pub fn run(mut m: Machine, mode: MemMode, p: &SradParams) -> RunReport {
     m.phase(Phase::Compute);
     j_buf.upload(&mut m);
     for _ in 0..p.iterations {
-        srad1_rows(&j, &mut planes, n, q0sqr(&j));
+        // Both stencils at once, before the launches that meter them.
+        srad_pass(&j, &mut next, n, q0sqr(&j), p.lambda);
+        std::mem::swap(&mut j, &mut next);
         {
             let mut k = m.rt.launch("srad1");
             k.read(j_buf.gpu(), 0, bytes);
@@ -289,7 +341,6 @@ pub fn run(mut m: Machine, mode: MemMode, p: &SradParams) -> RunReport {
             k.compute((n * n * 30) as u64);
             k.finish();
         }
-        srad2_rows(&planes, &mut j, n, p.lambda);
         {
             let mut k = m.rt.launch("srad2");
             k.read(dn_buf.gpu(), 0, bytes);
@@ -365,46 +416,28 @@ mod tests {
     fn coefficients_stay_in_unit_range() {
         let p = small();
         let n = p.size;
-        let mut g = Grids {
-            j: (0..n * n).map(|i| image_value(p.seed, i as u64)).collect(),
-            dn: vec![0.0; n * n],
-            ds: vec![0.0; n * n],
-            de: vec![0.0; n * n],
-            dw: vec![0.0; n * n],
-            c: vec![0.0; n * n],
-        };
+        let mut g = Grids::new((0..n * n).map(|i| image_value(p.seed, i as u64)).collect());
         let q0 = q0sqr(&g.j);
         srad1(&mut g, n, q0);
         assert!(g.c.iter().all(|&x| (0.0..=1.0).contains(&x)));
     }
 
     #[test]
-    fn row_kernels_equal_the_scalar_stencils_at_every_width() {
+    fn fused_pass_equals_the_scalar_stencils_at_band_edges() {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let (q0, lambda) = (0.05, 0.5);
-        for n in 1..=6 {
-            let j: Vec<f32> = (0..n * n).map(|i| image_value(5, i as u64)).collect();
-            let mut g = Grids {
-                j: j.clone(),
-                dn: vec![0.0; n * n],
-                ds: vec![0.0; n * n],
-                de: vec![0.0; n * n],
-                dw: vec![0.0; n * n],
-                c: vec![0.0; n * n],
-            };
-            srad1(&mut g, n, q0);
-            let mut planes = vec![0.0; 5 * n * n];
-            srad1_rows(&j, &mut planes, n, q0);
-            for r in 0..n {
-                let row = split_planes(&planes[r * 5 * n..(r + 1) * 5 * n], n);
-                for (plane, want) in row.iter().zip([&g.dn, &g.ds, &g.dw, &g.de, &g.c]) {
-                    assert_eq!(bits(plane), bits(&want[r * n..(r + 1) * n]), "width {n}");
-                }
+        let lambda = 0.5;
+        for n in (1..=6).chain([BAND - 1, BAND, BAND + 1, 2 * BAND + 1]) {
+            let mut g = Grids::new((0..n * n).map(|i| image_value(5, i as u64)).collect());
+            let mut j = g.j.clone();
+            let mut next = vec![0.0; n * n];
+            for it in 0..3 {
+                let q0 = q0sqr(&g.j);
+                srad1(&mut g, n, q0);
+                srad2(&mut g, n, lambda);
+                srad_pass(&j, &mut next, n, q0, lambda);
+                std::mem::swap(&mut j, &mut next);
+                assert_eq!(bits(&j), bits(&g.j), "size {n}, iteration {it}");
             }
-            srad2(&mut g, n, lambda);
-            let mut j = j;
-            srad2_rows(&planes, &mut j, n, lambda);
-            assert_eq!(bits(&j), bits(&g.j), "width {n}");
         }
     }
 

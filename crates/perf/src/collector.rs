@@ -13,6 +13,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use crate::host::MinorFaults;
 use crate::report::{PerfData, PhasePerf, SpanAgg};
 
 /// Hot-path rate counters. A fixed enum (not string keys) so counting on
@@ -106,6 +107,16 @@ struct PhaseAcc {
     count: u64,
     host_ns: u64,
     sim_ns: u64,
+    minor_faults: u64,
+}
+
+/// The phase being timed: its label and the host clock, virtual clock
+/// and process minor-fault count when it opened.
+struct OpenPhase {
+    label: String,
+    host_ns: u64,
+    sim_ns: u64,
+    minor_faults: u64,
 }
 
 struct Collector {
@@ -115,10 +126,12 @@ struct Collector {
     )]
     t0: std::time::Instant,
     counters: [u64; N_CTRS],
+    faults: MinorFaults,
+    /// Process minor faults at `t0`.
+    minor_faults0: u64,
     stack: Vec<OpenSpan>,
     spans: BTreeMap<String, SpanAcc>,
-    /// Open phase: (label, host start ns, sim start ns).
-    open_phase: Option<(String, u64, u64)>,
+    open_phase: Option<OpenPhase>,
     /// First-seen phase order, for a stable breakdown table.
     phase_order: Vec<String>,
     phases: BTreeMap<String, PhaseAcc>,
@@ -133,9 +146,12 @@ impl Collector {
         reason = "the profiler's host-time origin; its data never reaches a RunReport"
     )]
     fn new() -> Self {
+        let faults = MinorFaults::open();
         Collector {
             t0: std::time::Instant::now(),
             counters: [0; N_CTRS],
+            minor_faults0: faults.read(),
+            faults,
             stack: Vec::new(),
             spans: BTreeMap::new(),
             open_phase: None,
@@ -156,14 +172,15 @@ impl Collector {
         u64::try_from(self.t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    fn close_phase(&mut self, now: u64, sim_now: u64) {
-        let Some((label, h0, s0)) = self.open_phase.take() else {
+    fn close_phase(&mut self, now: u64, sim_now: u64, faults_now: u64) {
+        let Some(open) = self.open_phase.take() else {
             return;
         };
-        let acc = self.phases.entry(label).or_default();
+        let acc = self.phases.entry(open.label).or_default();
         acc.count += 1;
-        acc.host_ns += now.saturating_sub(h0);
-        acc.sim_ns += sim_now.saturating_sub(s0);
+        acc.host_ns += now.saturating_sub(open.host_ns);
+        acc.sim_ns += sim_now.saturating_sub(open.sim_ns);
+        acc.minor_faults += faults_now.saturating_sub(open.minor_faults);
     }
 
     fn close_span(&mut self, now: u64) {
@@ -180,25 +197,27 @@ impl Collector {
 
     fn drain(mut self) -> PerfData {
         let now = self.now_ns();
+        let faults = self.faults.read();
         // Close anything left open so the drain never loses time.
         while !self.stack.is_empty() {
             self.close_span(now);
         }
-        let sim_floor = self.open_phase.as_ref().map_or(0, |&(_, _, s0)| s0);
-        self.close_phase(now, sim_floor);
-        let phases = self
+        let sim_floor = self.open_phase.as_ref().map_or(0, |p| p.sim_ns);
+        self.close_phase(now, sim_floor, faults);
+        let (phases, phase_minor_faults) = self
             .phase_order
             .iter()
             .filter_map(|label| {
                 let acc = self.phases.get(label)?;
-                Some(PhasePerf {
+                let phase = PhasePerf {
                     label: label.clone(),
                     count: acc.count,
                     host_ns: acc.host_ns,
                     sim_ns: acc.sim_ns,
-                })
+                };
+                Some((phase, acc.minor_faults))
             })
-            .collect();
+            .unzip();
         let spans = self
             .spans
             .into_iter()
@@ -221,6 +240,8 @@ impl Collector {
             spans,
             counters,
             peak_rss_bytes: crate::host::peak_rss_bytes(),
+            minor_faults: faults.saturating_sub(self.minor_faults0),
+            phase_minor_faults,
         }
     }
 }
@@ -278,12 +299,18 @@ impl Perf {
         let Some(i) = &self.inner else { return };
         let mut c = i.borrow_mut();
         let now = c.now_ns();
-        c.close_phase(now, sim_ns);
+        let faults = c.faults.read();
+        c.close_phase(now, sim_ns, faults);
         if !c.phases.contains_key(label) {
             c.phase_order.push(label.to_string());
             c.phases.insert(label.to_string(), PhaseAcc::default());
         }
-        c.open_phase = Some((label.to_string(), now, sim_ns));
+        c.open_phase = Some(OpenPhase {
+            label: label.to_string(),
+            host_ns: now,
+            sim_ns,
+            minor_faults: faults,
+        });
     }
 
     /// Marks the end of a simulation run whose clock reached `sim_ns`:
@@ -294,7 +321,8 @@ impl Perf {
         let Some(i) = &self.inner else { return };
         let mut c = i.borrow_mut();
         let now = c.now_ns();
-        c.close_phase(now, sim_ns);
+        let faults = c.faults.read();
+        c.close_phase(now, sim_ns, faults);
         c.sim_total_ns += sim_ns;
         c.runs += 1;
     }
@@ -307,10 +335,7 @@ impl Perf {
             let mut c = i.borrow_mut();
             let parent = match c.stack.last() {
                 Some(s) => s.path.as_str(),
-                None => c
-                    .open_phase
-                    .as_ref()
-                    .map_or("run", |(label, _, _)| label.as_str()),
+                None => c.open_phase.as_ref().map_or("run", |p| p.label.as_str()),
             };
             let path = format!("{parent};{name}");
             let start = c.now_ns();
@@ -428,6 +453,24 @@ mod tests {
         assert_eq!(d.phases[1].sim_ns, 4_000);
         assert!(d.phases.iter().all(|p| p.host_ns > 0), "{:?}", d.phases);
         assert!(d.host_total_ns > 0);
+    }
+
+    #[test]
+    fn phases_count_the_minor_faults_taken_inside_them() {
+        let perf = Perf::on();
+        perf.phase_mark("alloc", 0);
+        perf.phase_mark("cpu_init", 0);
+        // Fresh pages: past glibc's largest mmap threshold (32 MiB).
+        let pages = std::hint::black_box(vec![1u8; 40 << 20]);
+        perf.run_end(0);
+        drop(pages);
+        let d = perf.take();
+        assert_eq!(d.phase_minor_faults.len(), d.phases.len());
+        if std::path::Path::new("/proc/self/stat").exists() {
+            // Process-wide: other test threads may fault inside `alloc`.
+            assert!(d.phase_minor_faults[1] > 0, "{:?}", d.phase_minor_faults);
+            assert!(d.minor_faults >= d.phase_minor_faults.iter().sum::<u64>());
+        }
     }
 
     #[test]

@@ -25,28 +25,30 @@ pub fn table(d: &PerfData) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "-- gh-perf: host {:.3} ms | virtual {:.3} ms | sim-speed {} sim-ns/host-ms | peak RSS {} MiB | runs {} --",
+        "-- gh-perf: host {:.3} ms | virtual {:.3} ms | sim-speed {} sim-ns/host-ms | peak RSS {} MiB | minor faults {} | runs {} --",
         ms(d.host_total_ns),
         ms(d.sim_total_ns),
         speed_cell(d.sim_speed()),
         d.peak_rss_bytes >> 20,
+        d.minor_faults,
         d.runs,
     );
     if !d.phases.is_empty() {
         let _ = writeln!(
             out,
-            "{:<12} {:>6} {:>12} {:>12} {:>16}",
-            "phase", "count", "host ms", "virtual ms", "sim-ns/host-ms"
+            "{:<12} {:>6} {:>12} {:>12} {:>16} {:>12}",
+            "phase", "count", "host ms", "virtual ms", "sim-ns/host-ms", "minor faults"
         );
-        for p in &d.phases {
+        for (p, faults) in d.phases.iter().zip(&d.phase_minor_faults) {
             let _ = writeln!(
                 out,
-                "{:<12} {:>6} {:>12.3} {:>12.3} {:>16}",
+                "{:<12} {:>6} {:>12.3} {:>12.3} {:>16} {:>12}",
                 p.label,
                 p.count,
                 ms(p.host_ns),
                 ms(p.sim_ns),
                 speed_cell(p.sim_speed()),
+                faults,
             );
         }
     }
@@ -110,9 +112,13 @@ pub fn json(d: &PerfData) -> String {
         ",\"sim_ns_per_host_ms\":{}",
         d.sim_speed().map_or_else(|| "null".to_string(), f64_value)
     );
-    let _ = write!(o, ",\"peak_rss_bytes\":{}", d.peak_rss_bytes);
+    let _ = write!(
+        o,
+        ",\"peak_rss_bytes\":{},\"minor_faults\":{}",
+        d.peak_rss_bytes, d.minor_faults
+    );
     o.push_str(",\"phases\":[");
-    for (i, p) in d.phases.iter().enumerate() {
+    for (i, (p, faults)) in d.phases.iter().zip(&d.phase_minor_faults).enumerate() {
         if i > 0 {
             o.push(',');
         }
@@ -120,11 +126,12 @@ pub fn json(d: &PerfData) -> String {
         quote_into(&mut o, &p.label);
         let _ = write!(
             o,
-            ",\"count\":{},\"host_ns\":{},\"sim_ns\":{},\"sim_ns_per_host_ms\":{}}}",
+            ",\"count\":{},\"host_ns\":{},\"sim_ns\":{},\"sim_ns_per_host_ms\":{},\"minor_faults\":{}}}",
             p.count,
             p.host_ns,
             p.sim_ns,
-            p.sim_speed().map_or_else(|| "null".to_string(), f64_value)
+            p.sim_speed().map_or_else(|| "null".to_string(), f64_value),
+            faults
         );
     }
     o.push_str("],\"spans\":[");
@@ -205,6 +212,8 @@ mod tests {
             ],
             counters: vec![("tlb.walks", 1000), ("os.faults", 0)],
             peak_rss_bytes: 64 << 20,
+            minor_faults: 2_345,
+            phase_minor_faults: vec![2_000, 300],
         }
     }
 
@@ -215,6 +224,12 @@ mod tests {
         assert!(t.contains("alloc"), "{t}");
         assert!(t.contains("compute"), "{t}");
         assert!(t.contains("tlb.walks"), "{t}");
+        assert!(t.contains("minor faults 2345 |"), "{t}");
+        assert!(
+            t.lines()
+                .any(|l| l.starts_with("alloc") && l.ends_with(" 2000")),
+            "{t}"
+        );
         // Zero counters are elided from the table.
         assert!(!t.contains("os.faults"), "{t}");
     }
@@ -236,6 +251,11 @@ mod tests {
         assert!(j.contains("\"sim_ns_per_host_ms\":4000000"), "{j}");
         assert!(j.contains("\"tlb.walks\":1000"), "{j}");
         assert!(j.contains("\"peak_rss_bytes\":67108864"), "{j}");
+        assert!(j.contains("\"minor_faults\":2345,"), "{j}");
+        assert!(
+            j.contains("\"sim_ns_per_host_ms\":2000000,\"minor_faults\":2000}"),
+            "{j}"
+        );
         assert!(j.contains("\"label\":\"compute\""), "{j}");
     }
 

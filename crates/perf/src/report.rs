@@ -64,6 +64,12 @@ pub struct PerfData {
     pub counters: Vec<(&'static str, u64)>,
     /// Peak resident set size of the process, in bytes (0 if unknown).
     pub peak_rss_bytes: u64,
+    /// Minor page faults the process took over the window (0 if
+    /// unknown). Process-wide, as the peak RSS is.
+    pub minor_faults: u64,
+    /// Minor page faults taken inside each phase, one per [`Self::phases`]
+    /// entry and in its order.
+    pub phase_minor_faults: Vec<u64>,
 }
 
 impl PerfData {

@@ -413,14 +413,18 @@ fn main() {
             let mut m = machine(&f, &so);
             let perf = m.rt.session().perf.clone();
             if let Some(ratio) = f.oversubscribe {
-                let peak = if f.small {
+                // Size the balloon from an unconstrained managed run, on a
+                // platform that can hold one; elsewhere `oversubscribe`
+                // only records that it does not apply.
+                let peak = if !f.platform.caps().oversubscription {
+                    0
+                } else if f.small {
                     app.run_small(f.platform.machine(), MemMode::Managed)
+                        .peak_gpu
                 } else {
-                    app.run(f.platform.machine(), MemMode::Managed)
-                }
-                .peak_gpu
-                .saturating_sub(f.platform.gpu_driver_baseline());
-                m.oversubscribe(peak, ratio);
+                    app.run(f.platform.machine(), MemMode::Managed).peak_gpu
+                };
+                m.oversubscribe(peak.saturating_sub(f.platform.gpu_driver_baseline()), ratio);
             }
             let r = if f.small {
                 app.run_small(m, f.mode)

@@ -9,7 +9,7 @@
 //! to the JSON, and the digests must agree between `cargo test` and
 //! `cargo test --release`.
 
-use grace_mem::apps::{hotspot, pathfinder, srad};
+use grace_mem::apps::{hotspot, needle, pathfinder, srad};
 use grace_mem::jobs::fnv1a64;
 use grace_mem::sim::platform::Platform;
 use grace_mem::{platform, AppId, Machine, MachineConfig, MemMode, SessionOptions};
@@ -30,11 +30,25 @@ fn checksum_bits_match_recorded_goldens() {
         size: 600,
         ..Default::default()
     };
+    let needle1024 = needle::NeedleParams {
+        n: 1024,
+        ..Default::default()
+    };
     let runs = [
         (
             "srad 600",
             srad::run(machine(gh), MemMode::System, &srad600).checksum,
             0x4122_4d7b_411b_bc00u64,
+        ),
+        (
+            "srad 600 managed",
+            srad::run(machine(gh), MemMode::Managed, &srad600).checksum,
+            0x4122_4d7b_411b_bc00,
+        ),
+        (
+            "needle 1024",
+            needle::run(machine(gh), MemMode::System, &needle1024).checksum,
+            0xc094_0c00_0000_0000,
         ),
         (
             "hotspot",

@@ -4,6 +4,7 @@
 //! `Machine::capacity`. A replay's compute units saturate, never wrap.
 //! A flag its subcommand does not honour is a usage error too, and so are
 //! `--oversubscribe` in explicit mode and a stdout that takes no output.
+//! On a platform with no balloon, `--oversubscribe` only adds its note.
 
 use std::process::{Command, Output, Stdio};
 
@@ -153,6 +154,28 @@ fn oversubscribe_needs_a_unified_mode() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn oversubscribe_on_mi300a_only_adds_its_note() {
+    // One physical pool holds no balloon, so the run (and the calibration
+    // run that sizes a balloon elsewhere) has nothing to change.
+    let note = "n/a: oversubscription (ratio 1.5) not applicable on mi300a: \
+                single physical pool, no balloon to install";
+    for app in grace_mem::AppId::ALL {
+        let plain = ["app", app.name(), "--small", "--platform", "mi300a"];
+        let over = [&plain[..], &["--oversubscribe", "1.5"]].concat();
+        let stdout = |args: &[&str]| String::from_utf8_lossy(&checked(args, 0).stdout).into_owned();
+        let (plain, over) = (stdout(&plain), stdout(&over));
+        let rest: Vec<&str> = over.lines().filter(|l| *l != note).collect();
+        assert_eq!(
+            rest.len() + 1,
+            over.lines().count(),
+            "{}: {over}",
+            app.name()
+        );
+        assert_eq!(rest, plain.lines().collect::<Vec<_>>(), "{}", app.name());
     }
 }
 

@@ -153,6 +153,7 @@ fn perf_json_parses_with_complete_schema() {
         "headline ratio present and positive"
     );
     assert!(doc.get("peak_rss_bytes").and_then(Value::as_f64).is_some());
+    assert!(doc.get("minor_faults").and_then(Value::as_f64).is_some());
 
     let phases = doc.get("phases").and_then(Value::as_arr).expect("phases");
     assert!(!phases.is_empty());
@@ -163,6 +164,7 @@ fn perf_json_parses_with_complete_schema() {
             .is_some_and(|l| !l.is_empty()));
         assert!(p.get("host_ns").and_then(Value::as_f64).is_some());
         assert!(p.get("sim_ns").and_then(Value::as_f64).is_some());
+        assert!(p.get("minor_faults").and_then(Value::as_f64).is_some());
     }
 
     let spans = doc.get("spans").and_then(Value::as_arr).expect("spans");
