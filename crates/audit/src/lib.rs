@@ -27,9 +27,8 @@
 //! `iter_over_hash_type` and reasonless `#[allow]`/`#[expect]`; session
 //! handles are `!Send`/`!Sync` (`compile_fail` doctests in `gh-jobs`);
 //! the job cache is keyed by the whole `JobSpec` through a derived `Ord`;
-//! trace export matches every `Event` variant with no `_` arm; a `gh-mem`
-//! proptest checks that every placement change bumps the page table's
-//! epoch. No function holds two lock guards at once, so no lock order can
+//! trace export matches every `Event` variant with no `_` arm. No
+//! function holds two lock guards at once, so no lock order can
 //! invert, and a same-thread relock deadlocks the first time its path
 //! runs, which the deadline test in `tests/sessions.rs` catches.
 //!

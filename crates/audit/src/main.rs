@@ -30,7 +30,11 @@ fn main() -> ExitCode {
     let mut cfg = AuditConfig::new(std::env::current_dir().unwrap_or_else(|_| ".".into()));
     let mut deny = false;
     let mut format = Format::Text;
-    let mut args = std::env::args().skip(1);
+    let args = std::env::args_os().skip(1).map(|a| a.into_string());
+    let mut args = match args.collect::<Result<Vec<String>, _>>() {
+        Ok(args) => args.into_iter(),
+        Err(a) => return usage(&format!("argument '{}' is not UTF-8", a.to_string_lossy())),
+    };
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--deny" => deny = true,

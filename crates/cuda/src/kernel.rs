@@ -24,44 +24,48 @@
 //!
 //! ## Access paths
 //!
-//! Every metered access takes one of three paths, and all three give
+//! Every metered access takes one of two paths, and both give
 //! bitwise-identical `RunReport`s and trace streams:
 //!
-//! * the **per-span path** ([`Kernel::read`], [`Kernel::write`]): one
-//!   span at a time. A system-memory span of more than four pages is
-//!   classified into resident/faulting runs and charged per run (TLB
-//!   walks, traffic, access counters); shorter spans and faults go page
-//!   by page, managed memory block by block;
-//! * the **fragment core** ([`Kernel::fragments`], and through it the
-//!   strided, 2-D, gather and scatter forms): a list of fragments on one
-//!   buffer. Placement is resolved once per page run (system memory) or
-//!   2 MiB block (managed memory) and kept for the rest of the kernel.
-//!   Consecutive lookups of one TLB key, consecutive counter records of
-//!   one region, consecutive LRU touches of one block and overlapping
-//!   dirty ranges are queued and land as one update each; only the L2
-//!   model sees every fragment, in order. A fragment whose effects depend
-//!   on order lands the queue and takes the per-span path: unpopulated
-//!   system pages, a managed block not wholly on the GPU, migration
-//!   advice or a CPU pin, CPU-resident pages under tracing with counters
-//!   armed (`CounterNotify` must interleave with `TlbEvict`), and a
-//!   multi-page span whose geometry does not split exactly;
-//! * the **reference walk**: the per-page loop, kept as the oracle for
-//!   differential testing and debugging.
+//! * the **fragment core** ([`Kernel::fragments`], the one dispatch on
+//!   the buffer kind; [`Kernel::read`] and [`Kernel::write`] are
+//!   one-fragment calls, and the strided, 2-D, gather and scatter forms
+//!   build their lists on it): a list of fragments on one buffer.
+//!   Placement is resolved once per page run (system memory) or 2 MiB
+//!   block (managed memory) and kept for the rest of the kernel. A
+//!   system fragment of more than `BATCH_MIN_PAGES` pages that is not
+//!   wholly resident on one node is classified into placement runs once:
+//!   resident runs are charged as runs, unpopulated runs fault page by
+//!   page, and fault cost left pending between them ticks where the
+//!   per-page walk ticks. Consecutive lookups of one TLB key, consecutive
+//!   counter records of one region, consecutive LRU touches of one block
+//!   and overlapping dirty ranges are queued and land as one update each;
+//!   only the L2 model sees every fragment, in order. A fragment whose
+//!   effects depend on order lands the queue and takes the walk: a short
+//!   system fragment with unpopulated or mixed pages, a managed block not
+//!   wholly on the GPU, migration advice or a CPU pin, CPU-resident pages
+//!   under tracing with counters armed (`CounterNotify` must interleave
+//!   with `TlbEvict`), and a multi-page CPU-resident span whose geometry
+//!   does not split exactly;
+//! * the **reference walk** (`Kernel::meter`): the per-page loop over
+//!   system memory and the per-block loop over managed memory, kept as
+//!   the oracle for differential testing and debugging, and the core's
+//!   fallback.
 //!
 //! The queues are exact in any order: each structure (TLB, counters,
 //! touched pages, UVM LRU, dirty bits) receives only its own updates,
 //! in issue order, and a merge only ever joins equal neighbours, so an
 //! unsorted or overlapping list just merges less. Placement stays valid
-//! because nothing but per-span code moves pages while a kernel meters,
-//! and running it forgets what was resolved.
+//! because nothing but the walk moves pages while a kernel meters, and
+//! the core forgets what it resolved before the walk runs.
 //!
 //! The session's [`SessionCtx::access_ref`](crate::SessionCtx::access_ref)
 //! switch, set through
 //! [`SessionOptions::access_ref`](crate::SessionOptions::access_ref),
-//! selects the reference walk: fragment lists go to the per-span path
-//! whole, and that path walks TLB keys, dirty marks and system pages one
-//! at a time with a freshly built L2 model. Managed block handling (first
-//! touch, migration, prefetch, eviction) is the same code on every path.
+//! selects the reference walk: every fragment goes to the walk, which
+//! looks up TLB keys, marks dirty pages and walks system pages one at a
+//! time with a freshly built L2 model. Managed block handling (first
+//! touch, migration, prefetch, eviction) is the same code on both paths.
 
 use gh_mem::clock::Ns;
 use gh_mem::link::Direction;
@@ -83,9 +87,10 @@ use crate::uvm::{block_of, block_range};
 /// to be page-size independent even with 16M live 4 KiB translations.
 const XLAT_OUTSTANDING: u64 = 4096;
 
-/// Spans at or below this many system pages take the reference walk:
-/// run classification costs more than it saves, and both paths are
-/// bit-identical anyway.
+/// The classification threshold: a system fragment with unpopulated or
+/// mixed pages is split into placement runs only when it spans more than
+/// this many pages. A shorter one takes the per-page walk, where
+/// classifying costs more than it saves; both give the same result.
 const BATCH_MIN_PAGES: u64 = 4;
 
 /// Σ over the pages of `[x0, x1)` of `ceil(portion / line)`, portions
@@ -197,8 +202,9 @@ struct Pending {
 }
 
 /// Placement a kernel's fragment calls resolved for one buffer. It
-/// holds until per-span code runs: nothing else moves pages while the
-/// kernel meters.
+/// holds until the per-page or per-block walk runs
+/// ([`Kernel::forget`]): nothing else moves pages while the kernel
+/// meters.
 #[derive(Debug, Default, Clone, Copy)]
 struct Placed {
     /// System pages found resident on one node.
@@ -321,14 +327,17 @@ impl<'r> Kernel<'r> {
         self.compute_units = self.compute_units.saturating_add(units);
     }
 
-    /// Dense streaming read of `[off, off+len)`.
+    /// Dense streaming read of `[off, off+len)`: a one-fragment
+    /// [`Kernel::fragments`] call.
     pub fn read(&mut self, buf: &Buffer, off: u64, len: u64) {
-        self.span(buf, off, len, false, false);
+        let random = false;
+        self.fragments(buf, false, [Frag { off, len, random }]);
     }
 
-    /// Dense streaming write.
+    /// Dense streaming write; see [`Kernel::read`].
     pub fn write(&mut self, buf: &Buffer, off: u64, len: u64) {
-        self.span(buf, off, len, true, false);
+        let random = false;
+        self.fragments(buf, true, [Frag { off, len, random }]);
     }
 
     /// Strided access: `count` segments of `seg_len` bytes, `stride`
@@ -413,7 +422,8 @@ impl<'r> Kernel<'r> {
     /// result — `RunReport`, trace stream, every count — is that of one
     /// [`Kernel::read`]/[`Kernel::write`] per dense fragment and one
     /// single-segment [`Kernel::read_strided`]/[`Kernel::write_strided`]
-    /// per irregular one, issued in list order.
+    /// per irregular one, issued in list order, and that of the per-page
+    /// reference walk.
     ///
     /// Any order is exact, but ascending address order is what makes the
     /// call cheap: the core resolves placement once per page run (system
@@ -455,8 +465,7 @@ impl<'r> Kernel<'r> {
                     }
                 };
             if !batched {
-                self.flush(&mut p);
-                p.placed = Placed::default();
+                self.forget(&mut p);
                 self.meter(buf, span, write, f.random);
             }
         }
@@ -469,30 +478,21 @@ impl<'r> Kernel<'r> {
 
     // ------------------------------------------------------------------
 
-    fn span(&mut self, buf: &Buffer, off: u64, len: u64, write: bool, random: bool) {
-        if len == 0 {
-            return;
-        }
-        assert!(buf.in_bounds(off, len), "kernel access out of range");
-        let before = self.attributable();
-        self.meter(buf, buf.range.slice(off, len), write, random);
-        self.attribute(buf.id(), before);
-    }
-
-    /// The per-span access path: one span of `buf`, dispatched on the
-    /// buffer kind. It may fault, migrate or evict, so every placement
-    /// the kernel resolved is forgotten.
+    /// The per-page/per-block walk over one span of `buf`: the fragment
+    /// core's fallback for a fragment whose effects depend on order, and
+    /// the whole of the reference walk. The caller has landed its queue
+    /// and forgotten resolved placement, since the walk may fault,
+    /// migrate or evict.
     fn meter(&mut self, buf: &Buffer, span: VaRange, write: bool, random: bool) {
-        self.memo = Memo::default();
         match buf.kind {
             BufKind::Device => self.span_device(span, write, random),
             // In a unified pool every host-visible kind is just mapped
             // shared memory: no pinned-remote path, no UVM migration.
             BufKind::Pinned | BufKind::System | BufKind::Managed if self.rt.params.unified_pool => {
-                self.span_system(buf.id(), buf.range, span, write, random)
+                self.span_system(span, write, random)
             }
             BufKind::Pinned => self.span_pinned(span, write, random),
-            BufKind::System => self.span_system(buf.id(), buf.range, span, write, random),
+            BufKind::System => self.span_system(span, write, random),
             BufKind::Managed => self.span_managed(buf.range, span, write, random),
         }
     }
@@ -582,8 +582,8 @@ impl<'r> Kernel<'r> {
         self.t.tlb_misses = self.t.tlb_misses.saturating_add(misses);
     }
 
-    /// TLB walk over contiguous keys in key order: one lookup per key on
-    /// the reference walk, one batched range lookup on the batched core
+    /// TLB walk over contiguous keys in key order: one lookup per key
+    /// under `access_ref`, one batched range lookup otherwise
     /// (bit-identical TLB state and miss counts).
     fn walk_tlb(&mut self, keys: VpnRange) {
         if self.rt.session.access_ref {
@@ -596,9 +596,9 @@ impl<'r> Kernel<'r> {
         self.count_misses(misses);
     }
 
-    /// Marks system pages dirty: page by page on the reference walk, as
-    /// one range on the batched core. Dirty bits never touch the TLB, so
-    /// callers may mark after walking.
+    /// Marks system pages dirty: page by page under `access_ref`, as one
+    /// range otherwise. Dirty bits never touch the TLB, so callers may
+    /// mark after walking.
     fn mark_dirty(&mut self, vpns: VpnRange) {
         if self.rt.session.access_ref {
             for vpn in vpns {
@@ -648,77 +648,9 @@ impl<'r> Kernel<'r> {
         self.account_remote(span.addr, span.len, write, random);
     }
 
-    fn span_system(
-        &mut self,
-        buf_id: u32,
-        buf_range: VaRange,
-        span: VaRange,
-        write: bool,
-        random: bool,
-    ) {
-        let vpns = self.rt.os.system_pt.vpn_range(span.addr, span.len);
-        // Tiny spans, where batch setup costs more than it saves, and
-        // geometry the batched accounting cannot split exactly take the
-        // reference walk; both paths are bit-identical.
-        let batchable = !self.rt.session.access_ref
-            && vpns.count().get() > BATCH_MIN_PAGES
-            && self.lines_split_exactly();
-        if !batchable {
-            let (_, fault_cost) =
-                self.span_system_pages(span.addr, span.end(), write, random, 0, false);
-            if fault_cost > 0 {
-                self.rt.tick(fault_cost);
-            }
-            return;
-        }
-        let runs = self.rt.classify_span_cached(buf_id, buf_range, vpns);
-        self.rt
-            .session
-            .perf
-            .count(gh_perf::Ctr::BatchRuns, widen(runs.len()));
-        let spt = self.rt.os.system_pt.page_size();
-        let mut fault_cost: Ns = 0;
-        for (vr, node) in runs {
-            // Clip the run (vpn-granular) to the accessed byte span.
-            let a0 = span.addr.max(vr.start.get() * spt);
-            let a1 = span.end().min(vr.end.get() * spt);
-            if a0 >= a1 {
-                continue;
-            }
-            match node {
-                Some(node) => {
-                    let mut a = a0;
-                    if fault_cost > 0 {
-                        // Pending fault cost from an earlier run: the
-                        // 256 KiB flush ticks must land at the exact
-                        // virtual times the reference walk produces, so
-                        // walk per page until the flush happens.
-                        let (resume, fc) =
-                            self.span_system_pages(a, a1, write, random, fault_cost, true);
-                        a = resume;
-                        fault_cost = fc;
-                    }
-                    if a < a1 {
-                        let mut p = Pending::default();
-                        let run = VaRange {
-                            addr: a,
-                            len: a1 - a,
-                        };
-                        if self.resident(&mut p, run, node, write, random) {
-                            self.flush(&mut p);
-                        } else {
-                            let _ = self.span_system_pages(a, a1, write, random, 0, false);
-                        }
-                    }
-                }
-                // Unpopulated pages: fault service is inherently
-                // per-page (SMMU + OS cost accrual + flush cadence).
-                None => {
-                    let (_, fc) = self.span_system_pages(a0, a1, write, random, fault_cost, false);
-                    fault_cost = fc;
-                }
-            }
-        }
+    fn span_system(&mut self, span: VaRange, write: bool, random: bool) {
+        let (_, fault_cost) =
+            self.span_system_pages(span.addr, span.end(), write, random, 0, false);
         if fault_cost > 0 {
             self.rt.tick(fault_cost);
         }
@@ -737,12 +669,13 @@ impl<'r> Kernel<'r> {
             && self.rt.params.counter_region.is_multiple_of(spt)
     }
 
-    /// The per-page reference walk over `[addr, end)` of system memory —
-    /// the original access path, retained as the behavioural baseline the
-    /// batched core is differentially tested against. Returns the resume
-    /// address and still-pending fault cost. With `stop_after_flush`, the
-    /// walk returns right after a 256 KiB flush tick zeroes the pending
-    /// cost, so a batched caller can take over at the same virtual time.
+    /// The per-page walk over `[addr, end)` of system memory — the
+    /// original access path, retained as the behavioural baseline the
+    /// fragment core is differentially tested against, and the core's own
+    /// path through unpopulated pages. Returns the resume address and
+    /// still-pending fault cost. With `stop_after_flush`, the walk returns
+    /// right after a 256 KiB flush tick zeroes the pending cost, so the
+    /// core can take over at the same virtual time.
     fn span_system_pages(
         &mut self,
         mut addr: u64,
@@ -1066,6 +999,15 @@ impl<'r> Kernel<'r> {
 
     // --- the fragment core (see `Kernel::fragments`) -------------------
 
+    /// Lands everything `p` has queued and forgets every placement the
+    /// kernel resolved, before per-page or per-block code that may fault,
+    /// migrate or evict.
+    fn forget(&mut self, p: &mut Pending) {
+        self.flush(p);
+        p.placed = Placed::default();
+        self.memo = Memo::default();
+    }
+
     /// A pinned fragment: CPU-resident by construction, so pure remote
     /// traffic with no counters (as [`Kernel::span_pinned`]).
     fn frag_pinned(&mut self, p: &mut Pending, span: VaRange, write: bool, random: bool) {
@@ -1078,8 +1020,11 @@ impl<'r> Kernel<'r> {
 
     /// A system-memory fragment. Placement comes from the page run last
     /// resolved for the buffer when it covers the fragment, else from one
-    /// page-table query; a fragment with unpopulated or mixed pages
-    /// returns `false` for the per-span code, which faults page by page.
+    /// page-table query, and a fragment wholly resident on one node is
+    /// one resident run. A fragment with unpopulated or mixed pages is
+    /// split into runs ([`Kernel::frag_system_runs`]) when it spans more
+    /// than [`BATCH_MIN_PAGES`] pages whose lines split exactly; any other
+    /// returns `false` for the per-page walk.
     fn frag_system(&mut self, p: &mut Pending, span: VaRange, write: bool, random: bool) -> bool {
         let vpns = self.rt.os.system_pt.vpn_range(span.addr, span.len);
         let (node, resolved) = match p.placed.run {
@@ -1092,7 +1037,11 @@ impl<'r> Kernel<'r> {
                     pt.translate_range(vpns)
                 };
                 let Some(node) = node else {
-                    return false;
+                    if vpns.count().get() <= BATCH_MIN_PAGES || !self.lines_split_exactly() {
+                        return false;
+                    }
+                    self.frag_system_runs(p, span, vpns, write, random);
+                    return true;
                 };
                 p.placed.run = Some((vpns, node));
                 (node, false)
@@ -1103,6 +1052,57 @@ impl<'r> Kernel<'r> {
             self.count_batched(resolved);
         }
         batched
+    }
+
+    /// A system fragment with mixed or unpopulated pages, classified once
+    /// into placement runs and walked in address order. A resident run is
+    /// charged into `p`; an unpopulated run, or one [`Kernel::resident`]
+    /// refuses, lands the queue and takes the per-page walk. Fault cost
+    /// the walk leaves pending carries into the next run: a resident run
+    /// after it is walked page by page up to the next 256 KiB tick, so
+    /// every traced event keeps the reference walk's virtual time. Cost
+    /// is only ever pending right after a walk, so the queue is empty at
+    /// the final tick.
+    fn frag_system_runs(
+        &mut self,
+        p: &mut Pending,
+        span: VaRange,
+        vpns: VpnRange,
+        write: bool,
+        random: bool,
+    ) {
+        let spt = self.rt.os.system_pt.page_size();
+        let mut fault_cost: Ns = 0;
+        for (vr, node) in self.rt.os.system_pt.classify_runs(vpns) {
+            // Clip the run (vpn-granular) to the accessed byte span.
+            let mut a = span.addr.max(vr.start.get() * spt);
+            let a1 = span.end().min(vr.end.get() * spt);
+            if let Some(node) = node {
+                if fault_cost > 0 {
+                    self.flush(p);
+                    (a, fault_cost) =
+                        self.span_system_pages(a, a1, write, random, fault_cost, true);
+                }
+                if a >= a1 {
+                    continue;
+                }
+                let run = VaRange {
+                    addr: a,
+                    len: a1 - a,
+                };
+                if self.resident(p, run, node, write, random) {
+                    self.count_batched(false);
+                    continue;
+                }
+            }
+            // Unpopulated pages fault page by page (SMMU, OS cost accrual,
+            // flush cadence); a refused resident run takes the same walk.
+            self.forget(p);
+            (_, fault_cost) = self.span_system_pages(a, a1, write, random, fault_cost, false);
+        }
+        if fault_cost > 0 {
+            self.rt.tick(fault_cost);
+        }
     }
 
     /// Counts one fragment charged as a resident run, `resolved` when
@@ -1119,7 +1119,7 @@ impl<'r> Kernel<'r> {
     /// and dirty marks. A block with CPU-resident or unpopulated pages
     /// takes the per-block code (faults, migration, eviction) until it is
     /// resident. Migration advice or a CPU pin sends the whole fragment
-    /// to the per-span code (`false`).
+    /// to the per-block walk (`false`).
     fn frag_managed(
         &mut self,
         p: &mut Pending,
@@ -1143,10 +1143,7 @@ impl<'r> Kernel<'r> {
                 let vpns = self.rt.os.system_pt.vpn_range(whole.addr, whole.len);
                 let on_gpu = self.rt.os.system_pt.count_resident_in(vpns, Node::Gpu);
                 if on_gpu != vpns.count() {
-                    // As `meter`: per-block code forgets every placement.
-                    self.flush(p);
-                    p.placed = Placed::default();
-                    self.memo = Memo::default();
+                    self.forget(p);
                     self.managed_block(buf_range, block, clip, write, random);
                     continue;
                 }
@@ -1258,7 +1255,7 @@ impl<'r> Kernel<'r> {
 
     /// Lands everything `p` has queued. Each structure receives its own
     /// updates in issue order, and none of them reads another, so the
-    /// result is the per-span sequence's.
+    /// result is the per-page walk's.
     fn flush(&mut self, p: &mut Pending) {
         self.flush_tlb(p);
         self.flush_lines(p);
@@ -1836,6 +1833,51 @@ mod tests {
         let local_row = rep.by_buffer.iter().find(|b| b.tag == "local_buf").unwrap();
         assert_eq!(local_row.hbm, 4 * MIB);
         assert_eq!(local_row.c2c, 0);
+    }
+
+    #[test]
+    fn fault_cost_pending_after_a_faulting_head_ticks_where_the_walk_ticks() {
+        // A read whose first pages fault and whose rest is CPU-resident.
+        // Fault cost still pending when the head ends must tick at the
+        // 256 KiB boundary the reference walk ticks at, or the TlbEvict
+        // events an 8-entry TLB emits carry other virtual times.
+        let events = |head: u64, counters: bool, access_ref: bool| {
+            let params = CostParams {
+                gpu_tlb_entries: 8,
+                ..CostParams::default()
+            };
+            let opts = RuntimeOptions {
+                auto_migration: counters,
+                ..Default::default()
+            };
+            let so = crate::SessionOptions {
+                trace: true,
+                access_ref,
+                ..Default::default()
+            };
+            let mut r =
+                Runtime::with_session(params, crate::session::SessionCtx::with_options(opts, &so));
+            let page = r.params().system_page_size;
+            let b = r.malloc_system(Bytes::new(4 * MIB), "s");
+            r.cpu_write(&b, head * page, 4 * MIB - head * page);
+            let mut k = r.launch("k");
+            k.read(&b, 0, 4 * MIB);
+            k.finish();
+            r.session.bus.take().events
+        };
+        for head in [1, 2, 3, 5, 6, 7, 9] {
+            for counters in [false, true] {
+                let reference = events(head, counters, true);
+                assert!(reference
+                    .iter()
+                    .any(|s| matches!(s.event, gh_trace::Event::TlbEvict { .. })));
+                assert_eq!(
+                    events(head, counters, false),
+                    reference,
+                    "{head} unpopulated head pages, counters {counters}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -98,11 +98,6 @@ pub struct Runtime {
     /// through [`Runtime::move_pages`]). State-level: available without
     /// tracing, feeds the sanitizer's capability-gating check.
     pub(crate) migrated_pages: u64,
-    /// Stable-placement cache for the batched access path: per-buffer
-    /// classification results, validated against the system page table's
-    /// placement epoch. Buffer ids are never reused.
-    #[expect(clippy::disallowed_types, reason = "keyed lookup only; never iterated")]
-    placement_cache: std::collections::HashMap<u32, PlacementEntry, IntHash>,
     /// The GPU L2 model for irregular remote touches, emptied by every
     /// launch. It allocates its storage at its first access, so a
     /// runtime whose kernels never consult it holds no L2 memory.
@@ -117,17 +112,6 @@ pub(crate) fn gpu_l2(params: &CostParams) -> gh_mem::SetCache {
         Bytes::new(params.gpu_cacheline),
         16,
     )
-}
-
-/// Cached whole-buffer placement snapshot (see
-/// [`Runtime::classify_span_cached`]).
-#[derive(Debug, Clone, Copy)]
-struct PlacementEntry {
-    /// `system_pt.placement_epoch()` when this entry was computed.
-    epoch: u64,
-    /// `Some(node)` when the whole buffer was uniformly resident on
-    /// `node`; `None` when placement was mixed or partial.
-    uniform: Option<Node>,
 }
 
 impl Runtime {
@@ -208,52 +192,8 @@ impl Runtime {
             kernel_seq: 0,
             session,
             migrated_pages: 0,
-            placement_cache: Default::default(),
             l2,
         }
-    }
-
-    /// Classifies the pages of a kernel span into placement runs, serving
-    /// spans over buffers with stable placement from a per-buffer cache.
-    ///
-    /// The cache is keyed on the buffer id and validated against the
-    /// system page table's placement epoch: any populate/unmap/remap
-    /// anywhere bumps the epoch and invalidates every entry, so a hit
-    /// guarantees the buffer's placement is exactly what was cached. A
-    /// uniformly resident buffer then answers the whole span in O(1)
-    /// without touching the page table.
-    ///
-    /// Uniformity is only ever *learned* from a span that covers the
-    /// whole buffer and classifies to a single resident run — the cache
-    /// never walks pages the kernel did not touch, so a miss costs
-    /// exactly one span classification.
-    pub(crate) fn classify_span_cached(
-        &mut self,
-        buf_id: u32,
-        buf_range: gh_os::VaRange,
-        vpns: gh_units::VpnRange,
-    ) -> Vec<gh_mem::pagetable::PlacementRun> {
-        let epoch = self.os.system_pt.placement_epoch();
-        if let Some(e) = self.placement_cache.get(&buf_id) {
-            if e.epoch == epoch {
-                if let Some(node) = e.uniform {
-                    self.session.perf.count(gh_perf::Ctr::FastSpans, 1);
-                    return vec![(vpns, Some(node))];
-                }
-                return self.os.system_pt.classify_runs(vpns);
-            }
-        }
-        let runs = self.os.system_pt.classify_runs(vpns);
-        let whole = self.os.system_pt.vpn_range(buf_range.addr, buf_range.len);
-        if vpns == whole {
-            let uniform = match runs.as_slice() {
-                [(vr, Some(node))] if *vr == whole => Some(*node),
-                _ => None,
-            };
-            self.placement_cache
-                .insert(buf_id, PlacementEntry { epoch, uniform });
-        }
-        runs
     }
 
     /// Boots with the calibrated defaults and default options.

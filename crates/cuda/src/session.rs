@@ -14,7 +14,7 @@
 //! * the **sanitizer flag** — whether the machine layer arms the
 //!   invariant sanitizer for this run;
 //! * the **access-path switch** — whether kernels take the per-page
-//!   reference walk instead of the batched core (see [`crate::kernel`]);
+//!   reference walk instead of the fragment core (see [`crate::kernel`]);
 //! * the **runtime options** ([`RuntimeOptions`]) — behavioural
 //!   switches.
 //!
@@ -44,9 +44,9 @@ pub struct SessionOptions {
     /// Arm the invariant sanitizer. `None` = the build default
     /// (debug builds sanitize, release builds do not).
     pub sanitize: Option<bool>,
-    /// Force the per-line reference access path instead of the batched
-    /// fast core (differential testing/debugging; reports are
-    /// bit-identical either way).
+    /// Force the per-page reference walk instead of the fragment core
+    /// (differential testing/debugging; reports are bit-identical either
+    /// way).
     pub access_ref: bool,
 }
 
@@ -72,7 +72,7 @@ pub struct SessionCtx {
     /// Whether the machine layer arms the invariant sanitizer.
     pub sanitize: bool,
     /// Whether kernels take the per-page reference walk instead of the
-    /// batched core — the run's only access-path switch.
+    /// fragment core — the run's only access-path switch.
     pub access_ref: bool,
     /// Behavioural switches for the simulated run.
     pub opts: RuntimeOptions,

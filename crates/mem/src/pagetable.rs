@@ -83,10 +83,6 @@ pub struct PageTable {
     /// a cursor that starts at 2 MiB and only grows (`Os::mmap`): the
     /// table costs 8 bytes per 2 MiB of address space ever mapped.
     blocks: Vec<[u32; 2]>,
-    /// Bumped on every placement change (populate/unmap/remap — not
-    /// `mark_dirty`, which doesn't move pages). Callers cache
-    /// classification results keyed on this.
-    epoch: u64,
 }
 
 impl PageTable {
@@ -99,14 +95,7 @@ impl PageTable {
             resident: [Pages::ZERO, Pages::ZERO],
             block_shift: (BLOCK_BYTES / page_size).max(1).trailing_zeros(),
             blocks: Vec::new(),
-            epoch: 0,
         }
-    }
-
-    /// Monotonic placement version: changes iff some page was populated,
-    /// unmapped, or remapped since the last observation.
-    pub fn placement_epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// The table's page size in bytes.
@@ -163,7 +152,6 @@ impl PageTable {
         }
         let c = &mut self.blocks[b][node_idx(node)];
         *c = c.saturating_add(1);
-        self.epoch = self.epoch.saturating_add(1);
     }
 
     /// Removes the entry for `vpn`, returning it.
@@ -175,7 +163,6 @@ impl PageTable {
             if let Some(c) = self.blocks.get_mut(b) {
                 c[node_idx(p.node)] = c[node_idx(p.node)].saturating_sub(1);
             }
-            self.epoch = self.epoch.saturating_add(1);
         }
         pte
     }
@@ -202,14 +189,13 @@ impl PageTable {
             c[node_idx(old.node)] = c[node_idx(old.node)].saturating_sub(1);
             c[node_idx(node)] = c[node_idx(node)].saturating_add(1);
         }
-        self.epoch = self.epoch.saturating_add(1);
         old
     }
 
     /// Moves every page of `vpns` resident on `from` to `to`: the moved
     /// pages get frames `first_frame`, `first_frame + 1`, ... in ascending
-    /// VPN order, and `moved` sees each one. Entries, frames and epoch end
-    /// up as under one [`PageTable::remap`] per page. A block with nothing
+    /// VPN order, and `moved` sees each one. Entries and frames end up as
+    /// under one [`PageTable::remap`] per page. A block with nothing
     /// on `from` is skipped on its counts; any other is rewritten with one
     /// directory probe and one count update.
     pub fn remap_range(
@@ -253,7 +239,6 @@ impl PageTable {
         let n = Pages::new(frame - first_frame);
         self.resident[node_idx(from)] -= n;
         self.resident[node_idx(to)] += n;
-        self.epoch = self.epoch.saturating_add(n.get());
         n
     }
 
@@ -404,9 +389,8 @@ impl PageTable {
     }
 
     /// Unmaps every populated page in the VPN range, returning the removed
-    /// entries in ascending VPN order (for frame release). Drains a radix
-    /// leaf at a time, with one epoch bump of the number of pages removed,
-    /// as one [`PageTable::unmap`] per page would leave it.
+    /// entries in ascending VPN order (for frame release), as one
+    /// [`PageTable::unmap`] per page would. Drains a radix leaf at a time.
     pub fn unmap_range(&mut self, vpns: VpnRange) -> Vec<(Vpn, Pte)> {
         let (lo, hi) = (vpns.start.get(), vpns.end.get());
         let mut removed = Vec::new();
@@ -428,7 +412,6 @@ impl PageTable {
         for (i, g) in gone.into_iter().enumerate() {
             self.resident[i] -= Pages::new(g);
         }
-        self.epoch = self.epoch.saturating_add(widen(removed.len()));
         removed
     }
 
@@ -731,23 +714,6 @@ mod tests {
         assert_eq!(t.translate_range(r(0, 0)), None, "empty range");
         t.remap(v(7), Node::Cpu, 999);
         assert_eq!(t.translate_range(r(0, 514)), None, "mixed placement");
-    }
-
-    #[test]
-    fn placement_epoch_tracks_placement_not_dirtiness() {
-        let mut t = table();
-        let e0 = t.placement_epoch();
-        t.populate(v(1), Node::Cpu, 1);
-        let e1 = t.placement_epoch();
-        assert_ne!(e0, e1);
-        t.mark_dirty(v(1));
-        t.mark_dirty_range(r(0, 10));
-        assert_eq!(t.placement_epoch(), e1, "dirty bits are not placement");
-        t.remap(v(1), Node::Gpu, 2);
-        let e2 = t.placement_epoch();
-        assert_ne!(e1, e2);
-        t.unmap(v(1));
-        assert_ne!(t.placement_epoch(), e2);
     }
 
     #[test]

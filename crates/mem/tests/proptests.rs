@@ -50,23 +50,15 @@ proptest! {
     ///   `translate_range` and `classify_runs` always equal a recount from
     ///   scratch, on the op's range, the whole domain and the middle leaf;
     /// * `remap_range` moves exactly the pages resident on `from`, and
-    ///   leaves every entry, frame id and the epoch as one `remap` per
-    ///   such page leaves a twin table; `unmap_range` removes and returns
-    ///   what one `unmap` per page would, with the same epoch;
-    /// * the placement epoch changes whenever some page's `(node, frame)`
-    ///   does, and the dirty-bit ops never change it. The
-    ///   span-classification cache is valid only under that rule. An
-    ///   extra bump (remap to the same node) only costs a cache miss, so
-    ///   it is allowed.
+    ///   leaves every entry and frame id as one `remap` per such page
+    ///   leaves a twin table; `unmap_range` removes and returns what one
+    ///   `unmap` per page would.
     #[test]
     fn pagetable_residency_is_consistent(ops in proptest::collection::vec(
         (0u8..8, 0u64..DOMAIN, prop::bool::ANY, 0u64..700), 0..150)) {
         for page in PAGE_SIZES {
             let entries = |pt: &PageTable| -> Vec<Option<Pte>> {
                 (0..DOMAIN).map(|v| pt.translate(Vpn::new(v)).copied()).collect()
-            };
-            let placement = |e: &[Option<Pte>]| -> Vec<Option<(Node, u64)>> {
-                e.iter().map(|p| p.map(|p| (p.node, p.frame))).collect()
             };
             let mut pt = PageTable::new(page);
             // Takes every op as `pt` does, except that `unmap_range` and
@@ -78,7 +70,6 @@ proptest! {
                 let node = if on_gpu { Node::Gpu } else { Node::Cpu };
                 let hi = (vpn + span).min(DOMAIN);
                 let range = VpnRange::new(Vpn::new(vpn), Vpn::new(hi));
-                let (before, epoch) = (placement(&entries(&pt)), pt.placement_epoch());
                 match op {
                     0 | 1 => {
                         // One page, or every unpopulated page of the range.
@@ -138,14 +129,7 @@ proptest! {
                         twin.mark_dirty_range(range);
                     }
                 }
-                let now = entries(&pt);
-                if op >= 6 {
-                    prop_assert_eq!(pt.placement_epoch(), epoch, "dirty bits are not placement");
-                } else if placement(&now) != before {
-                    prop_assert_ne!(pt.placement_epoch(), epoch, "op {} moved a page without an epoch bump", op);
-                }
-                prop_assert_eq!(&now, &entries(&twin), "op {} diverged from per-page ops", op);
-                prop_assert_eq!(pt.placement_epoch(), twin.placement_epoch(), "op {}", op);
+                prop_assert_eq!(entries(&pt), entries(&twin), "op {} diverged from per-page ops", op);
                 let cpu = model.values().filter(|&&n| n == Node::Cpu).count() as u64;
                 let gpu = model.values().filter(|&&n| n == Node::Gpu).count() as u64;
                 prop_assert_eq!(pt.resident_pages(Node::Cpu), Pages::new(cpu));

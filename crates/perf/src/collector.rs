@@ -33,12 +33,12 @@ pub enum Ctr {
     KernelLaunches,
     /// `memcpy`/`memcpy_2d` calls through the `gh-cuda` runtime.
     Memcpys,
-    /// Placement runs processed by the batched access core (`gh-cuda`):
-    /// one classified resident/faulting run per increment. High
-    /// runs-per-span ratios mean fragmented placement.
+    /// Resident runs the fragment core (`gh-cuda`) charged in its queue:
+    /// one per fragment wholly resident on one node, or one per resident
+    /// run of a fragment split into placement runs.
     BatchRuns,
-    /// Kernel spans served whole by the stable-placement cache (buffer
-    /// placement unchanged since the last epoch — no classification walk).
+    /// Fragments whose placement the kernel already held, so they were
+    /// charged without a page-table query.
     FastSpans,
 }
 

@@ -47,9 +47,9 @@ session — library code never reads GH_* variables):
                    --perf/--perf-out); never changes simulated output
   GH_SANITIZE=0|1  force the invariant sanitizer off/on (default: on in
                    debug builds only)
-  GH_ACCESS_REF=1  use the per-line reference access path instead of the
-                   batched fast core (differential debugging; reports
-                   are bit-identical either way)"
+  GH_ACCESS_REF=1  use the per-page reference walk instead of the
+                   fragment core (differential debugging; reports are
+                   bit-identical either way)"
     );
     std::process::exit(2);
 }
@@ -369,9 +369,15 @@ fn run_extension(name: &str, f: &Flags) -> (grace_mem::RunReport, gh_perf::Perf)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = std::env::args_os().skip(1).map(|a| a.into_string());
+    let args: Vec<String> = args.collect::<Result<_, _>>().unwrap_or_else(|a| {
+        eprintln!("grace-mem: argument '{}' is not UTF-8", a.to_string_lossy());
+        std::process::exit(2);
+    });
     match args.first().map(String::as_str) {
         Some("list") => {
+            // `list` takes no argument: any is a usage error.
+            parse_flags("list", &[], &args[1..]);
             say!("paper applications:");
             for app in AppId::ALL {
                 say!("  {:<14} {}", app.name(), app.pattern());

@@ -5,6 +5,9 @@
 //! A flag its subcommand does not honour is a usage error too, and so are
 //! `--oversubscribe` in explicit mode and a stdout that takes no output.
 //! On a platform with no balloon, `--oversubscribe` only adds its note.
+//! Generated hostile argument vectors (non-UTF-8 bytes, empty, negative,
+//! non-finite or overflowing values, unknown flags, a flag missing its
+//! value) exit 2 with a one-line error, never a panic.
 
 use std::process::{Command, Output, Stdio};
 
@@ -237,5 +240,105 @@ fn each_subcommand_takes_exactly_the_flags_it_honours() {
                 );
             }
         }
+    }
+}
+
+/// SplitMix64: a seeded stream, so a failing vector replays.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n.max(1) as u64) as usize
+    }
+}
+
+#[cfg(unix)]
+#[test]
+fn hostile_arguments_exit_2_with_a_one_line_error() {
+    use std::ffi::OsString;
+    use std::os::unix::ffi::OsStringExt;
+
+    let trace = concat!(env!("CARGO_MANIFEST_DIR"), "/traces/example.trace");
+    // Each subcommand's own flags with valid values; `--trace-out` and
+    // `--perf-out` write files, so they stay out.
+    let run = [
+        &["--platform", "mi300a"][..],
+        &["--mode", "managed"],
+        &["--page", "4k"],
+        &["--no-migration"],
+        &["--json"],
+        &["--perf"],
+    ];
+    let subcommands: [(&[&str], Vec<&[&str]>); 7] = [
+        (&["list"], vec![]),
+        (
+            &["app", "srad"],
+            [&run[..], &[&["--oversubscribe", "1.5"], &["--small"]]].concat(),
+        ),
+        (&["app", "lud"], run.to_vec()),
+        (
+            &["qv", "4"],
+            [&run[..], &[&["--prefetch"], &["--amplitudes"]]].concat(),
+        ),
+        (&["replay", trace], run.to_vec()),
+        (&["advise", trace], vec![&["--platform", "gh200"]]),
+        (&["suite"], vec![&["--jobs", "2"], &["--small"]]),
+    ];
+    let not_utf8: [&[u8]; 3] = [b"\xff", b"--\xfe", b"/tmp/caf\xe9.trace"];
+    let tokens = [
+        "",
+        "-1",
+        "0",
+        "nan",
+        "1e309",
+        "18446744073709551616",
+        "--bogus",
+    ];
+    let mut rng = Rng(29);
+    for _ in 0..64 {
+        let (prefix, flags) = &subcommands[rng.below(subcommands.len())];
+        let mut argv: Vec<OsString> = prefix.iter().map(OsString::from).collect();
+        for _ in 0..rng.below(5) {
+            if let Some(flag) = flags.get(rng.below(flags.len())) {
+                argv.extend(flag.iter().map(OsString::from));
+            }
+        }
+        match rng.below(tokens.len() + 2) {
+            // A value-taking flag with nothing after it.
+            0 => {
+                let takes_value = flags.iter().filter(|f| f.len() == 2).map(|f| f[0]);
+                let takes_value: Vec<&str> = takes_value.collect();
+                let flag = takes_value.get(rng.below(takes_value.len()));
+                argv.push(flag.copied().unwrap_or("--mode").into());
+            }
+            k => {
+                let token = match tokens.get(k - 1) {
+                    Some(&t) => OsString::from(t),
+                    None => OsString::from_vec(not_utf8[rng.below(not_utf8.len())].to_vec()),
+                };
+                argv.insert(rng.below(argv.len() + 1), token);
+            }
+        }
+        let out = Command::new(env!("CARGO_BIN_EXE_grace-mem"))
+            .args(&argv)
+            .env("GH_SANITIZE", "0")
+            .output()
+            .expect("spawn grace-mem");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let first = stderr.lines().next().unwrap_or_default();
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
+        assert!(
+            first.starts_with("grace-mem:") || first.starts_with("usage:"),
+            "{argv:?}: {stderr}"
+        );
     }
 }

@@ -1,7 +1,10 @@
-//! Differential tests for the batched access path: the range-batched
-//! fast core and the retained per-page reference walk must produce
-//! byte-identical `RunReport`s — traffic, timings, samples, counters,
-//! trace, and sanitizer sections alike.
+//! Differential tests for the batched access path: the fragment core
+//! and the retained per-page reference walk must produce byte-identical
+//! `RunReport`s — traffic, timings, samples, counters, trace, and
+//! sanitizer sections alike — for every app on every platform at every
+//! page size the platform supports. gh200 at 4 KiB pages is where small
+//! runs meet system spans that are part CPU- and part GPU-resident after
+//! counter migration.
 //!
 //! These run in the debug/test profile, where the runtime invariant
 //! sanitizer defaults ON (`gh_units::sanitizer`), so every differential
@@ -12,17 +15,18 @@ use grace_mem::{platform, AppId, MachineConfig, MemMode, SessionOptions};
 
 const MIB: u64 = 1 << 20;
 
-/// Runs `app` on a fresh machine of platform `p` under session options
-/// `so` and returns the full serialized report.
+/// Runs `app` on a fresh machine of platform `p` under config `cfg` and
+/// session options `so` and returns the full serialized report.
 fn run_json(
     p: &dyn grace_mem::sim::platform::Platform,
+    cfg: &MachineConfig,
     app: AppId,
     mode: MemMode,
     so: &SessionOptions,
 ) -> String {
     let m = p
-        .machine_session(&MachineConfig::default(), so)
-        .expect("platform default configuration is valid");
+        .machine_session(cfg, so)
+        .expect("a supported page size is a valid configuration");
     app.run_small(m, mode).to_json()
 }
 
@@ -38,17 +42,20 @@ fn reference_walk() -> SessionOptions {
 #[test]
 fn batched_and_reference_paths_agree_for_every_app() {
     for p in platform::all() {
-        for app in AppId::ALL {
-            for mode in [MemMode::System, MemMode::Managed] {
-                let reference = run_json(p, app, mode, &reference_walk());
-                let batched = run_json(p, app, mode, &SessionOptions::default());
-                assert_eq!(
-                    reference,
-                    batched,
-                    "{}/{}/{mode}: batched core diverged from the reference walk",
-                    app.name(),
-                    p.caps().name,
-                );
+        for &page in p.caps().page_sizes {
+            let cfg = MachineConfig::with_page_size(page);
+            for app in AppId::ALL {
+                for mode in [MemMode::System, MemMode::Managed] {
+                    let reference = run_json(p, &cfg, app, mode, &reference_walk());
+                    let batched = run_json(p, &cfg, app, mode, &SessionOptions::default());
+                    assert_eq!(
+                        reference,
+                        batched,
+                        "{}/{}/{page}/{mode}: batched core diverged from the reference walk",
+                        app.name(),
+                        p.caps().name,
+                    );
+                }
             }
         }
     }
@@ -70,30 +77,32 @@ fn batched_and_reference_paths_agree_under_tracing() {
         ..Default::default()
     };
     for p in platform::all() {
-        for app in AppId::ALL {
-            for mode in [MemMode::System, MemMode::Managed] {
-                let what = format!("{}/{}/{mode}", app.name(), p.caps().name);
-                let cfg = MachineConfig::default();
-                let run = |so: &SessionOptions| {
-                    app.run_small(p.machine_session(&cfg, so).expect("valid config"), mode)
-                };
-                let reference = run(&traced(true));
-                let batched = run(&traced(false));
-                let ref_trace = reference.chrome_trace();
-                assert!(
-                    ref_trace.is_some(),
-                    "{what}: traced run must capture a trace section"
-                );
-                assert_eq!(
-                    reference.to_json(),
-                    batched.to_json(),
-                    "{what}: traced batched run diverged from the reference walk"
-                );
-                assert_eq!(
-                    ref_trace,
-                    batched.chrome_trace(),
-                    "{what}: batched run's trace event stream diverged"
-                );
+        for &page in p.caps().page_sizes {
+            let cfg = MachineConfig::with_page_size(page);
+            for app in AppId::ALL {
+                for mode in [MemMode::System, MemMode::Managed] {
+                    let what = format!("{}/{}/{page}/{mode}", app.name(), p.caps().name);
+                    let run = |so: &SessionOptions| {
+                        app.run_small(p.machine_session(&cfg, so).expect("valid config"), mode)
+                    };
+                    let reference = run(&traced(true));
+                    let batched = run(&traced(false));
+                    let ref_trace = reference.chrome_trace();
+                    assert!(
+                        ref_trace.is_some(),
+                        "{what}: traced run must capture a trace section"
+                    );
+                    assert_eq!(
+                        reference.to_json(),
+                        batched.to_json(),
+                        "{what}: traced batched run diverged from the reference walk"
+                    );
+                    assert_eq!(
+                        ref_trace,
+                        batched.chrome_trace(),
+                        "{what}: batched run's trace event stream diverged"
+                    );
+                }
             }
         }
     }

@@ -1,10 +1,12 @@
-//! Seeded differential test of `Kernel::fragments`, the fragment-list
-//! access core. Every list call must leave the `RunReport`, the trace
-//! stream and each kernel's per-buffer attribution exactly as
+//! Seeded differential test of `Kernel::fragments`, the access core
+//! every metered access goes through. Every list call must leave the
+//! `RunReport`, the trace stream and each kernel's per-buffer attribution
+//! exactly as
 //!
-//! * the same fragments issued one call each (`read`/`write` for dense
-//!   fragments, a one-segment `read_strided`/`write_strided` for
-//!   irregular ones), and
+//! * the same fragments issued one call each (`read`/`write`, which are
+//!   one-fragment calls, for dense fragments; a one-segment
+//!   `read_strided`/`write_strided` for irregular ones), so merging
+//!   across a list changes nothing, and
 //! * the same list call under the per-page reference walk
 //!   (`SessionOptions::access_ref`).
 //!
