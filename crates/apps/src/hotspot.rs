@@ -12,7 +12,7 @@
 //! in order, holding the old copy of the row above in a one-row buffer,
 //! so every cell still reads only old values. Each row handles its first
 //! and last columns on their own, then runs the interior as one
-//! branch-free loop over zipped neighbour slices. [`reference`] is the
+//! branch-free loop over zipped neighbour slices. [`reference()`] is the
 //! scalar oracle; `run`'s checksum equals its bits.
 
 use gh_par::par_chunks_mut;

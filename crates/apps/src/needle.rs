@@ -9,7 +9,7 @@
 //! the column's base, never from a host copy of the `(n+1)²` reference
 //! matrix: the scores are the same integers, so the DP is unchanged. The
 //! modelled GPU still reads the matrix, so `needle.ref` is metered as
-//! before. [`reference`] builds the matrix and is the oracle.
+//! before. [`reference()`] builds the matrix and is the oracle.
 
 use gh_profiler::Phase;
 use gh_sim::{Machine, MemMode, RunReport};

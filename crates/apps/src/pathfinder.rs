@@ -10,7 +10,7 @@
 //! `rows_per_kernel` rows, so the host never holds the whole grid and
 //! input generation stays outside the kernel.
 //! The DP step is a row kernel: the two edge columns on their own, then
-//! one branch-free loop over the interior. [`reference`] is the scalar
+//! one branch-free loop over the interior. [`reference()`] is the scalar
 //! oracle; `run`'s checksum equals it exactly.
 
 use gh_par::par_chunks_mut;

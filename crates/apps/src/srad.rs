@@ -15,7 +15,7 @@
 //! row handles its first and last columns on their own, then runs the
 //! interior as one branch-free loop over zipped neighbour slices. Every
 //! pixel takes the scalar stencils' f32 operations in their order, so
-//! [`reference`] is the oracle and `run`'s checksum equals its bits.
+//! [`reference()`] is the oracle and `run`'s checksum equals its bits.
 
 use gh_par::par_chunks_mut;
 use gh_profiler::Phase;

@@ -11,7 +11,7 @@
 /// Token classes the rules distinguish.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
-    /// Identifier or keyword (`self`, `for`, `HashMap`, ...).
+    /// Identifier or keyword (`self`, `for`, `Vec`, ...).
     Ident,
     /// Lifetime (`'a`) — distinct from char literals.
     Lifetime,

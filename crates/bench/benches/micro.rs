@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the simulator's hot primitives: page table
-//! operations, TLB lookups, the radix map, the L2 model, runtime boot,
-//! kernel span metering (system and managed memory), page migration and
-//! unmapping, statevector gate application and the parallel substrate.
+//! operations at 4 KiB and 64 KiB pages, TLB lookups, the L2 model,
+//! runtime boot, kernel span metering (system and managed memory), page
+//! migration and unmapping, statevector gate application and the parallel
+//! substrate.
 //!
 //! Self-timed (the offline dependency set has no criterion): each case
 //! runs a few warmup iterations, then reports min/median wall time over a
@@ -11,7 +12,6 @@ use std::hint::black_box;
 
 use gh_mem::pagetable::PageTable;
 use gh_mem::phys::{Node, PhysMem};
-use gh_mem::radix::RadixTable;
 use gh_mem::tlb::Tlb;
 use gh_qsim::{Gate2, StateVector};
 use gh_sim::{platform, MachineConfig, MemMode};
@@ -57,36 +57,25 @@ where
     println!("{name:<40} min {:>12} ns   median {:>12} ns", min, median);
 }
 
-fn bench_radix() {
-    bench("radix_insert_get_4k", RadixTable::new, |mut t| {
-        for k in 0..4096u64 {
-            t.insert(k, k);
-        }
-        let mut acc = 0;
-        for k in 0..4096u64 {
-            acc += *t.get(k).unwrap();
-        }
-        acc
-    });
-}
-
 fn bench_pagetable() {
-    bench(
-        "pagetable_populate_translate_4k_pages",
-        || PageTable::new(4096),
-        |mut pt| {
-            for v in 0..2048 {
-                pt.populate(Vpn::new(v), Node::Cpu, v + 1);
-            }
-            let mut hits = 0;
-            for v in 0..2048 {
-                if pt.translate(Vpn::new(v)).is_some() {
-                    hits += 1;
+    for (name, page) in [("4k", 4 << 10), ("64k", 64 << 10)] {
+        bench(
+            &format!("pagetable_populate_translate_{name}_pages"),
+            || PageTable::new(page),
+            |mut pt| {
+                for v in 0..2048 {
+                    pt.populate(Vpn::new(v), Node::Cpu, v + 1);
                 }
-            }
-            hits
-        },
-    );
+                let mut hits = 0;
+                for v in 0..2048 {
+                    if pt.translate(Vpn::new(v)).is_some() {
+                        hits += 1;
+                    }
+                }
+                hits
+            },
+        );
+    }
 }
 
 fn bench_tlb() {
@@ -356,7 +345,6 @@ fn bench_app_end_to_end() {
 }
 
 fn main() {
-    bench_radix();
     bench_pagetable();
     bench_tlb();
     bench_physmem();

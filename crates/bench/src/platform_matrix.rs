@@ -17,7 +17,7 @@ use gh_sim::platform;
 
 use crate::util::{export_trace, ratio, session_opts};
 
-/// Rows: (app, mode, <name>_ms per platform..., mi300a_over_gh200).
+/// Rows: (app, mode, `<name>_ms` per platform..., mi300a_over_gh200).
 pub fn run(fast: bool) -> Csv {
     let platforms = platform::all();
     let mut header: Vec<String> = vec!["app".into(), "mode".into()];

@@ -2,7 +2,7 @@
 //!
 //! Benches are a *boundary*: this module is where the `GH_TRACE` and
 //! `GH_TRACE_OUT` env vars are read and folded into per-run
-//! [`SessionOptions`](gh_cuda::SessionOptions). Library code below this
+//! [`SessionOptions`]. Library code below this
 //! layer never touches the environment (clippy `disallowed-methods`).
 
 use gh_apps::{AppId, MemMode};

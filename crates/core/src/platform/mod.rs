@@ -2,7 +2,7 @@
 //!
 //! Experiment layers (apps, bench, replay, the CLI) must not name
 //! concrete cost-model types — they ask a [`Platform`] for a
-//! [`Machine`](crate::Machine) and read the platform's capabilities from
+//! [`Machine`] and read the platform's capabilities from
 //! [`PlatformCaps`] to decide which experiments are meaningful. The
 //! gh-audit rule `no-platform-leak` enforces the seam.
 //!

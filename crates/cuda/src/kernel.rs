@@ -268,7 +268,6 @@ pub struct Kernel<'r> {
     c2c_write_lines: Lines,
     c2c_read_lines_rand: Lines,
     c2c_write_lines_rand: Lines,
-    xlat_misses: u64,
     t: KernelTraffic,
     /// Per-buffer byte attribution.
     by_buffer: std::collections::BTreeMap<u32, BufBytes>,
@@ -312,7 +311,6 @@ impl<'r> Kernel<'r> {
             c2c_write_lines: Lines::ZERO,
             c2c_read_lines_rand: Lines::ZERO,
             c2c_write_lines_rand: Lines::ZERO,
-            xlat_misses: 0,
             t: KernelTraffic::default(),
             by_buffer: std::collections::BTreeMap::new(),
             memo: Memo::default(),
@@ -578,7 +576,6 @@ impl<'r> Kernel<'r> {
     }
 
     fn count_misses(&mut self, misses: u64) {
-        self.xlat_misses = self.xlat_misses.saturating_add(misses);
         self.t.tlb_misses = self.t.tlb_misses.saturating_add(misses);
     }
 
@@ -1313,7 +1310,7 @@ impl<'r> Kernel<'r> {
             Direction::D2H,
             r_eff,
         );
-        mem += self.xlat_misses * p.ats_translate / XLAT_OUTSTANDING;
+        mem += self.t.tlb_misses * p.ats_translate / XLAT_OUTSTANDING;
         let compute = ns_from_f64((self.compute_units as f64 / p.gpu_throughput).ceil());
         self.rt.tick(mem.max(compute));
 

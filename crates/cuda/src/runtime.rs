@@ -9,7 +9,6 @@ use gh_mem::params::CostParams;
 use gh_mem::phys::{Node, OutOfMemory, PhysMem};
 use gh_mem::smmu::Smmu;
 use gh_mem::tlb::{tlb_key_gpu, Tlb};
-use gh_mem::IntHash;
 use gh_os::{Os, OsConfig, VmaKind};
 use gh_profiler::MemProfiler;
 use gh_units::{Bytes, Lines, Vpn};
@@ -75,21 +74,17 @@ pub struct Runtime {
     pub(crate) profiler: MemProfiler,
     pub(crate) uvm: UvmState,
     pub(crate) streams: crate::streams::State,
-    #[expect(clippy::disallowed_types, reason = "keyed lookup only; never iterated")]
-    allocs: std::collections::HashMap<u32, (Buffer, String), IntHash>,
+    allocs: std::collections::BTreeMap<u32, (Buffer, String)>,
     /// Access-counter notifications waiting for driver service (FIFO,
     /// drained `counter_budget_per_kernel` at a time at kernel end).
     pub(crate) pending_notifs: std::collections::VecDeque<u64>,
     /// Allocations with migration advised off (`cudaMemAdvise`).
-    #[expect(clippy::disallowed_types, reason = "keyed lookup only; never iterated")]
-    pub(crate) advise_no_migrate: std::collections::HashSet<u64, IntHash>,
+    pub(crate) advise_no_migrate: std::collections::BTreeSet<u64>,
     /// Remotely-touched system pages per counter region, accumulated
     /// across kernels; the migration driver moves exactly these (touched)
     /// pages, which is what produces 64 KiB-page amplification for
     /// sparse access patterns (Fig 7).
-    #[expect(clippy::disallowed_types, reason = "keyed lookup only; never iterated")]
-    pub(crate) remote_touched:
-        std::collections::HashMap<u64, std::collections::BTreeSet<Vpn>, IntHash>,
+    pub(crate) remote_touched: std::collections::BTreeMap<u64, std::collections::BTreeSet<Vpn>>,
     next_buf: u32,
     ctx_ready: bool,
     pub(crate) kernel_seq: u64,

@@ -29,7 +29,7 @@
 //! The driver's host work is per block, plus the per-page PTE rewrite a
 //! migration cannot avoid. The page table counts each block's pages per
 //! node, so a residency query over a block reads two counters. Every
-//! migration goes through [`Runtime::move_pages`]: one frame reservation
+//! migration goes through `Runtime::move_pages`: one frame reservation
 //! and one page-table pass. Its per-page GPU TLB shootdown probes run only
 //! while the TLB holds a system-space entry; GPU accesses to GPU-resident
 //! blocks use GPU-space keys, which only eviction would shoot down. The
@@ -41,7 +41,6 @@ use gh_mem::link::Direction;
 use gh_mem::params::CostParams;
 use gh_mem::phys::Node;
 use gh_mem::tlb::tlb_key_sys;
-use gh_mem::IntHash;
 use gh_os::VaRange;
 use gh_units::{widen, Bytes, Pages, Vpn, VpnRange};
 
@@ -151,8 +150,7 @@ pub struct UvmState {
     /// Allocations the driver has pinned CPU-side after repeated
     /// thrashing (the `uvm_perf_thrashing` behaviour: all access remote
     /// until an explicit prefetch pulls data back).
-    #[expect(clippy::disallowed_types, reason = "keyed lookup only; never iterated")]
-    pub(crate) pinned_cpu: std::collections::HashSet<u64, IntHash>,
+    pub(crate) pinned_cpu: std::collections::BTreeSet<u64>,
 }
 
 impl UvmState {

@@ -25,10 +25,9 @@ pub struct AccessCounters {
     region_size: u64,
     threshold: u32,
     enabled: bool,
-    /// `BTreeMap` (not `HashMap`): any future iteration — and the batched
-    /// notification sweep in the kernel driver — must see deterministic
-    /// region order, or notification order leaks hash-seed nondeterminism
-    /// into RunReports.
+    /// A `BTreeMap`, so any iteration, and the batched notification sweep
+    /// in the kernel driver, sees regions in address order: notification
+    /// order reaches RunReports.
     counts: BTreeMap<u64, u64>,
     /// Regions that already fired and have not been cleared; they do not
     /// fire again until cleared (mirrors the driver acking the interrupt).

@@ -7,7 +7,8 @@
 //! * two physical memory tiers (Grace LPDDR5X and Hopper HBM3) exposed as
 //!   NUMA nodes ([`phys`]);
 //! * an integrated *system-wide page table* with 4 KB or 64 KB pages plus a
-//!   *GPU-exclusive page table* with 2 MB pages ([`pagetable`]);
+//!   *GPU-exclusive page table* with 2 MB pages, each one dense index of
+//!   2 MB blocks of address space ([`pagetable`]);
 //! * the GPU TLB and the SMMU that services Address Translation Service
 //!   (ATS) requests arriving over NVLink-C2C ([`tlb`], [`smmu`]);
 //! * the cache-coherent NVLink-C2C interconnect with its cacheline-grain
@@ -44,12 +45,10 @@
 pub mod cache;
 pub mod clock;
 pub mod counters;
-pub mod hash;
 pub mod link;
 pub mod pagetable;
 pub mod params;
 pub mod phys;
-pub mod radix;
 pub mod smmu;
 pub mod tlb;
 pub mod traffic;
@@ -57,7 +56,6 @@ pub mod traffic;
 pub use cache::SetCache;
 pub use clock::{Clock, Ns};
 pub use counters::{AccessCounters, Notification};
-pub use hash::IntHash;
 pub use link::{Direction, Link};
 pub use pagetable::{PageTable, Pte};
 pub use params::{CostParams, ParamError, KIB, MIB};

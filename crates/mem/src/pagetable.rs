@@ -10,26 +10,24 @@
 //!   GMMU), with 2 MiB pages, holding `cudaMalloc` allocations and managed
 //!   pages whose current physical location is GPU memory.
 //!
-//! Entries are keyed by virtual page number (`vaddr / page_size`) in a
-//! sparse radix map. Beside the entries, each table counts its populated
-//! pages per node for every 2 MiB block of address space (one radix leaf
-//! at 4 KiB pages, 32 pages at 64 KiB, one page of the GPU table), in a
-//! vector indexed by block number. The range queries answer a block that
-//! the range covers whole, or whose pages all share one state, from its
-//! counts; they read slots only in a mixed block the range cuts. A
-//! migration rewrites each moved entry and updates its block's counts
-//! once.
+//! Entries are keyed by virtual page number (`vaddr / page_size`) in one
+//! dense index of blocks, each covering 2 MiB of address space (512 pages
+//! at 4 KiB, 32 at 64 KiB, one page of the GPU table). A block counts its
+//! populated pages per node and, while any of them is populated, holds
+//! one slot per page. The range queries answer a block that the range
+//! covers whole, or whose pages all share one state, from its counts;
+//! they read slots only in a mixed block the range cuts. A migration
+//! rewrites each moved entry and updates its block's counts once.
 
 use crate::phys::Node;
-use crate::radix::{self, RadixTable};
-use gh_units::{widen, Bytes, PageSize, Pages, Vpn, VpnRange};
+use gh_units::{Bytes, PageSize, Pages, Vpn, VpnRange};
 
 /// One maximal run of pages sharing a placement state: `Some(node)` when
 /// every page is populated and resident on `node`, `None` when every page
 /// is unpopulated.
 pub type PlacementRun = (VpnRange, Option<Node>);
 
-/// Address space covered by one residency block.
+/// Address space covered by one block.
 const BLOCK_BYTES: u64 = 2 * 1024 * 1024;
 
 /// A page table entry: where the page physically lives.
@@ -68,21 +66,40 @@ impl Residency {
     }
 }
 
+/// One block of address space.
+#[derive(Debug, Clone, Default)]
+struct Block {
+    /// Populated pages per node (CPU, GPU).
+    counts: [u32; 2],
+    /// One slot per page, allocated when the block's first page is
+    /// populated and dropped when its counts reach zero (an empty box
+    /// allocates nothing).
+    slots: Box<[Option<Pte>]>,
+}
+
+impl Block {
+    /// Drops the slots of a block with no populated page left.
+    fn free_if_empty(&mut self) {
+        if self.counts == [0, 0] {
+            self.slots = Box::default();
+        }
+    }
+}
+
 /// A single page table with fixed page size.
 #[derive(Debug, Clone)]
 pub struct PageTable {
     page: PageSize,
-    entries: RadixTable<Pte>,
     resident: [Pages; 2], // pages per node
-    /// log2 of the pages per residency block: 2 MiB of address space, or
-    /// one page when pages are 2 MiB or larger.
+    /// log2 of the pages per block: 2 MiB of address space, or one page
+    /// when pages are 2 MiB or larger.
     block_shift: u32,
-    /// Populated pages per node (CPU, GPU) of each block, indexed by block
-    /// number (`vpn >> block_shift`) and grown on demand. The index is
-    /// dense because the OS hands out 2 MiB-aligned virtual addresses from
-    /// a cursor that starts at 2 MiB and only grows (`Os::mmap`): the
-    /// table costs 8 bytes per 2 MiB of address space ever mapped.
-    blocks: Vec<[u32; 2]>,
+    /// Every block, indexed by block number (`vpn >> block_shift`) and
+    /// grown on demand. The index is dense because the OS hands out
+    /// 2 MiB-aligned virtual addresses from a cursor that starts at 2 MiB
+    /// and only grows (`Os::mmap`): a block without slots costs 24 bytes
+    /// per 2 MiB of address space ever mapped.
+    blocks: Vec<Block>,
 }
 
 impl PageTable {
@@ -91,7 +108,6 @@ impl PageTable {
     pub fn new(page_size: u64) -> Self {
         Self {
             page: PageSize::new(page_size),
-            entries: RadixTable::new(),
             resident: [Pages::ZERO, Pages::ZERO],
             block_shift: (BLOCK_BYTES / page_size).max(1).trailing_zeros(),
             blocks: Vec::new(),
@@ -123,12 +139,13 @@ impl PageTable {
 
     /// Looks up the entry for `vpn`.
     pub fn translate(&self, vpn: Vpn) -> Option<&Pte> {
-        self.entries.get(vpn.get())
+        let (b, i) = self.locate(vpn.get());
+        self.blocks.get(b)?.slots.get(i)?.as_ref()
     }
 
     /// Whether `vpn` has a populated entry.
     pub fn is_populated(&self, vpn: Vpn) -> bool {
-        self.entries.get(vpn.get()).is_some()
+        self.translate(vpn).is_some()
     }
 
     /// Installs a fresh entry mapping `vpn` to a frame on `node`.
@@ -136,35 +153,36 @@ impl PageTable {
     /// Panics if the page is already populated — the OS/driver must unmap
     /// first; double population is always a simulator bug.
     pub fn populate(&mut self, vpn: Vpn, node: Node, frame: u64) {
-        let old = self.entries.insert(
-            vpn.get(),
-            Pte {
-                node,
-                frame,
-                dirty: false,
-            },
-        );
-        assert!(old.is_none(), "double population of {vpn}");
-        self.resident[node_idx(node)] += Pages::new(1);
-        let b = self.block_of(vpn.get());
+        let (b, i) = self.locate(vpn.get());
         if b >= self.blocks.len() {
-            self.blocks.resize(b + 1, [0; 2]);
+            self.blocks.resize_with(b + 1, Block::default);
         }
-        let c = &mut self.blocks[b][node_idx(node)];
+        let len = 1 << self.block_shift;
+        let block = &mut self.blocks[b];
+        if block.slots.is_empty() {
+            block.slots = vec![None; len].into_boxed_slice();
+        }
+        let old = block.slots[i].replace(Pte {
+            node,
+            frame,
+            dirty: false,
+        });
+        assert!(old.is_none(), "double population of {vpn}");
+        let c = &mut block.counts[node_idx(node)];
         *c = c.saturating_add(1);
+        self.resident[node_idx(node)] += Pages::new(1);
     }
 
     /// Removes the entry for `vpn`, returning it.
     pub fn unmap(&mut self, vpn: Vpn) -> Option<Pte> {
-        let pte = self.entries.remove(vpn.get());
-        if let Some(p) = pte {
-            self.resident[node_idx(p.node)] -= Pages::new(1);
-            let b = self.block_of(vpn.get());
-            if let Some(c) = self.blocks.get_mut(b) {
-                c[node_idx(p.node)] = c[node_idx(p.node)].saturating_sub(1);
-            }
-        }
-        pte
+        let (b, i) = self.locate(vpn.get());
+        let block = self.blocks.get_mut(b)?;
+        let pte = block.slots.get_mut(i)?.take()?;
+        let c = &mut block.counts[node_idx(pte.node)];
+        *c = c.saturating_sub(1);
+        block.free_if_empty();
+        self.resident[node_idx(pte.node)] -= Pages::new(1);
+        Some(pte)
     }
 
     /// Rewrites the entry for `vpn` to point at `node`/`frame` (migration).
@@ -174,21 +192,21 @@ impl PageTable {
             clippy::panic,
             reason = "remap of an unpopulated page is a simulator logic error"
         )]
-        let e = self
-            .entries
-            .get_mut(vpn.get())
+        let old = *self
+            .translate(vpn)
             .unwrap_or_else(|| panic!("remap of unpopulated {vpn}"));
-        let old = *e;
+        let (b, i) = self.locate(vpn.get());
+        let block = &mut self.blocks[b];
+        block.slots[i] = Some(Pte {
+            node,
+            frame,
+            dirty: false,
+        });
+        let c = &mut block.counts;
+        c[node_idx(old.node)] = c[node_idx(old.node)].saturating_sub(1);
+        c[node_idx(node)] = c[node_idx(node)].saturating_add(1);
         self.resident[node_idx(old.node)] -= Pages::new(1);
         self.resident[node_idx(node)] += Pages::new(1);
-        e.node = node;
-        e.frame = frame;
-        e.dirty = false;
-        let b = self.block_of(vpn.get());
-        if let Some(c) = self.blocks.get_mut(b) {
-            c[node_idx(old.node)] = c[node_idx(old.node)].saturating_sub(1);
-            c[node_idx(node)] = c[node_idx(node)].saturating_add(1);
-        }
         old
     }
 
@@ -196,8 +214,8 @@ impl PageTable {
     /// pages get frames `first_frame`, `first_frame + 1`, ... in ascending
     /// VPN order, and `moved` sees each one. Entries and frames end up as
     /// under one [`PageTable::remap`] per page. A block with nothing
-    /// on `from` is skipped on its counts; any other is rewritten with one
-    /// directory probe and one count update.
+    /// on `from` is skipped on its counts; any other has its slots
+    /// rewritten and its counts updated once.
     pub fn remap_range(
         &mut self,
         vpns: VpnRange,
@@ -206,36 +224,27 @@ impl PageTable {
         first_frame: u64,
         mut moved: impl FnMut(Vpn),
     ) -> Pages {
-        let (lo, hi) = (vpns.start.get(), vpns.end.get());
         let mut frame = first_frame;
-        let mut k = lo;
-        while k < hi {
-            let end = self.chunk_end(k, hi);
-            let b = self.block_of(k);
-            let on_from = self.blocks.get(b).map_or(0, |c| c[node_idx(from)]);
-            if on_from > 0 {
-                if let Some(leaf) = self.entries.leaf_mut(radix::leaf_index(k)) {
-                    let base = radix::leaf_base(k);
-                    let mut n = 0u32;
-                    for i in (k - base)..(end - base) {
-                        if let Some(pte) = leaf[i as usize].as_mut().filter(|p| p.node == from) {
-                            *pte = Pte {
-                                node: to,
-                                frame,
-                                dirty: false,
-                            };
-                            frame += 1;
-                            n += 1;
-                            moved(Vpn::new(base + i));
-                        }
-                    }
-                    let c = &mut self.blocks[b];
-                    c[node_idx(from)] = c[node_idx(from)].saturating_sub(n);
-                    c[node_idx(to)] = c[node_idx(to)].saturating_add(n);
+        self.walk_mut(vpns, |k, c, slots| {
+            if c[node_idx(from)] == 0 {
+                return;
+            }
+            let mut n = 0u32;
+            for (key, slot) in (k..).zip(slots) {
+                if let Some(pte) = slot.as_mut().filter(|p| p.node == from) {
+                    *pte = Pte {
+                        node: to,
+                        frame,
+                        dirty: false,
+                    };
+                    frame += 1;
+                    n += 1;
+                    moved(Vpn::new(key));
                 }
             }
-            k = end;
-        }
+            c[node_idx(from)] = c[node_idx(from)].saturating_sub(n);
+            c[node_idx(to)] = c[node_idx(to)].saturating_add(n);
+        });
         let n = Pages::new(frame - first_frame);
         self.resident[node_idx(from)] -= n;
         self.resident[node_idx(to)] += n;
@@ -244,8 +253,13 @@ impl PageTable {
 
     /// Marks `vpn` dirty (a write hit the page). No-op if unpopulated.
     pub fn mark_dirty(&mut self, vpn: Vpn) {
-        if let Some(e) = self.entries.get_mut(vpn.get()) {
-            e.dirty = true;
+        let (b, i) = self.locate(vpn.get());
+        if let Some(pte) = self
+            .blocks
+            .get_mut(b)
+            .and_then(|block| block.slots.get_mut(i)?.as_mut())
+        {
+            pte.dirty = true;
         }
     }
 
@@ -261,7 +275,7 @@ impl PageTable {
 
     /// Total populated pages.
     pub fn populated_pages(&self) -> Pages {
-        Pages::new(widen(self.entries.len()))
+        self.resident[0] + self.resident[1]
     }
 
     /// Counts populated pages in `vpns` residing on `node` (one half of
@@ -384,53 +398,76 @@ impl PageTable {
     /// Marks every populated page in `vpns` dirty (batched
     /// [`PageTable::mark_dirty`]).
     pub fn mark_dirty_range(&mut self, vpns: VpnRange) {
-        self.entries
-            .for_each_in_range_mut(vpns.start.get(), vpns.end.get(), |_, e| e.dirty = true);
+        self.walk_mut(vpns, |_, _, slots| {
+            for pte in slots.iter_mut().flatten() {
+                pte.dirty = true;
+            }
+        });
     }
 
     /// Unmaps every populated page in the VPN range, returning the removed
     /// entries in ascending VPN order (for frame release), as one
-    /// [`PageTable::unmap`] per page would. Drains a radix leaf at a time.
+    /// [`PageTable::unmap`] per page would. Drains a block at a time.
     pub fn unmap_range(&mut self, vpns: VpnRange) -> Vec<(Vpn, Pte)> {
-        let (lo, hi) = (vpns.start.get(), vpns.end.get());
         let mut removed = Vec::new();
-        let shift = self.block_shift;
-        let blocks = &mut self.blocks;
         let mut gone = [0u64; 2];
-        let mut k = lo;
-        while k < hi {
-            let end = hi.min(radix::leaf_base(k) + widen(radix::LEAF_LEN));
-            self.entries.drain_range(k, end, |key, pte| {
-                gone[node_idx(pte.node)] += 1;
-                if let Some(c) = blocks.get_mut((key >> shift) as usize) {
-                    c[node_idx(pte.node)] = c[node_idx(pte.node)].saturating_sub(1);
+        self.walk_mut(vpns, |k, c, slots| {
+            for (key, slot) in (k..).zip(slots) {
+                if let Some(pte) = slot.take() {
+                    let n = node_idx(pte.node);
+                    c[n] = c[n].saturating_sub(1);
+                    gone[n] += 1;
+                    removed.push((Vpn::new(key), pte));
                 }
-                removed.push((Vpn::new(key), pte));
-            });
-            k = end;
-        }
+            }
+        });
         for (i, g) in gone.into_iter().enumerate() {
             self.resident[i] -= Pages::new(g);
         }
         removed
     }
 
-    /// Residency block holding VPN `key`.
-    fn block_of(&self, key: u64) -> usize {
-        (key >> self.block_shift) as usize
+    /// Calls `f(k, counts, slots)` on each chunk `[k, end)` of `vpns` whose
+    /// block holds slots, with the block's counts and the chunk's slots.
+    /// A block that `f` leaves with no populated page drops its slots.
+    fn walk_mut(
+        &mut self,
+        vpns: VpnRange,
+        mut f: impl FnMut(u64, &mut [u32; 2], &mut [Option<Pte>]),
+    ) {
+        let (lo, hi) = (vpns.start.get(), vpns.end.get());
+        let mut k = lo;
+        while k < hi {
+            let end = self.chunk_end(k, hi);
+            let (b, i) = self.locate(k);
+            let chunk = i..i + (end - k) as usize;
+            if let Some(block) = self.blocks.get_mut(b) {
+                if let Some(slots) = block.slots.get_mut(chunk) {
+                    f(k, &mut block.counts, slots);
+                    block.free_if_empty();
+                }
+            }
+            k = end;
+        }
     }
 
-    /// Pages per residency block.
+    /// The block holding VPN `key`, and the key's slot in it.
+    fn locate(&self, key: u64) -> (usize, usize) {
+        (
+            (key >> self.block_shift) as usize,
+            (key & (self.block_len() - 1)) as usize,
+        )
+    }
+
+    /// Pages per block.
     fn block_len(&self) -> u64 {
         1 << self.block_shift
     }
 
     /// The populated-page counts of the block holding VPN `key`.
     fn counts(&self, key: u64) -> [u32; 2] {
-        self.blocks
-            .get(self.block_of(key))
-            .copied()
-            .unwrap_or([0; 2])
+        let (b, _) = self.locate(key);
+        self.blocks.get(b).map_or([0; 2], |block| block.counts)
     }
 
     /// The state every page of a block shares, when its counts say:
@@ -447,20 +484,19 @@ impl PageTable {
     }
 
     /// End of the chunk of `[k, hi)` that starts at `k`: chunks never
-    /// cross a block or a radix leaf boundary.
+    /// cross a block boundary.
     fn chunk_end(&self, k: u64, hi: u64) -> u64 {
-        let step = self.block_len().min(widen(radix::LEAF_LEN));
-        hi.min((k / step + 1) * step)
+        hi.min(((k >> self.block_shift) + 1) << self.block_shift)
     }
 
-    /// The slots of the chunk `[k, end)` (empty when its leaf is absent,
-    /// which the block counts rule out for a mixed block).
+    /// The slots of the chunk `[k, end)` (empty when its block holds
+    /// none, which the block counts rule out for a mixed block).
     fn slots(&self, k: u64, end: u64) -> &[Option<Pte>] {
-        let base = radix::leaf_base(k);
-        match self.entries.leaf(radix::leaf_index(k)) {
-            Some(leaf) => &leaf[(k - base) as usize..(end - base) as usize],
-            None => &[],
-        }
+        let (b, i) = self.locate(k);
+        self.blocks
+            .get(b)
+            .and_then(|block| block.slots.get(i..i + (end - k) as usize))
+            .unwrap_or(&[])
     }
 }
 
@@ -474,7 +510,8 @@ fn node_idx(n: Node) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::KIB;
+    use crate::params::{KIB, MIB};
+    use std::collections::BTreeMap;
 
     fn v(n: u64) -> Vpn {
         Vpn::new(n)
@@ -592,6 +629,79 @@ mod tests {
     }
 
     #[test]
+    fn an_emptied_block_frees_its_slots() {
+        // Block 3 gets pages at its start, middle and end, and blocks 2
+        // and 4 one page each beside it. Block 3 is emptied by `unmap`
+        // one page at a time, then refilled and emptied by a partial and
+        // then a whole `unmap_range`. Each block holds slot storage
+        // exactly while one of its pages is populated.
+        for page in [4 * KIB, 64 * KIB, 2 * MIB] {
+            let mut t = PageTable::new(page);
+            let len = t.block_len();
+            let base = 3 * len;
+            let mine = [base, base + len / 2, base + len - 1];
+            let mut model: BTreeMap<u64, Node> = BTreeMap::new();
+            let check = |t: &PageTable, model: &BTreeMap<u64, Node>| {
+                for k in 2 * len..5 * len {
+                    let got = t.translate(v(k)).map(|p| p.node);
+                    assert_eq!(got, model.get(&k).copied(), "{page}: vpn {k}");
+                }
+                for q in [r(base, base + len), r(base - 1, base + len + 1)] {
+                    let on = |n| {
+                        let it = model.range(q.start.get()..q.end.get());
+                        Pages::new(it.filter(|e| *e.1 == n).count() as u64)
+                    };
+                    let want = Residency {
+                        cpu: on(Node::Cpu),
+                        gpu: on(Node::Gpu),
+                    };
+                    assert_eq!(t.residency(q), want, "{page}: {q}");
+                }
+                for b in 2..5 {
+                    let populated = model.range(b * len..(b + 1) * len).next().is_some();
+                    let slots = !t.blocks[b as usize].slots.is_empty();
+                    assert_eq!(slots, populated, "{page}: block {b}");
+                }
+            };
+            let fill = |t: &mut PageTable, model: &mut BTreeMap<u64, Node>| {
+                for (i, &k) in mine.iter().enumerate() {
+                    if let std::collections::btree_map::Entry::Vacant(e) = model.entry(k) {
+                        let node = if i == 1 { Node::Gpu } else { Node::Cpu };
+                        t.populate(v(k), node, k);
+                        e.insert(node);
+                    }
+                }
+                check(t, model);
+            };
+            for k in [base - 1, base + len] {
+                t.populate(v(k), Node::Gpu, k);
+                model.insert(k, Node::Gpu);
+            }
+            fill(&mut t, &mut model);
+            for k in mine {
+                assert_eq!(t.unmap(v(k)).is_some(), model.remove(&k).is_some());
+                check(&t, &model);
+            }
+            assert_eq!(t.unmap(v(base)), None);
+            fill(&mut t, &mut model);
+            // Partial: block 2's page and all of block 3 but its last page.
+            let removed = t.unmap_range(r(base - 1, base + len - 1));
+            let want: Vec<u64> = model
+                .range(base - 1..base + len - 1)
+                .map(|e| *e.0)
+                .collect();
+            assert_eq!(removed.iter().map(|e| e.0.get()).collect::<Vec<_>>(), want);
+            model.retain(|k, _| !(base - 1..base + len - 1).contains(k));
+            check(&t, &model);
+            // Whole: the last page goes, and block 4's page stays.
+            assert_eq!(t.unmap_range(r(base, base + len)).len(), 1);
+            model.remove(&(base + len - 1));
+            check(&t, &model);
+            fill(&mut t, &mut model);
+        }
+    }
+
+    #[test]
     fn classify_runs_splits_by_state() {
         let mut t = table();
         // [0,3) on CPU, [3,5) unpopulated, [5,8) on GPU.
@@ -614,10 +724,10 @@ mod tests {
     }
 
     #[test]
-    fn classify_runs_merges_across_leaf_boundaries() {
+    fn classify_runs_merges_across_block_boundaries() {
         let mut t = table();
-        // Leaf 0 fully CPU-resident, plus the first pages of leaf 1: one
-        // maximal run even though the fast full-leaf path answered leaf 0.
+        // Block 0 fully CPU-resident, plus the first pages of block 1: one
+        // maximal run even though the counts answered block 0.
         for n in 0..520 {
             t.populate(v(n), Node::Cpu, n);
         }
@@ -630,8 +740,8 @@ mod tests {
     }
 
     #[test]
-    fn leaf_boundary_511_vs_512_resident() {
-        // At 4 KiB pages a residency block is one leaf. The range walkers
+    fn block_boundary_511_vs_512_resident() {
+        // At 4 KiB pages a block is 512 pages. The range walkers
         // answer a fully-resident block from its counts in O(1) and fall
         // back to slot scans otherwise. 511 vs 512 resident entries in one
         // block is exactly the edge between those two paths: a one-page

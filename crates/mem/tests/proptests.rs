@@ -2,53 +2,30 @@
 
 use gh_mem::pagetable::{PageTable, PlacementRun, Pte};
 use gh_mem::phys::{Node, OutOfMemory, PhysMem};
-use gh_mem::radix::RadixTable;
 use gh_mem::tlb::Tlb;
 use gh_units::{Bytes, PageSize, Pages, Vpn, VpnRange};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// VPN domain of the page-table property: three radix leaves, so ranges
-/// cross two leaf boundaries.
-const DOMAIN: u64 = 3 * gh_mem::radix::LEAF_LEN as u64;
+/// VPN domain of the page-table property: three 2 MiB blocks at 4 KiB
+/// pages, so ranges cross two block boundaries.
+const DOMAIN: u64 = 3 * 512;
 
-/// Page sizes of the page-table property: a 2 MiB residency block is one
-/// radix leaf, 32 pages of one leaf, and one page.
+/// Page sizes of the page-table property: a 2 MiB block is 512 pages, 32
+/// pages, and one page.
 const PAGE_SIZES: [u64; 3] = [4 << 10, 64 << 10, 2 << 20];
 
 proptest! {
-    /// RadixTable must behave exactly like a map under a random
-    /// insert/remove/get workload.
-    #[test]
-    fn radix_matches_btreemap(ops in proptest::collection::vec(
-        (0u8..3, 0u64..5000, 0u32..1000), 0..400)) {
-        let mut radix = RadixTable::new();
-        let mut model: BTreeMap<u64, u32> = BTreeMap::new();
-        for (op, key, val) in ops {
-            match op {
-                0 => {
-                    prop_assert_eq!(radix.insert(key, val), model.insert(key, val));
-                }
-                1 => {
-                    prop_assert_eq!(radix.remove(key), model.remove(&key));
-                }
-                _ => {
-                    prop_assert_eq!(radix.get(key), model.get(&key));
-                }
-            }
-            prop_assert_eq!(radix.len(), model.len());
-        }
-    }
-
     /// Under a random sequence of placement ops (populate, fill a range,
     /// unmap, remap, unmap_range, remap_range) and dirty-bit ops
-    /// (mark_dirty, mark_dirty_range) over VPNs spanning three radix
-    /// leaves, at 4 KiB pages (a 2 MiB residency block is one leaf),
-    /// 64 KiB pages (32 pages) and 2 MiB pages (one page):
+    /// (mark_dirty, mark_dirty_range) over VPNs spanning three 2 MiB
+    /// blocks at 4 KiB pages (512 pages a block), 48 blocks at 64 KiB
+    /// pages (32 pages) and 1,536 at 2 MiB pages (one page):
     ///
     /// * residency counters and the range queries `count_resident_in`,
     ///   `translate_range` and `classify_runs` always equal a recount from
-    ///   scratch, on the op's range, the whole domain and the middle leaf;
+    ///   scratch, on the op's range, the whole domain and the middle
+    ///   512 pages;
     /// * `remap_range` moves exactly the pages resident on `from`, and
     ///   leaves every entry and frame id as one `remap` per such page
     ///   leaves a twin table; `unmap_range` removes and returns what one
@@ -135,8 +112,8 @@ proptest! {
                 prop_assert_eq!(pt.resident_pages(Node::Cpu), Pages::new(cpu));
                 prop_assert_eq!(pt.resident_pages(Node::Gpu), Pages::new(gpu));
                 let whole = VpnRange::new(Vpn::new(0), Vpn::new(DOMAIN));
-                let leaf1 = VpnRange::new(Vpn::new(512), Vpn::new(1024));
-                for q in [range, whole, leaf1] {
+                let middle = VpnRange::new(Vpn::new(512), Vpn::new(1024));
+                for q in [range, whole, middle] {
                     let states: Vec<Option<Node>> = q.iter().map(|v| model.get(&v.get()).copied()).collect();
                     for n in [Node::Cpu, Node::Gpu] {
                         let count = states.iter().filter(|&&s| s == Some(n)).count() as u64;

@@ -83,7 +83,7 @@ impl StateVector {
     /// and in parallel. Basis order inside a group is |q1 q0⟩. One kernel
     /// serves every pair: it steps two groups at a time on interleaved
     /// complex pairs, and the amplitudes are bit-identical to
-    /// [`Gate2::apply`]'s on each group (see [`row`]).
+    /// [`Gate2::apply`]'s on each group (see `row`).
     pub fn apply_gate2(&mut self, g: &Gate2, q0: u32, q1: u32) {
         assert!(q0 < self.n && q1 < self.n && q0 != q1, "bad qubit pair");
         let lo = q0.min(q1);

@@ -18,11 +18,13 @@
 //! access counters and the UVM driver migrate them — on gh200 also
 //! with a balloon that leaves the GPU too small, so managed blocks are
 //! evicted, remotely mapped and pinned. Every platform runs at two page
-//! sizes, with counters on and off, traced and quiet.
+//! sizes, with counters on and off, traced and quiet, and with its own
+//! GPU TLB and an 8-entry one: the platforms' own TLBs never evict in
+//! these cases, the small one does.
 
 use gh_units::Bytes;
-use grace_mem::sim::{Buffer, Frag, MachineConfig, Phase, RunReport};
-use grace_mem::{platform, SessionOptions};
+use grace_mem::sim::{Buffer, Frag, Machine, MachineConfig, Phase, RunReport};
+use grace_mem::{platform, SessionCtx, SessionOptions};
 
 const KIB: u64 = 1 << 10;
 const MIB: u64 = 1 << 20;
@@ -141,9 +143,15 @@ fn frag_list(rng: &mut Rng, size: u64, page: u64) -> Vec<Frag> {
     frags
 }
 
-/// Runs `case` once and returns the report and each kernel's
-/// per-buffer attribution.
-fn run(case: Case, trace: bool, access_ref: bool, issue: Issue) -> (RunReport, String) {
+/// Runs `case` once, with a GPU TLB of `tlb` entries when given, and
+/// returns the report and each kernel's per-buffer attribution.
+fn run(
+    case: Case,
+    tlb: Option<usize>,
+    trace: bool,
+    access_ref: bool,
+    issue: Issue,
+) -> (RunReport, String) {
     let p = platform::by_name(case.platform).expect("known platform");
     let cfg = MachineConfig {
         page_size: Some(case.page),
@@ -156,7 +164,12 @@ fn run(case: Case, trace: bool, access_ref: bool, issue: Issue) -> (RunReport, S
         sanitize: Some(true),
         ..SessionOptions::default()
     };
-    let mut m = p.machine_session(&cfg, &so).expect("valid configuration");
+    let mut params = p.cost_params(&cfg).expect("valid configuration");
+    if let Some(entries) = tlb {
+        params.gpu_tlb_entries = entries;
+    }
+    let session = SessionCtx::with_options(p.runtime_options(&cfg), &so);
+    let mut m = Machine::with_session(params, session, p.caps());
     let mut rng = Rng(case.seed);
     m.phase(Phase::Alloc);
     let bufs: Vec<Buffer> = vec![
@@ -239,28 +252,31 @@ fn fragment_lists_match_per_fragment_calls_and_the_reference_walk() {
     }
     // What the cases must reach between them, or they prove little.
     let (mut notifications, mut ats_faults, mut gpu_faults, mut migrated) = (0, 0, 0, 0);
-    let (mut evicted, mut fallbacks, mut dropped) = (0, 0, 0);
+    let (mut evicted, mut fallbacks, mut tlb_evictions, mut dropped) = (0, 0, 0, 0);
     for case in cases {
-        for trace in [false, true] {
+        for (tlb, trace) in [None, Some(8)]
+            .into_iter()
+            .flat_map(|tlb| [(tlb, false), (tlb, true)])
+        {
             let what = format!(
-                "{} page {} KiB, counters {}, tight {}, trace {trace}",
+                "{} page {} KiB, counters {}, tight {}, tlb {tlb:?}, trace {trace}",
                 case.platform,
                 case.page / KIB,
                 case.counters,
                 case.tight
             );
-            let list = run(case, trace, false, Issue::List);
+            let list = run(case, tlb, trace, false, Issue::List);
             assert_eq!(
                 trace,
                 list.0.chrome_trace().is_some(),
                 "{what}: trace section"
             );
-            let each = run(case, trace, false, Issue::EachFragment);
+            let each = run(case, tlb, trace, false, Issue::EachFragment);
             assert!(
                 outcome(&list) == outcome(&each),
                 "{what}: list calls diverged from per-fragment calls"
             );
-            let reference = run(case, trace, true, Issue::List);
+            let reference = run(case, tlb, trace, true, Issue::List);
             assert!(
                 outcome(&list) == outcome(&reference),
                 "{what}: list calls diverged from the reference walk"
@@ -273,6 +289,7 @@ fn fragment_lists_match_per_fragment_calls_and_the_reference_walk() {
             if let Some(trace) = &list.0.trace {
                 evicted += trace.counter("uvm.bytes_migrated_out");
                 fallbacks += trace.counter("uvm.remote_fallbacks");
+                tlb_evictions += trace.counter("tlb.evictions");
                 dropped += trace.dropped;
             }
         }
@@ -286,6 +303,7 @@ fn fragment_lists_match_per_fragment_calls_and_the_reference_walk() {
         fallbacks > 0,
         "no managed fault fell back to a remote mapping"
     );
+    assert!(tlb_evictions > 0, "no GPU TLB entry was evicted");
     assert_eq!(
         dropped, 0,
         "a trace ring overflowed: the streams compared were cut"
