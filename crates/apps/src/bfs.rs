@@ -3,6 +3,14 @@
 //! Mixed access pattern: dense sweeps over the frontier masks plus
 //! data-dependent gathers into the node/edge arrays — the gathers are the
 //! irregular half that stresses remote cacheline access and TLB reach.
+//!
+//! Metering a level reads only that level's lists, so `run` meters on
+//! the calling thread while a gh-par worker expands the next level, at
+//! most one level ahead (`Handoff`, under `gh_par::join`). A level the
+//! worker has not started is expanded by the metering thread itself, so
+//! a run never waits on a step that no thread is running.
+
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use gh_profiler::Phase;
 use gh_sim::{Frag, Machine, MemMode, RunReport};
@@ -108,26 +116,26 @@ fn frag((off, len): (u64, u64)) -> Frag {
     }
 }
 
-/// Runs of node ids `(first, count)` as fragments over `unit`-byte
-/// elements.
-fn frags(runs: &[(u64, u64)], unit: u64) -> impl Iterator<Item = Frag> + '_ {
+/// Runs `(first, count)` of consecutive ids (node or edge indices) as
+/// fragments over `unit`-byte elements.
+fn frags(runs: &[(u32, u32)], unit: u64) -> impl Iterator<Item = Frag> + '_ {
     runs.iter()
-        .map(move |&(first, count)| frag((first * unit, count * unit)))
+        .map(move |&(first, count)| frag((u64::from(first) * unit, u64::from(count) * unit)))
 }
 
 /// The set bits of `bits` (bit `id % 64` of word `id / 64`) as runs of
 /// consecutive ids `(first, count)`, ascending; clears the bitmap.
-fn take_runs(bits: &mut [u64]) -> Vec<(u64, u64)> {
-    let mut runs: Vec<(u64, u64)> = Vec::new();
+fn take_runs(bits: &mut [u64]) -> Vec<(u32, u32)> {
+    let mut runs: Vec<(u32, u32)> = Vec::new();
     for (w, word) in bits.iter_mut().enumerate() {
         let mut x = std::mem::take(word);
         while x != 0 {
             let lo = x.trailing_zeros();
             let ones = (x >> lo).trailing_ones();
-            let first = w as u64 * 64 + u64::from(lo);
+            let first = w as u32 * 64 + lo;
             match runs.last_mut() {
-                Some((f, c)) if *f + *c == first => *c += u64::from(ones),
-                _ => runs.push((first, u64::from(ones))),
+                Some((f, c)) if *f + *c == first => *c += ones,
+                _ => runs.push((first, ones)),
             }
             x &= (!0u64).checked_shl(lo + ones).unwrap_or(0);
         }
@@ -135,16 +143,18 @@ fn take_runs(bits: &mut [u64]) -> Vec<(u64, u64)> {
     runs
 }
 
-/// What one level touches, each list ascending.
+/// What one level touches, each list ascending. Node and edge indices
+/// fit `u32` (the graph stores them so), which keeps each list half the
+/// size of byte spans.
 #[derive(Debug)]
 struct Level {
-    /// The frontier's CSR edge segments as coalesced byte spans.
-    edges: Vec<(u64, u64)>,
+    /// The frontier's CSR edge segments, coalesced: runs of edge indices.
+    edges: Vec<(u32, u32)>,
     /// Runs of neighbour ids: the visited checks.
-    neigh: Vec<(u64, u64)>,
+    neigh: Vec<(u32, u32)>,
     /// Runs of newly discovered ids: the cost and updating scatters, and
-    /// the next frontier.
-    next: Vec<(u64, u64)>,
+    /// the next frontier, which the expansion of the next level shares.
+    next: Arc<Vec<(u32, u32)>>,
 }
 
 /// A BFS in flight: each node's level, and bitmaps over node ids.
@@ -181,8 +191,8 @@ impl Walk {
     }
 
     /// Expands `frontier`, the runs of ids at `level`, in id order.
-    fn expand(&mut self, g: &Graph, frontier: &[(u64, u64)], level: i32) -> Level {
-        let mut edges: Vec<(u64, u64)> = Vec::new();
+    fn expand(&mut self, g: &Graph, frontier: &[(u32, u32)], level: i32) -> Level {
+        let mut edges: Vec<(u32, u32)> = Vec::new();
         for &(first, count) in frontier {
             for u in first..first + count {
                 let (s, c) = g.nodes[u as usize];
@@ -192,10 +202,9 @@ impl Walk {
                 // CSR segments ascend with the id: each one joins the
                 // previous span when it starts at or before that span's
                 // end, the merge rule of a sorted coalesce.
-                let (off, len) = (u64::from(s) * 4, u64::from(c) * 4);
                 match edges.last_mut() {
-                    Some((o, l)) if *o + *l >= off => *l = (off + len).max(*o + *l) - *o,
-                    _ => edges.push((off, len)),
+                    Some((o, l)) if *o + *l >= s => *l = (s + c).max(*o + *l) - *o,
+                    _ => edges.push((s, c)),
                 }
                 for &v in &g.edges[s as usize..(s + c) as usize] {
                     let (w, bit) = (v as usize / 64, 1u64 << (v % 64));
@@ -211,8 +220,99 @@ impl Walk {
         Level {
             edges,
             neigh: take_runs(&mut self.neigh),
-            next: take_runs(&mut self.next),
+            next: Arc::new(take_runs(&mut self.next)),
         }
+    }
+}
+
+/// The expansion's side of a run: the walk, the level it expands next,
+/// and at most one expanded level the metering has not taken yet.
+#[derive(Debug)]
+struct Ahead {
+    walk: Walk,
+    /// Runs of the ids at `level`; empty once the walk is done.
+    frontier: Arc<Vec<(u32, u32)>>,
+    level: i32,
+    ready: Option<Level>,
+    /// The metering has stopped, by return or by unwinding.
+    stopped: bool,
+}
+
+impl Ahead {
+    /// Expands the next level; what it discovers is the frontier after it.
+    fn step(&mut self, g: &Graph) -> Level {
+        let lv = self.walk.expand(g, &self.frontier, self.level);
+        self.frontier = Arc::clone(&lv.next);
+        self.level += 1;
+        lv
+    }
+}
+
+/// Levels handed from the expansion to the metering. A thread expands
+/// only while it holds the lock, so a thread that waits for the lock
+/// waits on a step that is running; `room` wakes the expansion when the
+/// metering takes the level it waits to follow.
+#[derive(Debug)]
+struct Handoff {
+    ahead: Mutex<Ahead>,
+    room: Condvar,
+}
+
+impl Handoff {
+    #[expect(
+        clippy::expect_used,
+        reason = "a poisoned lock means the other side panicked mid-step and left the walk half expanded; `join` re-raises a panic either way"
+    )]
+    fn lock(&self) -> MutexGuard<'_, Ahead> {
+        self.ahead
+            .lock()
+            .expect("the other side of the bfs hand-off panicked")
+    }
+
+    /// The metering's next level: the one expanded ahead, or else one
+    /// this thread expands itself, since no thread is expanding it.
+    fn take(&self, g: &Graph) -> Level {
+        let mut ahead = self.lock();
+        match ahead.ready.take() {
+            Some(lv) => {
+                self.room.notify_one();
+                lv
+            }
+            None => ahead.step(g),
+        }
+    }
+
+    /// The expansion's loop: expands each level as soon as the metering
+    /// has taken the one before, until the walk is done or the metering
+    /// has stopped.
+    fn expand_ahead(&self, g: &Graph) {
+        let mut ahead = self.lock();
+        while !ahead.stopped && !ahead.frontier.is_empty() {
+            if ahead.ready.is_some() {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "as in `lock`: the metering panicked mid-step"
+                )]
+                let woken = self.room.wait(ahead).expect("the bfs metering panicked");
+                ahead = woken;
+            } else {
+                ahead.ready = Some(ahead.step(g));
+            }
+        }
+    }
+}
+
+/// Marks the metering stopped when it leaves, by return or by unwinding,
+/// so an expansion waiting for room returns.
+struct Stop<'a>(&'a Handoff);
+
+impl Drop for Stop<'_> {
+    fn drop(&mut self) {
+        // A drop must not panic, and the flag is valid whatever state a
+        // panicking step left the walk in.
+        let mut ahead = self.0.ahead.lock().unwrap_or_else(PoisonError::into_inner);
+        ahead.stopped = true;
+        self.0.room.notify_one();
     }
 }
 
@@ -258,45 +358,61 @@ pub fn run(mut m: Machine, mode: MemMode, p: &BfsParams) -> RunReport {
     // Real BFS with metered per-level kernels. Each level is a set of
     // node ids expanded in id order (`Walk`), so every list the kernels
     // meter comes off a bitmap as runs of consecutive ids, already
-    // sorted and coalesced.
-    let mut walk = Walk::new(n);
-    let mut frontier: Vec<(u64, u64)> = vec![(0, 1)];
-    let mut level = 0;
-    while !frontier.is_empty() {
-        // Kernel 1: expand the frontier.
-        let next = {
+    // sorted and coalesced. Metering a level reads only that level's
+    // lists, so a gh-par worker expands the next level meanwhile.
+    let handoff = Handoff {
+        ahead: Mutex::new(Ahead {
+            walk: Walk::new(n),
+            frontier: Arc::new(vec![(0, 1)]),
+            level: 0,
+            ready: None,
+            stopped: false,
+        }),
+        room: Condvar::new(),
+    };
+    let meter = || {
+        let _stop = Stop(&handoff);
+        let mut frontier = Arc::new(vec![(0, 1)]);
+        loop {
+            let lv = handoff.take(&g);
+            // Kernel 1: expand the frontier.
             let mut k = m.rt.launch("bfs_kernel1");
-            let lv = walk.expand(&g, &frontier, level);
             // Dense sweep over the mask to find frontier threads.
             k.read(mask_buf.gpu(), 0, mask_bytes);
             // Gather node descriptors of the frontier.
             k.fragments(nodes_buf.gpu(), false, frags(&frontier, 8));
             // Per-node adjacency segments + neighbour visited checks.
-            k.fragments(edges_buf.gpu(), false, lv.edges.into_iter().map(frag));
+            k.fragments(edges_buf.gpu(), false, frags(&lv.edges, 4));
             k.fragments(vis_buf.gpu(), false, frags(&lv.neigh, 1));
             // Scatter: new costs + updating mask for discovered nodes.
             k.fragments(cost_buf.gpu(), true, frags(&lv.next, 4));
             k.fragments(upd_buf.gpu(), true, frags(&lv.next, 1));
             k.compute((n + g.edges.len()) as u64);
             k.finish();
-            lv.next
-        };
-        // Kernel 2: fold the updating mask into mask/visited.
-        {
+            // Kernel 2: fold the updating mask into mask/visited.
             let mut k = m.rt.launch("bfs_kernel2");
             k.read(upd_buf.gpu(), 0, mask_bytes);
             // One fragment per call: each node's mask and visited writes
             // interleave, and the TLB, L2 and counters see that order.
-            for f in frags(&next, 1) {
+            for f in frags(&lv.next, 1) {
                 k.fragments(mask_buf.gpu(), true, [f]);
                 k.fragments(vis_buf.gpu(), true, [f]);
             }
             k.compute(n as u64);
             k.finish();
+            if lv.next.is_empty() {
+                break;
+            }
+            frontier = lv.next;
         }
-        frontier = next;
-        level += 1;
-    }
+    };
+    gh_par::join(meter, || handoff.expand_ahead(&g));
+    // `join` returned, so neither side panicked and nothing poisoned the lock.
+    let walk = handoff
+        .ahead
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .walk;
     cost_buf.download(&mut m, 0, cost_bytes);
     m.set_checksum(checksum_of(&walk.cost));
 
@@ -378,7 +494,7 @@ mod tests {
         coalesce(ids.iter().map(|&id| (u64::from(id) * unit, unit)).collect())
     }
 
-    fn spans(runs: &[(u64, u64)], unit: u64) -> Vec<(u64, u64)> {
+    fn spans(runs: &[(u32, u32)], unit: u64) -> Vec<(u64, u64)> {
         frags(runs, unit).map(|f| (f.off, f.len)).collect()
     }
 
@@ -409,7 +525,7 @@ mod tests {
                 cost[0] = 0;
                 let mut ids: Vec<u32> = vec![0];
                 let mut walk = Walk::new(n);
-                let mut frontier = vec![(0, 1)];
+                let mut frontier = Arc::new(vec![(0, 1)]);
                 let mut level = 0;
                 while !ids.is_empty() {
                     let what = format!("n={n} seed={seed} level={level}");
@@ -428,7 +544,7 @@ mod tests {
                         }
                     }
                     let lv = walk.expand(&g, &frontier, level);
-                    assert_eq!(lv.edges, coalesce(segments), "{what}: edges");
+                    assert_eq!(spans(&lv.edges, 4), coalesce(segments), "{what}: edges");
                     assert_eq!(
                         spans(&lv.neigh, 1),
                         unit_touches(&neigh, 1),

@@ -167,6 +167,12 @@ pub fn reference(p: &HotspotParams) -> Vec<f32> {
     temp
 }
 
+/// Bytes of the GPU-only ping-pong partner `run` takes with `cuda_malloc`
+/// in every mode: one grid.
+pub fn scratch_bytes(p: &HotspotParams) -> u64 {
+    (p.size * p.size * 4) as u64
+}
+
 /// Runs hotspot under `mode`, returning the full report (checksum = sum
 /// of the final temperature grid).
 pub fn run(mut m: Machine, mode: MemMode, p: &HotspotParams) -> RunReport {
@@ -190,10 +196,10 @@ pub fn run(mut m: Machine, mode: MemMode, p: &HotspotParams) -> RunReport {
     // keeps GPU-only intermediates in cudaMalloc).
     #[expect(
         clippy::expect_used,
-        reason = "explicit-mode capacity precondition; fail fast on an oversized config"
+        reason = "an oversized grid, or a balloon leaving less than one grid of GPU memory (checked against `AppId::device_only_bytes` before a run), is a config error; fail fast"
     )]
     let scratch =
-        m.rt.cuda_malloc(gh_units::Bytes::new(bytes), "hotspot.scratch")
+        m.rt.cuda_malloc(gh_units::Bytes::new(scratch_bytes(p)), "hotspot.scratch")
             .expect("scaled hotspot fits in GPU memory");
 
     // ---- CPU-side initialization ----

@@ -29,7 +29,9 @@
 //! for bit. pathfinder generates its input rows on the fly, a launch's
 //! rows just before that launch, instead of holding the whole grid on
 //! the host, and needle reads scores from per-row tables instead of the
-//! reference matrix.
+//! reference matrix. needle's DP and bfs's expansion of the next level
+//! run on a `gh-par` worker while the calling thread meters
+//! (`gh_par::join`).
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -107,11 +109,9 @@ impl AppId {
     pub fn run(self, machine: Machine, mode: MemMode) -> RunReport {
         match self {
             AppId::Needle => needle::run(machine, mode, &needle::NeedleParams::default()),
-            AppId::Pathfinder => {
-                pathfinder::run(machine, mode, &pathfinder::PathfinderParams::default())
-            }
+            AppId::Pathfinder => pathfinder::run(machine, mode, &pathfinder_params(false)),
             AppId::Bfs => bfs::run(machine, mode, &bfs::BfsParams::default()),
-            AppId::Hotspot => hotspot::run(machine, mode, &hotspot::HotspotParams::default()),
+            AppId::Hotspot => hotspot::run(machine, mode, &hotspot_params(false)),
             AppId::Srad => srad::run(machine, mode, &srad::SradParams::default()),
         }
     }
@@ -127,15 +127,7 @@ impl AppId {
                     ..Default::default()
                 },
             ),
-            AppId::Pathfinder => pathfinder::run(
-                machine,
-                mode,
-                &pathfinder::PathfinderParams {
-                    rows: 500,
-                    cols: 400,
-                    ..Default::default()
-                },
-            ),
+            AppId::Pathfinder => pathfinder::run(machine, mode, &pathfinder_params(true)),
             AppId::Bfs => bfs::run(
                 machine,
                 mode,
@@ -144,15 +136,7 @@ impl AppId {
                     ..Default::default()
                 },
             ),
-            AppId::Hotspot => hotspot::run(
-                machine,
-                mode,
-                &hotspot::HotspotParams {
-                    size: 256,
-                    iterations: 8,
-                    ..Default::default()
-                },
-            ),
+            AppId::Hotspot => hotspot::run(machine, mode, &hotspot_params(true)),
             AppId::Srad => srad::run(
                 machine,
                 mode,
@@ -164,11 +148,84 @@ impl AppId {
             ),
         }
     }
+
+    /// The GPU memory a system- or managed-memory run (of `run_small`'s
+    /// input when `small`) takes with `cuda_malloc`, rounded up to
+    /// `gpu_page` bytes as `cuda_malloc` rounds it: the one buffer the
+    /// original code kept GPU-only, if any, which no eviction can make
+    /// room for. A balloon that leaves less free makes the run's
+    /// `cuda_malloc` fail.
+    pub fn device_only_bytes(self, small: bool, gpu_page: u64) -> u64 {
+        let bytes = match self {
+            AppId::Pathfinder => pathfinder::result_bytes(&pathfinder_params(small)),
+            AppId::Hotspot => hotspot::scratch_bytes(&hotspot_params(small)),
+            AppId::Needle | AppId::Bfs | AppId::Srad => 0,
+        };
+        bytes.div_ceil(gpu_page) * gpu_page
+    }
+}
+
+/// pathfinder's input for [`AppId::run`], or [`AppId::run_small`] when
+/// `small`.
+fn pathfinder_params(small: bool) -> pathfinder::PathfinderParams {
+    if small {
+        pathfinder::PathfinderParams {
+            rows: 500,
+            cols: 400,
+            ..Default::default()
+        }
+    } else {
+        pathfinder::PathfinderParams::default()
+    }
+}
+
+/// hotspot's input for [`AppId::run`], or [`AppId::run_small`] when
+/// `small`.
+fn hotspot_params(small: bool) -> hotspot::HotspotParams {
+    if small {
+        hotspot::HotspotParams {
+            size: 256,
+            iterations: 8,
+            ..Default::default()
+        }
+    } else {
+        hotspot::HotspotParams::default()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn device_only_bytes_is_what_a_run_takes_with_cuda_malloc() {
+        // A balloon leaves between `free` and one GPU page more free: a
+        // run fits exactly when `free` covers its device-only bytes.
+        let run = |app: AppId, mode, free: u64| {
+            let mut m = gh_sim::platform::gh200().machine();
+            m.oversubscribe(free, 1.0);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| app.run_small(m, mode)))
+                .is_ok()
+        };
+        let gpu_page = gh_sim::platform::gh200()
+            .machine()
+            .rt
+            .params()
+            .gpu_page_size;
+        for app in AppId::ALL {
+            let need = app.device_only_bytes(true, gpu_page);
+            for mode in [MemMode::System, MemMode::Managed] {
+                assert!(run(app, mode, need), "{} {mode} fits", app.name());
+                if need > 0 {
+                    let less = need - gpu_page;
+                    assert!(!run(app, mode, less), "{} {mode} needs more", app.name());
+                }
+            }
+        }
+        let full = |app: AppId| app.device_only_bytes(false, gpu_page);
+        assert_eq!(full(AppId::Hotspot), 4 << 20, "one 1024² f32 grid");
+        assert_eq!(full(AppId::Pathfinder), gpu_page, "two rows in one page");
+    }
 
     #[test]
     fn names_and_patterns_match_table2() {

@@ -10,6 +10,10 @@
 //! matrix: the scores are the same integers, so the DP is unchanged. The
 //! modelled GPU still reads the matrix, so `needle.ref` is metered as
 //! before. [`reference()`] builds the matrix and is the oracle.
+//!
+//! The metering reads no DP value, so `run` meters every wave on the
+//! calling thread while a gh-par worker runs the whole DP, in the same
+//! wave and block order (`gh_par::join`).
 
 use gh_profiler::Phase;
 use gh_sim::{Machine, MemMode, RunReport};
@@ -88,6 +92,12 @@ fn score_tables(p: &NeedleParams) -> (Vec<u8>, Vec<[i32; BASES]>) {
     (cols, rows)
 }
 
+/// The blocks `(bi, bj)` of anti-diagonal `wave` in an `nb × nb` grid of
+/// blocks, by ascending `bi`.
+fn wave_blocks(nb: usize, wave: usize) -> impl Iterator<Item = (usize, usize)> {
+    (wave.saturating_sub(nb - 1)..=wave.min(nb - 1)).map(move |bi| (bi, wave - bi))
+}
+
 /// Plain full-matrix DP (correctness reference).
 #[expect(
     clippy::needless_range_loop,
@@ -156,54 +166,58 @@ pub fn run(mut m: Machine, mode: MemMode, p: &NeedleParams) -> RunReport {
     ref_buf.upload(&mut m);
     let nb = n / BLOCK;
     let row_stride = (w * 4) as u64;
-    for wave in 0..(2 * nb - 1) {
-        let mut k = m.rt.launch("needle_wave");
-        let mut blocks = 0u64;
-        for bi in 0..nb {
-            let bj = wave as isize - bi as isize;
-            if bj < 0 || bj >= nb as isize {
-                continue;
+    let meter = || {
+        for wave in 0..(2 * nb - 1) {
+            let mut k = m.rt.launch("needle_wave");
+            let mut blocks = 0u64;
+            for (bi, bj) in wave_blocks(nb, wave) {
+                blocks += 1;
+                let (r0, c0) = (bi * BLOCK + 1, bj * BLOCK + 1);
+                // Metered accesses (matching the CUDA kernel's loads):
+                let top = (((r0 - 1) * w + c0 - 1) * 4) as u64;
+                k.read(mat_buf.gpu(), top, (BLOCK + 1) as u64 * 4); // top row + corner
+                k.read_strided(
+                    mat_buf.gpu(),
+                    ((r0 * w + c0 - 1) * 4) as u64,
+                    4,
+                    row_stride,
+                    BLOCK as u64,
+                ); // left column
+                k.read_strided(
+                    ref_buf.gpu(),
+                    ((r0 * w + c0) * 4) as u64,
+                    (BLOCK * 4) as u64,
+                    row_stride,
+                    BLOCK as u64,
+                ); // reference block
+                k.write_strided(
+                    mat_buf.gpu(),
+                    ((r0 * w + c0) * 4) as u64,
+                    (BLOCK * 4) as u64,
+                    row_stride,
+                    BLOCK as u64,
+                ); // DP block
             }
-            let bj = bj as usize;
-            blocks += 1;
-            let (r0, c0) = (bi * BLOCK + 1, bj * BLOCK + 1);
-            // Real DP for this block.
-            for i in r0..r0 + BLOCK {
-                let scores = &rows[i];
-                for j in c0..c0 + BLOCK {
-                    mat[i * w + j] = (mat[(i - 1) * w + j - 1] + scores[cols[j] as usize])
-                        .max(mat[i * w + j - 1] - p.penalty)
-                        .max(mat[(i - 1) * w + j] - p.penalty);
+            k.compute(blocks * (BLOCK * BLOCK) as u64 * 6);
+            k.finish();
+        }
+    };
+    let dp = || {
+        for wave in 0..(2 * nb - 1) {
+            for (bi, bj) in wave_blocks(nb, wave) {
+                let (r0, c0) = (bi * BLOCK + 1, bj * BLOCK + 1);
+                for i in r0..r0 + BLOCK {
+                    let scores = &rows[i];
+                    for j in c0..c0 + BLOCK {
+                        mat[i * w + j] = (mat[(i - 1) * w + j - 1] + scores[cols[j] as usize])
+                            .max(mat[i * w + j - 1] - p.penalty)
+                            .max(mat[(i - 1) * w + j] - p.penalty);
+                    }
                 }
             }
-            // Metered accesses (matching the CUDA kernel's loads):
-            let top = (((r0 - 1) * w + c0 - 1) * 4) as u64;
-            k.read(mat_buf.gpu(), top, (BLOCK + 1) as u64 * 4); // top row + corner
-            k.read_strided(
-                mat_buf.gpu(),
-                ((r0 * w + c0 - 1) * 4) as u64,
-                4,
-                row_stride,
-                BLOCK as u64,
-            ); // left column
-            k.read_strided(
-                ref_buf.gpu(),
-                ((r0 * w + c0) * 4) as u64,
-                (BLOCK * 4) as u64,
-                row_stride,
-                BLOCK as u64,
-            ); // reference block
-            k.write_strided(
-                mat_buf.gpu(),
-                ((r0 * w + c0) * 4) as u64,
-                (BLOCK * 4) as u64,
-                row_stride,
-                BLOCK as u64,
-            ); // DP block
         }
-        k.compute(blocks * (BLOCK * BLOCK) as u64 * 6);
-        k.finish();
-    }
+    };
+    gh_par::join(meter, dp);
     let tail = bytes.min(4096); // traceback tail, as Rodinia reads it
     mat_buf.download(&mut m, bytes - tail, tail);
 

@@ -91,6 +91,12 @@ pub fn reference(p: &PathfinderParams) -> Vec<i32> {
     prev
 }
 
+/// Bytes of the two GPU-only result rows `run` takes with `cuda_malloc`
+/// in every mode.
+pub fn result_bytes(p: &PathfinderParams) -> u64 {
+    (2 * p.cols * 4) as u64
+}
+
 /// Runs pathfinder under `mode` (checksum = sum of the final DP row).
 pub fn run(mut m: Machine, mode: MemMode, p: &PathfinderParams) -> RunReport {
     let (rows, cols) = (p.rows, p.cols);
@@ -112,10 +118,10 @@ pub fn run(mut m: Machine, mode: MemMode, p: &PathfinderParams) -> RunReport {
     // Two result rows ping-pong on the GPU (GPU-only in all versions).
     #[expect(
         clippy::expect_used,
-        reason = "two rows are far below any modelled HBM capacity"
+        reason = "a balloon leaving less than two rows of GPU memory is a usage error, checked against `AppId::device_only_bytes` before a run"
     )]
     let result =
-        m.rt.cuda_malloc(gh_units::Bytes::new(2 * row_bytes), "pathfinder.result")
+        m.rt.cuda_malloc(gh_units::Bytes::new(result_bytes(p)), "pathfinder.result")
             .expect("two rows always fit");
 
     // ---- CPU-side initialization ----

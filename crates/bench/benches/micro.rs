@@ -7,6 +7,11 @@
 //! Self-timed (the offline dependency set has no criterion): each case
 //! runs a few warmup iterations, then reports min/median wall time over a
 //! fixed iteration count. `GH_FAST=1` cuts iteration counts for CI.
+//!
+//! Each case runs in a process of its own, so no row's time depends on
+//! the cases that ran before it (their heap, caches and pool threads):
+//! with no case name the bench re-runs itself once per case, in table
+//! order, and `micro <case>` runs that case alone.
 
 use std::hint::black_box;
 
@@ -25,7 +30,16 @@ fn iters() -> usize {
     }
 }
 
-/// Runs `f` with per-iteration setup from `setup`, printing min/median ns.
+/// The cases one process meets: it records every case's name, and runs
+/// the case `run` names, if any.
+#[derive(Default)]
+struct Cases {
+    run: Option<String>,
+    names: Vec<String>,
+}
+
+/// Runs `f` with per-iteration setup from `setup`, printing min/median ns,
+/// if `name` is the case this process runs; records the name either way.
 /// What `f` returns is dropped after the clock stops, so a case can hand
 /// back its machine to keep teardown out of the timing.
 #[expect(
@@ -33,11 +47,15 @@ fn iters() -> usize {
     clippy::disallowed_types,
     reason = "a micro-benchmark times itself in host time"
 )]
-fn bench<S, T, F, R>(name: &str, setup: S, mut f: F)
+fn bench<S, T, F, R>(cx: &mut Cases, name: &str, setup: S, mut f: F)
 where
     S: Fn() -> T,
     F: FnMut(T) -> R,
 {
+    cx.names.push(name.to_string());
+    if cx.run.as_deref() != Some(name) {
+        return;
+    }
     let n = iters();
     // Warmup.
     for _ in 0..2.min(n) {
@@ -57,9 +75,10 @@ where
     println!("{name:<40} min {:>12} ns   median {:>12} ns", min, median);
 }
 
-fn bench_pagetable() {
+fn bench_pagetable(cx: &mut Cases) {
     for (name, page) in [("4k", 4 << 10), ("64k", 64 << 10)] {
         bench(
+            cx,
             &format!("pagetable_populate_translate_{name}_pages"),
             || PageTable::new(page),
             |mut pt| {
@@ -78,8 +97,9 @@ fn bench_pagetable() {
     }
 }
 
-fn bench_tlb() {
+fn bench_tlb(cx: &mut Cases) {
     bench(
+        cx,
         "tlb_streaming_miss_fill",
         || Tlb::new(3072),
         |mut tlb| {
@@ -95,8 +115,9 @@ fn bench_tlb() {
     );
 }
 
-fn bench_physmem() {
+fn bench_physmem(cx: &mut Cases) {
     bench(
+        cx,
         "physmem_alloc_release",
         || PhysMem::new(Bytes::new(1 << 30), Bytes::new(1 << 27), Bytes::ZERO),
         |mut pm| {
@@ -109,8 +130,9 @@ fn bench_physmem() {
     );
 }
 
-fn bench_kernel_span() {
+fn bench_kernel_span(cx: &mut Cases) {
     bench(
+        cx,
         "kernel_dense_span_64MiB_system",
         || {
             let mut m = platform::gh200().machine();
@@ -126,13 +148,14 @@ fn bench_kernel_span() {
     );
 }
 
-fn bench_migration() {
+fn bench_migration(cx: &mut Cases) {
     // QV's prefetch windows over a statevector larger than the GPU: with
     // the GPU already full, each 4 MiB window moves 64 pages in and
     // evicts 64 pages of an older window.
     const BUF: u64 = 128 << 20;
     const WINDOW: u64 = 4 << 20;
     bench(
+        cx,
         "uvm_prefetch_window_evict",
         || {
             let mut m = platform::gh200().machine();
@@ -153,6 +176,7 @@ fn bench_migration() {
     // QV's gate step under that prefetch: one launch that reads and
     // writes a 4 MiB managed window already resident on the GPU.
     bench(
+        cx,
         "kernel_managed_window_rw",
         || {
             let mut m = platform::gh200().machine();
@@ -171,6 +195,7 @@ fn bench_migration() {
     );
     // munmap of 32,768 CPU-resident 4 KiB pages.
     bench(
+        cx,
         "munmap_128mib_4k",
         || {
             let mut m = platform::gh200()
@@ -184,7 +209,7 @@ fn bench_migration() {
     );
 }
 
-fn bench_gate_apply() {
+fn bench_gate_apply(cx: &mut Cases) {
     let g = Gate2::random_su4(1);
     // One kernel serves every pair. Lower qubit 3 reads each stream on its
     // own; lower qubits 0 and 1 read two streams from one window, and
@@ -196,6 +221,7 @@ fn bench_gate_apply() {
         ("statevector_gate2_apply_16q_pair12", 1, 2),
     ] {
         bench(
+            cx,
             name,
             || StateVector::zero_state(16),
             |mut s| {
@@ -215,8 +241,8 @@ fn warm_l2() -> gh_mem::SetCache {
     l2
 }
 
-fn bench_setcache() {
-    bench("setcache_stream_64k_lines", warm_l2, |mut l2| {
+fn bench_setcache(cx: &mut Cases) {
+    bench(cx, "setcache_stream_64k_lines", warm_l2, |mut l2| {
         let mut misses = 0;
         for i in 0..65_536u64 {
             if !l2.access(i * 128) {
@@ -227,7 +253,7 @@ fn bench_setcache() {
     });
     // 64 simulated kernels of 1,024 touches each: a reset per launch,
     // then lines drawn from 2,048 scattered ones, so re-touches hit.
-    bench("setcache_random_reset", warm_l2, |mut l2| {
+    bench(cx, "setcache_random_reset", warm_l2, |mut l2| {
         let mut misses = 0;
         let mut x = 0x2545_F491_4F6C_DD1Du64;
         for _ in 0..64 {
@@ -246,8 +272,9 @@ fn bench_setcache() {
     });
 }
 
-fn bench_runtime_boot() {
+fn bench_runtime_boot(cx: &mut Cases) {
     bench(
+        cx,
         "runtime_boot_first_launch",
         || (),
         |_| {
@@ -260,16 +287,17 @@ fn bench_runtime_boot() {
     );
 }
 
-fn bench_fusion() {
+fn bench_fusion(cx: &mut Cases) {
     let circuit = gh_qsim::QvCircuit::generate(20, 3);
     bench(
+        cx,
         "gate_fusion_qv_200",
         || (),
         |_| gh_qsim::fuse(&circuit).len(),
     );
 }
 
-fn bench_replay_parse() {
+fn bench_replay_parse(cx: &mut Cases) {
     // 50 uniquely-named alloc/init/kernel/free blocks.
     let trace: String = (0..50)
         .map(|i| {
@@ -285,6 +313,7 @@ free b{i}
         })
         .collect();
     bench(
+        cx,
         "replay_50_blocks",
         || (),
         |_| {
@@ -294,12 +323,13 @@ free b{i}
     );
 }
 
-fn bench_par() {
+fn bench_par(cx: &mut Cases) {
     // The map is the apps' multiply-shift seeder. A sum of `i` folds to
     // a closed form per chunk and would time only dispatch; a shift after
     // a wrapping multiply has no closed form, so every index is computed.
     let seed = black_box(23u64);
     bench(
+        cx,
         "par_map_reduce_1M",
         || (),
         |_| {
@@ -313,10 +343,11 @@ fn bench_par() {
     );
 }
 
-fn bench_par_dispatch() {
+fn bench_par_dispatch(cx: &mut Cases) {
     // Two one-index chunks and an empty body: what handing a loop to the
     // parallel runtime costs per call.
     bench(
+        cx,
         "par_for_dispatch",
         || (),
         |_| {
@@ -327,9 +358,21 @@ fn bench_par_dispatch() {
     );
 }
 
-fn bench_app_end_to_end() {
+fn bench_par_join(cx: &mut Cases) {
+    // Two empty closures, one of them offered to a pool worker: what
+    // running two closures at once costs per call.
+    bench(
+        cx,
+        "par_join_dispatch",
+        || (),
+        |_| gh_par::join(|| black_box(1), || black_box(2)),
+    );
+}
+
+fn bench_app_end_to_end(cx: &mut Cases) {
     for mode in MemMode::ALL {
         bench(
+            cx,
             &format!("hotspot_small_{mode}"),
             || (),
             |_| {
@@ -344,18 +387,48 @@ fn bench_app_end_to_end() {
     }
 }
 
+/// Meets every case in table order.
+fn cases(cx: &mut Cases) {
+    bench_pagetable(cx);
+    bench_tlb(cx);
+    bench_physmem(cx);
+    bench_kernel_span(cx);
+    bench_migration(cx);
+    bench_gate_apply(cx);
+    bench_setcache(cx);
+    bench_runtime_boot(cx);
+    bench_fusion(cx);
+    bench_replay_parse(cx);
+    bench_par(cx);
+    bench_par_dispatch(cx);
+    bench_par_join(cx);
+    bench_app_end_to_end(cx);
+}
+
 fn main() {
-    bench_pagetable();
-    bench_tlb();
-    bench_physmem();
-    bench_kernel_span();
-    bench_migration();
-    bench_gate_apply();
-    bench_setcache();
-    bench_runtime_boot();
-    bench_fusion();
-    bench_replay_parse();
-    bench_par();
-    bench_par_dispatch();
-    bench_app_end_to_end();
+    // `cargo bench` passes `--bench`; any other argument names a case.
+    let run = std::env::args().skip(1).find(|a| !a.starts_with("--"));
+    let mut cx = Cases {
+        run: run.clone(),
+        names: Vec::new(),
+    };
+    cases(&mut cx);
+    if let Some(name) = run {
+        if !cx.names.contains(&name) {
+            eprintln!("micro: no case named {name}");
+            std::process::exit(2);
+        }
+        return;
+    }
+    let exe = std::env::current_exe().expect("the bench's own executable");
+    for name in cx.names {
+        let status = std::process::Command::new(&exe)
+            .arg(&name)
+            .status()
+            .expect("re-run the bench for one case");
+        if !status.success() {
+            eprintln!("micro: case {name} failed: {status}");
+            std::process::exit(1);
+        }
+    }
 }

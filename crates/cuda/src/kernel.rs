@@ -2,9 +2,11 @@
 //! access-counter migration driver.
 //!
 //! A [`Kernel`] is what the `<<<grid, block>>>` launch returns in this
-//! model. The application's *real* compute runs outside (on `gh-par`);
-//! the kernel object receives a description of the memory accesses the
-//! compute performed — dense spans, strided segments, gathers — plus a
+//! model. The application's *real* compute runs outside it: on `gh-par`
+//! loops between launches, or, for needle and bfs, as a `gh_par::join`
+//! job on a pool worker while the thread that holds the `Machine`
+//! meters. The kernel object receives a description of the memory
+//! accesses the compute performs — dense spans, strided segments, gathers — plus a
 //! compute-work declaration, and turns them into:
 //!
 //! * translation activity (GPU TLB, ATS requests to the SMMU);

@@ -15,6 +15,12 @@
 //! queue, a condvar, and [`default_parallelism`] workers named
 //! `gh-par-<i>`.
 //!
+//! [`scope::join`] overlaps two different closures on the same machinery:
+//! the first runs on the calling thread and may hold what cannot cross
+//! threads, such as a simulated `Machine` that meters while the second,
+//! an app's arithmetic, runs on a pool worker. The caller runs the second
+//! itself if no worker has taken it by the time the first returns.
+//!
 //! Determinism note: scheduling is non-deterministic, so which thread runs
 //! a chunk varies. [`scope::par_map_reduce`] folds per-chunk partials in
 //! chunk order, so its grouping depends only on the range and
@@ -23,7 +29,7 @@
 //! accounting never depends on scheduling order.
 //!
 //! ```
-//! use gh_par::{par_for, par_map_reduce, Grain};
+//! use gh_par::{join, par_for, par_map_reduce, Grain};
 //! use std::sync::atomic::{AtomicU64, Ordering};
 //!
 //! let hits = AtomicU64::new(0);
@@ -34,6 +40,10 @@
 //!
 //! let sum = par_map_reduce(0..1000, 0u64, |i| i as u64, |a, b| a + b);
 //! assert_eq!(sum, 499_500);
+//!
+//! let local = std::rc::Rc::new(2u64); // not `Send`: fine on the caller's side
+//! let (a, b) = join(|| *local * 21, || 6 * 7);
+//! assert_eq!((a, b), (42, 42));
 //! ```
 
 #![deny(missing_debug_implementations)]
@@ -51,7 +61,7 @@
 mod pool;
 pub mod scope;
 
-pub use scope::{par_chunks, par_chunks_mut, par_for, par_map_reduce, Grain};
+pub use scope::{join, par_chunks, par_chunks_mut, par_for, par_map_reduce, Grain};
 
 /// Returns the degree of parallelism used by default: the number of
 /// available CPUs, capped at 16 so simulation runs stay well-behaved on

@@ -13,6 +13,11 @@
 //! latch, not on the whole pool, until no helper holds a claim. A panic in
 //! the body stops further claims and is re-raised on the caller once every
 //! claimed chunk has stopped.
+//!
+//! [`join`] runs two different closures at once on the same machinery: its
+//! second closure is a call's one chunk, which a helper claims while the
+//! caller runs the first closure, and which the caller runs itself if no
+//! helper has claimed it by then.
 
 #![expect(
     clippy::expect_used,
@@ -155,9 +160,23 @@ impl Drop for Close<'_> {
 /// once every chunk has run.
 fn run(n_chunks: usize, body: &(dyn Fn(usize) + Sync)) {
     let helpers = (crate::default_parallelism() - 1).min(n_chunks.saturating_sub(1));
+    claim(n_chunks, helpers, body, || ());
+}
+
+/// Submits `helpers` helper jobs that claim chunks of `body`, runs
+/// `first` on the calling thread, then claims and runs every chunk that no
+/// helper has claimed, and returns `first`'s result once every chunk has
+/// run. With no helper, `first` runs and then every chunk, in order.
+fn claim<R>(
+    n_chunks: usize,
+    helpers: usize,
+    body: &(dyn Fn(usize) + Sync),
+    first: impl FnOnce() -> R,
+) -> R {
     if helpers == 0 {
+        let r = first();
         (0..n_chunks).for_each(body);
-        return;
+        return r;
     }
     let ptr: *const (dyn Fn(usize) + Sync + '_) = body;
     // SAFETY: only the lifetime changes. Helpers dereference the pointer
@@ -173,14 +192,16 @@ fn run(n_chunks: usize, body: &(dyn Fn(usize) + Sync)) {
         lock: Mutex::new(()),
         released: Condvar::new(),
     });
-    {
+    let r = {
         let _close = Close(&call);
         global().submit((0..helpers).map(|_| {
             let call = Arc::clone(&call);
             Box::new(move || call.help()) as Job
         }));
+        let r = first();
         call.drain(body);
-    }
+        r
+    };
     let panic = call
         .panic
         .lock()
@@ -189,6 +210,52 @@ fn run(n_chunks: usize, body: &(dyn Fn(usize) + Sync)) {
     if let Some(p) = panic {
         panic::resume_unwind(p);
     }
+    r
+}
+
+/// Runs `a` on the calling thread while a pool worker runs `b`, and
+/// returns both results once both have returned.
+///
+/// `a` may hold what cannot cross threads. If no worker has taken `b` by
+/// the time `a` returns, the caller runs `b` itself, so the call completes
+/// even when every worker is busy; with [`crate::default_parallelism`] 1
+/// it runs `a` and then `b`. A panic on either side is re-raised on the
+/// caller once both sides have stopped; if `a` panics before a worker has
+/// taken `b`, `b` does not run.
+///
+/// ```
+/// let data: Vec<u64> = (1..=100).collect();
+/// let (evens, odds) = gh_par::join(
+///     || data.iter().filter(|&&x| x % 2 == 0).sum::<u64>(),
+///     || data.iter().filter(|&&x| x % 2 == 1).sum::<u64>(),
+/// );
+/// assert_eq!((evens, odds), (2550, 2500));
+/// ```
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    let b = Mutex::new(Some(b));
+    let rb = Mutex::new(None);
+    let helpers = (crate::default_parallelism() - 1).min(1);
+    // `b` runs outside both locks, so its panic poisons neither.
+    let ra = claim(
+        1,
+        helpers,
+        &|_| {
+            let b = b.lock().expect("join's b").take().expect("one claim");
+            let out = b();
+            *rb.lock().expect("join's result") = Some(out);
+        },
+        a,
+    );
+    let rb = rb
+        .into_inner()
+        .expect("join's result")
+        .expect("b ran before its call closed");
+    (ra, rb)
 }
 
 /// Runs `f(i)` for every `i` in `range`, in parallel, with dynamic
@@ -282,7 +349,149 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::time::Duration;
+
+    /// Runs `f` on a thread of its own and fails if it has not returned
+    /// within a minute, so a deadlock fails the test instead of hanging.
+    fn finishes(what: &str, f: impl FnOnce() + Send + 'static) {
+        let (done, wait) = mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            f();
+            done.send(()).ok();
+        });
+        match wait.recv_timeout(Duration::from_secs(60)) {
+            Err(RecvTimeoutError::Timeout) => panic!("{what} did not finish within a minute"),
+            Ok(()) | Err(RecvTimeoutError::Disconnected) => {
+                if let Err(p) = handle.join() {
+                    panic::resume_unwind(p);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn join_runs_each_side_once_and_returns_the_serial_results() {
+        let data: Vec<u64> = (0..20_000).collect();
+        // `a` holds an `Rc`, which cannot cross threads.
+        let scale = std::rc::Rc::new(3u64);
+        for round in 0..200u64 {
+            let (runs_a, runs_b) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let (ra, rb) = join(
+                || {
+                    runs_a.fetch_add(1, Ordering::Relaxed);
+                    data.iter().map(|x| x * *scale + round).sum::<u64>()
+                },
+                || {
+                    runs_b.fetch_add(1, Ordering::Relaxed);
+                    data.iter().map(|x| x ^ round).collect::<Vec<_>>()
+                },
+            );
+            assert_eq!(ra, data.iter().map(|x| x * 3 + round).sum::<u64>());
+            assert!(rb.iter().zip(&data).all(|(&y, &x)| y == x ^ round));
+            assert_eq!((runs_a.into_inner(), runs_b.into_inner()), (1, 1));
+        }
+    }
+
+    #[test]
+    fn join_reraises_a_panic_in_b_after_a_returns() {
+        let a_done = AtomicBool::new(false);
+        let err = panic::catch_unwind(AssertUnwindSafe(|| {
+            join(
+                || {
+                    std::thread::sleep(Duration::from_millis(20));
+                    a_done.store(true, Ordering::SeqCst);
+                },
+                || panic!("b fails on purpose"),
+            )
+        }))
+        .expect_err("b's panic reaches the caller");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"b fails on purpose"));
+        assert!(a_done.load(Ordering::SeqCst), "a ran to its end first");
+    }
+
+    #[test]
+    fn join_reraises_a_panic_in_a_after_b_stops() {
+        let (b_started, b_done) = (AtomicBool::new(false), AtomicBool::new(false));
+        let err = panic::catch_unwind(AssertUnwindSafe(|| {
+            join(
+                || {
+                    // Give a worker up to a second to take `b`; on one core
+                    // none does, and `b` never runs.
+                    for _ in 0..1000 {
+                        if b_started.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    panic!("a fails on purpose")
+                },
+                || {
+                    b_started.store(true, Ordering::SeqCst);
+                    std::thread::sleep(Duration::from_millis(20));
+                    b_done.store(true, Ordering::SeqCst);
+                },
+            )
+        }))
+        .expect_err("a's panic reaches the caller");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"a fails on purpose"));
+        assert_eq!(
+            b_done.load(Ordering::SeqCst),
+            b_started.load(Ordering::SeqCst),
+            "a b that started had stopped before the panic surfaced"
+        );
+    }
+
+    #[test]
+    fn join_completes_on_the_caller_when_every_worker_is_blocked() {
+        // Every worker takes a job that waits on this latch, so no worker
+        // can take `b`: the caller must run it.
+        let latch = Arc::new((Mutex::new(false), Condvar::new()));
+        let workers = crate::default_parallelism();
+        let (started, all_started) = mpsc::channel();
+        global().submit((0..workers).map(|_| {
+            let (latch, started) = (Arc::clone(&latch), started.clone());
+            Box::new(move || {
+                started.send(()).ok();
+                let (open, opened) = &*latch;
+                let mut g = open.lock().unwrap();
+                while !*g {
+                    g = opened.wait(g).unwrap();
+                }
+            }) as Job
+        }));
+        let (result, got) = mpsc::channel();
+        let caller = std::thread::spawn(move || {
+            for _ in 0..workers {
+                all_started.recv().unwrap();
+            }
+            result.send(join(|| 1, || 2)).ok();
+        });
+        let got = got.recv_timeout(Duration::from_secs(60));
+        *latch.0.lock().unwrap() = true;
+        latch.1.notify_all();
+        caller.join().unwrap();
+        assert_eq!(got, Ok((1, 2)), "join finished on the caller alone");
+    }
+
+    #[test]
+    fn join_completes_a_loop_nested_in_b() {
+        finishes("par_chunks_mut inside join's b", || {
+            let mut data = vec![0u32; 10_000];
+            let (sum, ()) = join(
+                || (0..1000u64).sum::<u64>(),
+                || {
+                    par_chunks_mut(&mut data, 64, |idx, chunk| chunk.fill(idx as u32 + 1));
+                },
+            );
+            assert_eq!(sum, 499_500);
+            assert!(data
+                .iter()
+                .enumerate()
+                .all(|(i, &x)| x == (i / 64) as u32 + 1));
+        });
+    }
 
     #[test]
     fn par_for_visits_every_index_once() {

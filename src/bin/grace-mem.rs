@@ -430,7 +430,20 @@ fn main() {
                 } else {
                     app.run(f.platform.machine(), MemMode::Managed).peak_gpu
                 };
-                m.oversubscribe(peak.saturating_sub(f.platform.gpu_driver_baseline()), ratio);
+                let free =
+                    m.oversubscribe(peak.saturating_sub(f.platform.gpu_driver_baseline()), ratio);
+                // The balloon leaves room for the managed working set, but
+                // the run's GPU-only buffers cannot be evicted to fit.
+                let need = app.device_only_bytes(f.small, m.rt.params().gpu_page_size);
+                if free < need {
+                    eprintln!(
+                        "grace-mem: {sub}: --oversubscribe {ratio} leaves {free} bytes of GPU memory free, \
+                         {} short of the {need} bytes {} keeps GPU-only",
+                        need - free,
+                        app.name()
+                    );
+                    std::process::exit(2);
+                }
             }
             let r = if f.small {
                 app.run_small(m, f.mode)

@@ -9,7 +9,7 @@
 //! to the JSON, and the digests must agree between `cargo test` and
 //! `cargo test --release`.
 
-use grace_mem::apps::{hotspot, needle, pathfinder, srad};
+use grace_mem::apps::{bfs, hotspot, needle, pathfinder, srad};
 use grace_mem::jobs::fnv1a64;
 use grace_mem::sim::platform::Platform;
 use grace_mem::{platform, AppId, Machine, MachineConfig, MemMode, SessionOptions};
@@ -149,4 +149,61 @@ fn traced_bfs_reports_and_traces_match_recorded_digests() {
             );
         }
     }
+}
+
+#[test]
+fn bench_size_reports_match_recorded_digests() {
+    // The `--small` goldens above never reach the sizes grace-bench's
+    // `rodinia` runs, where the widest needle waves and bfs levels are:
+    // needle at n = 1024 and bfs at 50 k nodes. fnv1a64(to_json()) on
+    // gh200, system then managed.
+    const NEEDLE: [u64; 2] = [0x93a0_3dca_1fa8_b327, 0xe5e6_ee27_d3c7_2ea4];
+    const BFS: [u64; 2] = [0x7e40_1940_07a6_a120, 0x0cdf_9fe3_7b19_75a5];
+    // (fnv1a64(to_json()), fnv1a64(chrome_trace())) of the system-memory
+    // bfs run, traced.
+    const TRACED_BFS: (u64, u64) = (0x7e40_1940_07a6_a120, 0x379b_bc8d_254c_e899);
+    let gh = platform::gh200();
+    let needle1024 = needle::NeedleParams {
+        n: 1024,
+        ..Default::default()
+    };
+    let bfs50k = bfs::BfsParams {
+        nodes: 50_000,
+        ..Default::default()
+    };
+    let modes = [MemMode::System, MemMode::Managed];
+    for (mode, (needle_golden, bfs_golden)) in modes.into_iter().zip(NEEDLE.into_iter().zip(BFS)) {
+        for (app, report, golden) in [
+            (
+                "needle",
+                needle::run(machine(gh), mode, &needle1024),
+                needle_golden,
+            ),
+            ("bfs", bfs::run(machine(gh), mode, &bfs50k), bfs_golden),
+        ] {
+            let digest = fnv1a64(report.to_json().as_bytes());
+            assert_eq!(
+                digest, golden,
+                "gh200/{app}/{mode}: report digest {digest:#018x} moved"
+            );
+        }
+    }
+    let so = SessionOptions {
+        trace: true,
+        sanitize: Some(false),
+        ..Default::default()
+    };
+    let m = gh
+        .machine_session(&MachineConfig::default(), &so)
+        .expect("platform default configuration is valid");
+    let report = bfs::run(m, MemMode::System, &bfs50k);
+    let trace = report.chrome_trace().expect("traced session");
+    let digests = (
+        fnv1a64(report.to_json().as_bytes()),
+        fnv1a64(trace.as_bytes()),
+    );
+    assert_eq!(
+        digests, TRACED_BFS,
+        "gh200/bfs/system traced: digests {digests:#018x?} moved"
+    );
 }

@@ -4,7 +4,9 @@
 //! `Machine::capacity`. A replay's compute units saturate, never wrap.
 //! A flag its subcommand does not honour is a usage error too, and so are
 //! `--oversubscribe` in explicit mode and a stdout that takes no output.
-//! On a platform with no balloon, `--oversubscribe` only adds its note.
+//! On a platform with no balloon, `--oversubscribe` only adds its note;
+//! elsewhere, a balloon that leaves less GPU memory free than the app's
+//! GPU-only buffers take exits 2 before the run.
 //! Generated hostile argument vectors (non-UTF-8 bytes, empty, negative,
 //! non-finite or overflowing values, unknown flags, a flag missing its
 //! value) exit 2 with a one-line error, never a panic.
@@ -157,6 +159,43 @@ fn oversubscribe_needs_a_unified_mode() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn a_balloon_that_leaves_no_room_for_gpu_only_buffers_exits_2() {
+    // hotspot's scratch grid and pathfinder's result rows stay GPU-only in
+    // every mode, and no eviction makes room for them.
+    let expect_one_line = |args: &[&str], app: &str, ratio: &str| {
+        let err = exits(args, 2);
+        let head = format!("grace-mem: app {app}: --oversubscribe {ratio} leaves ");
+        assert!(
+            err.starts_with(&head) && err.contains(" short of the ") && err.contains(app),
+            "{args:?}: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+    };
+    for app in ["hotspot", "pathfinder"] {
+        for mode in ["system", "managed"] {
+            for page in ["4k", "64k"] {
+                let args = [
+                    "app",
+                    app,
+                    "--small",
+                    "--mode",
+                    mode,
+                    "--page",
+                    page,
+                    "--oversubscribe",
+                    "4",
+                ];
+                expect_one_line(&args, app, "4");
+            }
+        }
+    }
+    for (mode, ratio) in [("managed", "4.0"), ("system", "4.0"), ("system", "8.0")] {
+        let args = ["app", "hotspot", "--mode", mode, "--oversubscribe", ratio];
+        expect_one_line(&args, "hotspot", &ratio.replace(".0", ""));
     }
 }
 
