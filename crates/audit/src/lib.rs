@@ -13,9 +13,7 @@
 //! |------|----------------|
 //! | `no-unchecked-accounting-arithmetic` | saturating math for byte/page/cost accumulators |
 //! | `typed-units` | unit-named raw-`u64` parameters on model-crate APIs |
-//! | `no-raw-unit-cast` | no `as u64` / `.0` unit launders in model crates |
 //! | `unit-launder` | no raw `.get()` value rewrapped by a gh-units constructor |
-//! | `no-float-eq` | no exact float compares in cost-model decisions |
 //! | `no-platform-leak` | experiment layers build machines through `gh_sim::platform` |
 //! | `allow-syntax` | suppressions are well-formed and carry a reason |
 //!
@@ -24,7 +22,10 @@
 //! lazy statics, `thread_local!`, env reads and the hash containers
 //! outside reasoned `#[expect]`s, and their order-yielding methods
 //! everywhere; each library crate root denies clippy's unwrap family,
-//! `iter_over_hash_type` and reasonless `#[allow]`/`#[expect]`; session
+//! `iter_over_hash_type` and reasonless `#[allow]`/`#[expect]`; every
+//! library and binary root denies `float_cmp` outside tests, and the
+//! model crates deny `as_conversions`, so their casts go through
+//! `gh_units`' helpers and a newtype's `.0` is a privacy error; session
 //! handles are `!Send`/`!Sync` (`compile_fail` doctests in `gh-jobs`);
 //! the job cache is keyed by the whole `JobSpec` through a derived `Ord`;
 //! trace export matches every `Event` variant with no `_` arm. No
@@ -36,7 +37,6 @@
 //!
 //! ```text
 //! // gh-audit: allow(unit-launder) -- a namespace bit, not a unit crossing
-//! // gh-audit: allow-file(no-raw-unit-cast) -- the unit crate's own internals
 //! ```
 //!
 //! Every rule is a shape check over one file's token stream ([`lexer`],
@@ -61,6 +61,7 @@
     clippy::iter_over_hash_type,
     clippy::allow_attributes_without_reason
 )]
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
 pub mod engine;
 pub mod lexer;

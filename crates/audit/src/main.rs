@@ -2,27 +2,28 @@
 //!
 //! ```text
 //! gh-audit [--root <dir>] [--rule <name>[,<name>...]]...
-//!          [--format text|json|sarif] [--deny] [--list-rules]
+//!          [--format text|sarif] [--deny] [--list-rules]
 //! ```
 //!
 //! Findings go to stdout in the selected format; the `scanned N files`
-//! stats line goes to stderr so machine formats stay parseable. Timing is
+//! stats line goes to stderr so the SARIF log stays parseable. Timing is
 //! left to the caller (CI) — the audit binary itself reads no clocks, by
 //! the workspace clippy config's `disallowed-methods`.
 //!
 //! Exit codes: 0 clean (or findings without `--deny`), 1 findings with
 //! `--deny`, 2 usage error.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
+
 use gh_audit::engine::audit_workspace_with_stats;
 use gh_audit::{report, rules, AuditConfig};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: gh-audit [--root <dir>] [--rule <name>[,<name>...]]... \
-                     [--format text|json|sarif] [--deny] [--list-rules]";
+                     [--format text|sarif] [--deny] [--list-rules]";
 
 enum Format {
     Text,
-    Json,
     Sarif,
 }
 
@@ -44,7 +45,7 @@ fn main() -> ExitCode {
             },
             "--rule" => match args.next() {
                 // Comma-separated lists let CI request a rule subset in
-                // one flag: `--rule no-float-eq,unit-launder`.
+                // one flag: `--rule typed-units,unit-launder`.
                 Some(names) => {
                     for name in names.split(',').map(str::trim).filter(|n| !n.is_empty()) {
                         if !rules::rule_names().contains(&name) {
@@ -57,12 +58,9 @@ fn main() -> ExitCode {
             },
             "--format" => match args.next().as_deref() {
                 Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
                 Some("sarif") => format = Format::Sarif,
-                Some(other) => {
-                    return usage(&format!("unknown format '{other}' (text, json, sarif)"))
-                }
-                None => return usage("--format needs one of: text, json, sarif"),
+                Some(other) => return usage(&format!("unknown format '{other}' (text, sarif)")),
+                None => return usage("--format needs one of: text, sarif"),
             },
             "--list-rules" => {
                 for r in rules::all_rules() {
@@ -85,7 +83,6 @@ fn main() -> ExitCode {
         Ok((findings, stats)) => {
             let rendered = match format {
                 Format::Text => report::render(&findings),
-                Format::Json => report::render_json(&findings),
                 Format::Sarif => report::render_sarif(&findings),
             };
             print!("{rendered}");

@@ -1,6 +1,6 @@
-//! Rendering of audit findings — human text, machine JSON, and SARIF 2.1.0
-//! for CI annotations. All three are deterministic, like everything else
-//! in this workspace; the JSON is hand-rolled because the audit crate is
+//! Rendering of audit findings — human text, and SARIF 2.1.0 for CI
+//! annotations. Both are deterministic, like everything else in this
+//! workspace; the SARIF JSON is hand-rolled because the audit crate is
 //! dependency-free on purpose.
 
 use crate::rules::Finding;
@@ -45,29 +45,6 @@ fn esc(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
-}
-
-/// Renders findings as a JSON array of `{rule, path, line, msg}` objects
-/// (one finding per element, stable order as given).
-pub fn render_json(findings: &[Finding]) -> String {
-    let mut out = String::from("[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n  {\"rule\": \"");
-        esc(f.rule, &mut out);
-        out.push_str("\", \"path\": \"");
-        esc(&f.path, &mut out);
-        let _ = write!(out, "\", \"line\": {}, \"msg\": \"", f.line);
-        esc(&f.msg, &mut out);
-        out.push_str("\"}");
-    }
-    if !findings.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
 }
 
 /// Renders findings as a minimal SARIF 2.1.0 log (one run, one result per
@@ -130,24 +107,11 @@ mod tests {
 
     fn sample() -> Vec<Finding> {
         vec![Finding {
-            rule: "no-float-eq",
+            rule: "no-platform-leak",
             path: "a/src/lib.rs".into(),
             line: 3,
-            msg: "bad \"compare\"\nuse epsilon".into(),
+            msg: "names \"CostParams\"\nuse gh_sim::platform".into(),
         }]
-    }
-
-    #[test]
-    fn json_escapes_and_structures() {
-        let j = render_json(&sample());
-        assert!(j.contains("\"rule\": \"no-float-eq\""));
-        assert!(j.contains("\\\"compare\\\"\\nuse epsilon"));
-        assert!(j.starts_with('[') && j.trim_end().ends_with(']'));
-    }
-
-    #[test]
-    fn json_empty_is_empty_array() {
-        assert_eq!(render_json(&[]), "[]\n");
     }
 
     #[test]
@@ -167,7 +131,11 @@ mod tests {
         assert!(s.contains("\"name\": \"gh-audit\""));
         assert!(s.contains("\"startLine\": 3"));
         assert!(s.contains("\"uri\": \"a/src/lib.rs\""));
-        for r in ["no-float-eq"].into_iter().chain(MORE_RULES) {
+        assert!(
+            s.contains("names \\\"CostParams\\\"\\nuse gh_sim::platform"),
+            "{s}"
+        );
+        for r in ["no-platform-leak"].into_iter().chain(MORE_RULES) {
             assert!(s.contains(&format!("{{\"id\": \"{r}\"}}")), "{r}");
             assert!(s.contains(&format!("\"ruleId\": \"{r}\"")), "{r}");
         }
@@ -184,21 +152,21 @@ mod tests {
     fn findings_render_with_summary() {
         let fs = vec![
             Finding {
-                rule: "no-float-eq",
+                rule: "typed-units",
                 path: "a/src/lib.rs".into(),
                 line: 3,
                 msg: "m".into(),
             },
             Finding {
-                rule: "no-float-eq",
+                rule: "typed-units",
                 path: "b/src/lib.rs".into(),
                 line: 9,
                 msg: "m".into(),
             },
         ];
         let r = render(&fs);
-        assert!(r.contains("a/src/lib.rs:3: [no-float-eq] m"));
+        assert!(r.contains("a/src/lib.rs:3: [typed-units] m"));
         assert!(r.contains("2 finding(s)"));
-        assert!(r.contains("no-float-eq"));
+        assert!(r.contains("typed-units"));
     }
 }

@@ -18,7 +18,7 @@
 //! state and stay idiomatic.
 //!
 //! Exemption: places declared with a `gh-units` newtype (`Bytes`, `Pages`,
-//! `Lines`, `SimNs`, `Vpn`, `BwGiBs`). Their `+=`/`-=`/`*` operators are
+//! `Lines`, `SimNs`, `Vpn`). Their `+=`/`-=`/`*` operators are
 //! saturating *by construction* (see `crates/units`), so compound
 //! assignment on them is exactly the checked arithmetic this rule wants.
 //! The file's declarations (`field: Bytes`, `x: [Pages; 2]`,
@@ -50,7 +50,7 @@ pub fn is_accounting_ident(ident: &str) -> bool {
 }
 
 /// The `gh-units` newtypes whose arithmetic saturates by construction.
-pub const UNIT_TYPES: [&str; 6] = ["Bytes", "Pages", "Lines", "SimNs", "Vpn", "BwGiBs"];
+pub const UNIT_TYPES: [&str; 5] = ["Bytes", "Pages", "Lines", "SimNs", "Vpn"];
 
 /// Scans a file's declarations for identifiers bound to a `gh-units`
 /// newtype: struct fields and parameters (`name: Bytes`, `name: [Pages; 2]`)

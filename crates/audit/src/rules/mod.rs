@@ -3,7 +3,6 @@
 //! kind and test-module ranges.
 
 pub mod accounting;
-pub mod float_eq;
 pub mod no_platform_leak;
 pub mod units;
 
@@ -38,9 +37,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(accounting::UncheckedAccounting),
         Box::new(units::TypedUnits),
-        Box::new(units::NoRawUnitCast),
         Box::new(units::UnitLaunder),
-        Box::new(float_eq::FloatEq),
         Box::new(no_platform_leak::PlatformLeak),
     ]
 }

@@ -1,10 +1,9 @@
-//! `typed-units`, `no-raw-unit-cast` and `unit-launder`: the gh-units
-//! newtypes must not decay back to raw integers, or be rewrapped from
-//! them, without a declared conversion.
+//! `typed-units` and `unit-launder`: the gh-units newtypes must not
+//! cross a model-crate API as raw integers, or be rewrapped from them,
+//! without a declared conversion.
 //!
-//! The `gh-units` crate (`Bytes`, `Pages`, `Lines`, `SimNs`, `Vpn`,
-//! `BwGiBs`) exists so that a page count can never be added to a byte
-//! count and a nanosecond duration can never be divided by a bandwidth
+//! The `gh-units` crate (`Bytes`, `Pages`, `Lines`, `SimNs`, `Vpn`)
+//! exists so that a page count can never be added to a byte count
 //! without going through a declared conversion. Two leaks would undo
 //! that guarantee:
 //!
@@ -17,13 +16,6 @@
 //!   offsets and lengths (`addr`, `off`, `len`, pitches, strides) are
 //!   the *address* domain and intentionally stay raw — the rule only
 //!   matches unit vocabulary.
-//! * **`no-raw-unit-cast`** — an `as u64` cast or a `.0` tuple-field
-//!   escape in model-crate lib code. Both bypass the conversion surface:
-//!   `as` casts re-launder any integer into any unit at the next call,
-//!   and `.0` reads a newtype's payload without naming the operation.
-//!   `gh_units::widen` (usize → u64) and the units' `.get()` accessor
-//!   are the sanctioned exits; `as f64`/`as usize` casts toward the
-//!   float/indexing domains stay legal.
 //! * **`unit-launder`** — a no-argument `.get()` inside the argument list
 //!   of a gh-units constructor (`Pages::new(bytes.get())`). The raw value
 //!   is relabelled with no conversion: a byte count read back as a page
@@ -34,9 +26,12 @@
 //!   raw value bound by `let`, or returned from a function, before it
 //!   reaches the constructor is not followed.
 //!
-//! Scope: `typed-units` and `no-raw-unit-cast` audit lib sources of the
-//! model crates; `unit-launder` audits lib and bin code of every crate.
-//! Test modules are exempt (tests may build raw fixtures).
+//! Scope: `typed-units` audits lib sources of the model crates;
+//! `unit-launder` audits lib and bin code of every crate. Test modules
+//! are exempt (tests may build raw fixtures). The casts and `.0` reads
+//! that would launder a unit are compiler errors instead: the model
+//! crates deny `clippy::as_conversions`, and the newtypes' payloads are
+//! private.
 
 use crate::lexer::{Tok, TokKind};
 use crate::rules::accounting::UNIT_TYPES;
@@ -197,62 +192,6 @@ fn check_param(rule: &'static str, file: &SourceFile, p: Vec<&Tok>, out: &mut Ve
     }
 }
 
-/// See module docs.
-#[derive(Debug)]
-pub struct NoRawUnitCast;
-
-impl Rule for NoRawUnitCast {
-    fn name(&self) -> &'static str {
-        "no-raw-unit-cast"
-    }
-
-    fn describe(&self) -> &'static str {
-        "model-crate lib code must not `as u64` or `.0` past the gh-units conversion surface"
-    }
-
-    fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        if !in_scope(file) {
-            return;
-        }
-        let code: Vec<_> = file.code_tokens().map(|(_, t)| t).collect();
-        for i in 0..code.len() {
-            let t = code[i];
-            if file.in_test_mod(t.line) {
-                continue;
-            }
-            if t.is_ident("as") && i + 1 < code.len() && code[i + 1].is_ident("u64") {
-                out.push(Finding {
-                    rule: self.name(),
-                    path: file.rel_path.clone(),
-                    line: t.line,
-                    msg: "`as u64` re-launders any integer into any unit; convert through \
-                          gh_units (`widen` for usize, the newtype constructors otherwise) \
-                          or take `.get()` at the boundary"
-                        .to_string(),
-                });
-            }
-            let tuple_zero = t.is_punct(".")
-                && i + 1 < code.len()
-                && code[i + 1].kind == TokKind::Int
-                && code[i + 1].text == "0"
-                && i > 0
-                && (code[i - 1].kind == TokKind::Ident
-                    || code[i - 1].is_punct(")")
-                    || code[i - 1].is_punct("]"));
-            if tuple_zero {
-                out.push(Finding {
-                    rule: self.name(),
-                    path: file.rel_path.clone(),
-                    line: t.line,
-                    msg: "`.0` reads a newtype's payload without naming the operation; \
-                          call `.get()` (units) or give the struct named fields"
-                        .to_string(),
-                });
-            }
-        }
-    }
-}
-
 /// The gh-units types whose `new`/`from_raw` constructors
 /// `unit-launder` watches: the saturating newtypes of [`UNIT_TYPES`] plus
 /// `VpnRange` and `PageSize`.
@@ -343,13 +282,6 @@ mod tests {
         out
     }
 
-    fn run_cast(crate_name: &str, src: &str) -> Vec<Finding> {
-        let f = SourceFile::parse("c/src/lib.rs", crate_name, FileKind::Lib, src);
-        let mut out = Vec::new();
-        NoRawUnitCast.check_file(&f, &mut out);
-        out
-    }
-
     #[test]
     fn raw_bytes_param_fires() {
         let out = run_typed(
@@ -415,46 +347,6 @@ mod tests {
     fn test_mods_are_exempt() {
         let src = "#[cfg(test)]\nmod tests {\n    pub fn helper(bytes: u64) {}\n}";
         assert!(run_typed("gh-mem", src).is_empty());
-    }
-
-    #[test]
-    fn as_u64_fires() {
-        let out = run_cast("gh-cuda", "fn f(x: u32) -> u64 { x as u64 }");
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].msg.contains("widen"), "{}", out[0].msg);
-    }
-
-    #[test]
-    fn tuple_zero_escape_fires() {
-        let out = run_cast("gh-mem", "fn f(b: Bytes) -> u64 { b.0 }");
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].msg.contains(".get()"), "{}", out[0].msg);
-    }
-
-    #[test]
-    fn float_and_index_casts_are_fine() {
-        assert!(run_cast(
-            "gh-mem",
-            "fn f(b: Bytes) -> f64 { (b.get() as f64) / (4 as usize as f64) }"
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn float_literals_and_ranges_are_fine() {
-        assert!(run_cast("gh-os", "fn f() -> f64 { let _r = 0..10; 1.0 + 0.5 }").is_empty());
-    }
-
-    #[test]
-    fn get_is_the_sanctioned_exit() {
-        assert!(run_cast("gh-cuda", "fn f(b: Bytes) -> u64 { b.get() }").is_empty());
-    }
-
-    #[test]
-    fn cast_rule_skips_tests_and_foreign_crates() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn f(x: u32) -> u64 { x as u64 }\n}";
-        assert!(run_cast("gh-mem", src).is_empty());
-        assert!(run_cast("gh-trace", "fn f(x: u32) -> u64 { x as u64 }").is_empty());
     }
 
     fn run_launder(kind: FileKind, src: &str) -> Vec<Finding> {

@@ -28,10 +28,10 @@ pub enum FileKind {
 pub struct AllowDirective {
     /// Rule names inside `allow(...)`.
     pub rules: Vec<String>,
-    /// 1-based line the suppression applies to (the directive's own line
+    /// 1-based line the suppression applies to: the directive's own line
     /// for trailing comments, the following code line for standalone
-    /// comments, or `None` for `allow-file`).
-    pub line: Option<u32>,
+    /// comments.
+    pub line: u32,
     /// Line the directive itself is written on (for diagnostics).
     pub at: u32,
     /// True when a non-empty `-- reason` was present.
@@ -78,12 +78,11 @@ impl SourceFile {
             .any(|&(lo, hi)| line >= lo && line <= hi)
     }
 
-    /// True when a rule is suppressed at `line` by an allow directive (or
-    /// file-wide by `allow-file`).
+    /// True when a rule is suppressed at `line` by an allow directive.
     pub fn is_allowed(&self, rule: &str, line: u32) -> bool {
-        self.allows.iter().any(|a| {
-            a.rules.iter().any(|r| r == rule) && (a.line.is_none() || a.line == Some(line))
-        })
+        self.allows
+            .iter()
+            .any(|a| a.line == line && a.rules.iter().any(|r| r == rule))
     }
 
     /// Iterator over non-comment tokens with their indices in
@@ -102,7 +101,6 @@ impl SourceFile {
 /// `gh-audit: allow(rule1, rule2) -- reason`      suppress on this line, or
 ///                                                 the next code line when
 ///                                                 the comment stands alone
-/// `gh-audit: allow-file(rule) -- reason`          suppress for whole file
 fn parse_allows(tokens: &[Tok]) -> Vec<AllowDirective> {
     let mut out = Vec::new();
     for (idx, t) in tokens.iter().enumerate() {
@@ -122,27 +120,24 @@ fn parse_allows(tokens: &[Tok]) -> Vec<AllowDirective> {
             // reports it through the `allow-syntax` meta rule.
             out.push(AllowDirective {
                 rules: Vec::new(),
-                line: Some(t.line),
+                line: t.line,
                 at: t.line,
                 has_reason: false,
             });
             continue;
         };
-        let line = if d.file_wide {
-            None
-        } else if tokens[..idx]
+        let line = if tokens[..idx]
             .iter()
             .any(|p| !p.is_comment() && p.line == t.line)
         {
             // Trailing comment: suppress on its own line.
-            Some(t.line)
+            t.line
         } else {
             // Standalone comment: suppress on the next line that has code.
             tokens[idx + 1..]
                 .iter()
                 .find(|n| !n.is_comment())
-                .map(|n| n.line)
-                .or(Some(t.line))
+                .map_or(t.line, |n| n.line)
         };
         out.push(AllowDirective {
             rules: d.rules,
@@ -156,16 +151,12 @@ fn parse_allows(tokens: &[Tok]) -> Vec<AllowDirective> {
 
 struct ParsedDirective {
     rules: Vec<String>,
-    file_wide: bool,
     has_reason: bool,
 }
 
 fn parse_directive_text(comment: &str) -> Option<ParsedDirective> {
     let rest = comment.split("gh-audit:").nth(1)?.trim_start();
-    let (file_wide, rest) = match rest.strip_prefix("allow-file") {
-        Some(r) => (true, r),
-        None => (false, rest.strip_prefix("allow")?),
-    };
+    let rest = rest.strip_prefix("allow")?;
     // `(rule, rule, ...)` — whitespace anywhere around names and commas is
     // fine; the close paren splits the rule list from the reason.
     let inner = rest.trim_start().strip_prefix('(')?;
@@ -182,11 +173,7 @@ fn parse_directive_text(comment: &str) -> Option<ParsedDirective> {
         .split_once("--")
         .map(|(_, r)| !r.trim().trim_end_matches("*/").trim().is_empty())
         .unwrap_or(false);
-    Some(ParsedDirective {
-        rules,
-        file_wide,
-        has_reason,
-    })
+    Some(ParsedDirective { rules, has_reason })
 }
 
 /// Finds `#[cfg(test)] mod name { ... }` bodies and returns their line
@@ -279,31 +266,30 @@ mod tests {
         let f = sf("let a = m.iter(); // gh-audit: allow(no-unordered-iteration) -- commutative\nlet b = 1;\n");
         assert!(f.is_allowed("no-unordered-iteration", 1));
         assert!(!f.is_allowed("no-unordered-iteration", 2));
-        assert!(!f.is_allowed("no-float-eq", 1));
+        assert!(!f.is_allowed("typed-units", 1));
     }
 
     #[test]
     fn standalone_allow_applies_to_next_code_line() {
         let f = sf(
-            "// gh-audit: allow(no-float-eq) -- sentinel compare\n// more prose\nif x == 0.0 {}\n",
+            "// gh-audit: allow(typed-units) -- a raw boundary\n// more prose\npub fn f(bytes: u64) {}\n",
         );
-        assert!(f.is_allowed("no-float-eq", 3));
-        assert!(!f.is_allowed("no-float-eq", 1));
+        assert!(f.is_allowed("typed-units", 3));
+        assert!(!f.is_allowed("typed-units", 1));
     }
 
     #[test]
-    fn allow_file_applies_everywhere() {
-        let f = sf(
-            "// gh-audit: allow-file(no-raw-unit-cast) -- unit internals\nfn f() { x.0 as u64; }\n",
-        );
-        assert!(f.is_allowed("no-raw-unit-cast", 2));
-        assert!(f.is_allowed("no-raw-unit-cast", 999));
+    fn a_file_wide_form_is_malformed() {
+        let f = sf("// gh-audit: allow-file(unit-launder) -- unit internals\nfn f() {}\n");
+        assert_eq!(f.allows.len(), 1);
+        assert!(f.allows[0].rules.is_empty(), "recorded for allow-syntax");
+        assert!(!f.is_allowed("unit-launder", 2));
     }
 
     #[test]
     fn directive_without_reason_is_flagged_not_honored() {
-        let f = sf("// gh-audit: allow(no-float-eq)\nif x == 0.0 {}\n");
-        assert!(f.is_allowed("no-float-eq", 2), "still suppresses");
+        let f = sf("// gh-audit: allow(typed-units)\npub fn f(bytes: u64) {}\n");
+        assert!(f.is_allowed("typed-units", 2), "still suppresses");
         assert!(!f.allows[0].has_reason, "but engine reports allow-syntax");
     }
 
@@ -311,13 +297,6 @@ mod tests {
     fn multi_rule_allow() {
         let f = sf("x(); // gh-audit: allow(a, b) -- both\n");
         assert!(f.is_allowed("a", 1) && f.is_allowed("b", 1));
-    }
-
-    #[test]
-    fn multi_rule_allow_file() {
-        let f = sf("// gh-audit: allow-file(a, b) -- harness\nfn f() {}\n");
-        assert!(f.is_allowed("a", 999) && f.is_allowed("b", 999));
-        assert!(f.allows[0].has_reason);
     }
 
     #[test]

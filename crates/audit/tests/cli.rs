@@ -18,3 +18,22 @@ fn a_non_utf8_argument_exits_2_with_the_usage_line() {
         "{stderr}"
     );
 }
+
+#[test]
+fn the_json_format_is_gone_and_exits_2_with_the_usage_line() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_gh-audit"))
+        .args(["--format", "json"])
+        .output()
+        .expect("spawn gh-audit");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    assert!(
+        stderr.starts_with("gh-audit: unknown format 'json' (text, sarif)\nusage: gh-audit"),
+        "{stderr}"
+    );
+}

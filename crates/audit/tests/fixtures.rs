@@ -64,23 +64,6 @@ fn seeded_fixture_fires_typed_units() {
 }
 
 #[test]
-fn seeded_fixture_fires_no_raw_unit_cast() {
-    let f = audit("seeded");
-    let hits = rule_hits(&f, "no-raw-unit-cast");
-    // One `as u64` launder plus one `.0` escape, both in `escape_hatch`.
-    assert_eq!(hits.len(), 2, "{hits:?}");
-    assert!(hits.iter().any(|h| h.msg.contains("widen")), "{hits:?}");
-    assert!(hits.iter().any(|h| h.msg.contains(".get()")), "{hits:?}");
-}
-
-#[test]
-fn seeded_fixture_fires_no_float_eq() {
-    let f = audit("seeded");
-    let hits = rule_hits(&f, "no-float-eq");
-    assert_eq!(hits.len(), 1, "{hits:?}");
-}
-
-#[test]
 fn seeded_fixture_fires_no_platform_leak() {
     let f = audit("seeded");
     let hits = rule_hits(&f, "no-platform-leak");
@@ -100,10 +83,10 @@ fn seeded_fixture_flags_reasonless_allow() {
 #[test]
 fn rule_filter_narrows_to_requested_rules() {
     let mut cfg = AuditConfig::new(fixture_root("seeded"));
-    cfg.only_rules.insert("no-float-eq".to_string());
+    cfg.only_rules.insert("typed-units".to_string());
     let f = audit_workspace(&cfg).expect("fixture tree is readable");
     assert!(!f.is_empty());
-    assert!(f.iter().all(|x| x.rule == "no-float-eq"), "{f:?}");
+    assert!(f.iter().all(|x| x.rule == "typed-units"), "{f:?}");
 }
 
 #[test]

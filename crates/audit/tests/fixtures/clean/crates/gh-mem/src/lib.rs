@@ -1,7 +1,7 @@
 //! Clean fixture: the disciplined twin of `seeded`. Same shapes, zero
 //! findings — including one well-formed, reasoned suppression.
 
-use gh_units::{widen, Bytes, PageSize, Pages};
+use gh_units::{widen, Bytes, PageSize, Pages, Vpn};
 
 pub struct Counters {
     pub total_bytes: u64,
@@ -14,17 +14,12 @@ impl Counters {
     pub fn tally(&mut self, bytes: Bytes) {
         self.total_bytes = self.total_bytes.saturating_add(bytes.get());
     }
+}
 
-    // Epsilon compare instead of exact float equality.
-    pub fn is_idle(&self, utilization: f64) -> bool {
-        utilization.abs() < 1e-12
-    }
-
-    // A reasoned suppression parses cleanly and silences its rule.
-    pub fn is_unset(&self, utilization: f64) -> bool {
-        // gh-audit: allow(no-float-eq) -- exact sentinel: the field was never written
-        utilization == 0.0
-    }
+// A reasoned suppression parses cleanly and silences its rule.
+pub fn tagged(vpn: Vpn) -> Vpn {
+    // gh-audit: allow(unit-launder) -- sets a namespace bit; the value stays a VPN
+    Vpn::new(vpn.get() | (1 << 63))
 }
 
 // The platform-respecting twin of seeded's `build_machine`: only the
@@ -34,8 +29,8 @@ pub fn build_machine(pool_bytes: Bytes) -> u64 {
     pool_bytes.get()
 }
 
-// The disciplined twin of seeded's `span_cost`/`escape_hatch`: typed
-// parameters, `widen` for the usize conversion, `.get()` as the exit.
+// The disciplined twin of seeded's `span_cost`: typed parameters,
+// `widen` for the usize conversion, `.get()` as the exit.
 pub fn span_cost(lens: &[usize]) -> u64 {
     widen(lens.len())
 }

@@ -2,9 +2,11 @@
 # Runs clippy with `-D warnings` on the seeded fixture beside this script.
 # Passes only if clippy fails and every diagnostic in expected-lints.txt
 # fired, so dropping a clippy.toml entry or a lint from the fixture's
-# header fails it. The fixture carries its own copy of the library
-# crate-root header, so the script also checks that every real crate
-# root (`src/lib.rs`, `crates/*/src/lib.rs`) denies the header's lints.
+# header fails it. The fixture carries its own copy of the crate-root
+# header, so the script also checks that every real crate root
+# (`src/lib.rs`, `crates/*/src/lib.rs`) denies the header's lints, that
+# every library and binary root denies float compares outside tests,
+# and that the model crates' roots deny `as` casts.
 #
 #   sh crates/audit/tests/fixtures/clippy/check.sh [cargo flags, e.g. --offline]
 set -u
@@ -50,6 +52,25 @@ for lib in "$root/src/lib.rs" "$root"/crates/*/src/lib.rs; do
             missing=1
         fi
     done
+done
+
+# Float compares in every library and binary root; `as` casts in the
+# model crates, whose casts go through gh-units' helpers.
+float='#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]'
+cast='#![cfg_attr(not(test), deny(clippy::as_conversions))]'
+for f in "$root/src/lib.rs" "$root"/crates/*/src/lib.rs "$root"/src/bin/*.rs \
+    "$root"/crates/*/src/main.rs "$root"/crates/*/src/bin/*.rs; do
+    [ -e "$f" ] || continue
+    if ! grep -qxF "$float" "$f"; then
+        echo "crate root ${f#"$root"/}: no $float" >&2
+        missing=1
+    fi
+done
+for f in "$root"/crates/mem/src/lib.rs "$root"/crates/os/src/lib.rs "$root"/crates/cuda/src/lib.rs; do
+    if ! grep -qxF "$cast" "$f"; then
+        echo "crate root ${f#"$root"/}: no $cast" >&2
+        missing=1
+    fi
 done
 
 [ "$missing" -eq 0 ] && echo "clippy fixture: clippy failed with every expected lint; every crate root denies the header lints"

@@ -1,7 +1,9 @@
 //! Seeded clippy fixture: one violation for each guarantee that
 //! `docs/static-analysis.md` assigns to clippy. `check.sh` requires
 //! `cargo clippy -- -D warnings` to fail here, with every diagnostic that
-//! `expected-lints.txt` lists. The header is a library crate root's.
+//! `expected-lints.txt` lists. The header is a model crate root's
+//! (`gh-mem`, `gh-os`, `gh-cuda`): a library root's, plus the
+//! `as_conversions` line.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -15,6 +17,8 @@
     clippy::iter_over_hash_type,
     clippy::allow_attributes_without_reason
 )]
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -47,6 +51,24 @@ pub static CONFIG: OnceLock<u64> = OnceLock::new();
 /// An `unwrap` in library code.
 pub fn parse_pages(s: &str) -> u64 {
     s.parse().unwrap()
+}
+
+/// An exact compare of two computed costs.
+pub fn same_cost(a: f64, b: f64) -> bool {
+    a == b
+}
+
+/// The per-byte fault cost bound to a named constant.
+pub const ATS_FAULT_PER_BYTE: f64 = 0.25;
+
+/// An exact compare against a named float constant.
+pub fn is_default_fault_cost(per_byte: f64) -> bool {
+    per_byte == ATS_FAULT_PER_BYTE
+}
+
+/// A count laundered through an `as` cast.
+pub fn pages_of(n: u32) -> u64 {
+    n as u64
 }
 
 /// A trace event kind.

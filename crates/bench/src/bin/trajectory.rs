@@ -7,6 +7,8 @@
 //! declared metric or is not `"correct"`, or a `grace-mem` row's stdout
 //! differs between runs.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
+
 use std::path::Path;
 use std::process::{Command, Stdio};
 

@@ -51,7 +51,6 @@ pub fn amplification(csv: &Csv, app: &str) -> f64 {
             .unwrap()
     };
     let four = get("4k");
-    // gh-audit: allow(no-float-eq) -- exact-zero guard before division
     if four == 0.0 {
         1.0
     } else {

@@ -16,6 +16,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 #![deny(clippy::iter_over_hash_type)]
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
 pub mod ablations;
 pub mod bandwidth;

@@ -162,7 +162,6 @@ pub fn run() -> Vec<Claim> {
         claims.push(Claim {
             source: "§9",
             claim: "the counter engine migrates hot sets but ignores uniformly sparse traffic",
-            // gh-audit: allow(no-float-eq) -- exact sentinel: zero bytes migrated
             holds: chase > 0.0 && gups == 0.0,
             evidence: format!("pointer_chase migrated {chase:.1} MiB, gups {gups:.1} MiB"),
         });

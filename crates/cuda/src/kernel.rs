@@ -76,7 +76,7 @@ use gh_mem::phys::Node;
 use gh_mem::tlb::{tlb_key_gpu, tlb_key_sys};
 use gh_mem::traffic::KernelTraffic;
 use gh_os::VaRange;
-use gh_units::{ns_from_f64, widen, Bytes, Lines, Pages, Vpn, VpnRange};
+use gh_units::{narrow, ns_from_f64, to_f64, widen, Bytes, Lines, Pages, Vpn, VpnRange};
 
 use crate::buffer::{BufKind, Buffer};
 use crate::runtime::Runtime;
@@ -1313,7 +1313,7 @@ impl<'r> Kernel<'r> {
             r_eff,
         );
         mem += self.t.tlb_misses * p.ats_translate / XLAT_OUTSTANDING;
-        let compute = ns_from_f64((self.compute_units as f64 / p.gpu_throughput).ceil());
+        let compute = p.compute_ns(self.compute_units);
         self.rt.tick(mem.max(compute));
 
         let time = self.rt.now() - self.start;
@@ -1370,7 +1370,7 @@ impl<'r> Kernel<'r> {
                 return 0;
             }
         };
-        let cap = self.rt.params.counter_service_max_pages as usize;
+        let cap = narrow(self.rt.params.counter_service_max_pages);
         let take: Vec<Vpn> = touched.iter().copied().take(cap).collect();
         for vpn in &take {
             touched.remove(vpn);
@@ -1425,8 +1425,8 @@ impl<'r> Kernel<'r> {
         // In-flight stall (see CostParams::counter_stall_factor): grows
         // with the migration-unit (system page) size.
         let stall = ns_from_f64(
-            transfer as f64
-                * ((spt as f64 / 4096.0) - 1.0).max(0.0)
+            to_f64(transfer)
+                * ((to_f64(spt) / 4096.0) - 1.0).max(0.0)
                 * self.rt.params.counter_stall_factor,
         );
         self.rt.params.counter_region_fixed

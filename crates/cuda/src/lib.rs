@@ -57,6 +57,8 @@
     clippy::iter_over_hash_type,
     clippy::allow_attributes_without_reason
 )]
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 pub mod buffer;
 pub mod kernel;

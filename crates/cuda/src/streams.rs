@@ -26,7 +26,7 @@
 use gh_mem::clock::Ns;
 use gh_mem::link::Direction;
 use gh_mem::params::CostParams;
-use gh_units::{ns_from_f64, Bytes};
+use gh_units::Bytes;
 use std::collections::BTreeMap;
 
 use crate::buffer::{BufKind, Buffer};
@@ -199,7 +199,7 @@ impl Runtime {
         let mem = CostParams::transfer_ns(Bytes::new(hbm), p.hbm_bw)
             + CostParams::transfer_ns(Bytes::new(c2c_r), p.c2c_h2d_bw * p.c2c_stream_eff)
             + CostParams::transfer_ns(Bytes::new(c2c_w), p.c2c_d2h_bw * p.c2c_stream_eff);
-        let compute = ns_from_f64((compute_units as f64 / p.gpu_throughput).ceil());
+        let compute = p.compute_ns(compute_units);
         let dur = p.kernel_launch + mem.max(compute);
         let end = self.enqueue(stream, Engine::Compute, dur);
         self.kernels.push(crate::kernel::KernelRecord {

@@ -42,7 +42,7 @@ use gh_mem::params::CostParams;
 use gh_mem::phys::Node;
 use gh_mem::tlb::tlb_key_sys;
 use gh_os::VaRange;
-use gh_units::{widen, Bytes, Pages, Vpn, VpnRange};
+use gh_units::{narrow, widen, Bytes, Pages, Vpn, VpnRange};
 
 use crate::runtime::Runtime;
 
@@ -64,7 +64,7 @@ struct Lru {
 
 impl Lru {
     fn slot(block: u64) -> usize {
-        block as usize + 1
+        narrow(block) + 1
     }
 
     /// Moves `block` to the hot end, linking it if absent.

@@ -7,7 +7,7 @@
 //! sets×ways LRU cache tracking presence only — the simulator keeps data
 //! elsewhere; this answers "would this touch have crossed the link?".
 
-use gh_units::{widen, Bytes, Lines};
+use gh_units::{narrow, widen, Bytes, Lines};
 
 /// Low bits of a set header holding the set's live length; the bits
 /// above hold the generation that wrote it.
@@ -59,7 +59,7 @@ impl SetCache {
     pub fn new(capacity_bytes: Bytes, line_bytes: Bytes, ways: usize) -> Self {
         assert!(line_bytes.get().is_power_of_two());
         assert!((1..1 << LEN_BITS).contains(&ways));
-        let lines = (capacity_bytes.get() / line_bytes.get()).max(1) as usize;
+        let lines = narrow((capacity_bytes.get() / line_bytes.get()).max(1));
         let sets = (lines / ways).next_power_of_two().max(1);
         Self {
             ways,
@@ -105,7 +105,7 @@ impl SetCache {
     }
 
     fn set_of(&self, line: u64) -> usize {
-        ((line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 29) as usize) & (self.sets - 1)
+        narrow(line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 29) & (self.sets - 1)
     }
 
     /// Touches the line containing `addr`: returns `true` on hit,
@@ -123,7 +123,7 @@ impl SetCache {
         let (headers, lines) = self.slots.split_at_mut(self.sets);
         let header = headers[set];
         let len = if header >> LEN_BITS == self.gen {
-            (header & ((1 << LEN_BITS) - 1)) as usize
+            narrow(header & ((1 << LEN_BITS) - 1))
         } else {
             0
         };

@@ -51,11 +51,11 @@ impl Clock {
 pub fn format_ns(ns: gh_units::SimNs) -> String {
     let ns = ns.get();
     if ns >= 1_000_000_000 {
-        format!("{:.3} s", ns as f64 / 1e9)
+        format!("{:.3} s", gh_units::to_f64(ns) / 1e9)
     } else if ns >= 1_000_000 {
-        format!("{:.3} ms", ns as f64 / 1e6)
+        format!("{:.3} ms", gh_units::to_f64(ns) / 1e6)
     } else if ns >= 1_000 {
-        format!("{:.3} us", ns as f64 / 1e3)
+        format!("{:.3} us", gh_units::to_f64(ns) / 1e3)
     } else {
         format!("{ns} ns")
     }

@@ -11,7 +11,7 @@
 //! The link also carries ATS translation requests and atomics; their cost
 //! is charged by the [`crate::smmu::Smmu`] model.
 
-use gh_units::{Bytes, Lines};
+use gh_units::{to_f64, Bytes, Lines};
 
 /// Transfer direction over the C2C link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,7 +179,7 @@ impl Link {
     /// Comm|Scope-style bandwidth bench).
     pub fn effective_bulk_bw(&self, bytes: Bytes, dir: Direction) -> f64 {
         let t = self.latency + crate::params::CostParams::transfer_ns(bytes, self.bw(dir));
-        bytes.get() as f64 / t as f64
+        to_f64(bytes.get()) / to_f64(t)
     }
 }
 

@@ -20,7 +20,7 @@
 //! rewrites each moved entry and updates its block's counts once.
 
 use crate::phys::Node;
-use gh_units::{Bytes, PageSize, Pages, Vpn, VpnRange};
+use gh_units::{narrow, Bytes, PageSize, Pages, Vpn, VpnRange};
 
 /// One maximal run of pages sharing a placement state: `Some(node)` when
 /// every page is populated and resident on `node`, `None` when every page
@@ -440,7 +440,7 @@ impl PageTable {
         while k < hi {
             let end = self.chunk_end(k, hi);
             let (b, i) = self.locate(k);
-            let chunk = i..i + (end - k) as usize;
+            let chunk = i..i + narrow(end - k);
             if let Some(block) = self.blocks.get_mut(b) {
                 if let Some(slots) = block.slots.get_mut(chunk) {
                     f(k, &mut block.counts, slots);
@@ -454,8 +454,8 @@ impl PageTable {
     /// The block holding VPN `key`, and the key's slot in it.
     fn locate(&self, key: u64) -> (usize, usize) {
         (
-            (key >> self.block_shift) as usize,
-            (key & (self.block_len() - 1)) as usize,
+            narrow(key >> self.block_shift),
+            narrow(key & (self.block_len() - 1)),
         )
     }
 
@@ -495,7 +495,7 @@ impl PageTable {
         let (b, i) = self.locate(k);
         self.blocks
             .get(b)
-            .and_then(|block| block.slots.get(i..i + (end - k) as usize))
+            .and_then(|block| block.slots.get(i..i + narrow(end - k)))
             .unwrap_or(&[])
     }
 }

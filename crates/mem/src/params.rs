@@ -336,6 +336,12 @@ impl CostParams {
         gh_units::transfer_ns(bytes, bw)
     }
 
+    /// Time for `units` of declared kernel work at `gpu_throughput`
+    /// work-units per ns, rounded up.
+    pub fn compute_ns(&self, units: u64) -> u64 {
+        gh_units::ns_from_f64((gh_units::to_f64(units) / self.gpu_throughput).ceil())
+    }
+
     /// The system page size as a typed [`PageSize`].
     pub fn system_page(&self) -> PageSize {
         PageSize::new(self.system_page_size)

@@ -12,7 +12,7 @@
 //! entries, so a migration can skip its per-page shootdown probes while
 //! none can hit.
 
-use gh_units::{widen, Vpn, VpnRange};
+use gh_units::{narrow, widen, Vpn, VpnRange};
 
 /// Namespace bit of GPU-exclusive-table keys.
 const GPU_SPACE: u64 = 1 << 63;
@@ -123,7 +123,7 @@ impl Tlb {
     fn set_of(&self, tag: u64) -> usize {
         // Multiplicative hash spreads sequential VPNs across sets while
         // staying deterministic.
-        ((tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) & (self.sets - 1)
+        narrow(tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) & (self.sets - 1)
     }
 
     /// Looks up `vpn`; returns true on hit. Misses do **not** insert — the

@@ -5,7 +5,7 @@ use gh_mem::clock::Ns;
 use gh_mem::pagetable::PageTable;
 use gh_mem::params::{CostParams, MIB};
 use gh_mem::phys::{Node, PhysMem};
-use gh_units::{widen, Bytes, Vpn};
+use gh_units::{to_f64, widen, Bytes, Vpn};
 
 use crate::vma::{VaRange, Vma, VmaKind};
 use std::collections::BTreeMap;
@@ -306,7 +306,7 @@ impl Os {
         self.ats_faults = self.ats_faults.saturating_add(1);
         self.perf.count(gh_perf::Ctr::Faults, 1);
         let mut cost = self.params.ats_fault_fixed
-            + gh_units::ns_from_f64(page as f64 * self.params.ats_fault_per_byte);
+            + gh_units::ns_from_f64(to_f64(page) * self.params.ats_fault_per_byte);
         if self.config.autonuma {
             cost = cost.saturating_add(cost / 4);
         }

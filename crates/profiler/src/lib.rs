@@ -23,6 +23,7 @@
     clippy::iter_over_hash_type,
     clippy::allow_attributes_without_reason
 )]
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
 pub mod phases;
 pub mod plot;

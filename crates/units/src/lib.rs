@@ -14,7 +14,6 @@
 //! | [`VpnRange`]| —    | A half-open `[start, end)` range of VPNs   |
 //! | [`Lines`]  | `u64` | A cacheline count                          |
 //! | [`SimNs`]  | `u64` | A virtual-nanosecond duration              |
-//! | [`BwGiBs`] | `f64` | A bandwidth in bytes/ns (== GB/s)          |
 //!
 //! Arithmetic within a unit is *saturating* (accounting never wraps);
 //! crossings between units exist only as the explicit conversions below:
@@ -24,12 +23,15 @@
 //! * [`PageSize::vpn`] (address -> the [`Vpn`] holding it);
 //! * [`Lines::bytes`] (lines × line size);
 //! * [`VpnRange::count`] `-> Pages`;
-//! * [`BwGiBs::transfer_ns`] / [`transfer_ns`] (bytes ÷ bandwidth, rounded
-//!   half-up, saturating — never a truncating `as u64`).
+//! * [`transfer_ns`] (bytes ÷ bandwidth, rounded half-up, saturating —
+//!   never a truncating `as u64`).
 //!
-//! Everything else goes through [`get`](Bytes::get) at the raw boundary,
-//! which the `no-raw-unit-cast` audit rule confines to this crate and to
-//! explicitly-blessed call sites.
+//! Everything else goes through [`get`](Bytes::get) at the raw boundary.
+//! The payloads are private, so a `.0` outside this crate fails to
+//! compile, and the model crates (`gh-mem`, `gh-os`, `gh-cuda`) deny
+//! `clippy::as_conversions`: their integer and float crossings are
+//! [`widen`], [`narrow`] and [`to_f64`], which spell the one cast each
+//! allows.
 
 #![forbid(unsafe_code)]
 #![deny(
@@ -42,6 +44,7 @@
     clippy::iter_over_hash_type,
     clippy::allow_attributes_without_reason
 )]
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
 use std::fmt;
 use std::iter::Sum;
@@ -49,11 +52,26 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 pub mod sanitizer;
 
-/// Widens a `usize` count (e.g. `Vec::len`) to `u64` without spelling the
-/// banned `as u64` cast at call sites. `const` so it works in constants.
+/// Widens a `usize` count (e.g. `Vec::len`) to `u64` without spelling an
+/// `as` cast at call sites. `const` so it works in constants.
 #[inline]
 pub const fn widen(n: usize) -> u64 {
     n as u64
+}
+
+/// A `u64` count or index as a `usize`, for slicing and set hashing: the
+/// inverse of [`widen`]. It is `n as usize`, so it keeps every bit on the
+/// 64-bit hosts the simulator runs on.
+#[inline]
+pub const fn narrow(n: u64) -> usize {
+    n as usize
+}
+
+/// A `u64` count as an `f64`, for cost and ratio arithmetic: `n as f64`,
+/// exact up to 2^53 and rounded to nearest above it.
+#[inline]
+pub const fn to_f64(n: u64) -> f64 {
+    n as f64
 }
 
 /// Deterministic, saturating `f64 -> u64` nanosecond conversion: rounds
@@ -188,6 +206,13 @@ macro_rules! scalar_unit {
 
 scalar_unit!(
     /// A byte quantity: capacities, transfer sizes, RSS.
+    ///
+    /// The payload is private, so the raw value leaves only through
+    /// [`get`](Bytes::get); a tuple-field read does not compile:
+    ///
+    /// ```compile_fail,E0616
+    /// let raw: u64 = gh_units::Bytes::new(4096).0;
+    /// ```
     Bytes,
     "B"
 );
@@ -381,43 +406,6 @@ impl fmt::Display for VpnRange {
     }
 }
 
-/// A bandwidth in bytes per nanosecond (numerically equal to GB/s).
-/// Construction rejects non-finite and non-positive values so every
-/// division by a bandwidth is well-defined.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
-pub struct BwGiBs(f64);
-
-impl BwGiBs {
-    /// Wraps a bandwidth; panics on NaN, infinite, zero or negative input
-    /// (cost-model validation rejects these long before this point).
-    #[inline]
-    pub fn new(v: f64) -> Self {
-        assert!(
-            v.is_finite() && v > 0.0,
-            "bandwidth must be finite and positive"
-        );
-        BwGiBs(v)
-    }
-
-    /// The raw bytes/ns value.
-    #[inline]
-    pub const fn get(self) -> f64 {
-        self.0
-    }
-
-    /// Time to move `bytes` at this bandwidth (see [`transfer_ns`]).
-    #[inline]
-    pub fn transfer_ns(self, bytes: Bytes) -> u64 {
-        transfer_ns(bytes, self.0)
-    }
-}
-
-impl fmt::Display for BwGiBs {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} GB/s", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -513,23 +501,9 @@ mod tests {
     }
 
     #[test]
-    fn bw_wrapper_matches_free_fn() {
-        let bw = BwGiBs::new(486.0);
-        assert_eq!(bw.transfer_ns(Bytes::new(972)), 2);
-        assert_eq!(bw.transfer_ns(Bytes::ZERO), 0);
-        assert_eq!(format!("{bw}"), "486 GB/s");
-    }
-
-    #[test]
     #[should_panic(expected = "power of two")]
     fn page_size_rejects_non_power_of_two() {
         PageSize::new(3000);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and positive")]
-    fn bandwidth_rejects_zero() {
-        BwGiBs::new(0.0);
     }
 
     #[test]
@@ -561,6 +535,15 @@ mod tests {
         assert_eq!(widen(usize::MAX), usize::MAX as u64);
         const N: u64 = widen(16) - 1;
         assert_eq!(N, 15);
+    }
+
+    #[test]
+    fn narrow_and_to_f64_are_their_casts() {
+        for n in [0, 1, 4096, (1 << 53) + 1, u64::MAX] {
+            assert_eq!(narrow(n), n as usize);
+            assert_eq!(to_f64(n).to_bits(), (n as f64).to_bits());
+        }
+        assert_eq!(narrow(widen(usize::MAX)), usize::MAX);
     }
 
     #[test]

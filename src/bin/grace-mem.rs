@@ -6,6 +6,8 @@
 //! cargo run --release --bin grace-mem -- list
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
+
 use grace_mem::sim::{BufKind, KIB, MIB};
 use grace_mem::{
     platform, AppId, JobCache, JobError, Machine, MachineConfig, MemMode, Platform, QsimParams,

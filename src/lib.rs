@@ -54,6 +54,7 @@
     clippy::iter_over_hash_type,
     clippy::allow_attributes_without_reason
 )]
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
 pub use gh_apps as apps;
 pub use gh_cuda as cuda;

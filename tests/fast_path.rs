@@ -2,9 +2,11 @@
 //! and the retained per-page reference walk must produce byte-identical
 //! `RunReport`s — traffic, timings, samples, counters, trace, and
 //! sanitizer sections alike — for every app on every platform at every
-//! page size the platform supports. gh200 at 4 KiB pages is where small
-//! runs meet system spans that are part CPU- and part GPU-resident after
-//! counter migration.
+//! page size the platform supports. The small app runs split system
+//! fragments only into resident and unpopulated runs; the counter
+//! migration sequence in `counter_notification_order_is_deterministic`
+//! is where one fragment holds CPU- and GPU-resident runs, at every
+//! gh200 page size.
 //!
 //! These run in the debug/test profile, where the runtime invariant
 //! sanitizer defaults ON (`gh_units::sanitizer`), so every differential
@@ -108,55 +110,95 @@ fn batched_and_reference_paths_agree_under_tracing() {
     }
 }
 
-/// Regression for the counters/UVM determinism fix: notification state
-/// lives in `BTreeMap`s, so the notification *order* a kernel sequence
-/// drives into a RunReport is a pure function of the access pattern.
-/// With hash maps, two identical runs in one process could drain
-/// regions in different orders (per-instance hasher seeds) and migrate
-/// different pages under a budgeted driver.
+/// Six kernels re-read an 8 MiB CPU-written system buffer on a gh200
+/// machine built from `cfg` and `so`, while the access-counter driver
+/// migrates it: one notification and at most 128 pages per kernel.
+fn counter_migration_run(cfg: &MachineConfig, so: &SessionOptions) -> grace_mem::RunReport {
+    let mut m = platform::gh200()
+        .machine_session(cfg, so)
+        .expect("a supported page size is a valid configuration");
+    let p = m.rt.params();
+    assert_eq!(
+        (p.counter_budget_per_kernel, p.counter_service_max_pages),
+        (1, 128),
+        "the sequence is sized for the calibrated driver budget"
+    );
+    let b = m.rt.malloc_system(Bytes::new(8 * MIB), "hot");
+    m.rt.cpu_write(&b, 0, 8 * MIB);
+    // Re-read everything repeatedly: all four 2 MiB regions get hot
+    // and fire notifications; the budgeted driver migrates them over
+    // several kernels, so drain order is visible in per-kernel
+    // migration traffic, and each read between two services is one
+    // fragment split into CPU- and GPU-resident runs.
+    for i in 0..6 {
+        let mut k = m.rt.launch(&format!("iter{i}"));
+        k.read(&b, 0, 8 * MIB);
+        drop(k.finish());
+    }
+    m.rt.free(b);
+    m.finish()
+}
+
+/// Regression for the counters/UVM determinism fix, and the fragment
+/// core's differential on a split that holds both nodes. Notification
+/// state lives in `BTreeMap`s, so the notification *order* a kernel
+/// sequence drives into a RunReport is a pure function of the access
+/// pattern. With hash maps, two identical runs in one process could
+/// drain regions in different orders (per-instance hasher seeds) and
+/// migrate different pages under a budgeted driver. Between two driver
+/// services the buffer is part CPU- and part GPU-resident, so the
+/// fragment core charges both kinds of run of one split fragment; the
+/// per-page reference walk must produce the same report and trace, at
+/// every gh200 page size, quiet and traced.
 #[test]
 fn counter_notification_order_is_deterministic() {
-    let run_once = || {
-        let mut m = platform::gh200().machine();
-        let b = m.rt.malloc_system(Bytes::new(8 * MIB), "hot");
-        m.rt.cpu_write(&b, 0, 8 * MIB);
-        // Re-read everything repeatedly: all four 2 MiB regions get hot
-        // and fire notifications; the budgeted driver migrates them over
-        // several kernels, so drain order is visible in per-kernel
-        // migration traffic.
-        for i in 0..6 {
-            let mut k = m.rt.launch(&format!("iter{i}"));
-            k.read(&b, 0, 8 * MIB);
-            let rep = k.finish();
-            drop(rep);
+    for &page in platform::gh200().caps().page_sizes {
+        let cfg = MachineConfig::with_page_size(page);
+        for trace in [false, true] {
+            let so = |access_ref| SessionOptions {
+                trace,
+                access_ref,
+                ..Default::default()
+            };
+            let what = format!("{page}/trace={trace}");
+            let a = counter_migration_run(&cfg, &so(false));
+            let b = counter_migration_run(&cfg, &so(false));
+            let reference = counter_migration_run(&cfg, &so(true));
+            assert!(
+                a.traffic.notifications > 0,
+                "{what}: the sequence must actually fire notifications"
+            );
+            assert!(
+                a.traffic.bytes_migrated_in > 0,
+                "{what}: the driver must actually migrate hot regions"
+            );
+            // Migration must be spread across kernels (budgeted drain)
+            // for the order to matter at all.
+            let per_kernel: Vec<u64> = a
+                .kernels
+                .iter()
+                .map(|k| k.traffic.bytes_migrated_in)
+                .collect();
+            assert!(
+                per_kernel.iter().filter(|&&x| x > 0).count() > 1,
+                "{what}: migrations should land in more than one kernel: {per_kernel:?}"
+            );
+            assert_eq!(
+                a.to_json(),
+                b.to_json(),
+                "{what}: identical kernel sequences must produce byte-identical reports"
+            );
+            assert_eq!(
+                reference.to_json(),
+                a.to_json(),
+                "{what}: batched core diverged from the reference walk"
+            );
+            assert_eq!(reference.chrome_trace().is_some(), trace, "{what}");
+            assert_eq!(
+                reference.chrome_trace(),
+                a.chrome_trace(),
+                "{what}: batched run's trace event stream diverged"
+            );
         }
-        m.rt.free(b);
-        m.finish()
-    };
-    let a = run_once();
-    let b = run_once();
-    assert!(
-        a.traffic.notifications > 0,
-        "the sequence must actually fire notifications"
-    );
-    assert!(
-        a.traffic.bytes_migrated_in > 0,
-        "the driver must actually migrate hot regions"
-    );
-    // Migration must be spread across kernels (budgeted drain) for the
-    // order to matter at all.
-    let per_kernel: Vec<u64> = a
-        .kernels
-        .iter()
-        .map(|k| k.traffic.bytes_migrated_in)
-        .collect();
-    assert!(
-        per_kernel.iter().filter(|&&x| x > 0).count() > 1,
-        "migrations should land in more than one kernel: {per_kernel:?}"
-    );
-    assert_eq!(
-        a.to_json(),
-        b.to_json(),
-        "identical kernel sequences must produce byte-identical reports"
-    );
+    }
 }
