@@ -318,6 +318,7 @@ impl Drop for Stop<'_> {
 
 /// Runs BFS under `mode` (checksum = Σ (level+1) over reached nodes).
 pub fn run(mut m: Machine, mode: MemMode, p: &BfsParams) -> RunReport {
+    assert!(p.nodes > 0, "nodes must be positive");
     let g = build_graph(p);
     let n = p.nodes;
     let nodes_bytes = (n * 8) as u64;

@@ -1,12 +1,98 @@
 //! Shared infrastructure for the application ports: the unified-buffer
-//! abstraction implementing the paper's Figure 2 code transformation.
+//! abstraction implementing the paper's Figure 2 code transformation,
+//! and the one seeded hash every app draws its inputs from.
+//!
+//! `mix` is the hash. `Mixer` is its block form for runs of consecutive
+//! indices: within an aligned block of `MIX_BLOCK` indices,
+//! `mix(seed, i)` is one product per block plus a table entry, so a run
+//! costs a vector add per value. `unit` maps a hash to an f32 in
+//! `[0, 1]`.
 
+use gh_par::par_chunks_mut;
 use gh_sim::{Buffer, Machine, MemMode, Node};
 
 /// Grid rows per `gh-par` chunk in the banded stencil passes of srad and
 /// hotspot: enough rows that a band's edge work (one plane row or two
 /// halo rows) stays small, few enough that every worker gets bands.
 pub(crate) const BAND: usize = 16;
+
+/// The golden-ratio multiplier of [`mix`].
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Value `i` of the seeded input stream `seed`: pathfinder's walls,
+/// needle's bases, hotspot's grids, srad's image, lud's matrix and
+/// kmeans' points all derive from it.
+#[inline]
+pub(crate) fn mix(seed: u64, i: u64) -> u64 {
+    (seed ^ i).wrapping_mul(GOLDEN)
+}
+
+/// Indices per block of [`Mixer`].
+pub(crate) const MIX_BLOCK: usize = 4096;
+
+/// [`mix`] for runs of consecutive indices. With `M = MIX_BLOCK - 1`, the
+/// bits of `seed ^ i` above and below the block size are disjoint, so
+/// `seed ^ i` is their sum and the wrapping product distributes over it:
+/// `mix(seed, i) = mix(seed & !M, i & !M) + mix(seed & M, i & M)`. The
+/// second term takes [`MIX_BLOCK`] values, kept in a table; the first is
+/// one multiply per block.
+#[derive(Debug)]
+pub(crate) struct Mixer {
+    high: u64,
+    low: Vec<u64>,
+}
+
+impl Mixer {
+    const MASK: u64 = MIX_BLOCK as u64 - 1;
+
+    /// The block form of the stream `seed`.
+    pub(crate) fn new(seed: u64) -> Self {
+        Mixer {
+            high: seed & !Self::MASK,
+            low: (0..MIX_BLOCK as u64)
+                .map(|l| mix(seed & Self::MASK, l))
+                .collect(),
+        }
+    }
+
+    /// Writes `f(mix(seed, first + k))` to `out[k]` for every `k`.
+    #[inline]
+    pub(crate) fn fill<T>(&self, first: u64, mut out: &mut [T], f: impl Fn(u64) -> T) {
+        let mut i = first;
+        while !out.is_empty() {
+            let l = (i & Self::MASK) as usize;
+            let take = (MIX_BLOCK - l).min(out.len());
+            let (run, rest) = std::mem::take(&mut out).split_at_mut(take);
+            let base = mix(self.high, i & !Self::MASK);
+            for (o, &lo) in run.iter_mut().zip(&self.low[l..]) {
+                *o = f(base.wrapping_add(lo));
+            }
+            i += run.len() as u64;
+            out = rest;
+        }
+    }
+}
+
+/// `f(mix(seed, i))` for `i` in `0..len`, one [`MIX_BLOCK`] per `gh-par`
+/// chunk.
+pub(crate) fn seeded_vec<T, F>(seed: u64, len: usize, f: F) -> Vec<T>
+where
+    T: Copy + Default + Send,
+    F: Fn(u64) -> T + Sync,
+{
+    let mixer = Mixer::new(seed);
+    let mut out = vec![T::default(); len];
+    par_chunks_mut(&mut out, MIX_BLOCK, |c, block| {
+        mixer.fill((c * MIX_BLOCK) as u64, block, &f);
+    });
+    out
+}
+
+/// The top 53 bits of a hash as an f32 in `[0, 1]`.
+#[inline]
+pub(crate) fn unit(x: u64) -> f32 {
+    ((x >> 11) as f64 / (1u64 << 53) as f64) as f32
+}
 
 /// A data buffer under one of the three memory-management strategies.
 ///

@@ -13,13 +13,15 @@
 //! so every cell still reads only old values. Each row handles its first
 //! and last columns on their own, then runs the interior as one
 //! branch-free loop over zipped neighbour slices. [`reference()`] is the
-//! scalar oracle; `run`'s checksum equals its bits.
+//! scalar oracle; `run`'s checksum equals its bits. Both input grids are
+//! generated on `gh-par` too, one block of the input hash per chunk
+//! (`common::seeded_vec`), with the same values as the serial `seeded`.
 
 use gh_par::par_chunks_mut;
 use gh_profiler::Phase;
 use gh_sim::{Machine, MemMode, RunReport};
 
-use crate::common::{UBuf, BAND};
+use crate::common::{mix, seeded_vec, unit, UBuf, BAND};
 
 /// Input parameters.
 #[derive(Debug, Clone)]
@@ -52,10 +54,9 @@ const RY: f32 = 1.0;
 const RZ: f32 = 4.0;
 const AMB: f32 = 80.0;
 
+/// Deterministic pseudo-random initial condition in `[0, 1]`.
 fn seeded(seed: u64, i: u64) -> f32 {
-    // Deterministic pseudo-random initial condition in [0, 1).
-    let x = (seed ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    ((x >> 11) as f64 / (1u64 << 53) as f64) as f32
+    unit(mix(seed, i))
 }
 
 /// One stencil update of row `r` into `out`.
@@ -176,12 +177,13 @@ pub fn scratch_bytes(p: &HotspotParams) -> u64 {
 /// Runs hotspot under `mode`, returning the full report (checksum = sum
 /// of the final temperature grid).
 pub fn run(mut m: Machine, mode: MemMode, p: &HotspotParams) -> RunReport {
+    assert!(p.size > 0, "size must be positive");
     let n = p.size;
     let bytes = (n * n * 4) as u64;
 
     // ---- real data ----
-    let mut temp_h: Vec<f32> = (0..n * n).map(|i| seeded(p.seed, i as u64)).collect();
-    let power_h: Vec<f32> = (0..n * n).map(|i| seeded(p.seed + 1, i as u64)).collect();
+    let mut temp_h = seeded_vec(p.seed, n * n, unit);
+    let power_h = seeded_vec(p.seed + 1, n * n, unit);
     let mut halo = vec![0.0f32; n.div_ceil(BAND) * 2 * n];
 
     // ---- GPU context initialization + argument parsing (phase 1) ----
@@ -299,6 +301,22 @@ mod tests {
                 std::mem::swap(&mut want, &mut next);
                 hotspot_pass(&mut got, &p, &mut halo, n);
                 assert_eq!(bits(&got), bits(&want), "size {n}, iteration {it}");
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_grids_equal_the_serial_values() {
+        for n in [1, 15, 16, 17, 256] {
+            for seed in [0, 3, 0xfff, u64::MAX - 1] {
+                let want: Vec<u32> = (0..n * n)
+                    .map(|i| seeded(seed, i as u64).to_bits())
+                    .collect();
+                let got: Vec<u32> = seeded_vec(seed, n * n, unit)
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect();
+                assert_eq!(got, want, "size {n}, seed {seed}");
             }
         }
     }

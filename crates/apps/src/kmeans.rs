@@ -10,7 +10,7 @@ use gh_par::{par_map_reduce, Grain};
 use gh_profiler::Phase;
 use gh_sim::{Machine, MemMode, RunReport};
 
-use crate::common::UBuf;
+use crate::common::{mix, unit, UBuf};
 
 /// Input parameters.
 #[derive(Debug, Clone)]
@@ -40,8 +40,7 @@ impl Default for KmeansParams {
 }
 
 fn feature(seed: u64, i: u64) -> f32 {
-    let x = (seed ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    ((x >> 11) as f64 / (1u64 << 53) as f64) as f32
+    unit(mix(seed, i))
 }
 
 fn nearest(point: &[f32], centroids: &[f32], dims: usize) -> usize {

@@ -24,14 +24,18 @@
 //! kernels: each row handles its edge columns on their own and runs the
 //! interior as one branch-free loop. srad (both stencils fused) and
 //! hotspot (in place) run bands of rows in parallel on `gh-par`;
-//! pathfinder's DP rows depend on each other and run in order. Each
-//! module's `reference()` is the scalar oracle these kernels equal bit
-//! for bit. pathfinder generates its input rows on the fly, a launch's
-//! rows just before that launch, instead of holding the whole grid on
-//! the host, and needle reads scores from per-row tables instead of the
-//! reference matrix. needle's DP and bfs's expansion of the next level
-//! run on a `gh-par` worker while the calling thread meters
-//! (`gh_par::join`).
+//! pathfinder runs each launch's rows in column tiles on `gh-par`, each
+//! tile with a halo of one column per row on either side. Each module's
+//! `reference()` is the scalar oracle these kernels equal bit for bit.
+//! Every input comes from one seeded hash (`common::mix`); pathfinder's
+//! tiles generate their wall rows as they need them with its block form,
+//! so the host never holds the grid, and hotspot's and srad's grids are
+//! generated on `gh-par`. needle reads scores from per-row tables
+//! instead of the reference matrix. needle's DP (row by row, through
+//! slices) and bfs's expansion of the next level run on a `gh-par`
+//! worker while the calling thread meters (`gh_par::join`). Each `run`
+//! rejects an empty input (a zero size, or needle's `n` off its block
+//! grid) with a panic that names the parameter, before it allocates.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -226,6 +230,58 @@ mod tests {
         let full = |app: AppId| app.device_only_bytes(false, gpu_page);
         assert_eq!(full(AppId::Hotspot), 4 << 20, "one 1024² f32 grid");
         assert_eq!(full(AppId::Pathfinder), gpu_page, "two rows in one page");
+    }
+
+    #[test]
+    fn empty_inputs_fail_before_allocation_naming_the_parameter() {
+        let message = |run: &dyn Fn(Machine) -> RunReport| -> Option<String> {
+            let m = gh_sim::platform::gh200().machine();
+            let e = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(m))).err()?;
+            (e.downcast_ref::<String>().cloned())
+                .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
+        };
+        let mode = MemMode::System;
+        let d = pathfinder::PathfinderParams::default;
+        for (p, name) in [
+            (pathfinder::PathfinderParams { rows: 0, ..d() }, "rows"),
+            (pathfinder::PathfinderParams { cols: 0, ..d() }, "cols"),
+            (
+                pathfinder::PathfinderParams {
+                    rows_per_kernel: 0,
+                    ..d()
+                },
+                "rows_per_kernel",
+            ),
+        ] {
+            let got = message(&|m| pathfinder::run(m, mode, &p));
+            assert_eq!(got, Some(format!("{name} must be positive")));
+        }
+        for n in [0, 30] {
+            let p = needle::NeedleParams {
+                n,
+                ..Default::default()
+            };
+            let got = message(&|m| needle::run(m, mode, &p));
+            assert_eq!(got.as_deref(), Some("n must be a positive multiple of 16"));
+        }
+        let p = hotspot::HotspotParams {
+            size: 0,
+            ..Default::default()
+        };
+        let got = message(&|m| hotspot::run(m, mode, &p));
+        assert_eq!(got.as_deref(), Some("size must be positive"));
+        let p = srad::SradParams {
+            size: 0,
+            ..Default::default()
+        };
+        let got = message(&|m| srad::run(m, mode, &p));
+        assert_eq!(got.as_deref(), Some("size must be positive"));
+        let p = bfs::BfsParams {
+            nodes: 0,
+            ..Default::default()
+        };
+        let got = message(&|m| bfs::run(m, mode, &p));
+        assert_eq!(got.as_deref(), Some("nodes must be positive"));
     }
 
     #[test]

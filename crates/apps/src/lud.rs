@@ -8,7 +8,7 @@
 use gh_profiler::Phase;
 use gh_sim::{Machine, MemMode, RunReport};
 
-use crate::common::UBuf;
+use crate::common::{mix, unit, UBuf};
 
 /// Block edge (Rodinia uses 16).
 pub const BLOCK: usize = 16;
@@ -35,8 +35,7 @@ pub fn generate(p: &LudParams) -> Vec<f32> {
     let mut a = vec![0.0f32; n * n];
     for i in 0..n {
         for j in 0..n {
-            let x = (p.seed ^ ((i * n + j) as u64)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            a[i * n + j] = ((x >> 11) as f64 / (1u64 << 53) as f64) as f32;
+            a[i * n + j] = unit(mix(p.seed, (i * n + j) as u64));
         }
         a[i * n + i] += n as f32; // dominance
     }

@@ -12,13 +12,16 @@
 //! before. [`reference()`] builds the matrix and is the oracle.
 //!
 //! The metering reads no DP value, so `run` meters every wave on the
-//! calling thread while a gh-par worker runs the whole DP, in the same
-//! wave and block order (`gh_par::join`).
+//! calling thread while a gh-par worker runs the whole DP (`gh_par::join`),
+//! row by row in [`reference()`]'s order: each row reads the row above
+//! and writes its own through slices, carrying its left neighbour in a
+//! local. Every cell takes the same maxima of the same values as in the
+//! blocked waves, so the matrix is the same.
 
 use gh_profiler::Phase;
 use gh_sim::{Machine, MemMode, RunReport};
 
-use crate::common::UBuf;
+use crate::common::{mix, UBuf};
 
 /// DP block edge (Rodinia's BLOCK_SIZE).
 pub const BLOCK: usize = 16;
@@ -49,8 +52,7 @@ impl Default for NeedleParams {
 const BASES: usize = 23;
 
 fn base(seed: u64, i: u64) -> u8 {
-    let x = (seed ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    ((x >> 33) % BASES as u64) as u8
+    ((mix(seed, i) >> 33) % BASES as u64) as u8
 }
 
 /// Substitution score (stands in for the BLOSUM62 lookup).
@@ -98,6 +100,37 @@ fn wave_blocks(nb: usize, wave: usize) -> impl Iterator<Item = (usize, usize)> {
     (wave.saturating_sub(nb - 1)..=wave.min(nb - 1)).map(move |bi| (bi, wave - bi))
 }
 
+/// Writes the DP borders of the `w × w` matrix `mat`: cell `k` of row 0
+/// and of column 0 holds `-k · penalty`.
+fn borders(mat: &mut [i32], w: usize, penalty: i32) {
+    for (k, row) in mat.chunks_exact_mut(w).enumerate() {
+        row[0] = -(k as i32) * penalty;
+    }
+    for (k, x) in mat[..w].iter_mut().enumerate() {
+        *x = -(k as i32) * penalty;
+    }
+}
+
+/// The DP below the borders of the `(n+1)²` matrix `mat`, whose row 0
+/// and column 0 hold the borders, with the scores of [`score_tables`].
+fn fill_dp(mat: &mut [i32], penalty: i32, cols: &[u8], rows: &[[i32; BASES]]) {
+    let w = cols.len();
+    for (i, scores) in rows.iter().enumerate().skip(1) {
+        let (done, rest) = mat.split_at_mut(i * w);
+        let (above, row) = (&done[(i - 1) * w..], &mut rest[..w]);
+        // The carried value enters last, so the chain from one cell to the
+        // next is one subtract and one max (max is associative).
+        let mut left = row[0];
+        for ((x, up), &b) in row[1..].iter_mut().zip(above.windows(2)).zip(&cols[1..]) {
+            // `up` is the cell above and to the left, then the one above.
+            left = (up[0] + scores[b as usize])
+                .max(up[1] - penalty)
+                .max(left - penalty);
+            *x = left;
+        }
+    }
+}
+
 /// Plain full-matrix DP (correctness reference).
 #[expect(
     clippy::needless_range_loop,
@@ -125,12 +158,11 @@ pub fn reference(p: &NeedleParams) -> Vec<i32> {
 
 /// Runs needle under `mode` (checksum = final alignment score
 /// `mat[n][n]`).
-#[expect(
-    clippy::needless_range_loop,
-    reason = "DP border init indexes the flat matrix directly"
-)]
 pub fn run(mut m: Machine, mode: MemMode, p: &NeedleParams) -> RunReport {
-    assert_eq!(p.n % BLOCK, 0, "n must be a multiple of {BLOCK}");
+    assert!(
+        p.n > 0 && p.n.is_multiple_of(BLOCK),
+        "n must be a positive multiple of {BLOCK}"
+    );
     let n = p.n;
     let w = n + 1;
     let bytes = (w * w * 4) as u64;
@@ -150,12 +182,7 @@ pub fn run(mut m: Machine, mode: MemMode, p: &NeedleParams) -> RunReport {
 
     // ---- CPU-side initialization ----
     m.phase(Phase::CpuInit);
-    for i in 0..=n {
-        mat[i * w] = -(i as i32) * p.penalty;
-    }
-    for j in 0..=n {
-        mat[j] = -(j as i32) * p.penalty;
-    }
+    borders(&mut mat, w, p.penalty);
     // The CPU writes the whole reference matrix and the DP borders.
     ref_buf.cpu_init(&mut m, 0, bytes);
     mat_buf.cpu_init(&mut m, 0, bytes);
@@ -202,22 +229,7 @@ pub fn run(mut m: Machine, mode: MemMode, p: &NeedleParams) -> RunReport {
             k.finish();
         }
     };
-    let dp = || {
-        for wave in 0..(2 * nb - 1) {
-            for (bi, bj) in wave_blocks(nb, wave) {
-                let (r0, c0) = (bi * BLOCK + 1, bj * BLOCK + 1);
-                for i in r0..r0 + BLOCK {
-                    let scores = &rows[i];
-                    for j in c0..c0 + BLOCK {
-                        mat[i * w + j] = (mat[(i - 1) * w + j - 1] + scores[cols[j] as usize])
-                            .max(mat[i * w + j - 1] - p.penalty)
-                            .max(mat[(i - 1) * w + j] - p.penalty);
-                    }
-                }
-            }
-        }
-    };
-    gh_par::join(meter, dp);
+    gh_par::join(meter, || fill_dp(&mut mat, p.penalty, &cols, &rows));
     let tail = bytes.min(4096); // traceback tail, as Rodinia reads it
     mat_buf.download(&mut m, bytes - tail, tail);
 
@@ -233,6 +245,7 @@ pub fn run(mut m: Machine, mode: MemMode, p: &NeedleParams) -> RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small() -> NeedleParams {
         NeedleParams {
@@ -250,6 +263,23 @@ mod tests {
         for mode in MemMode::ALL {
             let r = run(gh_sim::platform::gh200().machine(), mode, &p);
             assert_eq!(r.checksum, expected, "{mode}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The row-slice DP fills the reference's matrix, cell for cell.
+        #[test]
+        fn row_dp_matches_reference(seed in 0u64..u64::MAX, penalty in 1i32..20,
+                                    size in 0usize..5) {
+            let n = [16, 32, 48, 64, 128][size];
+            let p = NeedleParams { n, penalty, seed };
+            let (cols, rows) = score_tables(&p);
+            let mut mat = vec![0i32; (n + 1) * (n + 1)];
+            borders(&mut mat, n + 1, penalty);
+            fill_dp(&mut mat, penalty, &cols, &rows);
+            prop_assert_eq!(mat, reference(&p));
         }
     }
 
@@ -293,17 +323,6 @@ mod tests {
         let full = reference(&p);
         let r = run(gh_sim::platform::gh200().machine(), MemMode::System, &p);
         assert_eq!(r.checksum, full[p.n * (p.n + 1) + p.n] as f64);
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of")]
-    fn non_multiple_block_size_panics() {
-        let p = NeedleParams {
-            n: 30,
-            penalty: 1,
-            seed: 0,
-        };
-        run(gh_sim::platform::gh200().machine(), MemMode::System, &p);
     }
 
     #[test]

@@ -5,19 +5,23 @@
 //! than a 64 KiB page. This is exactly the shape that makes large-page
 //! migration amplification visible (§5.2, Fig 7).
 //!
-//! `run` generates the wall rows of each launch just before that launch,
-//! one row per `gh-par` chunk, into one reused buffer of
-//! `rows_per_kernel` rows, so the host never holds the whole grid and
-//! input generation stays outside the kernel.
-//! The DP step is a row kernel: the two edge columns on their own, then
-//! one branch-free loop over the interior. [`reference()`] is the scalar
-//! oracle; `run`'s checksum equals it exactly.
+//! `run` computes each launch's `rows_per_kernel` rows before the launch
+//! that meters them, in column tiles of the result row, one tile per
+//! `gh-par` chunk. A tile carries a halo of one column per row of the
+//! launch on each side (Rodinia's pyramid blocking): it generates each
+//! wall row over its span as it needs it, with the block form of the
+//! input hash (`common::Mixer`), runs the DP over the span and keeps its
+//! own columns, which the halo's edge values cannot reach. So the host never
+//! holds the grid or a launch's wall rows, and any tile width gives the
+//! same row. The DP step is a row kernel: the two edge columns on their
+//! own, then one branch-free loop over the interior. [`reference()`] is
+//! the scalar oracle; `run`'s checksum equals it exactly.
 
 use gh_par::par_chunks_mut;
 use gh_profiler::Phase;
 use gh_sim::{Machine, MemMode, RunReport};
 
-use crate::common::UBuf;
+use crate::common::{mix, Mixer, UBuf};
 
 /// Input parameters.
 #[derive(Debug, Clone)]
@@ -43,9 +47,22 @@ impl Default for PathfinderParams {
     }
 }
 
+/// The wall cost of hash `x`: its top 24 bits `v` modulo 10, with the
+/// quotient as a multiply and a shift. `13_421_773 = ⌈2²⁷ / 10⌉` exceeds
+/// `2²⁷ / 10` by `1/5`, which adds less than `1/40` to `v / 10` for any
+/// `v < 2²⁴`: less than the `1/10` that any fraction of `v / 10` lacks
+/// of the next integer, so the floor is exact. Both factors fit in 32
+/// bits, so the loops that call this vectorise.
+#[inline]
+fn wall(x: u64) -> i32 {
+    let v = x >> 40;
+    let q = (v * 13_421_773) >> 27;
+    (v - 10 * q) as i32
+}
+
+/// The wall cost of grid cell `i` (the scalar oracle of [`wall`]).
 fn wall_value(seed: u64, i: u64) -> i32 {
-    let x = (seed ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    ((x >> 40) % 10) as i32
+    ((mix(seed, i) >> 40) % 10) as i32
 }
 
 fn dp_step(wall_row: &[i32], prev: &[i32], out: &mut [i32]) {
@@ -76,6 +93,28 @@ fn dp_row(wall_row: &[i32], prev: &[i32], out: &mut [i32]) {
     }
 }
 
+/// Advances the DP row `prev` by wall rows `first..first + batch` into
+/// `next`, one tile of `tile` result columns per `gh-par` chunk. A tile
+/// runs the DP over its columns and `batch` halo columns on each side
+/// (fewer at the grid's edges): after `t` rows a wrong value at a halo
+/// edge has spread `t` columns inward, so after `batch` rows the tile's
+/// own columns are exact.
+fn advance(mixer: &Mixer, prev: &[i32], next: &mut [i32], first: usize, batch: usize, tile: usize) {
+    let cols = prev.len();
+    par_chunks_mut(next, tile, |t, out| {
+        let c0 = t * tile;
+        let (lo, hi) = (c0.saturating_sub(batch), (c0 + out.len() + batch).min(cols));
+        let mut cur = prev[lo..hi].to_vec();
+        let (mut step, mut walls) = (vec![0i32; hi - lo], vec![0i32; hi - lo]);
+        for r in first..first + batch {
+            mixer.fill((r * cols + lo) as u64, &mut walls, wall);
+            dp_row(&walls, &cur, &mut step);
+            std::mem::swap(&mut cur, &mut step);
+        }
+        out.copy_from_slice(&cur[c0 - lo..][..out.len()]);
+    });
+}
+
 /// Sequential reference: final DP row.
 pub fn reference(p: &PathfinderParams) -> Vec<i32> {
     let (r, c) = (p.rows, p.cols);
@@ -99,14 +138,19 @@ pub fn result_bytes(p: &PathfinderParams) -> u64 {
 
 /// Runs pathfinder under `mode` (checksum = sum of the final DP row).
 pub fn run(mut m: Machine, mode: MemMode, p: &PathfinderParams) -> RunReport {
+    assert!(p.rows > 0, "rows must be positive");
+    assert!(p.cols > 0, "cols must be positive");
+    assert!(p.rows_per_kernel > 0, "rows_per_kernel must be positive");
     let (rows, cols) = (p.rows, p.cols);
     let row_bytes = (cols * 4) as u64;
     let wall_bytes = (rows * cols * 4) as u64;
 
-    // ---- real data: row 0 of the wall; later rows are generated per launch ----
-    let mut prev: Vec<i32> = (0..cols).map(|j| wall_value(p.seed, j as u64)).collect();
+    // ---- real data: row 0 of the wall; later rows are generated per tile ----
+    let mixer = Mixer::new(p.seed);
+    let mut prev = vec![0i32; cols];
+    mixer.fill(0, &mut prev, wall);
     let mut next = vec![0i32; cols];
-    let mut walls = vec![0i32; p.rows_per_kernel.min(rows) * cols];
+    let tile = cols.div_ceil(gh_par::default_parallelism());
 
     // ---- GPU context initialization + argument parsing (phase 1) ----
     m.phase(Phase::CtxInit);
@@ -142,20 +186,11 @@ pub fn run(mut m: Machine, mode: MemMode, p: &PathfinderParams) -> RunReport {
     let mut flip = 0u64;
     while row < rows {
         let batch = p.rows_per_kernel.min(rows - row);
-        // Host input: this launch's wall rows, generated outside the kernel.
-        let walls = &mut walls[..batch * cols];
-        par_chunks_mut(walls, cols, |i, wall_row| {
-            let first = (row + i) * cols;
-            for (j, w) in wall_row.iter_mut().enumerate() {
-                *w = wall_value(p.seed, (first + j) as u64);
-            }
-        });
+        // Real DP: this launch's rows, before the launch that meters them.
+        advance(&mixer, &prev, &mut next, row, batch, tile);
+        std::mem::swap(&mut prev, &mut next);
         let mut k = m.rt.launch("pathfinder_step");
-        for (i, wall_row) in walls.chunks_exact(cols).enumerate() {
-            let r = row + i;
-            // Real DP.
-            dp_row(wall_row, &prev, &mut next);
-            std::mem::swap(&mut prev, &mut next);
+        for r in row..row + batch {
             // Metered: one narrow wall row + result row ping-pong.
             k.read(wall_buf.gpu(), (r * cols * 4) as u64, row_bytes);
             k.read(&result, flip * row_bytes, row_bytes);
@@ -188,6 +223,8 @@ pub fn run(mut m: Machine, mode: MemMode, p: &PathfinderParams) -> RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::MIX_BLOCK;
+    use proptest::prelude::*;
 
     fn small() -> PathfinderParams {
         PathfinderParams {
@@ -226,6 +263,51 @@ mod tests {
             dp_step(&wall, &prev, &mut a);
             dp_row(&wall, &prev, &mut b);
             assert_eq!(a, b, "width {n}");
+        }
+    }
+
+    #[test]
+    fn wall_equals_the_remainder_for_every_24_bit_value() {
+        for v in 0..1u64 << 24 {
+            assert_eq!(wall(v << 40 | 0xff_ffff_ffff), (v % 10) as i32, "{v}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Tiled launches equal the plain DP at any tile width, including
+        /// halos wider than a tile and tiles wider than the row.
+        #[test]
+        fn tiled_launches_match_reference(seed in 0u64..1_000_000, rows in 1usize..=300,
+                                          cols in 1usize..=300, rpk in 1usize..=40,
+                                          tiles in 1usize..=8) {
+            let p = PathfinderParams { rows, cols, rows_per_kernel: rpk, seed };
+            let mixer = Mixer::new(seed);
+            let mut prev = vec![0i32; cols];
+            mixer.fill(0, &mut prev, wall);
+            let mut next = vec![0i32; cols];
+            let mut row = 1;
+            while row < rows {
+                let batch = rpk.min(rows - row);
+                advance(&mixer, &prev, &mut next, row, batch, cols.div_ceil(tiles));
+                std::mem::swap(&mut prev, &mut next);
+                row += batch;
+            }
+            prop_assert_eq!(prev, reference(&p));
+        }
+
+        /// The block generator equals `wall_value` over runs that start on
+        /// a block edge, just before one, and cross one or more.
+        #[test]
+        fn block_walls_equal_wall_value(seed in 0u64..u64::MAX, block in 0u64..1 << 40,
+                                        skew in 0usize..3, len in 1usize..3 * MIX_BLOCK) {
+            let start = block * MIX_BLOCK as u64 - [0, 1, 7][skew].min(block * MIX_BLOCK as u64);
+            let mut got = vec![0i32; len];
+            Mixer::new(seed).fill(start, &mut got, wall);
+            for (k, &w) in got.iter().enumerate() {
+                prop_assert_eq!(w, wall_value(seed, start + k as u64), "index {}", start + k as u64);
+            }
         }
     }
 

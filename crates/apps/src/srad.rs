@@ -21,7 +21,7 @@ use gh_par::par_chunks_mut;
 use gh_profiler::Phase;
 use gh_sim::{Machine, MemMode, RunReport};
 
-use crate::common::{UBuf, BAND};
+use crate::common::{mix, seeded_vec, unit, UBuf, BAND};
 
 /// Input parameters.
 #[derive(Debug, Clone)]
@@ -49,10 +49,14 @@ impl Default for SradParams {
     }
 }
 
+/// The image pixel of hash `x`: exp of a value in `[0.25, 0.75]`, as
+/// Rodinia exponentiates its image.
+fn pixel(x: u64) -> f32 {
+    (unit(x) * 0.5 + 0.25).exp()
+}
+
 fn image_value(seed: u64, i: u64) -> f32 {
-    let x = (seed ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let u = ((x >> 11) as f64 / (1u64 << 53) as f64) as f32;
-    (u * 0.5 + 0.25).exp() // exp(image) as Rodinia does
+    pixel(mix(seed, i))
 }
 
 struct Grids {
@@ -294,16 +298,12 @@ pub fn reference(p: &SradParams) -> Vec<f32> {
 
 /// Runs SRAD under `mode` (checksum = sum of the final image).
 pub fn run(mut m: Machine, mode: MemMode, p: &SradParams) -> RunReport {
+    assert!(p.size > 0, "size must be positive");
     let n = p.size;
     let bytes = (n * n * 4) as u64;
 
     // ---- real data ----
-    let mut j = vec![0.0f32; n * n];
-    par_chunks_mut(&mut j, n, |r, row| {
-        for (col, x) in row.iter_mut().enumerate() {
-            *x = image_value(p.seed, (r * n + col) as u64);
-        }
-    });
+    let mut j = seeded_vec(p.seed, n * n, pixel);
     let mut next = vec![0.0f32; n * n];
 
     // ---- GPU context initialization + argument parsing (phase 1) ----

@@ -16,13 +16,15 @@ pub const SEED: u64 = 1;
 
 /// The slow `grace-mem` cells (release build), each run three times.
 /// Every run of a row, and both `suite` rows, must print the same stdout.
-pub const CLI_ROWS: [&str; 9] = [
+pub const CLI_ROWS: [&str; 11] = [
     "suite --jobs 1",
     "suite --jobs 2",
     "app bfs --page 4k",
     "app bfs --page 64k",
     "app srad",
     "app needle",
+    "app pathfinder",
+    "app hotspot",
     "qv 24 --mode system --page 4k",
     "qv 20 --amplitudes",
     "qv 24 --mode managed --prefetch",
